@@ -11,7 +11,7 @@
 
 use crate::engine::ProfilePredictor;
 use crate::workload::{Feature, Profile, VmWorkload};
-use parking_lot_like::RefitCache;
+use refit_cache::RefitCache;
 use timeseries::arima::{ArimaModel, ArimaSpec};
 
 /// A `ProfilePredictor` backed by per-feature ARIMA models with periodic
@@ -94,7 +94,7 @@ impl ProfilePredictor for ArimaProfilePredictor {
 /// A tiny interior-mutability cache keyed by (workload identity, feature,
 /// refit epoch). Kept module-local to avoid a public dependency on the
 /// locking strategy.
-mod parking_lot_like {
+mod refit_cache {
     use std::collections::HashMap;
     use std::sync::Mutex;
     use timeseries::arima::ArimaModel;

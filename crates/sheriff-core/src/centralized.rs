@@ -17,24 +17,9 @@ use dcn_topology::{RackId, VmId};
 use sheriff_obs::{EventSink, NullSink};
 
 /// Run the centralized manager over all alerting candidates: one global
-/// VMMIGRATION whose target region is the entire rack set.
-#[cfg(feature = "legacy")]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `CentralizedRuntime` via the `Runtime` trait, or `centralized_migration_obs`"
-)]
-pub fn centralized_migration(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    max_rounds: usize,
-) -> MigrationPlan {
-    centralized_migration_obs(ctx, candidates, max_rounds, &mut NullSink)
-}
-
-/// The centralized manager with an [`EventSink`] observing every
-/// REQUEST/verdict and the final plan summary (the deprecated
-/// `centralized_migration` wrapper is this with a [`NullSink`], behind
-/// the `legacy` feature).
+/// VMMIGRATION whose target region is the entire rack set, with an
+/// [`EventSink`] observing every REQUEST/verdict and the final plan
+/// summary.
 pub fn centralized_migration_obs<S: EventSink + ?Sized>(
     ctx: &mut MigrationContext<'_>,
     candidates: &[VmId],

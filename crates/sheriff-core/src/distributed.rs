@@ -1,32 +1,22 @@
-//! The threaded distributed runtime: optimistic per-shim planning with
-//! protocol-checked FCFS commits.
+//! The shim planning core shared by the fabric and centralized runtimes.
 //!
-//! [`distributed_round_obs`] — each shim plans on its own thread, then all
-//! commits funnel through the destination racks' [`ShimEndpoint`]s in
-//! deterministic rack order (Alg. 4 FCFS, Sec. II-B/V-B — "each local
-//! manager adjusts network traffic locally, they need to communicate
-//! between each other to avoid conflictions"). The shared mutex guards
-//! only the placement snapshot/commit; the protocol layer decides.
-//!
-//! The planning core it is built on (PRIORITY victim selection + min-cost
-//! matching on a snapshot, Algs. 1–3) is shared with the message-passing
-//! fabric runtime in [`fabric`](crate::fabric), which re-expresses the
-//! same negotiation as explicit REQUEST/ACK/REJECT messages over a
-//! seeded, faulty channel. With a reliable channel and no crashed shims
-//! the fabric reproduces this runtime move for move: both issue the
-//! identical sequence of Alg. 4 requests in the identical order, so the
-//! ACK/REJECT outcomes — and therefore the plans — match.
+//! Each alerted shim selects victims with PRIORITY (Algs. 1–2,
+//! `select_victims`), collects the destination hosts of its region
+//! (`region_slots`), and matches victims to hosts at minimum cost on a
+//! placement snapshot (Alg. 3, `plan_proposals`). The fabric runtime in
+//! [`fabric`](crate::fabric) then negotiates every proposal with the
+//! destination rack as explicit REQUEST/ACK/REJECT messages (Alg. 4,
+//! Sec. V-B) over a seeded, faulty channel, keeping per-shim bookkeeping
+//! in `ShimState`. [`DistributedReport`] is what one such round reports.
 
-use crate::audit::{audit_moves, audit_placement, AuditReport};
+use crate::audit::AuditReport;
 use crate::matching::{min_cost_assignment_padded, FORBIDDEN};
 use crate::priority::{priority, Budget};
-use crate::protocol::{RejectReason, ReqId, ShimEndpoint, Verdict};
-use crate::vmmigration::{MigrationPlan, Move};
-use dcn_sim::engine::Cluster;
+use crate::protocol::RejectReason;
+use crate::vmmigration::MigrationPlan;
 use dcn_sim::{Alert, AlertSource, RackMetric, SimConfig};
 use dcn_topology::{DependencyGraph, HostId, Inventory, Placement, RackId, VmId};
-use parking_lot::Mutex;
-use sheriff_obs::{emit, Event, EventSink, RejectKind};
+use sheriff_obs::RejectKind;
 use std::collections::BTreeSet;
 
 /// Map a protocol-level REJECT payload to its observability label.
@@ -40,7 +30,7 @@ pub(crate) fn reject_kind(reason: RejectReason) -> RejectKind {
     }
 }
 
-/// Result of one distributed round (either runtime).
+/// Result of one fabric round.
 #[derive(Debug, Clone, Default)]
 pub struct DistributedReport {
     /// Merged migration plan across all shims.
@@ -49,7 +39,7 @@ pub struct DistributedReport {
     pub retries: usize,
     /// Shims that participated.
     pub shims: usize,
-    /// Messages lost by the channel (fabric runtime only).
+    /// Messages lost by the channel.
     pub drops: usize,
     /// Requests whose reply deadline expired at least once.
     pub timeouts: usize,
@@ -61,9 +51,9 @@ pub struct DistributedReport {
     pub degraded_shims: usize,
     /// Alerted shims that were crashed and could not participate.
     pub crashed_shims: usize,
-    /// Virtual ticks the fabric round took (0 for the threaded runtime).
+    /// Virtual ticks the round took.
     pub ticks: u64,
-    /// Transactions journalled as `Prepared` (fabric runtime only).
+    /// Transactions journalled as `Prepared`.
     pub txn_prepared: usize,
     /// Transactions that reached `Committed`.
     pub txn_committed: usize,
@@ -84,8 +74,8 @@ pub struct DistributedReport {
     /// Pending VMs dropped at partition heal because another manager
     /// handled them during the cut.
     pub reconciliations: usize,
-    /// Pre-copy transfers admitted onto the transfer scheduler (fabric
-    /// runtime with the network-aware transfer model enabled; 0 otherwise).
+    /// Pre-copy transfers admitted onto the transfer scheduler (0 unless
+    /// the network-aware transfer model is enabled).
     pub transfers_started: usize,
     /// Transfers that streamed to completion and finalized their commit.
     pub transfers_completed: usize,
@@ -248,7 +238,7 @@ pub(crate) fn plan_proposals(
     (proposals, unassigned, search_space)
 }
 
-/// Per-shim negotiation state shared by both runtimes' bookkeeping.
+/// Per-shim negotiation state of one round.
 pub(crate) struct ShimState {
     pub(crate) rack: RackId,
     pub(crate) pending: Vec<VmId>,
@@ -258,336 +248,4 @@ pub(crate) struct ShimState {
     pub(crate) retries: usize,
     pub(crate) seq: u32,
     pub(crate) active: bool,
-}
-
-/// Run one management round with every alerted shim planning on its own
-/// thread and committing through the destination racks' protocol
-/// endpoints in deterministic rack order.
-///
-/// `alert_values[vm]` supplies the ALERT magnitude for PRIORITY's `w = 1`
-/// branch. Mutates `cluster.placement` in place on return.
-#[cfg(feature = "legacy")]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `DistributedRuntime` via the `Runtime` trait, or `distributed_round_obs`"
-)]
-pub fn distributed_round(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
-    max_retry: usize,
-) -> DistributedReport {
-    distributed_round_obs(
-        cluster,
-        metric,
-        alerts,
-        alert_values,
-        max_retry,
-        &mut sheriff_obs::NullSink,
-    )
-}
-
-/// The threaded shim round with an [`EventSink`] observing the
-/// negotiation (the deprecated `distributed_round` wrapper is this with
-/// a [`NullSink`](sheriff_obs::NullSink), behind the `legacy` feature).
-///
-/// Planning still runs one thread per shim; events are emitted only from
-/// the single-threaded victim-selection and commit phases, in
-/// deterministic rack/request order, so the event stream is reproducible
-/// and the sink needs no synchronization.
-pub fn distributed_round_obs<S: EventSink + ?Sized>(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
-    max_retry: usize,
-    sink: &mut S,
-) -> DistributedReport {
-    let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
-    racks.sort_unstable();
-    racks.dedup();
-    if racks.is_empty() {
-        return DistributedReport::default();
-    }
-
-    let deps = &cluster.deps;
-    let inventory = &cluster.dcn.inventory;
-    let sim = &cluster.sim;
-    let shared = Mutex::new(cluster.placement.clone());
-    let mut endpoints: Vec<ShimEndpoint> = (0..cluster.dcn.rack_count())
-        .map(|r| ShimEndpoint::new(RackId::from_index(r)))
-        .collect();
-
-    // victim selection on the initial snapshot (Alg. 1)
-    let mut states: Vec<ShimState> = {
-        let snapshot = shared.lock().clone();
-        racks
-            .iter()
-            .map(|&rack| {
-                let (pending, candidates) =
-                    select_victims(&snapshot, inventory, sim, rack, alerts, alert_values);
-                emit(sink, || Event::VictimsSelected {
-                    rack: rack.index() as u64,
-                    candidates: candidates as u64,
-                    selected: pending.len() as u64,
-                });
-                let region = cluster.dcn.neighbor_racks(rack, sim.region_hops);
-                let slots = region_slots(inventory, &region, rack);
-                ShimState {
-                    rack,
-                    active: !pending.is_empty() && !slots.is_empty(),
-                    pending,
-                    slots,
-                    excluded: Vec::new(),
-                    plan: MigrationPlan::default(),
-                    retries: 0,
-                    seq: 0,
-                }
-            })
-            .collect()
-    };
-
-    for _round in 0..=max_retry {
-        let idxs: Vec<usize> = (0..states.len()).filter(|&i| states[i].active).collect();
-        if idxs.is_empty() {
-            break;
-        }
-        // optimistic planning, one thread per active shim, on one snapshot
-        let snapshot = shared.lock().clone();
-        let proposals: Vec<(Vec<Proposal>, Vec<VmId>, usize)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = idxs
-                .iter()
-                .map(|&i| {
-                    let st = &states[i];
-                    let snapshot = &snapshot;
-                    scope.spawn(move |_| {
-                        plan_proposals(
-                            snapshot,
-                            deps,
-                            metric,
-                            sim,
-                            &st.pending,
-                            &st.slots,
-                            &st.excluded,
-                            &BTreeSet::new(),
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("planner thread panicked"))
-                .collect()
-        })
-        .expect("thread scope failed");
-
-        // pessimistic commit: FCFS through each destination's endpoint,
-        // shims in rack order, requests in matching order
-        let mut placement = shared.lock();
-        for (&i, (props, unassigned, space)) in idxs.iter().zip(proposals) {
-            let st = &mut states[i];
-            st.plan.search_space += space;
-            emit(sink, || Event::PlanComputed {
-                rack: st.rack.index() as u64,
-                proposals: props.len() as u64,
-                unassigned: unassigned.len() as u64,
-                search_space: space as u64,
-            });
-            let mut next_pending = unassigned;
-            let mut progressed = false;
-            for p in props {
-                let from = placement.host_of(p.vm);
-                let dest_rack = placement.rack_of_host(p.dest);
-                let req_id = ReqId::new(st.rack, st.seq);
-                st.seq += 1;
-                emit(sink, || Event::RequestSent {
-                    req: req_id.0,
-                    vm: p.vm.index() as u64,
-                    dest_host: p.dest.index() as u64,
-                    attempt: 1,
-                });
-                match endpoints[dest_rack.index()].handle_request(
-                    &mut placement,
-                    deps,
-                    req_id,
-                    p.vm,
-                    p.dest,
-                ) {
-                    Verdict::Ack => {
-                        emit(sink, || Event::AckReceived {
-                            req: req_id.0,
-                            vm: p.vm.index() as u64,
-                        });
-                        emit(sink, || Event::MigrationCommitted {
-                            vm: p.vm.index() as u64,
-                            from_host: from.index() as u64,
-                            to_host: p.dest.index() as u64,
-                            cost: p.cost,
-                        });
-                        sink.counter("migrations.committed", 1);
-                        st.plan.moves.push(Move {
-                            vm: p.vm,
-                            from,
-                            to: p.dest,
-                            cost: p.cost,
-                        });
-                        st.plan.total_cost += p.cost;
-                        progressed = true;
-                    }
-                    Verdict::Reject(reason) => {
-                        emit(sink, || Event::RejectReceived {
-                            req: req_id.0,
-                            vm: p.vm.index() as u64,
-                            reason: reject_kind(reason),
-                        });
-                        sink.counter("migrations.rejected", 1);
-                        st.plan.rejected += 1;
-                        st.retries += 1;
-                        st.excluded.push((p.vm, p.dest));
-                        next_pending.push(p.vm);
-                    }
-                }
-            }
-            st.pending = next_pending;
-            st.active = progressed && !st.pending.is_empty();
-        }
-    }
-
-    let mut report = DistributedReport {
-        shims: racks.len(),
-        ..DistributedReport::default()
-    };
-    for mut st in states {
-        st.plan.unplaced.extend(st.pending);
-        report.plan.absorb(st.plan);
-        report.retries += st.retries;
-    }
-    report.dedup_hits = endpoints.iter().map(|e| e.dedup_hits()).sum();
-    cluster.placement = shared.into_inner();
-    report.audit = audit_placement(&cluster.placement, &cluster.deps);
-    report.audit.merge(audit_moves(
-        &cluster.placement,
-        report.plan.moves.iter().map(|m| (m.vm, m.to)),
-    ));
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dcn_sim::engine::ClusterConfig;
-    use dcn_topology::fattree::{self, FatTreeConfig};
-    use sheriff_obs::NullSink;
-
-    fn cluster(seed: u64) -> Cluster {
-        let dcn = fattree::build(&FatTreeConfig::paper(8));
-        Cluster::build(
-            dcn,
-            &ClusterConfig {
-                vms_per_host: 2.5,
-                skew: 3.0,
-                seed,
-                ..ClusterConfig::default()
-            },
-            dcn_sim::SimConfig::paper(),
-        )
-    }
-
-    fn alert_values(c: &Cluster) -> Vec<f64> {
-        c.placement
-            .vm_ids()
-            .map(|vm| c.placement.utilization(c.placement.host_of(vm)))
-            .collect()
-    }
-
-    fn assert_capacity_ok(c: &Cluster) {
-        for h in 0..c.placement.host_count() {
-            let h = HostId::from_index(h);
-            assert!(
-                c.placement.used_capacity(h) <= c.placement.host_capacity(h) + 1e-9,
-                "host {h} over capacity"
-            );
-        }
-    }
-
-    fn assert_deps_ok(c: &Cluster) {
-        for vm in c.placement.vm_ids() {
-            let host = c.placement.host_of(vm);
-            for &other in c.placement.vms_on(host) {
-                if other != vm {
-                    assert!(
-                        !c.deps.dependent(vm, other),
-                        "dependent VMs {vm} and {other} co-located on {host}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_shims_preserve_capacity_invariants() {
-        let mut c = cluster(21);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
-        let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
-        let report = distributed_round_obs(&mut c, &metric, &alerts, &vals, 3, &mut NullSink);
-        assert!(report.shims > 1, "want true concurrency in this test");
-        assert!(!report.plan.moves.is_empty());
-        assert_capacity_ok(&c);
-    }
-
-    #[test]
-    fn concurrent_shims_respect_dependency_conflicts() {
-        let mut c = cluster(22);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
-        let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
-        let _ = distributed_round_obs(&mut c, &metric, &alerts, &vals, 3, &mut NullSink);
-        assert_deps_ok(&c);
-    }
-
-    #[test]
-    fn distributed_round_improves_balance() {
-        let mut c = cluster(23);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
-        let before = c.utilization_stddev();
-        for t in 0..6 {
-            let alerts = c.fraction_alerts(0.05, t);
-            let vals = alert_values(&c);
-            distributed_round_obs(&mut c, &metric, &alerts, &vals, 3, &mut NullSink);
-        }
-        let after = c.utilization_stddev();
-        assert!(after < before, "std-dev {before} -> {after}");
-    }
-
-    #[test]
-    fn moves_recorded_match_final_placement() {
-        let mut c = cluster(24);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
-        let alerts = c.fraction_alerts(0.05, 0);
-        let vals = alert_values(&c);
-        let report = distributed_round_obs(&mut c, &metric, &alerts, &vals, 3, &mut NullSink);
-        // each VM's final host equals its last recorded move
-        let mut last: std::collections::HashMap<VmId, HostId> = Default::default();
-        for m in &report.plan.moves {
-            last.insert(m.vm, m.to);
-        }
-        for (vm, to) in last {
-            assert_eq!(c.placement.host_of(vm), to);
-        }
-        let sum: f64 = report.plan.moves.iter().map(|m| m.cost).sum();
-        assert!((report.plan.total_cost - sum).abs() < 1e-9);
-    }
-
-    #[test]
-    fn no_alerts_is_a_noop() {
-        let mut c = cluster(25);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
-        let before = c.utilization_stddev();
-        let report = distributed_round_obs(&mut c, &metric, &[], &[], 3, &mut NullSink);
-        assert_eq!(report.shims, 0);
-        assert!(report.plan.moves.is_empty());
-        assert_eq!(c.utilization_stddev(), before);
-    }
 }

@@ -54,26 +54,15 @@ pub struct FabricConfig {
     pub faults: ChannelFaults,
     /// Seed for the channel's fault RNG.
     pub seed: u64,
-    /// Replan rounds per shim after the first, mirroring
-    /// [`distributed_round_obs`](crate::distributed_round_obs)'s
-    /// `max_retry`.
+    /// Replan rounds per shim after the first (Alg. 3's negotiation
+    /// retries).
     pub max_retry: usize,
     /// Timeout/retransmission policy per request.
     pub backoff: BackoffPolicy,
     /// Ticks to collect `Hello`s before the first planning round; must
     /// exceed the channel's maximum delay or live racks look dead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `FabricConfig::for_channel` / `SystemBuilder` and tune with \
-                `with_hello_window`"
-    )]
     pub hello_window: u64,
     /// Interval between liveness beacons.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `with_heartbeat_every` (or a per-rack `with_beacon_interval`) instead of \
-                writing the per-round queue knob directly"
-    )]
     pub heartbeat_period: u64,
     /// Silence (in ticks) after which a rack is presumed dead.
     pub liveness_deadline: u64,
@@ -128,7 +117,6 @@ pub struct FabricConfig {
     pub transfer: Option<sheriff_transfer::TransferConfig>,
 }
 
-#[allow(deprecated)]
 impl Default for FabricConfig {
     fn default() -> Self {
         Self {
@@ -152,20 +140,9 @@ impl Default for FabricConfig {
 }
 
 impl FabricConfig {
-    /// Adopt the cluster's configured channel fault model.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `FabricConfig::for_channel(sim.channel.clone(), seed)` or \
-                `SystemBuilder::fabric_runtime`"
-    )]
-    pub fn from_sim(sim: &SimConfig, seed: u64) -> Self {
-        Self::for_channel(sim.channel.clone(), seed)
-    }
-
     /// A fabric configuration for the given channel fault model, with
     /// the hello window widened past the channel's worst base delay so a
     /// healthy, slow channel is not mistaken for dead shims.
-    #[allow(deprecated)]
     pub fn for_channel(faults: ChannelFaults, seed: u64) -> Self {
         let hello = 2u64.max(faults.delay_max + 1);
         Self {
@@ -177,14 +154,12 @@ impl FabricConfig {
     }
 
     /// Override the pre-planning hello window.
-    #[allow(deprecated)]
     pub fn with_hello_window(mut self, ticks: u64) -> Self {
         self.hello_window = ticks;
         self
     }
 
     /// Override the global liveness-beacon interval.
-    #[allow(deprecated)]
     pub fn with_heartbeat_every(mut self, ticks: u64) -> Self {
         self.heartbeat_period = ticks;
         self
@@ -226,7 +201,6 @@ impl FabricConfig {
     }
 
     /// The global liveness-beacon interval.
-    #[allow(deprecated)]
     pub fn heartbeat_every(&self) -> u64 {
         self.heartbeat_period
     }
@@ -388,35 +362,8 @@ fn schedule_wake(
 
 /// Run one management round entirely over the simulated shim channel:
 /// REQUEST/ACK/REJECT with deadlines, backoff, idempotent retransmission,
-/// heartbeat liveness, and graceful degradation around crashed shims.
-///
-/// Single-threaded and deterministic in virtual time; with
-/// [`ChannelFaults::reliable`] and no crashes it produces the same plan
-/// as [`distributed_round_obs`](crate::distributed_round_obs) with
-/// `max_retry = cfg.max_retry`.
-#[cfg(feature = "legacy")]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FabricRuntime` via the `Runtime` trait, or `fabric_round_obs`"
-)]
-pub fn fabric_round(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
-    cfg: &FabricConfig,
-) -> DistributedReport {
-    fabric_round_obs(
-        cluster,
-        metric,
-        alerts,
-        alert_values,
-        cfg,
-        &mut sheriff_obs::NullSink,
-    )
-}
-
-/// The fabric round with an [`EventSink`] observing the message exchange:
+/// heartbeat liveness, and graceful degradation around crashed shims,
+/// with an [`EventSink`] observing the message exchange:
 /// every REQUEST/ACK/REJECT, timeout, retransmission, absorbed duplicate,
 /// degradation step, and crashed shim becomes a structured event, and the
 /// channel's [`NetStats`](crate::channel::NetStats) land in counters
@@ -471,9 +418,6 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
     failover: &mut RegionFailover,
     sink: &mut S,
 ) -> DistributedReport {
-    // the per-round queue knobs survive as deprecated fields; the event
-    // engine normalizes them into plain locals at this single point
-    #[allow(deprecated)]
     let hello_window = cfg.hello_window;
     let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
     racks.sort_unstable();
@@ -567,8 +511,7 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
         .map(|r| ShimEndpoint::new(RackId::from_index(r)))
         .collect();
 
-    // victim selection on the initial placement (Alg. 1), as in the
-    // threaded runtime
+    // victim selection on the initial placement (Alg. 1)
     let mut shims: Vec<FabricShim> = racks
         .iter()
         .map(|&rack| {
@@ -2309,51 +2252,97 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a round's plan — every move's (vm, from, to, cost
+    /// bits), the rejected count and the unplaced VMs — followed by the
+    /// final host of every VM.
+    fn plan_digest(plan: &crate::vmmigration::MigrationPlan, c: &Cluster) -> u64 {
+        let mut buf = String::new();
+        for m in &plan.moves {
+            buf.push_str(&format!(
+                "mv {:?} {:?} {:?} {:x};",
+                m.vm,
+                m.from,
+                m.to,
+                m.cost.to_bits()
+            ));
+        }
+        buf.push_str(&format!(
+            "rej {}; unplaced {:?};",
+            plan.rejected, plan.unplaced
+        ));
+        for vm in c.placement.vm_ids() {
+            buf.push_str(&format!("{:?};", c.placement.host_of(vm)));
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in buf.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// `(cluster seed, alert percent, moves, plan_digest)` of the retired
+    /// threaded runtime — one planner thread per alerted shim, commits
+    /// FCFS through the destination endpoints in rack order — with
+    /// `max_retry = 3` on the k=8 Fat-Tree of [`cluster`].
+    const THREADED_DIGESTS: [(u64, u32, usize, u64); 24] = [
+        (21, 5, 16, 0x2ca9_c99a_4f4b_2c71),
+        (21, 10, 32, 0x86b0_ebd4_0818_ad88),
+        (21, 25, 79, 0xa000_d4b9_ae7d_a81e),
+        (22, 5, 16, 0x8566_2cb9_b30d_4768),
+        (22, 10, 32, 0x23ab_3706_3baa_61b5),
+        (22, 25, 79, 0xbe4c_780f_b13d_3910),
+        (23, 5, 16, 0x9870_a22b_6e60_a653),
+        (23, 10, 32, 0xbc7c_0b07_bcbb_f0bb),
+        (23, 25, 80, 0x9e54_f3f4_9158_f1e9),
+        (24, 5, 16, 0xb21c_65d6_1bf0_cd1b),
+        (24, 10, 32, 0xad73_5df0_687f_8561),
+        (24, 25, 80, 0xfe87_4fcc_68f3_4a31),
+        (25, 5, 16, 0x0b29_49b5_d7ab_6a45),
+        (25, 10, 32, 0x5edc_feed_2dba_14c7),
+        (25, 25, 79, 0x87e8_8945_c71a_d853),
+        (26, 5, 16, 0x554c_5d0d_6f7a_af04),
+        (26, 10, 32, 0xd7ff_a1b8_1272_3933),
+        (26, 25, 79, 0xbc07_2d16_61ae_7307),
+        (91, 5, 16, 0xa403_3edd_cc87_b37a),
+        (91, 10, 32, 0x4b08_a23c_49cd_ab73),
+        (91, 25, 78, 0xcb3e_c15d_09d4_c953),
+        (92, 5, 16, 0x912e_8626_fe9f_2fb2),
+        (92, 10, 32, 0x62bd_4f01_c7ae_bfe6),
+        (92, 25, 80, 0xb45a_e2e3_1a16_913c),
+    ];
+
     #[test]
     fn reliable_fabric_reproduces_threaded_plan_exactly() {
-        let mut threaded = cluster(26);
-        let mut fabric = cluster(26);
-        let metric = RackMetric::build(&threaded.dcn, &threaded.sim);
-        let alerts = threaded.fraction_alerts(0.10, 0);
-        let vals = alert_values(&threaded);
-
         let cfg = FabricConfig::default();
         assert!(cfg.faults.is_reliable());
-        let rt = crate::distributed::distributed_round_obs(
-            &mut threaded,
-            &metric,
-            &alerts,
-            &vals,
-            cfg.max_retry,
-            &mut NullSink,
-        );
-        let rf = fabric_round_obs(&mut fabric, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        assert_eq!(cfg.max_retry, 3);
+        for (seed, pct, moves, digest) in THREADED_DIGESTS {
+            let mut c = cluster(seed);
+            let metric = RackMetric::build(&c.dcn, &c.sim);
+            let alerts = c.fraction_alerts(pct as f64 / 100.0, 0);
+            let vals = alert_values(&c);
+            let rf = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
 
-        assert_eq!(rt.plan.moves.len(), rf.plan.moves.len());
-        for (a, b) in rt.plan.moves.iter().zip(&rf.plan.moves) {
-            assert_eq!((a.vm, a.from, a.to), (b.vm, b.from, b.to));
-            assert!((a.cost - b.cost).abs() < 1e-12);
+            assert_eq!(rf.plan.moves.len(), moves, "seed {seed} at {pct}%");
+            assert_eq!(
+                plan_digest(&rf.plan, &c),
+                digest,
+                "seed {seed} at {pct}%: plan drifted from the threaded runtime's"
+            );
+            // a perfect channel exercises none of the robustness machinery
+            assert_eq!(rf.drops, 0);
+            assert_eq!(rf.timeouts, 0);
+            assert_eq!(rf.resends, 0);
+            assert_eq!(rf.dedup_hits, 0);
+            assert_eq!(rf.degraded_shims, 0);
+            // every move travelled the full PREPARE -> COMMIT -> ACK path
+            // and nothing was left half-done
+            assert_eq!(rf.txn_committed, rf.plan.moves.len());
+            assert_eq!(rf.txn_aborted, 0);
+            assert_eq!(rf.recoveries, 0);
+            assert!(rf.audit.is_clean(), "{}", rf.audit);
         }
-        assert!((rt.plan.total_cost - rf.plan.total_cost).abs() < 1e-9);
-        assert_eq!(rt.plan.rejected, rf.plan.rejected);
-        assert_eq!(rt.plan.unplaced, rf.plan.unplaced);
-        for vm in threaded.placement.vm_ids() {
-            assert_eq!(threaded.placement.host_of(vm), fabric.placement.host_of(vm));
-        }
-        // a perfect channel exercises none of the robustness machinery
-        assert_eq!(rf.drops, 0);
-        assert_eq!(rf.timeouts, 0);
-        assert_eq!(rf.resends, 0);
-        assert_eq!(rf.dedup_hits, 0);
-        assert_eq!(rf.degraded_shims, 0);
-        assert!(!rt.plan.moves.is_empty(), "vacuous equivalence");
-        // every move travelled the full PREPARE -> COMMIT -> ACK path and
-        // nothing was left half-done
-        assert_eq!(rf.txn_committed, rf.plan.moves.len());
-        assert_eq!(rf.txn_aborted, 0);
-        assert_eq!(rf.recoveries, 0);
-        assert!(rf.audit.is_clean(), "{}", rf.audit);
-        assert!(rt.audit.is_clean(), "{}", rt.audit);
     }
 
     #[test]
@@ -2398,12 +2387,7 @@ mod tests {
 
     #[test]
     fn duplicated_requests_never_double_apply() {
-        let mut c = cluster(28);
-        let initial = c.placement.clone();
-        let metric = RackMetric::build(&c.dcn, &c.sim);
-        let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
-        let cfg = FabricConfig {
+        let duplicating = FabricConfig {
             faults: ChannelFaults {
                 duplicate: 0.5,
                 ..ChannelFaults::reliable()
@@ -2411,26 +2395,42 @@ mod tests {
             seed: 5,
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
-        assert!(
-            report.dedup_hits > 0,
-            "50% duplication must hit the dedup log"
-        );
-        // chaining the recorded moves from the initial placement lands
-        // exactly on the final placement: every ACKed move applied once
-        let mut loc: std::collections::HashMap<VmId, HostId> = c
-            .placement
-            .vm_ids()
-            .map(|vm| (vm, initial.host_of(vm)))
-            .collect();
-        for m in &report.plan.moves {
-            assert_eq!(loc[&m.vm], m.from, "stale or doubled move for {}", m.vm);
-            loc.insert(m.vm, m.to);
+        // the reliable case pins the plain bookkeeping: recorded moves and
+        // costs match the final placement with no duplicates in play
+        for (seed, pct, cfg) in [(28, 0.10, duplicating), (24, 0.05, FabricConfig::default())] {
+            let mut c = cluster(seed);
+            let initial = c.placement.clone();
+            let metric = RackMetric::build(&c.dcn, &c.sim);
+            let alerts = c.fraction_alerts(pct, 0);
+            let vals = alert_values(&c);
+            let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+            assert!(!report.plan.moves.is_empty());
+            if cfg.faults.is_reliable() {
+                assert_eq!(report.dedup_hits, 0);
+            } else {
+                assert!(
+                    report.dedup_hits > 0,
+                    "50% duplication must hit the dedup log"
+                );
+            }
+            // chaining the recorded moves from the initial placement lands
+            // exactly on the final placement: every ACKed move applied once
+            let mut loc: std::collections::HashMap<VmId, HostId> = c
+                .placement
+                .vm_ids()
+                .map(|vm| (vm, initial.host_of(vm)))
+                .collect();
+            for m in &report.plan.moves {
+                assert_eq!(loc[&m.vm], m.from, "stale or doubled move for {}", m.vm);
+                loc.insert(m.vm, m.to);
+            }
+            for vm in c.placement.vm_ids() {
+                assert_eq!(loc[&vm], c.placement.host_of(vm));
+            }
+            let sum: f64 = report.plan.moves.iter().map(|m| m.cost).sum();
+            assert!((report.plan.total_cost - sum).abs() < 1e-9);
+            assert_capacity_ok(&c);
         }
-        for vm in c.placement.vm_ids() {
-            assert_eq!(loc[&vm], c.placement.host_of(vm));
-        }
-        assert_capacity_ok(&c);
     }
 
     #[test]
@@ -2457,6 +2457,13 @@ mod tests {
         let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
         assert_eq!(report.shims, 0);
         assert_eq!(report.crashed_shims, crashed.len());
+        assert!(report.plan.moves.is_empty());
+        assert_eq!(c.utilization_stddev(), before);
+
+        // a round without alerts is a no-op on a healthy fabric too
+        let cfg = FabricConfig::default();
+        let report = fabric_round_obs(&mut c, &metric, &[], &[], &cfg, &mut NullSink);
+        assert_eq!(report.shims, 0);
         assert!(report.plan.moves.is_empty());
         assert_eq!(c.utilization_stddev(), before);
     }

@@ -13,10 +13,11 @@
 //! * Alg. 5 [`kmedian::local_search`] — the p-swap local search with
 //!   ratio 3 + 2/p, plus the VMMIGRATION → k-median transformation,
 //!
-//! together with FLOWREROUTE, the centralized-manager baseline, a
-//! deterministic sequential runtime ([`Sheriff`]) and a threaded runtime
-//! with optimistic planning and FCFS commit ([`distributed_round_obs`],
-//! or [`DistributedRuntime`] behind the [`Runtime`] trait).
+//! together with FLOWREROUTE, the centralized-manager baseline
+//! ([`CentralizedRuntime`]), a deterministic sequential runtime
+//! ([`Sheriff`]) and the shim runtime, which negotiates every move as
+//! REQUEST/ACK/REJECT messages in virtual time ([`fabric_round_obs`], or
+//! [`FabricRuntime`] behind the [`Runtime`] trait).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,6 @@ pub mod protocol;
 pub mod request;
 pub mod reroute;
 pub mod runtime;
-pub mod sharded;
 pub mod shim;
 pub mod strategy;
 pub mod system;
@@ -50,22 +50,13 @@ pub use audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
 };
 pub use builder::SystemBuilder;
-#[allow(deprecated)]
-#[cfg(feature = "legacy")]
-pub use centralized::centralized_migration;
 pub use centralized::{
     centralized_migration_chunked, centralized_migration_chunked_obs, centralized_migration_obs,
     destination_tors, destination_tors_obs, kmedian_migration, kmedian_migration_obs,
 };
 pub use channel::{CrashWindow, LinkFaultWindow, NetStats, PartitionWindow, SimNet};
-#[allow(deprecated)]
-#[cfg(feature = "legacy")]
-pub use distributed::distributed_round;
-pub use distributed::{distributed_round_obs, DistributedReport};
+pub use distributed::DistributedReport;
 pub use evacuation::{drain_rack, evacuate_host, try_drain_rack, try_evacuate_host};
-#[allow(deprecated)]
-#[cfg(feature = "legacy")]
-pub use fabric::fabric_round;
 pub use fabric::{fabric_round_failover_obs, fabric_round_obs, FabricConfig};
 pub use failure::{FailureDetector, RegionFailover, ShimHealth};
 pub use journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnRecord, TxnState};
@@ -82,14 +73,7 @@ pub use protocol::{
 };
 pub use request::{request_migration, RequestOutcome};
 pub use reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
-pub use runtime::{
-    CentralizedRuntime, DistributedRuntime, FabricRuntime, RoundOutcome, RunCtx, Runtime,
-    ShardedRuntime,
-};
-#[allow(deprecated)]
-#[cfg(feature = "legacy")]
-pub use sharded::sharded_round;
-pub use sharded::{sharded_round_obs, ShardedReport};
+pub use runtime::{CentralizedRuntime, FabricRuntime, RoundOutcome, RunCtx, Runtime};
 pub use sheriff_transfer::{RouteStrategy, TransferConfig, TransferScheduler};
 pub use shim::{RoundReport, Sheriff};
 pub use strategy::{run_policy, AlertPolicy, StrategyOutcome};

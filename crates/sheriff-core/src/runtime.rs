@@ -1,25 +1,19 @@
-//! One trait over all four management loops.
+//! One trait over both management loops.
 //!
-//! The repository grew four ways to run one management round — the
-//! centralized baseline of Sec. VI-B, the shared-lock threaded runtime,
-//! the sharded message-passing runtime, and the virtual-time fabric
-//! runtime — each with its own free function and argument list. The
-//! [`Runtime`] trait unifies them behind `step(&mut self, ctx)` so
-//! experiments, benches and the bakeoff examples can iterate over
-//! `Box<dyn Runtime>` values instead of matching on names, and every
-//! runtime reports through the same [`RoundOutcome`] and the same
-//! [`EventSink`].
-//!
-//! The old free functions (`distributed_round` and friends) remain as
-//! deprecated wrappers behind the `legacy` cargo feature for one
-//! release.
+//! A management round runs either under the centralized baseline of
+//! Sec. VI-B ([`CentralizedRuntime`]) or under Sheriff's per-rack shims,
+//! which negotiate every move as REQUEST/ACK/REJECT messages on the
+//! virtual-time fabric ([`FabricRuntime`]). The [`Runtime`] trait puts
+//! both behind `step(&mut self, ctx)` so experiments, benches and the
+//! bakeoff examples can iterate over `Box<dyn Runtime>` values instead of
+//! matching on names, and both report through the same [`RoundOutcome`]
+//! and the same [`EventSink`].
 
 use crate::audit::{audit_moves, audit_placement, AuditReport};
 use crate::centralized::centralized_migration_obs;
-use crate::distributed::{distributed_round_obs, select_victims, DistributedReport};
+use crate::distributed::{select_victims, DistributedReport};
 use crate::fabric::{fabric_round_failover_obs, FabricConfig};
 use crate::failure::RegionFailover;
-use crate::sharded::{sharded_round_obs, ShardedReport};
 use crate::vmmigration::{MigrationContext, MigrationPlan};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{Alert, RackMetric};
@@ -47,7 +41,7 @@ pub struct RunCtx<'a> {
     pub sink: &'a mut dyn EventSink,
 }
 
-/// What one [`Runtime::step`] did, across all four runtimes. Fields a
+/// What one [`Runtime::step`] did, across both runtimes. Fields a
 /// runtime does not track (e.g. `ticks` outside the fabric) stay zero.
 #[derive(Debug, Clone, Default)]
 pub struct RoundOutcome {
@@ -163,18 +157,6 @@ impl From<DistributedReport> for RoundOutcome {
     }
 }
 
-impl From<ShardedReport> for RoundOutcome {
-    fn from(r: ShardedReport) -> Self {
-        let mut plan = r.plan;
-        plan.rejected += r.rejected;
-        Self {
-            plan,
-            shims: r.shims,
-            ..Self::default()
-        }
-    }
-}
-
 /// One management loop: given this period's alerts, mutate the cluster's
 /// placement and report what happened.
 pub trait Runtime {
@@ -249,68 +231,6 @@ impl Runtime for CentralizedRuntime {
             audit,
             ..RoundOutcome::default()
         }
-    }
-}
-
-/// The shared-lock threaded runtime behind the [`Runtime`] trait: one
-/// planner thread per alerted shim, commits FCFS through the destination
-/// racks' protocol endpoints.
-#[derive(Debug, Clone)]
-pub struct DistributedRuntime {
-    /// Replan rounds per shim after the first.
-    pub max_retry: usize,
-}
-
-impl Default for DistributedRuntime {
-    fn default() -> Self {
-        Self { max_retry: 3 }
-    }
-}
-
-impl Runtime for DistributedRuntime {
-    fn name(&self) -> &'static str {
-        "distributed"
-    }
-
-    fn step(&mut self, ctx: &mut RunCtx<'_>) -> RoundOutcome {
-        distributed_round_obs(
-            ctx.cluster,
-            ctx.metric,
-            ctx.alerts,
-            ctx.alert_values,
-            self.max_retry,
-            &mut *ctx.sink,
-        )
-        .into()
-    }
-}
-
-/// The sharded message-passing runtime behind the [`Runtime`] trait:
-/// per-rack agent threads own their capacity shards; planners negotiate
-/// over channels.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedRuntime;
-
-impl Runtime for ShardedRuntime {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn step(&mut self, ctx: &mut RunCtx<'_>) -> RoundOutcome {
-        let mut out: RoundOutcome = sharded_round_obs(
-            ctx.cluster,
-            ctx.metric,
-            ctx.alerts,
-            ctx.alert_values,
-            &mut *ctx.sink,
-        )
-        .into();
-        out.audit = audit_placement(&ctx.cluster.placement, &ctx.cluster.deps);
-        out.audit.merge(audit_moves(
-            &ctx.cluster.placement,
-            out.plan.moves.iter().map(|m| (m.vm, m.to)),
-        ));
-        out
     }
 }
 
@@ -398,8 +318,6 @@ mod tests {
     fn every_runtime_reduces_imbalance_through_one_interface() {
         let runtimes: Vec<Box<dyn Runtime>> = vec![
             Box::new(CentralizedRuntime::default()),
-            Box::new(DistributedRuntime::default()),
-            Box::new(ShardedRuntime),
             Box::new(FabricRuntime::default()),
         ];
         for mut rt in runtimes {
@@ -421,42 +339,6 @@ mod tests {
             }
             let after = c.utilization_stddev();
             assert!(after < before, "{}: std-dev {before} -> {after}", rt.name());
-        }
-    }
-
-    #[test]
-    fn distributed_runtime_matches_the_obs_function() {
-        let mut via_trait = cluster(92);
-        let mut via_fn = cluster(92);
-        let metric = RackMetric::build(&via_trait.dcn, &via_trait.sim);
-        let alerts = via_trait.fraction_alerts(0.10, 0);
-        let vals = alert_values(&via_trait);
-
-        let mut rt = DistributedRuntime { max_retry: 3 };
-        let mut ctx = RunCtx {
-            cluster: &mut via_trait,
-            metric: &metric,
-            alerts: &alerts,
-            alert_values: &vals,
-            sink: &mut NullSink,
-        };
-        let a = rt.step(&mut ctx);
-        let b = crate::distributed::distributed_round_obs(
-            &mut via_fn,
-            &metric,
-            &alerts,
-            &vals,
-            3,
-            &mut NullSink,
-        );
-
-        assert_eq!(a.plan.moves.len(), b.plan.moves.len());
-        assert!((a.plan.total_cost - b.plan.total_cost).abs() < 1e-9);
-        for vm in via_trait.placement.vm_ids() {
-            assert_eq!(
-                via_trait.placement.host_of(vm),
-                via_fn.placement.host_of(vm)
-            );
         }
     }
 

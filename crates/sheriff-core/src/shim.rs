@@ -1,7 +1,7 @@
 //! The Sheriff controller: one shim per rack, each dominating its local
 //! region (Sec. II-B). This module provides the deterministic sequential
-//! runtime used by the experiment harness; `distributed` provides the
-//! threaded runtime with real message passing.
+//! runtime used by the experiment harness; [`fabric`](crate::fabric)
+//! provides the shim runtime with real message passing.
 
 use crate::alert_mgmt::{pre_alert_management, ShimOutcome};
 use crate::vmmigration::{MigrationContext, MigrationPlan};

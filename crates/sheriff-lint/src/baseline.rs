@@ -5,8 +5,7 @@
 //! catch-all debt, and — since the DET rules went interprocedural —
 //! DET01–DET03 findings flushed out of legacy `bench`/`dcn-sim` call
 //! paths may be carried as tracked debt. Unsafety (UNSAFE01), dead
-//! telemetry (EVT01), legacy-API leaks (API01), and malformed pragmas
-//! (LINT00) must be zero. The baseline stores a *count per file*, not
+//! telemetry (EVT01), and malformed pragmas (LINT00) must be zero. The baseline stores a *count per file*, not
 //! positions, so it is robust to unrelated line shifts:
 //!
 //! * count > baseline → new violations, the check fails;

@@ -12,8 +12,8 @@ pub enum TokenKind {
     Ident(String),
     /// A single punctuation character (`::` arrives as two `:`).
     Punct(char),
-    /// A string/char/byte/numeric literal or a lifetime; the raw text is
-    /// kept so attribute scans can look for `"legacy"` and friends.
+    /// A string/char/byte/numeric literal or a lifetime, with its raw
+    /// text.
     Literal(String),
 }
 

@@ -9,7 +9,7 @@
 
 use sheriff_lint::baseline::{Baseline, BaselineIssue};
 use sheriff_lint::diagnostics::to_json;
-use sheriff_lint::rules::{context_from_files, lint_workspace, EngineStats};
+use sheriff_lint::rules::{lint_workspace, EngineStats};
 use sheriff_lint::symbols::SourceFile;
 use sheriff_lint::workspace::{discover_root, walk_sources};
 use std::path::PathBuf;
@@ -93,8 +93,8 @@ fn run(opts: &Options) -> Result<i32, String> {
         .unwrap_or_else(|| root.join("lint-baseline.json"));
 
     // every file is read and lexed exactly once: the parsed SourceFiles
-    // feed the per-file rules, the legacy pre-pass, and the whole-program
-    // symbol/call-graph/taint passes
+    // feed the per-file rules and the whole-program symbol/call-graph/taint
+    // passes
     let sources = walk_sources(&root)?;
     let mut files = Vec::with_capacity(sources.len());
     for (rel, abs) in &sources {
@@ -102,8 +102,7 @@ fn run(opts: &Options) -> Result<i32, String> {
             .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
         files.push(SourceFile::parse(rel, &src));
     }
-    let ctx = context_from_files(&files);
-    let (diags, stats) = lint_workspace(files, &ctx);
+    let (diags, stats) = lint_workspace(files);
 
     if opts.update_baseline {
         let fresh = Baseline::from_diagnostics(&diags);

@@ -11,7 +11,6 @@
 //! |          | intraprocedural or reachable                                 |
 //! | PANIC01  | no `unwrap`/`expect`/indexing in non-test library code       |
 //! | UNSAFE01 | every crate root carries `#![forbid(unsafe_code)]`           |
-//! | API01    | no `legacy`-gated free functions outside the feature gate    |
 //! | EVT01    | every `sheriff-obs::Event` variant has a non-test emit site  |
 //! | PROTO01  | protocol `match`es in deterministic modules take a position  |
 //! |          | on every variant — no `_` catch-all                          |
@@ -25,14 +24,14 @@
 
 use crate::callgraph::CallGraph;
 use crate::diagnostics::Diagnostic;
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::symbols::{SourceFile, SymbolIndex};
 use crate::taint;
 use std::collections::BTreeSet;
 
 /// Rule codes, in report order.
 pub const RULES: &[&str] = &[
-    "DET01", "DET02", "DET03", "PANIC01", "UNSAFE01", "API01", "EVT01", "PROTO01", "LINT00",
+    "DET01", "DET02", "DET03", "PANIC01", "UNSAFE01", "EVT01", "PROTO01", "LINT00",
 ];
 
 const HELP_DET01: &str = "route timing through sheriff_obs::Timer (wall clock is excluded from \
@@ -46,8 +45,6 @@ const HELP_PANIC01: &str = "return the module's typed error instead (SheriffErro
      cannot panic\")`";
 const HELP_UNSAFE01: &str = "add `#![forbid(unsafe_code)]` next to the crate's other inner \
      attributes";
-const HELP_API01: &str = "migrate to the `Runtime` trait (`FabricRuntime` & friends) or the \
-     `_obs` variants; the free functions only exist behind `--features legacy`";
 pub(crate) const HELP_LINT00: &str = "write `// sheriff-lint: allow(RULE, \"reason\")` — a \
      typo'd pragma must not silently suppress nothing";
 const HELP_EVT01: &str = "emit the variant from the runtime path it documents (see DESIGN.md \
@@ -98,13 +95,6 @@ pub(crate) const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Workspace knowledge shared across files (built by a pre-pass).
-#[derive(Debug, Default)]
-pub struct LintContext {
-    /// Free functions defined under `#[cfg(feature = "legacy")]`.
-    pub legacy_fns: BTreeSet<String>,
-}
-
 /// Paths (repo-relative, `/`-separated) whose iteration order is part of
 /// the reproducibility contract: the management loops, the simulator,
 /// the transfer scheduler, and the scenario runner's pure `run_job`
@@ -131,11 +121,10 @@ fn is_crate_root(path: &str) -> bool {
 // ------------------------------------------------------------- regions
 
 /// Per-token flags derived from attributes: inside a `#[cfg(test)]` /
-/// `#[test]` item, or inside a `#[cfg(feature = "legacy")]` item.
+/// `#[test]` item.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Flags {
     pub(crate) test: bool,
-    pub(crate) legacy: bool,
 }
 
 #[derive(Debug)]
@@ -146,7 +135,6 @@ struct Attr {
     end: usize,
     inner: bool,
     idents: Vec<String>,
-    literals: Vec<String>,
 }
 
 /// Scan one attribute starting at tokens\[i\] == `#`.
@@ -162,7 +150,6 @@ fn scan_attr(tokens: &[Token], i: usize) -> Option<Attr> {
     j += 1;
     let mut depth = 1u32;
     let mut idents = Vec::new();
-    let mut literals = Vec::new();
     while let Some(t) = tokens.get(j) {
         match &t.kind {
             TokenKind::Punct('[') => depth += 1,
@@ -174,12 +161,10 @@ fn scan_attr(tokens: &[Token], i: usize) -> Option<Attr> {
                         end: j + 1,
                         inner,
                         idents,
-                        literals,
                     });
                 }
             }
             TokenKind::Ident(s) => idents.push(s.clone()),
-            TokenKind::Literal(s) => literals.push(s.clone()),
             _ => {}
         }
         j += 1;
@@ -240,9 +225,6 @@ pub(crate) fn compute_flags(tokens: &[Token]) -> (Vec<Flags>, bool) {
             continue;
         };
         let is_test_attr = attr.idents.iter().any(|s| s == "test");
-        let is_legacy_attr = attr.idents.iter().any(|s| s == "cfg")
-            && attr.idents.iter().any(|s| s == "feature")
-            && attr.literals.iter().any(|s| s.contains("legacy"));
         if attr.inner {
             if is_test_attr {
                 // `#![cfg(test)]`: the whole file is test code
@@ -258,7 +240,7 @@ pub(crate) fn compute_flags(tokens: &[Token]) -> (Vec<Flags>, bool) {
             i = attr.end;
             continue;
         }
-        if !(is_test_attr || is_legacy_attr) {
+        if !is_test_attr {
             i = attr.end;
             continue;
         }
@@ -272,42 +254,11 @@ pub(crate) fn compute_flags(tokens: &[Token]) -> (Vec<Flags>, bool) {
         }
         let end = item_end(tokens, item_start);
         for f in flags.iter_mut().take(end.min(tokens.len())).skip(attr.hash) {
-            if is_test_attr {
-                f.test = true;
-            }
-            if is_legacy_attr {
-                f.legacy = true;
-            }
+            f.test = true;
         }
         i = attr.end;
     }
     (flags, has_forbid_unsafe)
-}
-
-// ------------------------------------------------------- legacy pre-pass
-
-/// Collect the names of free functions defined under
-/// `#[cfg(feature = "legacy")]` — the API01 deny-list. Run over every
-/// `sheriff-core` source file before linting the workspace.
-pub fn collect_legacy_fns(src: &str) -> Vec<String> {
-    let tokens = lex(src).tokens;
-    let (flags, _) = compute_flags(&tokens);
-    let mut out = Vec::new();
-    let mut iter = tokens.iter().enumerate().peekable();
-    while let Some((i, t)) = iter.next() {
-        if !t.is_ident("fn") {
-            continue;
-        }
-        if !flags.get(i).copied().unwrap_or_default().legacy {
-            continue;
-        }
-        if let Some((_, name_tok)) = iter.peek() {
-            if let Some(name) = name_tok.ident() {
-                out.push(name.to_string());
-            }
-        }
-    }
-    out
 }
 
 // ------------------------------------------------------------ the rules
@@ -603,43 +554,6 @@ fn unsafe01(tokens: &[Token], has_forbid: bool, path: &str, out: &mut Vec<Diagno
     });
 }
 
-fn api01(
-    tokens: &[Token],
-    flags: &[Flags],
-    path: &str,
-    ctx: &LintContext,
-    out: &mut Vec<Diagnostic>,
-) {
-    if ctx.legacy_fns.is_empty() {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        let f = flags.get(i).copied().unwrap_or_default();
-        if f.test || f.legacy {
-            continue;
-        }
-        let Some(name) = t.ident() else { continue };
-        if !ctx.legacy_fns.contains(name) {
-            continue;
-        }
-        // the definition token itself (`fn name`) is exempt — the gate on
-        // the item already covers it, this guards against lexer drift
-        if tokens
-            .get(i.wrapping_sub(1))
-            .is_some_and(|p| p.is_ident("fn"))
-        {
-            continue;
-        }
-        out.push(diag(
-            "API01",
-            path,
-            t,
-            format!("`{name}` is a deprecated legacy-gated free function"),
-            HELP_API01,
-        ));
-    }
-}
-
 // ------------------------------------------------- PROTO01 (match arms)
 
 /// Enum names whose `match`es must take a position on every variant:
@@ -923,7 +837,7 @@ fn enum_variants<'a>(tokens: &'a [Token], name: &str) -> Vec<(String, &'a Token)
 
 /// Run the per-file rules over one already-parsed file. Suppressions are
 /// applied; the result is unsorted.
-fn lint_file(file: &SourceFile, ctx: &LintContext) -> Vec<Diagnostic> {
+fn lint_file(file: &SourceFile) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = file.lint00.clone();
     let tokens = &file.tokens;
     let flags = &file.flags;
@@ -933,7 +847,6 @@ fn lint_file(file: &SourceFile, ctx: &LintContext) -> Vec<Diagnostic> {
     det03(tokens, flags, path, &mut out);
     panic01(tokens, flags, path, &mut out);
     unsafe01(tokens, file.has_forbid_unsafe, path, &mut out);
-    api01(tokens, flags, path, ctx, &mut out);
     proto01(tokens, flags, path, &mut out);
     out.retain(|d| d.rule == "LINT00" || !file.suppressions.covers(d.rule, d.line));
     out
@@ -942,9 +855,9 @@ fn lint_file(file: &SourceFile, ctx: &LintContext) -> Vec<Diagnostic> {
 /// Lint one source file. `path` must be repo-relative with `/`
 /// separators — it selects which rules apply. (The whole-program rules
 /// need the full workspace: see [`lint_workspace`].)
-pub fn lint_source(path: &str, src: &str, ctx: &LintContext) -> Vec<Diagnostic> {
+pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let file = SourceFile::parse(path, src);
-    let mut out = lint_file(&file, ctx);
+    let mut out = lint_file(&file);
     out.sort_by_key(Diagnostic::sort_key);
     out
 }
@@ -985,33 +898,13 @@ impl EngineStats {
     }
 }
 
-/// Build the [`LintContext`] from already-parsed files: the API01
-/// deny-list of `legacy`-gated free functions in `sheriff-core`.
-pub fn context_from_files(files: &[SourceFile]) -> LintContext {
-    let mut ctx = LintContext::default();
-    for f in files {
-        if !f.path.starts_with("crates/sheriff-core/src/") {
-            continue;
-        }
-        for (i, t) in f.tokens.iter().enumerate() {
-            if !t.is_ident("fn") || !f.flag(i).legacy {
-                continue;
-            }
-            if let Some(name) = f.tokens.get(i + 1).and_then(Token::ident) {
-                ctx.legacy_fns.insert(name.to_string());
-            }
-        }
-    }
-    ctx
-}
-
 /// Lint the whole workspace: the per-file rules plus the symbol-index,
 /// call-graph, taint, EVT01, and PROTO01 passes — all off the memoized
 /// per-file token streams (each file is lexed exactly once).
-pub fn lint_workspace(files: Vec<SourceFile>, ctx: &LintContext) -> (Vec<Diagnostic>, EngineStats) {
+pub fn lint_workspace(files: Vec<SourceFile>) -> (Vec<Diagnostic>, EngineStats) {
     let mut out = Vec::new();
     for f in &files {
-        out.extend(lint_file(f, ctx));
+        out.extend(lint_file(f));
     }
 
     let index = SymbolIndex::build(files);

@@ -26,7 +26,7 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// Line comments, for pragma scanning.
     pub comments: Vec<Comment>,
-    /// Per-token region flags (`#[cfg(test)]`, legacy feature gate).
+    /// Per-token region flags (`#[cfg(test)]`).
     pub(crate) flags: Vec<Flags>,
     /// Whether the file carries `#![forbid(unsafe_code)]`.
     pub has_forbid_unsafe: bool,
@@ -69,7 +69,7 @@ impl SourceFile {
         }
     }
 
-    /// The region flags for token `i` (default: not test, not legacy).
+    /// The region flags for token `i` (default: not test).
     pub(crate) fn flag(&self, i: usize) -> Flags {
         self.flags.get(i).copied().unwrap_or_default()
     }
@@ -90,8 +90,6 @@ pub struct FnDef {
     pub self_ty: Option<String>,
     /// Defined inside a `#[cfg(test)]` / `#[test]` region.
     pub is_test: bool,
-    /// Defined inside a `#[cfg(feature = "legacy")]` region.
-    pub is_legacy: bool,
     /// Body token range `[start, end)` into the file's token stream —
     /// empty for bodyless trait declarations.
     pub body: (usize, usize),
@@ -200,7 +198,6 @@ fn scan_fns(file: &SourceFile, fi: usize) -> Vec<FnDef> {
                     col: t.col,
                     self_ty: impls.last().map(|r| r.self_ty.clone()),
                     is_test: flags.test,
-                    is_legacy: flags.legacy,
                     body,
                 });
                 // continue scanning *inside* the body: nested fns and the

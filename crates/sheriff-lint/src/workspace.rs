@@ -2,7 +2,6 @@
 //! root package and under `crates/*`, visited in sorted order so runs
 //! are byte-for-byte reproducible.
 
-use crate::rules::{collect_legacy_fns, LintContext};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -73,21 +72,6 @@ fn collect_rs(
     Ok(())
 }
 
-/// Build the [`LintContext`] by pre-scanning `sheriff-core` for
-/// `legacy`-gated free functions — the API01 deny-list.
-pub fn build_context(sources: &[(String, PathBuf)]) -> LintContext {
-    let mut ctx = LintContext::default();
-    for (rel, abs) in sources {
-        if !rel.starts_with("crates/sheriff-core/src/") {
-            continue;
-        }
-        if let Ok(src) = std::fs::read_to_string(abs) {
-            ctx.legacy_fns.extend(collect_legacy_fns(&src));
-        }
-    }
-    ctx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,18 +93,5 @@ mod tests {
         let mut sorted = rels.clone();
         sorted.sort();
         assert_eq!(rels, sorted);
-    }
-
-    #[test]
-    fn context_learns_the_legacy_functions() {
-        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let root = discover_root(here).expect("workspace root");
-        let sources = walk_sources(&root).expect("walk");
-        let ctx = build_context(&sources);
-        assert!(
-            ctx.legacy_fns.contains("centralized_migration"),
-            "legacy pre-pass should find the gated free functions, got {:?}",
-            ctx.legacy_fns
-        );
     }
 }

@@ -2,13 +2,12 @@
 //! snippet, and one pragma-suppressed snippet each, linted through the
 //! public `lint_source` entry point exactly as the CLI does.
 
-use sheriff_lint::rules::{collect_legacy_fns, lint_source, LintContext};
+use sheriff_lint::rules::lint_source;
 
 const CORE: &str = "crates/sheriff-core/src/fixture.rs";
 
 fn codes(path: &str, src: &str) -> Vec<String> {
-    let ctx = LintContext::default();
-    lint_source(path, src, &ctx)
+    lint_source(path, src)
         .into_iter()
         .map(|d| d.rule.to_string())
         .collect()
@@ -160,46 +159,6 @@ fn unsafe01_requires_forbid_on_crate_roots_only() {
     assert!(codes("crates/dcn-sim/src/engine.rs", bare).is_empty());
     let guarded = "#![forbid(unsafe_code)]\npub fn f() {}";
     assert!(codes("crates/dcn-sim/src/lib.rs", guarded).is_empty());
-}
-
-// ------------------------------------------------------------- API01
-
-fn legacy_ctx() -> LintContext {
-    let defs = "#[cfg(feature = \"legacy\")]\n\
-                #[deprecated]\n\
-                pub fn centralized_migration(x: u32) -> u32 { x }\n\
-                pub fn modern(x: u32) -> u32 { x }";
-    let mut ctx = LintContext::default();
-    ctx.legacy_fns.extend(collect_legacy_fns(defs));
-    assert_eq!(
-        ctx.legacy_fns.iter().collect::<Vec<_>>(),
-        vec!["centralized_migration"],
-        "pre-pass should find exactly the gated function"
-    );
-    ctx
-}
-
-#[test]
-fn api01_flags_legacy_calls_outside_the_gate() {
-    let ctx = legacy_ctx();
-    let call = "pub fn run() { let _ = centralized_migration(3); }";
-    let diags = lint_source(CORE, call, &ctx);
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags.first().map(|d| d.rule), Some("API01"));
-}
-
-#[test]
-fn api01_allows_gated_callers_tests_and_pragmas() {
-    let ctx = legacy_ctx();
-    let gated = "#[cfg(feature = \"legacy\")]\n\
-                 pub fn compat() { let _ = centralized_migration(3); }";
-    assert!(lint_source(CORE, gated, &ctx).is_empty());
-    let test_code = "#[test]\nfn golden() { assert_eq!(centralized_migration(3), 3); }";
-    assert!(lint_source(CORE, test_code, &ctx).is_empty());
-    let suppressed =
-        "// sheriff-lint: allow(API01, \"migration shim, removed with the legacy feature\")\n\
-                      pub fn run() { let _ = centralized_migration(3); }";
-    assert!(lint_source(CORE, suppressed, &ctx).is_empty());
 }
 
 // ------------------------------------------------------------- LINT00
@@ -407,9 +366,8 @@ fn diagnostics_are_position_sorted_and_stable() {
     let src = "pub fn f(v: &[u32], m: HashMap<u64, u32>) -> u32 {\n\
                for (i, x) in &m { report(*i, *x); }\n\
                v[0] + v.last().copied().unwrap()\n}";
-    let ctx = LintContext::default();
-    let a = lint_source(CORE, src, &ctx);
-    let b = lint_source(CORE, src, &ctx);
+    let a = lint_source(CORE, src);
+    let b = lint_source(CORE, src);
     assert_eq!(a, b, "linting must be deterministic");
     let keys: Vec<_> = a.iter().map(|d| (d.line, d.col)).collect();
     let mut sorted = keys.clone();
@@ -466,15 +424,14 @@ fn proto01_pragma_suppresses_with_reason() {
 
 #[test]
 fn evt01_flags_dead_event_variant_across_the_workspace() {
-    use sheriff_lint::rules::{context_from_files, lint_workspace};
+    use sheriff_lint::rules::lint_workspace;
     use sheriff_lint::symbols::SourceFile;
 
     let event_enum = "pub enum Event {\n    Alive { rack: u64 },\n    Dead { rack: u64 },\n}";
     let emitter = "pub fn fire() { emit(|| Event::Alive { rack: 0 }); }";
     let run = |files: &[(&str, &str)]| -> Vec<String> {
         let parsed: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
-        let ctx = context_from_files(&parsed);
-        let (diags, _) = lint_workspace(parsed, &ctx);
+        let (diags, _) = lint_workspace(parsed);
         diags.into_iter().map(|d| d.rule.to_string()).collect()
     };
 

@@ -39,7 +39,7 @@
 //! ```
 //!
 //! Determinism contract: a job is a pure function of (spec, topology,
-//! seed). The parallel path chunks jobs over vendored crossbeam scoped
+//! seed). The parallel path chunks jobs over `std::thread::scope`
 //! threads and re-assembles them in job order, so
 //! [`ScenarioReport::canonical_json`] is byte-identical between serial
 //! and parallel execution and across repeated runs of the same file —

@@ -18,9 +18,9 @@ use dcn_sim::{
 };
 use dcn_topology::{HostId, RackId, VmId};
 use sheriff_core::{
-    try_drain_rack, try_evacuate_host, CentralizedRuntime, CrashWindow, DistributedRuntime,
-    FabricConfig, FabricRuntime, LinkFaultWindow, MigrationContext, MigrationPlan, PartitionWindow,
-    RoundOutcome, RunCtx, Runtime, ShardedRuntime,
+    try_drain_rack, try_evacuate_host, CentralizedRuntime, CrashWindow, FabricConfig,
+    FabricRuntime, LinkFaultWindow, MigrationContext, MigrationPlan, PartitionWindow, RoundOutcome,
+    RunCtx, Runtime,
 };
 use sheriff_obs::{Counters, Event, EventSink};
 
@@ -192,11 +192,11 @@ impl ScenarioRunner {
         let chunk = jobs.len().div_ceil(workers);
         let spec = &self.spec;
         let outcome: Result<Vec<Vec<Result<SeedRun, SheriffError>>>, _> =
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = jobs
                     .chunks(chunk)
                     .map(|part| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             part.iter()
                                 .map(|&(ti, si)| run_job(spec, ti, si))
                                 .collect::<Vec<_>>()
@@ -204,10 +204,7 @@ impl ScenarioRunner {
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join()).collect()
-            })
-            .map_err(|_| SheriffError::Invalid {
-                reason: "scenario worker panicked".to_string(),
-            })?;
+            });
         let mut runs = Vec::with_capacity(jobs.len());
         for part in outcome.map_err(|_| SheriffError::Invalid {
             reason: "scenario worker panicked".to_string(),
@@ -220,14 +217,12 @@ impl ScenarioRunner {
     }
 }
 
-/// The four management loops behind one dispatch point. A plain enum
+/// The two management loops behind one dispatch point. A plain enum
 /// (not `Box<dyn Runtime>`) so the fabric arm's [`FabricConfig`] stays
 /// reachable for per-round channel-phase and crash-list updates.
 #[allow(clippy::large_enum_variant)] // one Loop per job; the fabric arm carries its failover state
 enum Loop {
     Centralized(CentralizedRuntime),
-    Distributed(DistributedRuntime),
-    Sharded(ShardedRuntime),
     Fabric(FabricRuntime),
 }
 
@@ -237,10 +232,6 @@ impl Loop {
             RuntimeSpec::Centralized { max_rounds } => {
                 Loop::Centralized(CentralizedRuntime { max_rounds })
             }
-            RuntimeSpec::Distributed { max_retry } => {
-                Loop::Distributed(DistributedRuntime { max_retry })
-            }
-            RuntimeSpec::Sharded => Loop::Sharded(ShardedRuntime),
             RuntimeSpec::Fabric {
                 max_retry,
                 transfer,
@@ -258,8 +249,6 @@ impl Loop {
     fn step(&mut self, ctx: &mut RunCtx<'_>) -> RoundOutcome {
         match self {
             Loop::Centralized(rt) => rt.step(ctx),
-            Loop::Distributed(rt) => rt.step(ctx),
-            Loop::Sharded(rt) => rt.step(ctx),
             Loop::Fabric(rt) => rt.step(ctx),
         }
     }

@@ -190,14 +190,8 @@ pub enum RuntimeSpec {
         /// Replan rounds for the global matching.
         max_rounds: usize,
     },
-    /// Shared-lock threaded shims.
-    Distributed {
-        /// Replan rounds per shim after the first.
-        max_retry: usize,
-    },
-    /// Message-passing rack agents.
-    Sharded,
-    /// Virtual-time fabric over a faulty channel.
+    /// Sheriff's per-rack shims negotiating over the virtual-time fabric
+    /// (`kind = "distributed"` is an alias).
     Fabric {
         /// Replan rounds per shim after the first.
         max_retry: usize,
@@ -270,7 +264,10 @@ impl TransferModelSpec {
 
 impl Default for RuntimeSpec {
     fn default() -> Self {
-        RuntimeSpec::Distributed { max_retry: 3 }
+        RuntimeSpec::Fabric {
+            max_retry: 3,
+            transfer: None,
+        }
     }
 }
 
@@ -279,8 +276,6 @@ impl RuntimeSpec {
     pub fn name(&self) -> &'static str {
         match self {
             RuntimeSpec::Centralized { .. } => "centralized",
-            RuntimeSpec::Distributed { .. } => "distributed",
-            RuntimeSpec::Sharded => "sharded",
             RuntimeSpec::Fabric { .. } => "fabric",
         }
     }
@@ -714,13 +709,10 @@ fn parse_runtime(v: &Value) -> Result<RuntimeSpec, SheriffError> {
         }
         "distributed" => {
             check_keys(t, &["kind", "max_retry"], "runtime")?;
-            Ok(RuntimeSpec::Distributed {
+            Ok(RuntimeSpec::Fabric {
                 max_retry: get_usize(t, "max_retry", "runtime")?.unwrap_or(3),
+                transfer: None,
             })
-        }
-        "sharded" => {
-            check_keys(t, &["kind"], "runtime")?;
-            Ok(RuntimeSpec::Sharded)
         }
         "fabric" => {
             check_keys(
@@ -746,7 +738,7 @@ fn parse_runtime(v: &Value) -> Result<RuntimeSpec, SheriffError> {
             })
         }
         other => Err(invalid(format!(
-            "unknown runtime.kind {other:?} (centralized, distributed, sharded, fabric)"
+            "unknown runtime.kind {other:?} (centralized, distributed, fabric)"
         ))),
     }
 }
@@ -1449,7 +1441,13 @@ mod tests {
                 hosts_per_rack: None
             }]
         );
-        assert_eq!(spec.runtime, RuntimeSpec::Distributed { max_retry: 3 });
+        assert_eq!(
+            spec.runtime,
+            RuntimeSpec::Fabric {
+                max_retry: 3,
+                transfer: None
+            }
+        );
         assert!(!spec.trace_mode());
         assert!(spec.validate().unwrap().is_empty());
     }
@@ -1548,11 +1546,43 @@ mod tests {
         let spec = ScenarioSpec::parse_str(
             r#"{"name": "j", "rounds": 2, "seeds": [7],
                 "topology": {"kind": "vl2", "d_a": 4, "d_i": 2},
-                "runtime": {"kind": "sharded"}}"#,
+                "runtime": {"kind": "centralized"}}"#,
         )
         .unwrap();
         assert_eq!(spec.topologies, vec![TopologySpec::Vl2 { d_a: 4, d_i: 2 }]);
-        assert_eq!(spec.runtime, RuntimeSpec::Sharded);
+        assert_eq!(spec.runtime, RuntimeSpec::Centralized { max_rounds: 3 });
+    }
+
+    #[test]
+    fn distributed_is_a_fabric_alias() {
+        let spec = ScenarioSpec::parse_str(&format!(
+            "{MINIMAL}\n[runtime]\nkind = \"distributed\"\nmax_retry = 5\n"
+        ))
+        .unwrap();
+        assert_eq!(
+            spec.runtime,
+            RuntimeSpec::Fabric {
+                max_retry: 5,
+                transfer: None
+            }
+        );
+        // the alias takes no fabric-only keys
+        let err = ScenarioSpec::parse_str(&format!(
+            "{MINIMAL}\n[runtime]\nkind = \"distributed\"\ntransfer_k_paths = 2\n"
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("transfer_k_paths"), "{err}");
+    }
+
+    #[test]
+    fn sharded_runtime_is_an_unknown_kind() {
+        let err = ScenarioSpec::parse_str(&format!("{MINIMAL}\n[runtime]\nkind = \"sharded\"\n"))
+            .unwrap_err();
+        assert!(matches!(err, SheriffError::Invalid { .. }), "{err:?}");
+        assert!(
+            err.to_string().contains("unknown runtime.kind \"sharded\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1633,7 +1663,7 @@ mod tests {
             kind = "fat_tree"
             pods = 4
             [runtime]
-            kind = "distributed"
+            kind = "centralized"
             [[channel_phase]]
             round = 9
             drop = 0.5
@@ -1645,7 +1675,7 @@ mod tests {
         assert!(warnings.iter().any(|w| w.contains("never applies")));
         assert!(warnings
             .iter()
-            .any(|w| w.contains("ignored by the distributed runtime")));
+            .any(|w| w.contains("ignored by the centralized runtime")));
     }
 
     #[test]

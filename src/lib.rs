@@ -62,13 +62,13 @@ pub mod prelude {
     };
     pub use dcn_sim::{ChannelFaults, FaultInjector, SheriffError};
 
-    // --- management: the four loops behind one Runtime trait ---------
+    // --- management: both loops behind one Runtime trait -------------
     pub use sheriff_core::{
         audit_placement, drain_rack, evacuate_host, priority, vmmigration, AuditReport, Budget,
-        CentralizedRuntime, CrashWindow, DistributedReport, DistributedRuntime, FabricConfig,
-        FabricRuntime, FailureDetector, IntentJournal, MigrationContext, MigrationPlan,
-        PartitionWindow, RegionFailover, RoundOutcome, RoundReport, RunCtx, Runtime,
-        ShardedRuntime, Sheriff, ShimHealth, StepReport, System, SystemBuilder,
+        CentralizedRuntime, CrashWindow, DistributedReport, FabricConfig, FabricRuntime,
+        FailureDetector, IntentJournal, MigrationContext, MigrationPlan, PartitionWindow,
+        RegionFailover, RoundOutcome, RoundReport, RunCtx, Runtime, Sheriff, ShimHealth,
+        StepReport, System, SystemBuilder,
     };
 
     // --- event core: the virtual-time scheduler under the fabric ------

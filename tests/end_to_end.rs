@@ -89,6 +89,7 @@ fn sequential_and_distributed_runtimes_both_balance() {
     let sheriff = Sheriff::new(&seq);
     let initial = seq.utilization_stddev();
     assert_eq!(initial, dist.utilization_stddev(), "identical start");
+    let mut shims = FabricRuntime::default();
 
     for t in 0..8 {
         let alerts = seq.fraction_alerts(0.05, t);
@@ -105,7 +106,7 @@ fn sequential_and_distributed_runtimes_both_balance() {
             .vm_ids()
             .map(|vm| dist.placement.utilization(dist.placement.host_of(vm)))
             .collect();
-        DistributedRuntime { max_retry: 3 }.step(&mut RunCtx {
+        shims.step(&mut RunCtx {
             cluster: &mut dist,
             metric: &metric,
             alerts: &alerts,
@@ -119,7 +120,7 @@ fn sequential_and_distributed_runtimes_both_balance() {
     );
     assert!(
         dist.utilization_stddev() < initial * 0.75,
-        "distributed runtime stalled"
+        "fabric runtime stalled"
     );
 }
 

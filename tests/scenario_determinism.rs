@@ -23,11 +23,12 @@ proptest! {
     fn parallel_sweep_matches_serial_byte_for_byte(
         base_seed in 1u64..1000,
         rounds in 1usize..4,
-        runtime in 0usize..4,
+        runtime in 0usize..3,
         threads in 1usize..5,
         with_fault in any::<bool>(),
     ) {
-        let runtime = ["centralized", "distributed", "sharded", "fabric"][runtime];
+        // "distributed" is a parse-time alias of "fabric"
+        let runtime = ["centralized", "distributed", "fabric"][runtime];
         let fault = if with_fault {
             "\n[[fault]]\nround = 1\naction = \"fail_host\"\nhost = 0\n"
         } else {
