@@ -6,14 +6,11 @@
 //! placement snapshot (Alg. 3, `plan_proposals`). The fabric runtime in
 //! [`fabric`](crate::fabric) then negotiates every proposal with the
 //! destination rack as explicit REQUEST/ACK/REJECT messages (Alg. 4,
-//! Sec. V-B) over a seeded, faulty channel, keeping per-shim bookkeeping
-//! in `ShimState`. [`DistributedReport`] is what one such round reports.
+//! Sec. V-B) over a seeded, faulty channel.
 
-use crate::audit::AuditReport;
 use crate::matching::{min_cost_assignment_padded, FORBIDDEN};
 use crate::priority::{priority, Budget};
 use crate::protocol::RejectReason;
-use crate::vmmigration::MigrationPlan;
 use dcn_sim::{Alert, AlertSource, RackMetric, SimConfig};
 use dcn_topology::{DependencyGraph, HostId, Inventory, Placement, RackId, VmId};
 use sheriff_obs::RejectKind;
@@ -28,80 +25,6 @@ pub(crate) fn reject_kind(reason: RejectReason) -> RejectKind {
         RejectReason::Expired => RejectKind::Expired,
         RejectReason::StaleEpoch => RejectKind::Stale,
     }
-}
-
-/// Result of one fabric round.
-#[derive(Debug, Clone, Default)]
-pub struct DistributedReport {
-    /// Merged migration plan across all shims.
-    pub plan: MigrationPlan,
-    /// Commit attempts that were rejected and replanned.
-    pub retries: usize,
-    /// Shims that participated.
-    pub shims: usize,
-    /// Messages lost by the channel.
-    pub drops: usize,
-    /// Requests whose reply deadline expired at least once.
-    pub timeouts: usize,
-    /// Retransmissions sent after timeouts.
-    pub resends: usize,
-    /// Duplicate REQUEST deliveries absorbed by dedup logs.
-    pub dedup_hits: usize,
-    /// Shims that had to run with part of their region presumed dead.
-    pub degraded_shims: usize,
-    /// Alerted shims that were crashed and could not participate.
-    pub crashed_shims: usize,
-    /// Virtual ticks the round took.
-    pub ticks: u64,
-    /// Transactions journalled as `Prepared`.
-    pub txn_prepared: usize,
-    /// Transactions that reached `Committed`.
-    pub txn_committed: usize,
-    /// Transactions that ended `Aborted` (lease expiry, ABORT, or the
-    /// end-of-round sweep).
-    pub txn_aborted: usize,
-    /// Shims that crashed mid-round and replayed their journal on
-    /// recovery.
-    pub recoveries: usize,
-    /// Regional takeovers: a Dead shim's racks were handed to a neighbor
-    /// (each one bumps the rack's epoch).
-    pub takeovers: usize,
-    /// 2PC messages fenced for carrying a pre-takeover epoch.
-    pub fenced: usize,
-    /// Shims that planned while cut off from part of their region by an
-    /// active network partition (degraded local handling).
-    pub partition_degraded: usize,
-    /// Pending VMs dropped at partition heal because another manager
-    /// handled them during the cut.
-    pub reconciliations: usize,
-    /// Pre-copy transfers admitted onto the transfer scheduler (0 unless
-    /// the network-aware transfer model is enabled).
-    pub transfers_started: usize,
-    /// Transfers that streamed to completion and finalized their commit.
-    pub transfers_completed: usize,
-    /// Transfers steered off their primary route by QCN congestion.
-    pub transfer_reroutes: usize,
-    /// Admissions delayed because the concurrent-transfer cap was full.
-    pub transfer_queue_delays: usize,
-    /// Completion time in virtual ticks of every finished transfer, in
-    /// completion order.
-    pub transfer_durations: Vec<u64>,
-    /// Peak number of concurrent transfers sharing one link (≥ 2 means
-    /// the round saw bottleneck serialization).
-    pub transfer_peak_sharing: usize,
-    /// Transfers that entered `Stalled` after a link failure cut every
-    /// surviving candidate route (including stalled-at-admission).
-    pub transfer_stalls: usize,
-    /// Backoff-timer retry probes fired by stalled transfers.
-    pub transfer_retries: usize,
-    /// Transfers that exhausted their retry budget (or lost an endpoint)
-    /// and escalated to a 2PC abort.
-    pub transfer_failures: usize,
-    /// Checkpointed bytes that resumed transfers did *not* have to
-    /// re-copy versus restarting from zero (post-penalty).
-    pub resumed_bytes_saved: f64,
-    /// Post-round invariant audit (clean when no violations).
-    pub audit: AuditReport,
 }
 
 /// One planned assignment awaiting the destination's verdict.
@@ -236,16 +159,4 @@ pub(crate) fn plan_proposals(
         }
     }
     (proposals, unassigned, search_space)
-}
-
-/// Per-shim negotiation state of one round.
-pub(crate) struct ShimState {
-    pub(crate) rack: RackId,
-    pub(crate) pending: Vec<VmId>,
-    pub(crate) slots: Vec<HostId>,
-    pub(crate) excluded: Vec<(VmId, HostId)>,
-    pub(crate) plan: MigrationPlan,
-    pub(crate) retries: usize,
-    pub(crate) seq: u32,
-    pub(crate) active: bool,
 }

@@ -1,15 +1,18 @@
 //! The message-passing fabric runtime on the deterministic event core.
 //!
-//! [`fabric_round_failover_obs`] runs one management round as a
-//! discrete-event simulation over [`sheriff_sim`]: heartbeat emissions,
-//! failure-detector sweeps, REQUEST/2PC timeouts and backoff, lease
-//! expiry, crash/recover windows and partition heals are all *scheduled
-//! events* on a [`Simulation`] agenda instead of per-tick drains of the
-//! channel and fault queues. The round advances from activation to
-//! activation; at every activated virtual tick it runs the same phases
-//! in the same order as the historical per-tick loop, so the event core
-//! reproduces the per-tick fabric byte for byte (DESIGN.md §10 maps
-//! each phase to its event type and delay source).
+//! [`FabricRuntime::step`](crate::runtime::FabricRuntime) runs one
+//! management round as a discrete-event simulation over [`sheriff_sim`]:
+//! heartbeat emissions, failure-detector sweeps, REQUEST/2PC timeouts
+//! and backoff, lease expiry, crash/recover windows, link faults and
+//! partition heals are all *scheduled events* on a [`Simulation`] agenda
+//! instead of per-tick drains of the channel and fault queues. The round
+//! (a private `FabricRound`) has one handler per scheduled event, one
+//! per delivered [`ShimMsg`] variant and one per per-tick phase. It
+//! advances from activation to activation; at every activated virtual
+//! tick it runs the same phases in the same order as the historical
+//! per-tick loop, so the event core reproduces the per-tick fabric byte
+//! for byte (DESIGN.md §10 maps each event and phase to its handler and
+//! delay source).
 //!
 //! The correctness argument is *activation-time superset*: the agenda
 //! is seeded and maintained so that every tick at which any phase could
@@ -30,22 +33,21 @@ use crate::audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
 };
 use crate::channel::{CrashWindow, LinkFaultWindow, PartitionWindow, SimNet};
-use crate::distributed::{
-    plan_proposals, region_slots, reject_kind, select_victims, DistributedReport, ShimState,
-};
+use crate::distributed::{plan_proposals, region_slots, reject_kind, select_victims};
 use crate::failure::{RegionFailover, ShimHealth};
 use crate::journal::TxnState;
 use crate::protocol::{
     BackoffPolicy, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply,
 };
+use crate::runtime::{RoundOutcome, RunCtx};
+use crate::vmmigration::{MigrationPlan, Move};
 use dcn_sim::engine::Cluster;
-use dcn_sim::{Alert, ChannelFaults, RackMetric, SimConfig};
+use dcn_sim::{Alert, ChannelFaults, RackMetric};
 use dcn_topology::{HostId, RackId, VmId};
 use sheriff_obs::{emit, Event, EventSink};
 use sheriff_sim::{EventId, Simulation, VirtualTime};
+use sheriff_transfer::{Admission, Resumed, Started, TransferScheduler, TransferSpec};
 use std::collections::{BTreeMap, BTreeSet};
-
-use crate::vmmigration::Move;
 
 /// Configuration of the message-passing fabric runtime.
 #[derive(Debug, Clone)]
@@ -264,7 +266,18 @@ struct TransferMeta {
 
 /// Source-shim actor state for the fabric runtime.
 struct FabricShim {
-    st: ShimState,
+    rack: RackId,
+    /// Victims still waiting for a destination.
+    pending: Vec<VmId>,
+    /// `(vm, host)` pairings refused or given up on; the matching never
+    /// proposes them again.
+    excluded: Vec<(VmId, HostId)>,
+    /// Committed moves plus the search-space and rejection tallies.
+    plan: MigrationPlan,
+    /// Commit attempts rejected and replanned.
+    retries: usize,
+    /// Sequence number of the next request id.
+    seq: u32,
     liveness: Liveness,
     region: Vec<RackId>,
     /// `BTreeMap`, not `HashMap`: these maps are drained/iterated when
@@ -275,7 +288,7 @@ struct FabricShim {
     /// entry's `deadline` becomes the patience cutoff for late verdicts.
     zombies: BTreeMap<ReqId, Outstanding>,
     /// Zombies whose patience expired with no verdict; resolved against
-    /// ground truth when the simulator assembles the report.
+    /// ground truth when the round closes.
     unresolved: Vec<Outstanding>,
     /// Planning rounds still allowed (first plan included).
     rounds_left: usize,
@@ -298,28 +311,80 @@ struct FabricShim {
     resume_at: u64,
 }
 
-/// Why a derived [`FabricEvent::Wake`] activation was scheduled — the
-/// delay-source column of the DESIGN.md §10 phase table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WakeReason {
-    /// The channel's next pending `deliver_at`.
-    Delivery,
-    /// The earliest request/zombie deadline (backoff policy).
-    Timeout,
-    /// The earliest journalled PREPARE lease.
-    Lease,
-    /// The failure detector's next silence-threshold crossing.
-    Detector,
-    /// A shim's `max(hello_window, resume_at)` planning gate.
-    ShimStart,
-    /// The transfer scheduler's next completion (or a queued transfer
-    /// waiting for an admission slot).
-    Transfer,
+impl FabricShim {
+    fn new(rack: RackId, pending: Vec<VmId>, region: Vec<RackId>, cfg: &FabricConfig) -> Self {
+        Self {
+            rack,
+            // a shim with nothing to do is done from the start
+            done: pending.is_empty(),
+            pending,
+            excluded: Vec::new(),
+            plan: MigrationPlan::default(),
+            retries: 0,
+            seq: 0,
+            liveness: Liveness::new(cfg.liveness_deadline),
+            region,
+            outstanding: BTreeMap::new(),
+            zombies: BTreeMap::new(),
+            unresolved: Vec::new(),
+            rounds_left: cfg.max_retry + 1,
+            started: false,
+            progressed: false,
+            gave_up: false,
+            degraded: false,
+            part_degraded: false,
+            down: false,
+            resume_at: 0,
+        }
+    }
+
+    /// Every VM this shim manages: pending, in flight, or of unknown fate.
+    fn managed(&self) -> impl Iterator<Item = VmId> + '_ {
+        self.pending
+            .iter()
+            .copied()
+            .chain(self.outstanding.values().map(|o| o.vm))
+            .chain(self.zombies.values().map(|o| o.vm))
+            .chain(self.unresolved.iter().map(|o| o.vm))
+    }
+
+    /// Wake a parked shim for at least one more plan.
+    fn wake(&mut self) {
+        self.done = false;
+        self.gave_up = true;
+        self.rounds_left = self.rounds_left.max(1);
+    }
+
+    /// Part of the region is out of reach: report it once.
+    fn degrade(&mut self, sink: &mut dyn EventSink) {
+        if !self.degraded {
+            emit(sink, || Event::ShimDegraded {
+                rack: self.rack.index() as u64,
+            });
+        }
+        self.degraded = true;
+    }
+
+    /// Record `o` as a committed move.
+    fn commit_move(&mut self, o: &Outstanding, sink: &mut dyn EventSink) {
+        emit(sink, || Event::MigrationCommitted {
+            vm: o.vm.index() as u64,
+            from_host: o.from.index() as u64,
+            to_host: o.dest.index() as u64,
+            cost: o.cost,
+        });
+        sink.counter("migrations.committed", 1);
+        self.plan.moves.push(Move {
+            vm: o.vm,
+            from: o.from,
+            to: o.dest,
+            cost: o.cost,
+        });
+        self.plan.total_cost += o.cost;
+    }
 }
 
-/// The fabric round's event vocabulary. Round phases map onto these
-/// one-to-one; `Wake` events carry no payload because an activation
-/// runs *all* phases for its tick (activation-time superset).
+/// The fabric round's event vocabulary (DESIGN.md §10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FabricEvent {
     /// Crash window `schedule[i]` opens.
@@ -339,1876 +404,1733 @@ enum FabricEvent {
     Beacon(RackId),
     /// A per-rack alert-check interval fires.
     AlertCheck(RackId),
-    /// A derived activation with no payload of its own.
-    Wake(WakeReason),
+    /// A derived activation: a delivery, lease, detector transition,
+    /// planning gate or transfer event is due. No payload, because an
+    /// activation runs *every* phase for its tick.
+    Wake,
+    /// The earliest request or zombie deadline: the one cancellable
+    /// wake, re-aimed whenever a nearer deadline appears.
+    TimeoutWake,
+}
+
+impl FabricEvent {
+    /// Rank of the phase that handles this event within an activation.
+    /// Handlers run in phase order, and in pop (= schedule) order within
+    /// a phase — never in plain pop order, which differs whenever
+    /// events of different phases share a tick.
+    fn phase(self) -> u8 {
+        match self {
+            FabricEvent::Crash(_) | FabricEvent::Recover(_) => 0,
+            FabricEvent::LinkFail(_) => 1,
+            FabricEvent::LinkRestore(_) => 2,
+            FabricEvent::Heal(_) => 3,
+            FabricEvent::AlertCheck(_) => 4,
+            FabricEvent::Beacon(_) => 5,
+            FabricEvent::Wake | FabricEvent::TimeoutWake => 6,
+        }
+    }
 }
 
 /// Actor id for derived wakes (no rack owns them).
 const WAKE_ACTOR: u64 = u64::MAX;
 
-/// Schedule a derived activation at `at`, deduplicated on time: if any
-/// never-cancelled event is already on the agenda for that tick, the
-/// tick is activated regardless and no extra wake is needed.
-fn schedule_wake(
-    agenda: &mut Simulation<FabricEvent>,
-    seen: &mut BTreeSet<u64>,
-    at: u64,
-    reason: WakeReason,
-) {
-    if seen.insert(at) {
-        agenda.schedule_at(VirtualTime::new(at), WAKE_ACTOR, FabricEvent::Wake(reason));
+/// The round's agenda, with derived wakes deduplicated on time.
+struct Agenda {
+    sim: Simulation<FabricEvent>,
+    /// Every tick that already has a never-cancelled event: one
+    /// activation per tick is enough, so derived wakes dedupe on it.
+    seen: BTreeSet<u64>,
+    /// The pending timeout wake. It is cancellable, so it never enters
+    /// `seen`.
+    timeout: Option<(u64, EventId)>,
+}
+
+impl Agenda {
+    /// Schedule the never-cancelled `event` for `actor` at `at`.
+    fn at(&mut self, at: u64, actor: u64, event: FabricEvent) {
+        self.seen.insert(at);
+        self.sim.schedule_at(VirtualTime::new(at), actor, event);
+    }
+
+    /// Activate tick `at`, unless an event already does.
+    fn wake(&mut self, at: u64) {
+        if self.seen.insert(at) {
+            self.sim
+                .schedule_at(VirtualTime::new(at), WAKE_ACTOR, FabricEvent::Wake);
+        }
+    }
+
+    /// Aim the timeout wake at deadline `at`: deadlines move with every
+    /// resend, so one wake tracks the earliest and is cancelled (a no-op
+    /// if it already fired) whenever a nearer deadline appears.
+    fn timeout_at(&mut self, at: u64) {
+        if self.timeout.is_some_and(|(cur, _)| at >= cur) {
+            return;
+        }
+        if let Some((_, id)) = self.timeout {
+            self.sim.cancel(id);
+        }
+        self.timeout = if self.seen.contains(&at) {
+            None
+        } else {
+            let id =
+                self.sim
+                    .schedule_at(VirtualTime::new(at), WAKE_ACTOR, FabricEvent::TimeoutWake);
+            Some((at, id))
+        };
     }
 }
 
-/// Run one management round entirely over the simulated shim channel:
-/// REQUEST/ACK/REJECT with deadlines, backoff, idempotent retransmission,
-/// heartbeat liveness, and graceful degradation around crashed shims,
-/// with an [`EventSink`] observing the message exchange:
-/// every REQUEST/ACK/REJECT, timeout, retransmission, absorbed duplicate,
-/// degradation step, and crashed shim becomes a structured event, and the
-/// channel's [`NetStats`](crate::channel::NetStats) land in counters
-/// (`net.sent`, `net.dropped`, ...). The runtime is single-threaded in
-/// virtual time, so the event stream is deterministic for a fixed seed.
-pub fn fabric_round_obs<S: EventSink + ?Sized>(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
-    cfg: &FabricConfig,
-    sink: &mut S,
-) -> DistributedReport {
-    // single-shot compatibility path: fresh failover state has no
-    // heartbeat history, so no takeover or fencing can fire and the
-    // round reproduces the pre-failover fabric byte for byte
-    let mut failover = RegionFailover::new(cfg.heartbeat_every().max(1), cfg.liveness_deadline);
-    fabric_round_failover_obs(
-        cluster,
-        metric,
-        alerts,
-        alert_values,
-        cfg,
-        &mut failover,
-        sink,
-    )
+/// Nearest-rank p95 over a set of transfer durations, 0.0 when empty.
+fn p95_ticks(durations: &[u64]) -> f64 {
+    if durations.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = durations.to_vec();
+    sorted.sort_unstable();
+    let rank = ((sorted.len() as f64) * 0.95).ceil() as usize;
+    let idx = rank.saturating_sub(1).min(sorted.len() - 1);
+    sorted.get(idx).copied().unwrap_or(0) as f64
 }
 
-/// The fabric round with persistent partition-tolerance state threaded
-/// through: the adaptive failure detector accrues heartbeat silence
-/// across rounds, a shim it declares Dead has its racks handed to a
-/// deterministic successor under a bumped epoch, and 2PC messages
-/// carrying a superseded epoch are fenced with a `StaleEpoch` reject
-/// that teaches the zombie the current term. Partition windows from
-/// `cfg.partitions` cut the simulated network; shims plan around active
-/// cuts in degraded local mode and reconcile parked work when a window
-/// heals. [`fabric_round_obs`] is this with throwaway state.
-///
-/// Internally the round is a discrete-event simulation: the agenda is
-/// seeded with every schedule window, heal, and beacon, and the loop
-/// hops from activation to activation, running the historical per-tick
-/// phases at each one. Deliveries, deadlines, leases, detector
-/// transitions, and planning gates schedule their own derived wakes, so
-/// no state-changing tick is ever skipped.
-#[allow(clippy::too_many_arguments)]
-pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
+/// Run one fabric round over `ctx` with persistent failover state: the
+/// body of [`FabricRuntime::step`](crate::runtime::FabricRuntime).
+pub(crate) fn run_round(
+    ctx: &mut RunCtx<'_>,
     cfg: &FabricConfig,
     failover: &mut RegionFailover,
-    sink: &mut S,
-) -> DistributedReport {
-    let hello_window = cfg.hello_window;
-    let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
-    racks.sort_unstable();
-    racks.dedup();
-    // a window with crash_at == 0 and no recovery is the old whole-round
-    // crash: the rack is excluded from the round entirely. Every other
-    // window is a mid-round transition handled as Crash/Recover events.
-    let whole_round: BTreeSet<RackId> = cfg
-        .crashed
-        .iter()
-        .filter(|w| w.crash_at == 0 && w.recover_at.is_none())
-        .map(|w| w.rack)
-        .collect();
-    let schedule: Vec<CrashWindow> = cfg
-        .crashed
-        .iter()
-        .copied()
-        .filter(|w| !(w.crash_at == 0 && w.recover_at.is_none()))
-        .collect();
-    let crashed_alerted_racks: Vec<RackId> = racks
-        .iter()
-        .copied()
-        .filter(|r| whole_round.contains(r))
-        .collect();
-    for &r in &crashed_alerted_racks {
-        emit(sink, || Event::ShimCrashed {
-            rack: r.index() as u64,
-        });
-    }
-    racks.retain(|r| !whole_round.contains(r));
-    let mut report = DistributedReport {
-        crashed_shims: crashed_alerted_racks.len(),
-        ..DistributedReport::default()
-    };
-    // detector baseline: every rack is expected to beacon from the
-    // round's start, so a shim that is down from tick 0 accrues silence
-    for i in 0..cluster.dcn.rack_count() {
-        failover
-            .detector
-            .track(RackId::from_index(i), failover.clock);
-    }
-    // regional takeover: an alerted rack whose shim the detector has
-    // already declared Dead hands its alerts to a deterministic
-    // successor — the lowest-index live alerted rack in its region,
-    // else the lowest-index live alerted rack anywhere. The first
-    // handover bumps the rack's epoch so the deposed shim's 2PC traffic
-    // can be fenced when it returns.
-    let mut adopted: BTreeMap<RackId, Vec<RackId>> = BTreeMap::new();
-    for &r in &crashed_alerted_racks {
-        if failover.detector.health(r) != ShimHealth::Dead {
-            continue;
+) -> RoundOutcome {
+    FabricRound::new(ctx, cfg, failover).run()
+}
+
+/// One fabric round in flight: REQUEST/2PC negotiation with deadlines,
+/// backoff, idempotent retransmission and heartbeat liveness; regional
+/// takeover and epoch fencing through the cross-round failover state;
+/// partition cuts with degraded local planning and reconciliation on
+/// heal; and, when enabled, the routed pre-copy transfers behind each
+/// COMMIT. Every message exchange, timeout, degradation step and
+/// transfer transition reaches the sink as a structured event and lands
+/// in `out`. The round is single-threaded in virtual time, so the event
+/// stream is deterministic for a fixed seed.
+struct FabricRound<'r> {
+    cluster: &'r mut Cluster,
+    metric: &'r RackMetric,
+    alerts: &'r [Alert],
+    alert_values: &'r [f64],
+    sink: &'r mut dyn EventSink,
+    cfg: &'r FabricConfig,
+    failover: &'r mut RegionFailover,
+    /// The round's report, filled in as it runs.
+    out: RoundOutcome,
+    /// The activated virtual tick.
+    now: u64,
+    /// Live alerted racks, ascending; `shims[i]` serves `racks[i]`.
+    racks: Vec<RackId>,
+    shims: Vec<FabricShim>,
+    /// Mid-round crash windows (whole-round crashes are handled up front).
+    schedule: Vec<CrashWindow>,
+    /// Racks currently down.
+    down: BTreeSet<RackId>,
+    net: SimNet,
+    endpoints: Vec<ShimEndpoint>,
+    /// How long a given-up request waits for a late verdict: the longest
+    /// request + reply round trip (base delay plus the reorder fault's
+    /// hold-back of up to 3 ticks each way), with slack.
+    patience: u64,
+    /// The pre-copy scheduler; `None` settles every commit at once.
+    transfers: Option<TransferScheduler>,
+    /// 2PC context of each streaming pre-copy: who to ACK and under
+    /// which epoch to finalize the journal entry.
+    transfer_meta: BTreeMap<ReqId, TransferMeta>,
+    /// Completion time of every finished pre-copy.
+    transfer_durations: Vec<u64>,
+    /// Pre-copies cancelled for good by a crash with no recovery,
+    /// counted into `transfer_failures` on top of the scheduler's own.
+    rack_failed_transfers: usize,
+    /// In-round transfer-plane audit; each breach is flagged once.
+    transfer_audit: AuditReport,
+    flagged_on_failed: BTreeSet<(u64, usize)>,
+    flagged_no_prepare: BTreeSet<u64>,
+    agenda: Agenda,
+}
+
+impl<'r> FabricRound<'r> {
+    fn new(
+        ctx: &'r mut RunCtx<'_>,
+        cfg: &'r FabricConfig,
+        failover: &'r mut RegionFailover,
+    ) -> Self {
+        let mut racks: Vec<RackId> = ctx.alerts.iter().map(|a| a.rack).collect();
+        racks.sort_unstable();
+        racks.dedup();
+        // a window with crash_at == 0 and no recovery is the old
+        // whole-round crash: the rack is down from the start and left
+        // out of the round. Every other window is a mid-round transition
+        // handled as Crash/Recover events.
+        let whole_round = |w: &CrashWindow| w.crash_at == 0 && w.recover_at.is_none();
+        let down: BTreeSet<RackId> = cfg
+            .crashed
+            .iter()
+            .filter(|w| whole_round(w))
+            .map(|w| w.rack)
+            .collect();
+        let mut net = SimNet::new(cfg.faults.clone(), cfg.seed);
+        net.set_partitions(cfg.partitions.clone());
+        for &r in &down {
+            net.set_down(r);
         }
-        let region = cluster.dcn.neighbor_racks(r, cluster.sim.region_hops);
-        let succ = region
+        let rack_count = ctx.cluster.dcn.rack_count();
+        Self {
+            cluster: &mut *ctx.cluster,
+            metric: ctx.metric,
+            alerts: ctx.alerts,
+            alert_values: ctx.alert_values,
+            sink: &mut *ctx.sink,
+            cfg,
+            failover,
+            out: RoundOutcome::default(),
+            now: 0,
+            racks,
+            shims: Vec::new(),
+            schedule: cfg
+                .crashed
+                .iter()
+                .copied()
+                .filter(|w| !whole_round(w))
+                .collect(),
+            down,
+            net,
+            endpoints: (0..rack_count)
+                .map(|r| ShimEndpoint::new(RackId::from_index(r)))
+                .collect(),
+            patience: 2 * (cfg.faults.delay_max + 3) + 2,
+            transfers: cfg
+                .transfer
+                .as_ref()
+                .map(|tc| TransferScheduler::new(tc.clone())),
+            transfer_meta: BTreeMap::new(),
+            transfer_durations: Vec::new(),
+            rack_failed_transfers: 0,
+            transfer_audit: AuditReport::default(),
+            flagged_on_failed: BTreeSet::new(),
+            flagged_no_prepare: BTreeSet::new(),
+            agenda: Agenda {
+                sim: Simulation::new(),
+                seen: BTreeSet::new(),
+                timeout: None,
+            },
+        }
+    }
+
+    /// Open the round, hop from activation to activation until every
+    /// shim has settled (or the tick cap), then close it.
+    fn run(mut self) -> RoundOutcome {
+        let adopted = self.open();
+        if self.racks.is_empty() {
+            return self.out;
+        }
+        self.spawn_shims(&adopted);
+        self.seed_agenda();
+        loop {
+            self.activate();
+            if self.settled() {
+                break;
+            }
+            self.schedule_wakes();
+            // past the tick cap the round is abandoned exactly as the
+            // per-tick loop abandoned it
+            match self.agenda.sim.next_time() {
+                Some(t) if t.get() <= self.cfg.max_ticks => self.now = t.get(),
+                _ => {
+                    self.now = self.cfg.max_ticks.saturating_add(1);
+                    break;
+                }
+            }
+        }
+        self.close()
+    }
+
+    /// The source shim index of `rack`, if it is a live alerted rack.
+    fn source(&self, rack: RackId) -> Option<usize> {
+        self.racks.binary_search(&rack).ok()
+    }
+
+    /// Alg. 1/2 victims of `rack`'s alerts on the current placement, with
+    /// the size of the candidate pool PRIORITY examined.
+    fn victims(&self, rack: RackId) -> (Vec<VmId>, usize) {
+        let c = &*self.cluster;
+        select_victims(
+            &c.placement,
+            &c.dcn.inventory,
+            &c.sim,
+            rack,
+            self.alerts,
+            self.alert_values,
+        )
+    }
+
+    // ---- round start and end -------------------------------------------
+
+    /// Round start: report the alerted shims crashed for the whole round,
+    /// start every rack's detector clock, and hand the alerts of those
+    /// already declared Dead to a successor — the lowest-index live
+    /// alerted rack in the region, else anywhere. Returns the racks each
+    /// successor adopted.
+    fn open(&mut self) -> BTreeMap<RackId, Vec<RackId>> {
+        let crashed: Vec<RackId> = self
+            .racks
             .iter()
             .copied()
-            .filter(|s| racks.contains(s))
-            .min()
-            .or_else(|| racks.first().copied());
-        if let Some(s) = succ {
-            let continued = failover.taken_over(r) && failover.manager_of(r) == s;
-            let epoch = failover.take_over(r, s);
-            if !continued {
-                emit(sink, || Event::RegionTakenOver {
-                    rack: r.index() as u64,
-                    by: s.index() as u64,
-                    epoch,
-                });
-                sink.counter("region.takeovers", 1);
-                report.takeovers += 1;
+            .filter(|r| self.down.contains(r))
+            .collect();
+        for &r in &crashed {
+            emit(self.sink, || Event::ShimCrashed {
+                rack: r.index() as u64,
+            });
+        }
+        self.racks.retain(|r| !self.down.contains(r));
+        self.out.crashed_shims = crashed.len();
+        // detector baseline: every rack is expected to beacon from the
+        // round's start, so a shim that is down from tick 0 accrues silence
+        for i in 0..self.cluster.dcn.rack_count() {
+            let clock = self.failover.clock;
+            self.failover.detector.track(RackId::from_index(i), clock);
+        }
+        let mut adopted: BTreeMap<RackId, Vec<RackId>> = BTreeMap::new();
+        for &r in &crashed {
+            if self.failover.detector.health(r) != ShimHealth::Dead {
+                continue;
             }
-            adopted.entry(s).or_default().push(r);
+            let region = self
+                .cluster
+                .dcn
+                .neighbor_racks(r, self.cluster.sim.region_hops);
+            let succ = region
+                .iter()
+                .copied()
+                .filter(|s| self.racks.contains(s))
+                .min()
+                .or_else(|| self.racks.first().copied());
+            if let Some(s) = succ {
+                self.take_over(r, s);
+                adopted.entry(s).or_default().push(r);
+            }
+        }
+        adopted
+    }
+
+    /// Hand `rack`'s region to `succ`. A change of manager bumps the
+    /// rack's epoch, so the deposed shim's 2PC traffic can be fenced when
+    /// it returns.
+    fn take_over(&mut self, rack: RackId, succ: RackId) {
+        let continued = self.failover.taken_over(rack) && self.failover.manager_of(rack) == succ;
+        let epoch = self.failover.take_over(rack, succ);
+        if !continued {
+            emit(self.sink, || Event::RegionTakenOver {
+                rack: rack.index() as u64,
+                by: succ.index() as u64,
+                epoch,
+            });
+            self.sink.counter("region.takeovers", 1);
+            self.out.takeovers += 1;
         }
     }
-    if racks.is_empty() {
-        return report;
-    }
-    report.shims = racks.len();
 
-    let rack_count = cluster.dcn.rack_count();
-    let sim = cluster.sim.clone();
-    let mut net = SimNet::new(cfg.faults.clone(), cfg.seed);
-    net.set_partitions(cfg.partitions.clone());
-    // racks currently down, maintained by the Crash/Recover events — the
-    // membership test the beacon handler uses
-    let mut down: BTreeSet<RackId> = whole_round.clone();
-    for &r in &whole_round {
-        net.set_down(r);
-    }
-    let mut endpoints: Vec<ShimEndpoint> = (0..rack_count)
-        .map(|r| ShimEndpoint::new(RackId::from_index(r)))
-        .collect();
-
-    // victim selection on the initial placement (Alg. 1)
-    let mut shims: Vec<FabricShim> = racks
-        .iter()
-        .map(|&rack| {
-            let (mut pending, mut candidates) = select_victims(
-                &cluster.placement,
-                &cluster.dcn.inventory,
-                &sim,
-                rack,
-                alerts,
-                alert_values,
-            );
-            // a takeover successor also serves the alerts of the racks
-            // it adopted, with victims selected the same way
-            for &ar in adopted.get(&rack).map(Vec::as_slice).unwrap_or_default() {
-                let (more, more_cand) = select_victims(
-                    &cluster.placement,
-                    &cluster.dcn.inventory,
-                    &sim,
-                    ar,
-                    alerts,
-                    alert_values,
-                );
+    /// Alg. 1 victim selection on the initial placement, one source shim
+    /// per live alerted rack. A takeover successor also serves the alerts
+    /// of the racks it adopted.
+    fn spawn_shims(&mut self, adopted: &BTreeMap<RackId, Vec<RackId>>) {
+        self.out.shims = self.racks.len();
+        let mut shims = Vec::with_capacity(self.racks.len());
+        for &rack in &self.racks {
+            let (mut pending, mut candidates) = self.victims(rack);
+            for &r in adopted.get(&rack).map(Vec::as_slice).unwrap_or_default() {
+                let (more, more_candidates) = self.victims(r);
                 pending.extend(more);
-                candidates += more_cand;
+                candidates += more_candidates;
             }
-            emit(sink, || Event::VictimsSelected {
+            emit(self.sink, || Event::VictimsSelected {
                 rack: rack.index() as u64,
                 candidates: candidates as u64,
                 selected: pending.len() as u64,
             });
-            let region = cluster.dcn.neighbor_racks(rack, sim.region_hops);
-            FabricShim {
-                st: ShimState {
-                    rack,
-                    active: !pending.is_empty(),
-                    pending,
-                    slots: Vec::new(),
-                    excluded: Vec::new(),
-                    plan: Default::default(),
-                    retries: 0,
-                    seq: 0,
-                },
-                liveness: Liveness::new(cfg.liveness_deadline),
-                region,
-                outstanding: BTreeMap::new(),
-                zombies: BTreeMap::new(),
-                unresolved: Vec::new(),
-                rounds_left: cfg.max_retry + 1,
-                started: false,
-                done: false,
-                progressed: false,
-                gave_up: false,
-                degraded: false,
-                part_degraded: false,
-                down: false,
-                resume_at: 0,
-            }
-        })
-        .collect();
-    // shims with nothing to do are immediately done
-    for s in &mut shims {
-        if !s.st.active {
-            s.done = true;
+            let region = self
+                .cluster
+                .dcn
+                .neighbor_racks(rack, self.cluster.sim.region_hops);
+            shims.push(FabricShim::new(rack, pending, region, self.cfg));
         }
+        self.shims = shims;
     }
 
-    let source_index: BTreeMap<RackId, usize> = shims
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.st.rack, i))
-        .collect();
-    let all_racks: Vec<RackId> = (0..rack_count).map(RackId::from_index).collect();
-    // longest possible request + reply round trip: base delay plus the
-    // reorder fault's extra hold-back (up to 3 ticks) each way, with slack
-    let patience = 2 * (cfg.faults.delay_max + 3) + 2;
-
-    // ---- transfer scheduler ---------------------------------------------
-    // With `cfg.transfer` unset this stays `None` and every path below
-    // that touches it is dead — the round is byte-identical to the
-    // instantaneous-settlement fabric. When set, a COMMIT hands the
-    // migration to the scheduler instead of ACKing immediately; the ACK
-    // (and the txn_committed bookkeeping) flows at TransferCompleted.
-    let mut transfers = cfg
-        .transfer
-        .as_ref()
-        .map(|tc| sheriff_transfer::TransferScheduler::new(tc.clone()));
-    // per-transfer 2PC context, keyed by request id: who to ACK and
-    // under which epoch to finalize the journal entry
-    let mut transfer_meta: BTreeMap<ReqId, TransferMeta> = BTreeMap::new();
-    // in-round transfer-plane audit: a transfer streaming across a
-    // failed link, or active without a Prepared journal entry, is an
-    // invariant breach — flagged once per (transfer, fact) and merged
-    // into the round's audit report
-    let mut transfer_audit = AuditReport::default();
-    let mut flagged_on_failed: BTreeSet<(u64, usize)> = BTreeSet::new();
-    let mut flagged_no_prepare: BTreeSet<u64> = BTreeSet::new();
-    // terminal rack-crash cancellations (no recovery scheduled): counted
-    // into `transfer_failures` on top of the scheduler's retry-budget
-    // exhaustions, which are tracked inside `ts`
-    let mut rack_failed_transfers: usize = 0;
-
-    // ---- agenda setup ---------------------------------------------------
-    // `seen` holds every tick that already has a never-cancelled event,
-    // so derived wakes dedupe on time. Timeout wakes are the exception:
-    // they are cancellable, so they live in `timeout_wake` instead and
-    // never enter `seen`.
-    let mut agenda: Simulation<FabricEvent> = Simulation::new();
-    let mut seen: BTreeSet<u64> = BTreeSet::new();
-    let mut timeout_wake: Option<(u64, EventId)> = None;
-    for (i, w) in schedule.iter().enumerate() {
-        seen.insert(w.crash_at);
-        agenda.schedule_at(
-            VirtualTime::new(w.crash_at),
-            w.rack.index() as u64,
-            FabricEvent::Crash(i),
-        );
-        if let Some(r) = w.recover_at {
-            seen.insert(r);
-            agenda.schedule_at(
-                VirtualTime::new(r),
-                w.rack.index() as u64,
-                FabricEvent::Recover(i),
-            );
-        }
-    }
-    for (i, p) in cfg.partitions.iter().enumerate() {
-        if let Some(h) = p.heal_at {
-            seen.insert(h);
-            agenda.schedule_at(VirtualTime::new(h), i as u64, FabricEvent::Heal(i));
-        }
-    }
-    // link faults only touch the transfer plane: with the model disabled
-    // they are not seeded at all, so the agenda (and the round) stays
-    // byte-identical to the fault-free fabric
-    if transfers.is_some() {
-        for (i, w) in cfg.link_faults.iter().enumerate() {
-            seen.insert(w.fail_at);
-            agenda.schedule_at(
-                VirtualTime::new(w.fail_at),
-                w.link as u64,
-                FabricEvent::LinkFail(i),
-            );
-            if let Some(r) = w.restore_at {
-                seen.insert(r);
-                agenda.schedule_at(
-                    VirtualTime::new(r),
-                    w.link as u64,
-                    FabricEvent::LinkRestore(i),
-                );
+    /// Seed the agenda with every schedule window and heal, each rack's
+    /// first beacon and alert check, and the first planning gate.
+    fn seed_agenda(&mut self) {
+        let cfg = self.cfg;
+        for (i, w) in self.schedule.iter().enumerate() {
+            let actor = w.rack.index() as u64;
+            self.agenda.at(w.crash_at, actor, FabricEvent::Crash(i));
+            if let Some(r) = w.recover_at {
+                self.agenda.at(r, actor, FabricEvent::Recover(i));
             }
         }
-    }
-    // every rack beacons from tick 0 (Hello), then self-reschedules at
-    // its own interval — the emit_self idiom, flattened: the recurrence
-    // is re-armed by the Beacon handler so a down rack keeps cadence
-    for &r in &all_racks {
-        seen.insert(0);
-        agenda.schedule_at(VirtualTime::ZERO, r.index() as u64, FabricEvent::Beacon(r));
-    }
-    for &(r, every) in &cfg.alert_checks {
-        if every > 0 {
-            seen.insert(every);
-            agenda.schedule_at(
-                VirtualTime::new(every),
-                r.index() as u64,
-                FabricEvent::AlertCheck(r),
-            );
-        }
-    }
-    schedule_wake(&mut agenda, &mut seen, hello_window, WakeReason::ShimStart);
-
-    // ---- the event loop -------------------------------------------------
-    let mut t: u64 = 0;
-    loop {
-        // drain this activation's events and bucket them by phase; pop
-        // order within a bucket is schedule order, which reproduces the
-        // historical iteration orders (schedule order for windows,
-        // partition-index order for heals, rack order for beacons)
-        let mut crash_recover: Vec<(usize, bool)> = Vec::new();
-        let mut heals: Vec<usize> = Vec::new();
-        let mut link_fails: Vec<usize> = Vec::new();
-        let mut link_restores: Vec<usize> = Vec::new();
-        let mut checks: Vec<RackId> = Vec::new();
-        let mut beacons: Vec<RackId> = Vec::new();
-        for ev in agenda.take_due(VirtualTime::new(t)) {
-            match ev.event {
-                FabricEvent::Crash(i) => crash_recover.push((i, false)),
-                FabricEvent::Recover(i) => crash_recover.push((i, true)),
-                FabricEvent::Heal(i) => heals.push(i),
-                FabricEvent::LinkFail(i) => link_fails.push(i),
-                FabricEvent::LinkRestore(i) => link_restores.push(i),
-                FabricEvent::AlertCheck(r) => checks.push(r),
-                FabricEvent::Beacon(r) => beacons.push(r),
-                FabricEvent::Wake(WakeReason::Timeout) => timeout_wake = None,
-                FabricEvent::Wake(_) => {}
+        for (i, p) in cfg.partitions.iter().enumerate() {
+            if let Some(h) = p.heal_at {
+                self.agenda.at(h, i as u64, FabricEvent::Heal(i));
             }
         }
-
-        // phase 1 — crash/recover transitions scheduled for this tick. A
-        // crashing source shim loses its volatile negotiation state
-        // (outstanding requests become unresolved — their fate settles
-        // against ground truth); its durable intent journal survives and
-        // is replayed on recovery.
-        for &(wi, is_recover) in &crash_recover {
-            let Some(w) = schedule.get(wi) else { continue };
-            if !is_recover {
-                net.set_down(w.rack);
-                down.insert(w.rack);
-                emit(sink, || Event::ShimCrashed {
-                    rack: w.rack.index() as u64,
-                });
-                // pre-copies streaming *into* the crashed rack die with
-                // it. With a recovery scheduled their journal prepares
-                // survive under the extended lease, so a retransmitted
-                // COMMIT after recovery simply restarts the transfer.
-                // Without one the 2PC context is dead for good: emit the
-                // failure and abort the journalled prepare now —
-                // symmetric with the lease-abort path — instead of
-                // leaving a silent zombie for the end-of-round sweep.
-                if let Some(ts) = transfers.as_mut() {
-                    let recovers = w.recover_at.is_some();
-                    for id in ts.cancel_rack(w.rack.index(), t) {
-                        let req_id = ReqId(id);
-                        let meta = transfer_meta.remove(&req_id);
-                        sink.counter("transfer.cancelled", 1);
-                        let Some(meta) = meta else { continue };
-                        if recovers {
-                            continue;
-                        }
-                        rack_failed_transfers += 1;
-                        emit(sink, || Event::TransferFailed {
-                            req: id,
-                            vm: meta.vm.index() as u64,
-                            attempts: 0,
-                        });
-                        sink.counter("transfer.failed", 1);
-                        let Some(ep) = endpoints.get_mut(meta.dst_rack.index()) else {
-                            continue;
-                        };
-                        if let Some((vm, _)) =
-                            ep.handle_abort(&mut cluster.placement, &cluster.deps, req_id)
-                        {
-                            report.txn_aborted += 1;
-                            emit(sink, || Event::TxnAborted {
-                                req: id,
-                                vm: vm.index() as u64,
-                            });
-                            sink.counter("txn.aborted", 1);
-                        }
-                    }
-                }
-                if let Some(&i) = source_index.get(&w.rack) {
-                    let Some(shim) = shims.get_mut(i) else {
-                        continue;
-                    };
-                    shim.down = true;
-                    shim.started = false;
-                    let lost: Vec<Outstanding> = std::mem::take(&mut shim.outstanding)
-                        .into_values()
-                        .chain(std::mem::take(&mut shim.zombies).into_values())
-                        .collect();
-                    shim.unresolved.extend(lost);
-                }
-            } else {
-                net.set_up(w.rack);
-                down.remove(&w.rack);
-                emit(sink, || Event::ShimRecovered {
-                    rack: w.rack.index() as u64,
-                });
-                report.recoveries += 1;
-                // journal replay: re-ACK committed transfers, abort
-                // orphaned prepares whose lease lapsed while down and
-                // prepares journalled under a since-superseded epoch —
-                // the restore path can never resurrect old-epoch intents
-                let Some(ep) = endpoints.get_mut(w.rack.index()) else {
-                    continue;
-                };
-                let rep =
-                    ep.recover_fenced(&mut cluster.placement, &cluster.deps, t, failover.epochs());
-                sink.counter("journal.replayed", rep.replayed as u64);
-                sink.counter("journal.reacked", rep.reacks.len() as u64);
-                sink.counter("journal.forwarded", rep.forwarded as u64);
-                for req_id in rep.reacks {
-                    let epoch = failover.view_of(w.rack);
-                    net.send(t, w.rack, req_id.source(), ShimMsg::Ack { req_id, epoch });
-                }
-                for (req, vm) in rep.lease_aborts.iter().chain(rep.epoch_aborts.iter()) {
-                    let (req, vm) = (*req, *vm);
-                    report.txn_aborted += 1;
-                    emit(sink, || Event::TxnAborted {
-                        req: req.0,
-                        vm: vm.index() as u64,
-                    });
-                    sink.counter("txn.aborted", 1);
-                }
-                if let Some(&i) = source_index.get(&w.rack) {
-                    if let Some(shim) = shims.get_mut(i) {
-                        shim.down = false;
-                        // rejoin heartbeating first; plan once the
-                        // liveness view has had a full beacon period to
-                        // repopulate
-                        shim.resume_at = t + cfg.beacon_every(w.rack) + 1;
-                    }
+        // link faults only touch the transfer plane: with the model
+        // disabled they are not seeded at all, so the agenda (and the
+        // round) stays byte-identical to the fault-free fabric
+        if self.transfers.is_some() {
+            for (i, w) in cfg.link_faults.iter().enumerate() {
+                let actor = w.link as u64;
+                self.agenda.at(w.fail_at, actor, FabricEvent::LinkFail(i));
+                if let Some(r) = w.restore_at {
+                    self.agenda.at(r, actor, FabricEvent::LinkRestore(i));
                 }
             }
         }
-
-        // phase 1b — link-fault windows scheduled for this tick,
-        // propagated into the transfer plane: a failing link stalls or
-        // re-routes every pre-copy crossing it (checkpoint retained,
-        // max-min shares recomputed for the survivors); a restoring link
-        // resumes stalled pre-copies from their checkpoints. Fails run
-        // before restores so a zero-width window nets out to a restore.
-        if let Some(ts) = transfers.as_mut() {
-            for &idx in &link_fails {
-                let Some(w) = cfg.link_faults.get(idx) else {
-                    continue;
-                };
-                let out = ts.fail_link(t, w.link);
-                for s in &out.stalled {
-                    emit(sink, || Event::TransferStalled {
-                        req: s.id,
-                        vm: s.vm,
-                        link: s.link as u64,
-                    });
-                    sink.counter("transfer.stalled", 1);
-                }
-                for r in &out.rerouted {
-                    emit(sink, || Event::TransferRerouted {
-                        req: r.id,
-                        vm: r.vm,
-                        hops: r.hops as u64,
-                    });
-                    sink.counter("transfer.rerouted", 1);
-                }
-            }
-            for &idx in &link_restores {
-                let Some(w) = cfg.link_faults.get(idx) else {
-                    continue;
-                };
-                for r in ts.restore_link(t, w.link) {
-                    emit(sink, || Event::TransferResumed {
-                        req: r.id,
-                        vm: r.vm,
-                        saved: r.saved,
-                    });
-                    sink.counter("transfer.resumed", 1);
-                }
-            }
+        // every rack beacons from tick 0 (Hello), then re-arms itself at
+        // its own interval — the emit_self idiom, flattened
+        for r in 0..self.cluster.dcn.rack_count() {
+            let rack = RackId::from_index(r);
+            self.agenda.at(0, r as u64, FabricEvent::Beacon(rack));
         }
-
-        // phase 2 — partition heals scheduled for this tick: reconcile
-        // parked work. A pending VM whose rack is managed by another
-        // shim was (or will be) handled by that manager — replanning it
-        // here would double-manage, so it is dropped and counted as a
-        // reconciliation conflict. Shims the cut starved into parking
-        // with work left are woken for a post-heal replan.
-        for &idx in &heals {
-            let Some(p) = cfg.partitions.get(idx) else {
-                continue;
-            };
-            emit(sink, || Event::PartitionHealed {
-                partition: idx as u64,
-                racks: p.members.len() as u64,
-            });
-            sink.counter("net.healed", 1);
-            for shim in &mut shims {
-                if !shim.st.pending.is_empty() {
-                    let before = shim.st.pending.len();
-                    let rack = shim.st.rack;
-                    shim.st
-                        .pending
-                        .retain(|&vm| failover.manager_of(cluster.placement.rack_of(vm)) == rack);
-                    report.reconciliations += before - shim.st.pending.len();
-                }
-                if shim.done && !shim.down && !shim.st.pending.is_empty() {
-                    shim.done = false;
-                    shim.gave_up = true;
-                    shim.rounds_left = shim.rounds_left.max(1);
-                }
-            }
-        }
-
-        // phase 2b — per-rack alert checks: rescan the rack for fresh
-        // pre-alerts at its own virtual-time interval, independent of
-        // round boundaries. VMs already managed (pending, in-flight,
-        // unknown-fate, or moved) are never re-adopted.
-        for &r in &checks {
-            let every = cfg.alert_check_every(r);
+        for &(r, every) in &cfg.alert_checks {
             if every > 0 {
-                seen.insert(t + every);
-                agenda.schedule_at(
-                    VirtualTime::new(t + every),
-                    r.index() as u64,
-                    FabricEvent::AlertCheck(r),
-                );
+                self.agenda
+                    .at(every, r.index() as u64, FabricEvent::AlertCheck(r));
             }
-            let Some(&i) = source_index.get(&r) else {
-                continue;
-            };
-            let (victims, _) = select_victims(
-                &cluster.placement,
-                &cluster.dcn.inventory,
-                &sim,
-                r,
-                alerts,
-                alert_values,
-            );
-            let Some(shim) = shims.get_mut(i) else {
-                continue;
-            };
-            if shim.down {
-                continue;
-            }
-            let mut busy: BTreeSet<VmId> = shim
-                .st
-                .pending
+        }
+        self.agenda.wake(cfg.hello_window);
+    }
+
+    /// Whether the round is over: every source shim settled. A crashed
+    /// shim only holds the round open while a recovery is still
+    /// scheduled, a scheduled heal holds it open while a parked shim
+    /// still has work the heal would wake it for, and a streaming or
+    /// queued pre-copy holds it open until its commit, ACK and move land.
+    /// Every flip of this predicate lands on an activated tick (Recover
+    /// and Heal are events; a partition *start* only delays settlement),
+    /// so checking at activations only is exact.
+    fn settled(&self) -> bool {
+        let now = self.now;
+        let recovering = |s: &FabricShim| {
+            self.schedule
                 .iter()
-                .copied()
-                .chain(shim.outstanding.values().map(|o| o.vm))
-                .chain(shim.zombies.values().map(|o| o.vm))
-                .chain(shim.unresolved.iter().map(|o| o.vm))
-                .chain(shim.st.plan.moves.iter().map(|m| m.vm))
-                .collect();
-            // a VM whose pre-copy is mid-stream is already managed:
-            // re-adopting it here would double-plan the same move
-            if let Some(ts) = transfers.as_ref() {
-                busy.extend(
-                    ts.in_flight_vms()
-                        .into_iter()
-                        .map(|v| VmId::from_index(v as usize)),
-                );
-            }
-            let fresh: Vec<VmId> = victims
-                .into_iter()
-                .filter(|vm| !busy.contains(vm))
-                .collect();
-            emit(sink, || Event::AlertCheckFired {
-                rack: r.index() as u64,
-                tick: t,
-                fresh: fresh.len() as u64,
-            });
-            sink.counter("alerts.checks", 1);
-            if !fresh.is_empty() {
-                shim.st.pending.extend(fresh);
-                shim.done = false;
-                shim.gave_up = true;
-                shim.rounds_left = shim.rounds_left.max(1);
+                .any(|w| w.rack == s.rack && w.recover_at.is_some_and(|r| r > now))
+        };
+        let heal_pending = self
+            .cfg
+            .partitions
+            .iter()
+            .any(|p| p.start_at <= now && p.heal_at.is_some_and(|h| h > now));
+        self.shims
+            .iter()
+            .all(|s| s.done || (s.down && !recovering(s)))
+            && !(heal_pending
+                && self
+                    .shims
+                    .iter()
+                    .any(|s| s.done && !s.down && !s.pending.is_empty()))
+            && self.transfers.as_ref().is_none_or(|ts| ts.is_idle())
+    }
+
+    /// Round end: abort every still-prepared transaction, audit that no
+    /// VM is managed twice, settle unknown fates against ground truth,
+    /// and assemble the report.
+    fn close(mut self) -> RoundOutcome {
+        // no transaction outlives the round (sources that walked away,
+        // schedules that never recovered, the tick cap); this must come
+        // before settlement so a half-done prepare can't be mistaken for
+        // a committed move
+        for r in 0..self.endpoints.len() {
+            self.abort_expired(r, u64::MAX);
+        }
+        // across takeovers, partitions and heals the managed sets of
+        // different shims must stay disjoint (audited before settlement
+        // collapses them against ground truth)
+        let manager_audit = audit_managers(self.shims.iter().map(|s| (s.rack, s.managed())));
+        self.settle();
+
+        let out = &mut self.out;
+        out.ticks = self.now.min(self.cfg.max_ticks);
+        // the detector's clock spans rounds: silence keeps accruing across
+        // round boundaries, so a crashed shim is eventually declared Dead
+        // even when every individual round is short
+        self.failover.clock += out.ticks + 1;
+        out.drops = self.net.stats.dropped;
+        out.dedup_hits = self.endpoints.iter().map(ShimEndpoint::dedup_hits).sum();
+        out.transfer_p95_completion = p95_ticks(&self.transfer_durations);
+        if let Some(ts) = &self.transfers {
+            out.transfer_reroutes = ts.reroutes();
+            out.bottleneck_serialized = ts.peak_link_sharing() >= 2;
+            out.transfer_stalls = ts.stalls();
+            out.transfer_retries = ts.retries();
+            out.transfer_failures = ts.failures() + self.rack_failed_transfers;
+            out.resumed_bytes_saved = ts.resumed_bytes_saved();
+            // stall-duration distribution: total ticks spent stalled (the
+            // per-bucket shape stays queryable on the scheduler)
+            let hist = ts.stall_histogram();
+            if hist.count() > 0 {
+                self.sink
+                    .counter("transfer.stalled_ticks", hist.sum() as u64);
             }
         }
+        let stats = &self.net.stats;
+        for (name, n) in [
+            ("net.sent", stats.sent),
+            ("net.delivered", stats.delivered),
+            ("net.dropped", stats.dropped),
+            ("net.duplicated", stats.duplicated),
+            ("net.reordered", stats.reordered),
+            ("net.blackholed", stats.blackholed),
+            ("net.partitioned", stats.partitioned),
+            ("net.dedup_hits", out.dedup_hits),
+        ] {
+            self.sink.counter(name, n as u64);
+        }
+        for shim in std::mem::take(&mut self.shims) {
+            let mut plan = shim.plan;
+            let mut pending = shim.pending;
+            pending.sort_unstable();
+            pending.dedup();
+            plan.unplaced.extend(pending);
+            out.plan.absorb(plan);
+            out.retries += shim.retries;
+            out.degraded_shims += usize::from(shim.degraded);
+        }
+        let c = &*self.cluster;
+        out.audit = audit_placement(&c.placement, &c.deps);
+        out.audit.merge(manager_audit);
+        out.audit.merge(std::mem::take(&mut self.transfer_audit));
+        out.audit.merge(audit_moves(
+            &c.placement,
+            out.plan.moves.iter().map(|m| (m.vm, m.to)),
+        ));
+        out.audit.merge(audit_journals(
+            &c.placement,
+            self.endpoints.iter().map(ShimEndpoint::journal),
+        ));
+        self.out
+    }
 
-        // phase 3 — liveness beacons: every live rack announces itself to
-        // every source shim at t = 0 (Hello) and at its beacon interval
-        // after (Heartbeat). The failure detector watches the *emission*
-        // (simulator ground truth): a partitioned-but-alive shim keeps
-        // emitting, so a cut never looks like a crash and takeover stays
-        // crash-only. The recurrence re-arms first — even for a down
-        // rack — so the cadence is preserved across crash windows.
-        for &r in &beacons {
-            let every = cfg.beacon_every(r);
-            if every > 0 {
-                seen.insert(t + every);
-                agenda.schedule_at(
-                    VirtualTime::new(t + every),
-                    r.index() as u64,
-                    FabricEvent::Beacon(r),
-                );
-            }
-            if down.contains(&r) {
-                continue;
-            }
-            if failover.detector.observe_emission(r, failover.clock + t) == ShimHealth::Dead {
-                // a shim the detector wrote off is beaconing again:
-                // management reverts to it, while its stale epoch view
-                // keeps its old 2PC traffic fenced until it adopts the
-                // bump
-                failover.reinstate(r);
-            }
-            let epoch = failover.view_of(r);
-            for &s in &racks {
-                let msg = if t == 0 {
-                    ShimMsg::Hello { rack: r, epoch }
+    /// Settle unknown fates against ground truth: the simulator, unlike
+    /// the shims, can see whether an unacknowledged request committed at
+    /// its destination. Requests cut off by the tick cap settle the same
+    /// way.
+    fn settle(&mut self) {
+        let placement = &self.cluster.placement;
+        for shim in &mut self.shims {
+            let leftovers: Vec<Outstanding> = shim
+                .unresolved
+                .drain(..)
+                .chain(std::mem::take(&mut shim.outstanding).into_values())
+                .chain(std::mem::take(&mut shim.zombies).into_values())
+                .collect();
+            for o in leftovers {
+                if placement.host_of(o.vm) == o.dest {
+                    shim.commit_move(&o, self.sink);
                 } else {
-                    ShimMsg::Heartbeat {
-                        rack: r,
-                        tick: t,
-                        epoch,
-                    }
-                };
-                net.send(t, r, s, msg);
+                    emit(self.sink, || Event::MigrationFailed {
+                        vm: o.vm.index() as u64,
+                        rack: shim.rack.index() as u64,
+                    });
+                    self.sink.counter("migrations.failed", 1);
+                    shim.pending.push(o.vm);
+                }
             }
         }
+    }
 
-        // phase 4 — adaptive failure detection: silence beyond the
-        // thresholds walks a shim Alive → Suspect → Dead. A Dead shim
-        // that still holds unplanned work mid-round hands it to the
-        // lowest-index live shim under a bumped epoch; its in-flight 2PC
-        // stays with the zombie/lease machinery, which already settles
-        // it safely.
-        for (rack, _old, new) in failover.detector.tick(failover.clock + t) {
-            match new {
+    // ---- one activation ------------------------------------------------
+
+    /// One activation: this tick's scheduled events in phase order, then
+    /// every per-tick phase. The order is fixed; it is what keeps the
+    /// event core byte-identical to the historical per-tick loop.
+    fn activate(&mut self) {
+        let mut due = self.agenda.sim.take_due(VirtualTime::new(self.now));
+        due.sort_by_key(|ev| ev.event.phase());
+        for ev in due {
+            match ev.event {
+                FabricEvent::Crash(i) => self.on_crash(i),
+                FabricEvent::Recover(i) => self.on_recover(i),
+                FabricEvent::LinkFail(i) => self.on_link_fail(i),
+                FabricEvent::LinkRestore(i) => self.on_link_restore(i),
+                FabricEvent::Heal(i) => self.on_heal(i),
+                FabricEvent::AlertCheck(r) => self.on_alert_check(r),
+                FabricEvent::Beacon(r) => self.on_beacon(r),
+                FabricEvent::TimeoutWake => self.agenda.timeout = None,
+                FabricEvent::Wake => {}
+            }
+        }
+        self.detect();
+        self.deliver();
+        self.poll_transfers();
+        self.probe_transfers();
+        self.expire_leases();
+        self.act();
+    }
+
+    /// Make sure every tick at which some phase has due work is on the
+    /// agenda (the activation-time superset invariant). All of these
+    /// recompute at each activation; the agenda dedupes repeats.
+    fn schedule_wakes(&mut self) {
+        let next = self.now + 1;
+        if let Some(d) = self.net.next_delivery() {
+            self.agenda.wake(d.max(next));
+        }
+        let clock = self.failover.clock;
+        if let Some(at) = self
+            .failover
+            .detector
+            .next_transition_after(clock + self.now)
+        {
+            self.agenda.wake(at.saturating_sub(clock).max(next));
+        }
+        let next_lease = self
+            .endpoints
+            .iter()
+            .filter(|e| !self.down.contains(&e.rack))
+            .filter_map(ShimEndpoint::next_lease)
+            .min();
+        if let Some(l) = next_lease {
+            self.agenda.wake(l.max(next));
+        }
+        if let Some(ts) = &self.transfers {
+            match ts.next_event_time() {
+                Some(at) => self.agenda.wake(at.max(next)),
+                // nothing running but transfers are queued (e.g. the
+                // running set was just cancelled): poll next tick so
+                // admission can promote them
+                None if !ts.is_idle() => self.agenda.wake(next),
+                None => {}
+            }
+        }
+        let hello = self.cfg.hello_window;
+        for s in &self.shims {
+            if !(s.done || s.down || s.started) {
+                self.agenda.wake(hello.max(s.resume_at).max(next));
+            }
+        }
+        let next_deadline = self
+            .shims
+            .iter()
+            .filter(|s| !s.done && !s.down)
+            .flat_map(|s| s.outstanding.values().chain(s.zombies.values()))
+            .map(|o| o.deadline)
+            .min();
+        if let Some(d) = next_deadline {
+            self.agenda.timeout_at(d.max(next));
+        }
+    }
+
+    // ---- scheduled events ------------------------------------------------
+
+    /// A crash window opens. The source shim loses its volatile
+    /// negotiation state (outstanding requests become unresolved, settled
+    /// against ground truth at round end); its durable intent journal
+    /// survives and is replayed on recovery.
+    fn on_crash(&mut self, window: usize) {
+        let Some(&w) = self.schedule.get(window) else {
+            return;
+        };
+        self.net.set_down(w.rack);
+        self.down.insert(w.rack);
+        emit(self.sink, || Event::ShimCrashed {
+            rack: w.rack.index() as u64,
+        });
+        // pre-copies streaming *into* the crashed rack die with it. With
+        // a recovery scheduled their journal prepares survive under the
+        // extended lease, so a retransmitted COMMIT after recovery simply
+        // restarts the transfer. Without one the 2PC context is dead for
+        // good: fail the transfer and abort its prepare now — symmetric
+        // with the lease-abort path — instead of leaving a silent zombie
+        // for the end-of-round sweep.
+        let cancelled = match self.transfers.as_mut() {
+            Some(ts) => ts.cancel_rack(w.rack.index(), self.now),
+            None => Vec::new(),
+        };
+        for id in cancelled {
+            let req = ReqId(id);
+            let meta = self.transfer_meta.remove(&req);
+            self.sink.counter("transfer.cancelled", 1);
+            let Some(meta) = meta.filter(|_| w.recover_at.is_none()) else {
+                continue;
+            };
+            self.rack_failed_transfers += 1;
+            self.fail_transfer(req, meta.vm.index() as u64, 0, Some(meta.dst_rack));
+        }
+        if let Some(shim) = self.source(w.rack).and_then(|i| self.shims.get_mut(i)) {
+            shim.down = true;
+            shim.started = false;
+            let lost = std::mem::take(&mut shim.outstanding)
+                .into_values()
+                .chain(std::mem::take(&mut shim.zombies).into_values());
+            shim.unresolved.extend(lost);
+        }
+    }
+
+    /// A crash window closes. Journal replay re-ACKs committed transfers
+    /// and aborts orphaned prepares whose lease lapsed while down, plus
+    /// prepares journalled under a since-superseded epoch — the restore
+    /// path can never resurrect old-epoch intents. The shim rejoins
+    /// heartbeating at once and plans again once its liveness view has
+    /// had a full beacon period to repopulate.
+    fn on_recover(&mut self, window: usize) {
+        let Some(&w) = self.schedule.get(window) else {
+            return;
+        };
+        let now = self.now;
+        self.net.set_up(w.rack);
+        self.down.remove(&w.rack);
+        emit(self.sink, || Event::ShimRecovered {
+            rack: w.rack.index() as u64,
+        });
+        self.out.recoveries += 1;
+        let Some(ep) = self.endpoints.get_mut(w.rack.index()) else {
+            return;
+        };
+        let rep = ep.recover_fenced(
+            &mut self.cluster.placement,
+            &self.cluster.deps,
+            now,
+            self.failover.epochs(),
+        );
+        self.sink.counter("journal.replayed", rep.replayed as u64);
+        self.sink
+            .counter("journal.reacked", rep.reacks.len() as u64);
+        self.sink.counter("journal.forwarded", rep.forwarded as u64);
+        let epoch = self.failover.view_of(w.rack);
+        for &req_id in &rep.reacks {
+            self.net
+                .send(now, w.rack, req_id.source(), ShimMsg::Ack { req_id, epoch });
+        }
+        for &(req, vm) in rep.lease_aborts.iter().chain(&rep.epoch_aborts) {
+            self.txn_aborted(req, vm);
+        }
+        let resume_at = now + self.cfg.beacon_every(w.rack) + 1;
+        if let Some(shim) = self.source(w.rack).and_then(|i| self.shims.get_mut(i)) {
+            shim.down = false;
+            shim.resume_at = resume_at;
+        }
+    }
+
+    /// A link-fault window opens: every pre-copy crossing the link stalls
+    /// at its checkpoint or re-routes onto a surviving candidate (max-min
+    /// shares are recomputed for the survivors).
+    fn on_link_fail(&mut self, window: usize) {
+        let cfg = self.cfg;
+        let (Some(w), Some(ts)) = (cfg.link_faults.get(window), self.transfers.as_mut()) else {
+            return;
+        };
+        let hit = ts.fail_link(self.now, w.link);
+        for s in &hit.stalled {
+            self.transfer_stalled(s.id, s.vm, s.link);
+        }
+        for r in &hit.rerouted {
+            self.transfer_rerouted(r.id, r.vm, r.hops);
+        }
+    }
+
+    /// A link-fault window closes: stalled pre-copies resume from their
+    /// checkpoints. (Within a tick all fails run before all restores, so
+    /// a zero-width window nets out to a restore.)
+    fn on_link_restore(&mut self, window: usize) {
+        let cfg = self.cfg;
+        let (Some(w), Some(ts)) = (cfg.link_faults.get(window), self.transfers.as_mut()) else {
+            return;
+        };
+        for r in ts.restore_link(self.now, w.link) {
+            self.transfer_resumed(&r);
+        }
+    }
+
+    /// A partition heals: reconcile parked work. A pending VM whose rack
+    /// another shim now manages was (or will be) handled by that manager
+    /// — replanning it here would double-manage, so it is dropped and
+    /// counted as a reconciliation conflict. Shims the cut starved into
+    /// parking with work left wake for a post-heal replan.
+    fn on_heal(&mut self, partition: usize) {
+        let cfg = self.cfg;
+        let Some(p) = cfg.partitions.get(partition) else {
+            return;
+        };
+        emit(self.sink, || Event::PartitionHealed {
+            partition: partition as u64,
+            racks: p.members.len() as u64,
+        });
+        self.sink.counter("net.healed", 1);
+        let (failover, placement) = (&*self.failover, &self.cluster.placement);
+        for shim in &mut self.shims {
+            let (rack, before) = (shim.rack, shim.pending.len());
+            shim.pending
+                .retain(|&vm| failover.manager_of(placement.rack_of(vm)) == rack);
+            self.out.reconciliations += before - shim.pending.len();
+            if shim.done && !shim.down && !shim.pending.is_empty() {
+                shim.wake();
+            }
+        }
+    }
+
+    /// A rack's alert-check interval fires: rescan it for fresh
+    /// pre-alerts, independent of round boundaries. VMs already managed
+    /// (pending, in flight, of unknown fate, moved, or mid-stream — a
+    /// second plan for those would double-plan the same move) are never
+    /// re-adopted.
+    fn on_alert_check(&mut self, rack: RackId) {
+        let now = self.now;
+        let every = self.cfg.alert_check_every(rack);
+        if every > 0 {
+            self.agenda.at(
+                now + every,
+                rack.index() as u64,
+                FabricEvent::AlertCheck(rack),
+            );
+        }
+        let Some(i) = self.source(rack) else {
+            return;
+        };
+        if self.shims.get(i).is_none_or(|s| s.down) {
+            return;
+        }
+        let (victims, _) = self.victims(rack);
+        let in_flight = self
+            .transfers
+            .as_ref()
+            .map(TransferScheduler::in_flight_vms)
+            .unwrap_or_default();
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        let busy: BTreeSet<VmId> = shim
+            .managed()
+            .chain(shim.plan.moves.iter().map(|m| m.vm))
+            .chain(in_flight.into_iter().map(|v| VmId::from_index(v as usize)))
+            .collect();
+        let fresh: Vec<VmId> = victims
+            .into_iter()
+            .filter(|vm| !busy.contains(vm))
+            .collect();
+        emit(self.sink, || Event::AlertCheckFired {
+            rack: rack.index() as u64,
+            tick: now,
+            fresh: fresh.len() as u64,
+        });
+        self.sink.counter("alerts.checks", 1);
+        if !fresh.is_empty() {
+            shim.pending.extend(fresh);
+            shim.wake();
+        }
+    }
+
+    /// A liveness beacon: every live rack announces itself to every
+    /// source shim (Hello at t = 0, Heartbeat after). The failure
+    /// detector watches the *emission* (simulator ground truth), so a
+    /// partitioned-but-alive shim keeps emitting, a cut never looks like
+    /// a crash, and takeover stays crash-only. The recurrence re-arms
+    /// first — even for a down rack — so the cadence survives crash
+    /// windows.
+    fn on_beacon(&mut self, rack: RackId) {
+        let now = self.now;
+        let every = self.cfg.beacon_every(rack);
+        if every > 0 {
+            self.agenda
+                .at(now + every, rack.index() as u64, FabricEvent::Beacon(rack));
+        }
+        if self.down.contains(&rack) {
+            return;
+        }
+        let clock = self.failover.clock;
+        if self.failover.detector.observe_emission(rack, clock + now) == ShimHealth::Dead {
+            // a shim the detector wrote off is beaconing again: management
+            // reverts to it, while its stale epoch view keeps its old 2PC
+            // traffic fenced until it adopts the bump
+            self.failover.reinstate(rack);
+        }
+        let epoch = self.failover.view_of(rack);
+        for &s in &self.racks {
+            let msg = if now == 0 {
+                ShimMsg::Hello { rack, epoch }
+            } else {
+                ShimMsg::Heartbeat {
+                    rack,
+                    tick: now,
+                    epoch,
+                }
+            };
+            self.net.send(now, rack, s, msg);
+        }
+    }
+
+    // ---- per-tick phases -------------------------------------------------
+
+    /// Adaptive failure detection: silence beyond the thresholds walks a
+    /// shim Alive → Suspect → Dead.
+    fn detect(&mut self) {
+        let clock = self.failover.clock;
+        for (rack, _, health) in self.failover.detector.tick(clock + self.now) {
+            match health {
                 ShimHealth::Suspect => {
-                    emit(sink, || Event::ShimSuspected {
+                    emit(self.sink, || Event::ShimSuspected {
                         rack: rack.index() as u64,
                     });
-                    sink.counter("detector.suspected", 1);
+                    self.sink.counter("detector.suspected", 1);
                 }
                 ShimHealth::Dead => {
-                    emit(sink, || Event::ShimDeclaredDead {
+                    emit(self.sink, || Event::ShimDeclaredDead {
                         rack: rack.index() as u64,
                     });
-                    sink.counter("detector.declared_dead", 1);
-                    let Some(&i) = source_index.get(&rack) else {
-                        continue;
-                    };
-                    if !shims
-                        .get(i)
-                        .is_some_and(|s| s.down && !s.st.pending.is_empty())
-                    {
-                        continue;
-                    }
-                    let succ = shims
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, s)| j != i && !s.down)
-                        .map(|(j, s)| (s.st.rack, j))
-                        .min();
-                    let Some((succ_rack, j)) = succ else {
-                        continue;
-                    };
-                    let continued =
-                        failover.taken_over(rack) && failover.manager_of(rack) == succ_rack;
-                    let epoch = failover.take_over(rack, succ_rack);
-                    if !continued {
-                        emit(sink, || Event::RegionTakenOver {
-                            rack: rack.index() as u64,
-                            by: succ_rack.index() as u64,
-                            epoch,
-                        });
-                        sink.counter("region.takeovers", 1);
-                        report.takeovers += 1;
-                    }
-                    let moved = match shims.get_mut(i) {
-                        Some(s) => std::mem::take(&mut s.st.pending),
-                        None => Vec::new(),
-                    };
-                    if let Some(s) = shims.get_mut(j) {
-                        s.st.pending.extend(moved);
-                        s.done = false;
-                        s.gave_up = true;
-                        s.rounds_left = s.rounds_left.max(1);
-                    }
+                    self.sink.counter("detector.declared_dead", 1);
+                    self.reassign(rack);
                 }
                 ShimHealth::Alive => {}
             }
         }
+    }
 
-        // phase 5 — deliveries: endpoints answer requests, sources absorb
-        // replies. Every pending `deliver_at` has a Delivery wake, so the
-        // poll happens exactly at each message's delivery tick.
-        for (from, to, msg) in net.poll(t) {
+    /// A source shim declared Dead while it still holds unplanned work
+    /// hands that work to the lowest-index live shim under a bumped
+    /// epoch. Its in-flight 2PC stays with the zombie/lease machinery,
+    /// which already settles it safely.
+    fn reassign(&mut self, rack: RackId) {
+        let Some(i) = self.source(rack) else {
+            return;
+        };
+        if !self
+            .shims
+            .get(i)
+            .is_some_and(|s| s.down && !s.pending.is_empty())
+        {
+            return;
+        }
+        // shims are in rack order, so the first live one is the lowest
+        let Some(j) = self
+            .shims
+            .iter()
+            .enumerate()
+            .position(|(j, s)| j != i && !s.down)
+        else {
+            return;
+        };
+        let Some(&succ) = self.racks.get(j) else {
+            return;
+        };
+        self.take_over(rack, succ);
+        let moved = self
+            .shims
+            .get_mut(i)
+            .map(|s| std::mem::take(&mut s.pending))
+            .unwrap_or_default();
+        if let Some(s) = self.shims.get_mut(j) {
+            s.pending.extend(moved);
+            s.wake();
+        }
+    }
+
+    /// Deliveries: endpoints answer requests, sources absorb replies.
+    /// Every pending `deliver_at` has a wake, so the poll happens exactly
+    /// at each message's delivery tick.
+    fn deliver(&mut self) {
+        for (from, to, msg) in self.net.poll(self.now) {
+            let hop = (from, to);
             match msg {
                 ShimMsg::Hello { rack, .. } | ShimMsg::Heartbeat { rack, .. } => {
-                    if let Some(&i) = source_index.get(&to) {
-                        if let Some(shim) = shims.get_mut(i) {
-                            shim.liveness.observe(rack, t);
-                        }
-                    }
+                    self.on_liveness(to, rack)
                 }
                 ShimMsg::Request {
                     req_id, vm, dest, ..
-                } => {
-                    let Some(ep) = endpoints.get_mut(to.index()) else {
-                        continue;
-                    };
-                    let hits_before = ep.dedup_hits();
-                    let verdict =
-                        ep.handle_request(&mut cluster.placement, &cluster.deps, req_id, vm, dest);
-                    if ep.dedup_hits() > hits_before {
-                        emit(sink, || Event::DuplicateAbsorbed { req: req_id.0 });
-                    }
-                    let my_epoch = failover.view_of(to);
-                    net.send(
-                        t,
-                        to,
-                        from,
-                        ShimEndpoint::reply_msg(req_id, verdict, my_epoch),
-                    );
-                }
+                } => self.on_request(hop, req_id, vm, dest),
                 ShimMsg::Prepare {
                     req_id,
                     vm,
                     dest,
                     lease,
                     epoch,
-                } => {
-                    // epoch fence: a PREPARE from a deposed manager's
-                    // term mutates nothing — the sender learns the
-                    // current epoch from the reject and must replan
-                    if let Some(current) = failover.fence(from, epoch) {
-                        report.fenced += 1;
-                        emit(sink, || Event::StaleEpochRejected {
-                            req: req_id.0,
-                            rack: to.index() as u64,
-                            stale: epoch,
-                            current,
-                        });
-                        sink.counter("txn.fenced", 1);
-                        net.send(
-                            t,
-                            to,
-                            from,
-                            ShimMsg::Reject {
-                                req_id,
-                                reason: RejectReason::StaleEpoch,
-                                epoch: current,
-                            },
-                        );
-                        continue;
-                    }
-                    let Some(ep) = endpoints.get_mut(to.index()) else {
-                        continue;
-                    };
-                    let hits_before = ep.dedup_hits();
-                    let journalled_before = ep.journal().len();
-                    let reply = ep.handle_prepare(
-                        &mut cluster.placement,
-                        &cluster.deps,
-                        req_id,
-                        vm,
-                        dest,
-                        lease,
-                        epoch,
-                    );
-                    if ep.journal().len() > journalled_before {
-                        report.txn_prepared += 1;
-                        emit(sink, || Event::TxnPrepared {
-                            req: req_id.0,
-                            vm: vm.index() as u64,
-                            dest_host: dest.index() as u64,
-                        });
-                        sink.counter("txn.prepared", 1);
-                    }
-                    if ep.dedup_hits() > hits_before {
-                        emit(sink, || Event::DuplicateAbsorbed { req: req_id.0 });
-                    }
-                    let my_epoch = failover.view_of(to);
-                    net.send(
-                        t,
-                        to,
-                        from,
-                        ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
-                    );
-                }
-                ShimMsg::PrepareOk { req_id, .. } => {
-                    if let Some(&i) = source_index.get(&to) {
-                        let Some(shim) = shims.get_mut(i) else {
-                            continue;
-                        };
-                        if let Some(o) = shim.outstanding.get_mut(&req_id) {
-                            if o.phase == TxnPhase::Preparing {
-                                // vote is in: the transaction will commit,
-                                // so the batch made progress
-                                o.phase = TxnPhase::Committing;
-                                o.attempt = 0;
-                                o.deadline = t + cfg.backoff.delay(0, req_id);
-                                shim.progressed = true;
-                                let dest_rack = cluster.placement.rack_of_host(o.dest);
-                                let epoch = failover.view_of(shim.st.rack);
-                                net.send(
-                                    t,
-                                    shim.st.rack,
-                                    dest_rack,
-                                    ShimMsg::Commit { req_id, epoch },
-                                );
-                            }
-                            // duplicate vote for a committing txn: ignore
-                        } else if let Some(mut o) = shim.zombies.remove(&req_id) {
-                            // late vote resolves the zombie: the
-                            // destination is alive and holds the prepare,
-                            // so drive the commit home instead of letting
-                            // the lease strand it
-                            let dest_rack = cluster.placement.rack_of_host(o.dest);
-                            shim.liveness.observe(dest_rack, t);
-                            o.phase = TxnPhase::Committing;
-                            o.attempt = 0;
-                            o.deadline = t + cfg.backoff.delay(0, req_id);
-                            shim.outstanding.insert(req_id, o);
-                            shim.progressed = true;
-                            let epoch = failover.view_of(shim.st.rack);
-                            net.send(
-                                t,
-                                shim.st.rack,
-                                dest_rack,
-                                ShimMsg::Commit { req_id, epoch },
-                            );
-                        }
-                    }
-                }
-                ShimMsg::Commit { req_id, epoch } => {
-                    if let Some(current) = failover.fence(from, epoch) {
-                        report.fenced += 1;
-                        emit(sink, || Event::StaleEpochRejected {
-                            req: req_id.0,
-                            rack: to.index() as u64,
-                            stale: epoch,
-                            current,
-                        });
-                        sink.counter("txn.fenced", 1);
-                        net.send(
-                            t,
-                            to,
-                            from,
-                            ShimMsg::Reject {
-                                req_id,
-                                reason: RejectReason::StaleEpoch,
-                                epoch: current,
-                            },
-                        );
-                        continue;
-                    }
-                    let Some(ep) = endpoints.get_mut(to.index()) else {
-                        continue;
-                    };
-                    let was_prepared = ep.journal().state(req_id) == Some(TxnState::Prepared);
-                    if was_prepared && transfers.is_some() {
-                        // journal-level epoch fence first, mirroring
-                        // handle_commit: a stale COMMIT falls through to
-                        // the normal reject path below
-                        let stale = ep.journal().get(req_id).is_some_and(|r| epoch < r.epoch);
-                        if !stale {
-                            if transfer_meta.contains_key(&req_id) {
-                                // duplicate COMMIT while the pre-copy
-                                // streams: the ACK flows at completion
-                                continue;
-                            }
-                            let Some(ts) = transfers.as_mut() else {
-                                continue;
-                            };
-                            // hand the migration to the scheduler: the
-                            // journal entry stays Prepared under an
-                            // extended lease until the last byte lands,
-                            // so the periodic sweep cannot abort it
-                            let (vm, src_host, dst_host) = match ep.journal().get(req_id) {
-                                Some(r) => (r.vm, r.src, r.dst),
-                                None => continue,
-                            };
-                            ep.extend_lease(req_id, u64::MAX);
-                            let bytes = cluster.placement.spec(vm).capacity
-                                * ts.config().bytes_per_capacity;
-                            let src_rack = cluster.placement.rack_of_host(src_host);
-                            let dst_rack = cluster.placement.rack_of_host(dst_host);
-                            let candidates = if src_rack == dst_rack {
-                                Vec::new()
-                            } else {
-                                sheriff_transfer::route_candidates(
-                                    &cluster.dcn.graph,
-                                    cluster.dcn.rack_node(src_rack),
-                                    cluster.dcn.rack_node(dst_rack),
-                                    ts.config().k_paths,
-                                )
-                            };
-                            let spec = sheriff_transfer::TransferSpec {
-                                id: req_id.0,
-                                vm: vm.index() as u64,
-                                dst_rack: to.index(),
-                                bytes,
-                            };
-                            transfer_meta.insert(
-                                req_id,
-                                TransferMeta {
-                                    vm,
-                                    src_rack: from,
-                                    dst_rack: to,
-                                    epoch,
-                                },
-                            );
-                            match ts.submit(t, spec, candidates) {
-                                sheriff_transfer::Admission::Started(s) => {
-                                    report.transfers_started += 1;
-                                    emit(sink, || Event::TransferStarted {
-                                        req: s.id,
-                                        vm: s.vm,
-                                        bytes: s.bytes,
-                                        hops: s.hops as u64,
-                                        rate: s.rate,
-                                        waited: s.waited,
-                                    });
-                                    sink.counter("transfer.started", 1);
-                                    if s.rerouted {
-                                        emit(sink, || Event::TransferRerouted {
-                                            req: s.id,
-                                            vm: s.vm,
-                                            hops: s.hops as u64,
-                                        });
-                                        sink.counter("transfer.rerouted", 1);
-                                    }
-                                }
-                                sheriff_transfer::Admission::Queued => {
-                                    sink.counter("transfer.queued", 1);
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    let reply = ep.handle_commit(req_id, epoch);
-                    if was_prepared && reply == TwoPhaseReply::Ack {
-                        report.txn_committed += 1;
-                        if let Some(rec) = ep.journal().get(req_id) {
-                            let vm = rec.vm;
-                            emit(sink, || Event::TxnCommitted {
-                                req: req_id.0,
-                                vm: vm.index() as u64,
-                            });
-                        }
-                        sink.counter("txn.committed", 1);
-                    }
-                    let my_epoch = failover.view_of(to);
-                    net.send(
-                        t,
-                        to,
-                        from,
-                        ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
-                    );
-                }
-                ShimMsg::Abort { req_id, epoch } => {
-                    // a stale-epoch ABORT is fenced like any other 2PC
-                    // mutation; the prepare it targeted drains via its
-                    // lease instead
-                    if let Some(current) = failover.fence(from, epoch) {
-                        report.fenced += 1;
-                        emit(sink, || Event::StaleEpochRejected {
-                            req: req_id.0,
-                            rack: to.index() as u64,
-                            stale: epoch,
-                            current,
-                        });
-                        sink.counter("txn.fenced", 1);
-                        net.send(
-                            t,
-                            to,
-                            from,
-                            ShimMsg::Reject {
-                                req_id,
-                                reason: RejectReason::StaleEpoch,
-                                epoch: current,
-                            },
-                        );
-                        continue;
-                    }
-                    // a pre-copy in flight means the COMMIT was already
-                    // accepted here: the transaction's fate is sealed,
-                    // and this is only the source's best-effort give-up
-                    // ABORT racing the slow transfer. 2PC forbids
-                    // rolling back past COMMIT — let the stream finish;
-                    // ground truth settles the move at the source.
-                    if transfer_meta.contains_key(&req_id) {
-                        sink.counter("transfer.abort_ignored", 1);
-                        continue;
-                    }
-                    let Some(ep) = endpoints.get_mut(to.index()) else {
-                        continue;
-                    };
-                    if let Some((vm, _)) =
-                        ep.handle_abort(&mut cluster.placement, &cluster.deps, req_id)
-                    {
-                        report.txn_aborted += 1;
-                        emit(sink, || Event::TxnAborted {
-                            req: req_id.0,
-                            vm: vm.index() as u64,
-                        });
-                        sink.counter("txn.aborted", 1);
-                    }
-                    // fire-and-forget: the source already walked away
-                }
-                ShimMsg::Ack { req_id, .. } => {
-                    if let Some(&i) = source_index.get(&to) {
-                        let Some(shim) = shims.get_mut(i) else {
-                            continue;
-                        };
-                        // a late ACK for a given-up request still means
-                        // the destination committed: record it. Only the
-                        // zombie case counts as batch progress — for a
-                        // live transaction the PREPARE-OK already did.
-                        let was_zombie = shim.zombies.contains_key(&req_id);
-                        if let Some(o) = shim
-                            .outstanding
-                            .remove(&req_id)
-                            .or_else(|| shim.zombies.remove(&req_id))
-                        {
-                            emit(sink, || Event::AckReceived {
-                                req: req_id.0,
-                                vm: o.vm.index() as u64,
-                            });
-                            emit(sink, || Event::MigrationCommitted {
-                                vm: o.vm.index() as u64,
-                                from_host: o.from.index() as u64,
-                                to_host: o.dest.index() as u64,
-                                cost: o.cost,
-                            });
-                            sink.counter("migrations.committed", 1);
-                            shim.st.plan.moves.push(Move {
-                                vm: o.vm,
-                                from: o.from,
-                                to: o.dest,
-                                cost: o.cost,
-                            });
-                            shim.st.plan.total_cost += o.cost;
-                            if was_zombie {
-                                shim.progressed = true;
-                            }
-                        }
-                        // duplicate ACK: already resolved, ignore
-                    }
-                }
+                } => self.on_prepare(hop, req_id, vm, dest, lease, epoch),
+                ShimMsg::PrepareOk { req_id, .. } => self.on_prepare_ok(to, req_id),
+                ShimMsg::Commit { req_id, epoch } => self.on_commit(hop, req_id, epoch),
+                ShimMsg::Abort { req_id, epoch } => self.on_abort(hop, req_id, epoch),
+                ShimMsg::Ack { req_id, .. } => self.on_ack(to, req_id),
                 ShimMsg::Reject {
                     req_id,
                     reason,
                     epoch,
-                } => {
-                    if let Some(&i) = source_index.get(&to) {
-                        if reason == RejectReason::StaleEpoch {
-                            // the fencing rack told us our term moved on
-                            // (a neighbor took over while we were away):
-                            // adopt it so the replan goes out under the
-                            // current epoch
-                            failover.adopt(to, epoch);
-                        }
-                        let Some(shim) = shims.get_mut(i) else {
-                            continue;
-                        };
-                        if let Some(o) = shim.outstanding.remove(&req_id) {
-                            emit(sink, || Event::RejectReceived {
-                                req: req_id.0,
-                                vm: o.vm.index() as u64,
-                                reason: reject_kind(reason),
-                            });
-                            sink.counter("migrations.rejected", 1);
-                            shim.st.plan.rejected += 1;
-                            shim.st.retries += 1;
-                            if reason == RejectReason::StaleEpoch {
-                                // the pairing was fine — only the term
-                                // was stale; replan without excluding it
-                                shim.gave_up = true;
-                            } else {
-                                shim.st.excluded.push((o.vm, o.dest));
-                            }
-                            shim.st.pending.push(o.vm);
-                        } else if let Some(o) = shim.zombies.remove(&req_id) {
-                            // late REJECT resolves the zombie: the VM
-                            // definitively did not move, so it is safe to
-                            // replan it elsewhere
-                            emit(sink, || Event::RejectReceived {
-                                req: req_id.0,
-                                vm: o.vm.index() as u64,
-                                reason: reject_kind(reason),
-                            });
-                            sink.counter("migrations.rejected", 1);
-                            shim.st.plan.rejected += 1;
-                            shim.st.retries += 1;
-                            shim.st.pending.push(o.vm);
-                            shim.gave_up = true;
-                        }
-                    }
-                }
+                } => self.on_reject(to, req_id, reason, epoch),
             }
         }
+    }
 
-        // phase 5b — transfer progress: harvest pre-copies that streamed
-        // their last byte (finalize the deferred 2PC commit and ACK the
-        // source) and admit queued transfers into freed slots. Runs
-        // after deliveries so a COMMIT landing this tick is already
-        // submitted, and before lease expiry so a completing commit at
-        // the cap tick beats the sweep, mirroring the delivery rule.
-        if let Some(ts) = transfers.as_mut() {
-            let tick = ts.poll(t);
-            for s in &tick.started {
-                report.transfers_started += 1;
-                emit(sink, || Event::TransferStarted {
-                    req: s.id,
-                    vm: s.vm,
-                    bytes: s.bytes,
-                    hops: s.hops as u64,
-                    rate: s.rate,
-                    waited: s.waited,
-                });
-                sink.counter("transfer.started", 1);
-                if s.rerouted {
-                    emit(sink, || Event::TransferRerouted {
-                        req: s.id,
-                        vm: s.vm,
-                        hops: s.hops as u64,
-                    });
-                    sink.counter("transfer.rerouted", 1);
-                }
-            }
-            for r in &tick.rerouted {
-                emit(sink, || Event::TransferRerouted {
-                    req: r.id,
-                    vm: r.vm,
-                    hops: r.hops as u64,
-                });
-                sink.counter("transfer.rerouted", 1);
-            }
-            for r in &tick.retried {
-                emit(sink, || Event::TransferRetried {
-                    req: r.id,
-                    vm: r.vm,
-                    attempt: r.attempt as u64,
-                });
-                sink.counter("transfer.retried", 1);
-            }
-            for r in &tick.resumed {
-                emit(sink, || Event::TransferResumed {
-                    req: r.id,
-                    vm: r.vm,
-                    saved: r.saved,
-                });
-                sink.counter("transfer.resumed", 1);
-            }
-            for f in &tick.failed {
-                // retry budget exhausted: escalate to a clean 2PC abort
-                // through the journal — the prepare is rolled back (lease
-                // released, source placement restored) and the source is
-                // told the migration expired so it can replan the VM
-                emit(sink, || Event::TransferFailed {
-                    req: f.id,
-                    vm: f.vm,
-                    attempts: f.attempts as u64,
-                });
-                sink.counter("transfer.failed", 1);
-                let req_id = ReqId(f.id);
-                let Some(meta) = transfer_meta.remove(&req_id) else {
-                    continue;
+    /// Transfer progress: admit queued pre-copies into freed slots,
+    /// escalate exhausted retries to a clean 2PC abort, and harvest
+    /// pre-copies that streamed their last byte (finalize the deferred
+    /// COMMIT and ACK the source). Runs after deliveries, so a COMMIT
+    /// landing this tick is already submitted, and before lease expiry,
+    /// so a commit completing at the cap tick beats the sweep.
+    fn poll_transfers(&mut self) {
+        let Some(ts) = self.transfers.as_mut() else {
+            return;
+        };
+        let now = self.now;
+        let tick = ts.poll(now);
+        for s in &tick.started {
+            self.transfer_started(s);
+        }
+        for r in &tick.rerouted {
+            self.transfer_rerouted(r.id, r.vm, r.hops);
+        }
+        for r in &tick.retried {
+            emit(self.sink, || Event::TransferRetried {
+                req: r.id,
+                vm: r.vm,
+                attempt: r.attempt as u64,
+            });
+            self.sink.counter("transfer.retried", 1);
+        }
+        for r in &tick.resumed {
+            self.transfer_resumed(r);
+        }
+        for f in &tick.failed {
+            // retry budget exhausted: roll the prepare back and tell the
+            // source the migration expired, so it can replan the VM
+            let req_id = ReqId(f.id);
+            let meta = self.transfer_meta.remove(&req_id);
+            self.fail_transfer(req_id, f.vm, f.attempts, meta.as_ref().map(|m| m.dst_rack));
+            if let Some(m) = meta {
+                let epoch = self.failover.view_of(m.dst_rack);
+                let reason = RejectReason::Expired;
+                let msg = ShimMsg::Reject {
+                    req_id,
+                    reason,
+                    epoch,
                 };
-                let Some(ep) = endpoints.get_mut(meta.dst_rack.index()) else {
-                    continue;
-                };
-                if let Some((vm, _)) =
-                    ep.handle_abort(&mut cluster.placement, &cluster.deps, req_id)
-                {
-                    report.txn_aborted += 1;
-                    emit(sink, || Event::TxnAborted {
-                        req: req_id.0,
-                        vm: vm.index() as u64,
-                    });
-                    sink.counter("txn.aborted", 1);
-                }
-                let my_epoch = failover.view_of(meta.dst_rack);
-                net.send(
-                    t,
-                    meta.dst_rack,
-                    meta.src_rack,
-                    ShimMsg::Reject {
-                        req_id,
-                        reason: RejectReason::Expired,
-                        epoch: my_epoch,
-                    },
-                );
-            }
-            for c in &tick.completions {
-                let req_id = ReqId(c.id);
-                let Some(meta) = transfer_meta.remove(&req_id) else {
-                    continue;
-                };
-                let Some(ep) = endpoints.get_mut(meta.dst_rack.index()) else {
-                    continue;
-                };
-                // finalize the deferred commit under the epoch the
-                // COMMIT originally carried — fencing still applies if
-                // the destination's term moved on mid-transfer
-                let was_prepared = ep.journal().state(req_id) == Some(TxnState::Prepared);
-                let reply = ep.handle_commit(req_id, meta.epoch);
-                if was_prepared && reply == TwoPhaseReply::Ack {
-                    report.txn_committed += 1;
-                    emit(sink, || Event::TxnCommitted {
-                        req: req_id.0,
-                        vm: meta.vm.index() as u64,
-                    });
-                    sink.counter("txn.committed", 1);
-                }
-                emit(sink, || Event::TransferCompleted {
-                    req: c.id,
-                    vm: c.vm,
-                    ticks: c.duration,
-                    bandwidth: c.achieved_bw,
-                });
-                sink.counter("transfer.completed", 1);
-                report.transfers_completed += 1;
-                report.transfer_durations.push(c.duration);
-                let my_epoch = failover.view_of(meta.dst_rack);
-                net.send(
-                    t,
-                    meta.dst_rack,
-                    meta.src_rack,
-                    ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
-                );
+                self.net.send(now, m.dst_rack, m.src_rack, msg);
             }
         }
-
-        // phase 5c — transfer-plane invariants, probed at every
-        // activation: no streaming pre-copy may traverse a failed link,
-        // and every active transfer must still hold its Prepared journal
-        // entry at the destination. Each breach is flagged once.
-        if let Some(ts) = transfers.as_ref() {
-            for (id, link) in ts.streaming_on_failed_links() {
-                if flagged_on_failed.insert((id, link)) {
-                    transfer_audit
-                        .violations
-                        .push(AuditViolation::TransferOnFailedLink { req: id, link });
-                }
-            }
-            for id in ts.active_ids() {
-                let req_id = ReqId(id);
-                let prepared = transfer_meta.get(&req_id).is_some_and(|m| {
-                    endpoints
-                        .get(m.dst_rack.index())
-                        .is_some_and(|ep| ep.journal().state(req_id) == Some(TxnState::Prepared))
-                });
-                if !prepared && flagged_no_prepare.insert(id) {
-                    transfer_audit
-                        .violations
-                        .push(AuditViolation::TransferWithoutPrepare { req: id });
-                }
-            }
-        }
-
-        // phase 6 — lease expiry: a live destination unilaterally aborts
-        // prepares whose COMMIT never arrived (a commit delivered this
-        // same tick wins — deliveries were processed above). Crashed
-        // endpoints expire theirs during journal replay on recovery
-        // instead. The earliest pending lease always has a Lease wake.
-        for (r, endpoint) in endpoints.iter_mut().enumerate() {
-            let rack = RackId::from_index(r);
-            if down.contains(&rack) {
+        for c in &tick.completions {
+            let req_id = ReqId(c.id);
+            let Some(m) = self.transfer_meta.remove(&req_id) else {
                 continue;
-            }
-            for (req, vm) in endpoint.expire_leases(&mut cluster.placement, &cluster.deps, t) {
-                report.txn_aborted += 1;
-                emit(sink, || Event::TxnAborted {
-                    req: req.0,
-                    vm: vm.index() as u64,
-                });
-                sink.counter("txn.aborted", 1);
+            };
+            // finalize under the epoch the COMMIT carried: fencing still
+            // applies if the destination's term moved on mid-transfer
+            self.commit((m.src_rack, m.dst_rack), req_id, m.epoch);
+            emit(self.sink, || Event::TransferCompleted {
+                req: c.id,
+                vm: c.vm,
+                ticks: c.duration,
+                bandwidth: c.achieved_bw,
+            });
+            self.sink.counter("transfer.completed", 1);
+            self.out.transfers_completed += 1;
+            self.transfer_durations.push(c.duration);
+        }
+    }
+
+    /// Transfer-plane invariants, probed at every activation: no
+    /// streaming pre-copy may cross a failed link, and every active
+    /// transfer must still hold its Prepared journal entry at the
+    /// destination. Each breach is flagged once.
+    fn probe_transfers(&mut self) {
+        let Some(ts) = self.transfers.as_ref() else {
+            return;
+        };
+        for (id, link) in ts.streaming_on_failed_links() {
+            if self.flagged_on_failed.insert((id, link)) {
+                let v = AuditViolation::TransferOnFailedLink { req: id, link };
+                self.transfer_audit.violations.push(v);
             }
         }
+        for id in ts.active_ids() {
+            let req = ReqId(id);
+            let prepared = self.transfer_meta.get(&req).is_some_and(|m| {
+                self.endpoints
+                    .get(m.dst_rack.index())
+                    .is_some_and(|ep| ep.journal().state(req) == Some(TxnState::Prepared))
+            });
+            if !prepared && self.flagged_no_prepare.insert(id) {
+                let v = AuditViolation::TransferWithoutPrepare { req: id };
+                self.transfer_audit.violations.push(v);
+            }
+        }
+    }
 
-        // phase 7 — source-shim actions, in rack order for determinism.
-        // Hosts absorbing an in-flight pre-copy (PREPARE reserved the VM
-        // there, so `host_of` points at the destination while the stream
-        // runs) take no additional arrivals this window: Eqn. 1 prices
-        // moves independently, which only holds across distinct moves.
-        let hot_hosts: BTreeSet<HostId> = transfers
-            .as_ref()
-            .map(|ts| {
+    /// Lease expiry: a live destination unilaterally aborts prepares whose
+    /// COMMIT never arrived (a COMMIT delivered this same tick wins —
+    /// deliveries ran first). Crashed endpoints expire theirs during
+    /// journal replay on recovery instead.
+    fn expire_leases(&mut self) {
+        for r in 0..self.endpoints.len() {
+            if !self.down.contains(&RackId::from_index(r)) {
+                self.abort_expired(r, self.now);
+            }
+        }
+    }
+
+    /// Source-shim actions, in rack order: pass the planning gate, or
+    /// retransmit or give up on expired requests, release expired
+    /// zombies, and replan or finish. Hosts absorbing an in-flight
+    /// pre-copy (PREPARE reserved the VM there, so `host_of` points at
+    /// the destination while the stream runs) take no additional arrivals
+    /// this window: Eqn. 1 prices moves independently, which only holds
+    /// across distinct moves.
+    fn act(&mut self) {
+        let hot_hosts: BTreeSet<HostId> = match &self.transfers {
+            Some(ts) => {
+                let placement = &self.cluster.placement;
                 ts.in_flight_vms()
                     .into_iter()
                     .map(|v| VmId::from_index(v as usize))
-                    .filter(|vm| vm.index() < cluster.placement.vm_count())
-                    .map(|vm| cluster.placement.host_of(vm))
+                    .filter(|vm| vm.index() < placement.vm_count())
+                    .map(|vm| placement.host_of(vm))
                     .collect()
-            })
-            .unwrap_or_default();
-        for shim in &mut shims {
-            if shim.done || shim.down {
+            }
+            None => BTreeSet::new(),
+        };
+        for i in 0..self.shims.len() {
+            let Some(s) = self.shims.get(i) else {
+                continue;
+            };
+            if s.done || s.down {
                 continue;
             }
-            if !shim.started {
-                if t >= hello_window && t >= shim.resume_at {
-                    if shim.rounds_left > 0 {
-                        shim.started = true;
-                        fabric_plan_and_send(
-                            shim,
-                            cluster,
-                            metric,
-                            &sim,
-                            &mut net,
-                            t,
-                            cfg,
-                            failover,
-                            &hot_hosts,
-                            &mut report,
-                            sink,
-                        );
-                    } else if shim.zombies.is_empty() {
-                        shim.done = true;
-                    } else {
-                        // out of planning rounds but still owed verdicts
-                        shim.started = true;
-                    }
-                }
+            if !s.started {
+                self.start(i, &hot_hosts);
                 continue;
             }
-
-            // expire deadlines: retransmit with backoff, then give up and
-            // presume the destination dead
-            let expired: Vec<ReqId> = shim
-                .outstanding
-                .iter()
-                .filter(|(_, o)| o.deadline <= t)
-                .map(|(&id, _)| id)
-                .collect();
-            for req_id in expired {
-                report.timeouts += 1;
-                let attempts_left = match shim.outstanding.get_mut(&req_id) {
-                    Some(o) => {
-                        emit(sink, || Event::RequestTimeout {
-                            req: req_id.0,
-                            attempt: o.attempt as u64 + 1,
-                        });
-                        sink.counter("net.timeouts", 1);
-                        o.attempt + 1 < cfg.backoff.max_attempts
-                    }
-                    None => continue,
-                };
-                if attempts_left {
-                    let Some(o) = shim.outstanding.get_mut(&req_id) else {
-                        continue;
-                    };
-                    o.attempt += 1;
-                    o.deadline = t + cfg.backoff.delay(o.attempt, req_id);
-                    report.resends += 1;
-                    emit(sink, || Event::RequestResent {
-                        req: req_id.0,
-                        attempt: o.attempt as u64 + 1,
-                    });
-                    sink.counter("net.resends", 1);
-                    let my_epoch = failover.view_of(shim.st.rack);
-                    let msg = match o.phase {
-                        TxnPhase::Preparing => ShimMsg::Prepare {
-                            req_id,
-                            vm: o.vm,
-                            dest: o.dest,
-                            lease: o.lease,
-                            epoch: my_epoch,
-                        },
-                        TxnPhase::Committing => ShimMsg::Commit {
-                            req_id,
-                            epoch: my_epoch,
-                        },
-                    };
-                    let dest_rack = cluster.placement.rack_of_host(o.dest);
-                    net.send(t, shim.st.rack, dest_rack, msg);
-                } else {
-                    // give up: presume the destination dead — but a stale
-                    // copy of the request may still commit there, so the
-                    // VM's fate is unknown. Park it as a zombie and keep
-                    // listening for a late verdict within the patience
-                    // window; never replan a VM of unknown fate.
-                    let Some(mut o) = shim.outstanding.remove(&req_id) else {
-                        continue;
-                    };
-                    let dest_rack = cluster.placement.rack_of_host(o.dest);
-                    shim.liveness.presume_dead(dest_rack);
-                    if !shim.degraded {
-                        emit(sink, || Event::ShimDegraded {
-                            rack: shim.st.rack.index() as u64,
-                        });
-                    }
-                    shim.degraded = true;
-                    shim.st.excluded.push((o.vm, o.dest));
-                    o.deadline = t + patience;
-                    shim.zombies.insert(req_id, o);
-                }
-            }
-
-            // zombies past their patience window stay unresolved; the
-            // report assembly settles them against ground truth. A
-            // best-effort ABORT lets the destination release a prepare
-            // early instead of waiting out its lease.
-            let expired: Vec<ReqId> = shim
-                .zombies
-                .iter()
-                .filter(|(_, o)| o.deadline <= t)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                let Some(o) = shim.zombies.remove(&id) else {
-                    continue;
-                };
-                let dest_rack = cluster.placement.rack_of_host(o.dest);
-                let epoch = failover.view_of(shim.st.rack);
-                net.send(
-                    t,
-                    shim.st.rack,
-                    dest_rack,
-                    ShimMsg::Abort { req_id: id, epoch },
-                );
-                shim.unresolved.push(o);
-            }
-
-            // batch resolved once every PREPARE has its vote: replan while
-            // the commits drain (their placement effect is already
-            // visible), or finish when truly idle
-            let preparing = shim
-                .outstanding
-                .values()
-                .any(|o| o.phase == TxnPhase::Preparing);
-            if !preparing {
-                let replan = !shim.st.pending.is_empty()
-                    && shim.rounds_left > 0
-                    && (shim.progressed || shim.gave_up);
-                if replan {
-                    fabric_plan_and_send(
-                        shim,
-                        cluster,
-                        metric,
-                        &sim,
-                        &mut net,
-                        t,
-                        cfg,
-                        failover,
-                        &hot_hosts,
-                        &mut report,
-                        sink,
-                    );
-                } else if shim.outstanding.is_empty() && shim.zombies.is_empty() {
-                    shim.done = true;
-                }
-            }
-        }
-
-        // termination — the round ends when every source shim settled; a
-        // crashed shim only holds the round open while a recovery is
-        // still scheduled, and a scheduled heal holds it open while any
-        // parked shim still has work the heal would wake it for. Every
-        // predicate flip here lands on an activated tick (Recover and
-        // Heal are events; a partition *start* only delays settlement),
-        // so checking at activations only is exact.
-        let heal_pending = cfg
-            .partitions
-            .iter()
-            .any(|p| p.start_at <= t && p.heal_at.is_some_and(|h| h > t));
-        let all_settled = shims.iter().all(|s| {
-            s.done
-                || (s.down
-                    && !schedule
-                        .iter()
-                        .any(|w| w.rack == s.st.rack && w.recover_at.is_some_and(|r| r > t)))
-        }) && !(heal_pending
-            && shims
-                .iter()
-                .any(|s| s.done && !s.down && !s.st.pending.is_empty()))
-            // a streaming or queued pre-copy holds the round open: its
-            // completion still has a commit, an ACK and a Move to land
-            && transfers.as_ref().is_none_or(|ts| ts.is_idle());
-        if all_settled {
-            break;
-        }
-
-        // derived activations: make sure every tick at which any phase
-        // has due work is on the agenda (the activation-time superset
-        // invariant). All of these recompute each activation; `seen`
-        // dedupes repeats.
-        if let Some(d) = net.next_delivery() {
-            schedule_wake(&mut agenda, &mut seen, d.max(t + 1), WakeReason::Delivery);
-        }
-        if let Some(abs) = failover.detector.next_transition_after(failover.clock + t) {
-            let local = abs.saturating_sub(failover.clock);
-            schedule_wake(
-                &mut agenda,
-                &mut seen,
-                local.max(t + 1),
-                WakeReason::Detector,
-            );
-        }
-        let next_lease = endpoints
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| !down.contains(&RackId::from_index(*r)))
-            .filter_map(|(_, e)| e.next_lease())
-            .min();
-        if let Some(l) = next_lease {
-            schedule_wake(&mut agenda, &mut seen, l.max(t + 1), WakeReason::Lease);
-        }
-        if let Some(ts) = transfers.as_ref() {
-            if let Some(done_at) = ts.next_event_time() {
-                schedule_wake(
-                    &mut agenda,
-                    &mut seen,
-                    done_at.max(t + 1),
-                    WakeReason::Transfer,
-                );
-            } else if !ts.is_idle() {
-                // nothing running but transfers are queued (e.g. the
-                // running set was just cancelled): poll next tick so
-                // admission can promote them
-                schedule_wake(&mut agenda, &mut seen, t + 1, WakeReason::Transfer);
-            }
-        }
-        for shim in &shims {
-            if shim.done || shim.down || shim.started {
-                continue;
-            }
-            let gate = hello_window.max(shim.resume_at).max(t + 1);
-            schedule_wake(&mut agenda, &mut seen, gate, WakeReason::ShimStart);
-        }
-        // the timeout wake is the one cancellable event: deadlines move
-        // every resend, so a single wake tracks the earliest one and is
-        // cancelled (a no-op if it already fired) whenever a nearer
-        // deadline appears
-        let next_deadline = shims
-            .iter()
-            .filter(|s| !s.done && !s.down)
-            .flat_map(|s| {
-                s.outstanding
-                    .values()
-                    .chain(s.zombies.values())
-                    .map(|o| o.deadline)
-            })
-            .min();
-        if let Some(d) = next_deadline {
-            let d = d.max(t + 1);
-            match timeout_wake {
-                Some((cur, _)) if d >= cur => {}
-                prev => {
-                    if let Some((_, id)) = prev {
-                        agenda.cancel(id);
-                    }
-                    timeout_wake = if seen.contains(&d) {
-                        None
-                    } else {
-                        Some((
-                            d,
-                            agenda.schedule_at(
-                                VirtualTime::new(d),
-                                WAKE_ACTOR,
-                                FabricEvent::Wake(WakeReason::Timeout),
-                            ),
-                        ))
-                    };
-                }
-            }
-        }
-
-        // hop to the next activation; past the tick cap the round is
-        // abandoned exactly as the per-tick loop abandoned it
-        match agenda.next_time() {
-            Some(nt) if nt.get() <= cfg.max_ticks => t = nt.get(),
-            _ => {
-                t = cfg.max_ticks.saturating_add(1);
-                break;
-            }
+            self.expire_requests(i);
+            self.expire_zombies(i);
+            self.replan_or_finish(i, &hot_hosts);
         }
     }
 
-    // no transaction outlives the round: sweep every journal and abort
-    // whatever is still `Prepared` (sources that walked away, schedules
-    // that never recovered, the tick cap). Must happen before the
-    // ground-truth settlement below so a half-done prepare can't be
-    // mistaken for a committed move.
-    for ep in &mut endpoints {
-        for (req, vm) in ep.expire_leases(&mut cluster.placement, &cluster.deps, u64::MAX) {
-            report.txn_aborted += 1;
-            emit(sink, || Event::TxnAborted {
-                req: req.0,
-                vm: vm.index() as u64,
-            });
-            sink.counter("txn.aborted", 1);
+    // ---- shim actions ----------------------------------------------------
+
+    /// Shim `i` passes its planning gate — the hello window, and one
+    /// beacon period after a recovery — and plans; out of planning rounds
+    /// it only waits for the verdicts it is still owed.
+    fn start(&mut self, i: usize, hot_hosts: &BTreeSet<HostId>) {
+        let (now, hello) = (self.now, self.cfg.hello_window);
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        if now < hello || now < shim.resume_at {
+            return;
+        }
+        if shim.rounds_left > 0 {
+            shim.started = true;
+            self.plan(i, hot_hosts);
+        } else if shim.zombies.is_empty() {
+            shim.done = true;
+        } else {
+            shim.started = true;
         }
     }
 
-    // no VM may be managed by two shims at once: across takeovers,
-    // partitions, and heals the pending / in-flight / unknown-fate sets
-    // of different shims must stay disjoint (audited before settlement
-    // collapses them against ground truth)
-    let manager_audit = audit_managers(shims.iter().map(|s| {
-        (
-            s.st.rack,
-            s.st.pending
-                .iter()
-                .copied()
-                .chain(s.outstanding.values().map(|o| o.vm))
-                .chain(s.zombies.values().map(|o| o.vm))
-                .chain(s.unresolved.iter().map(|o| o.vm))
-                .collect::<Vec<_>>(),
-        )
-    }));
-
-    // settle unknown fates against ground truth: the simulator (unlike
-    // the shims) can see whether an unacknowledged request actually
-    // committed at its destination. Requests cut off by the tick cap are
-    // settled the same way.
-    for shim in &mut shims {
-        let leftovers: Vec<Outstanding> = shim
-            .unresolved
-            .drain(..)
-            .chain(std::mem::take(&mut shim.outstanding).into_values())
-            .chain(std::mem::take(&mut shim.zombies).into_values())
+    /// Expired request deadlines: retransmit with backoff, or give up and
+    /// presume the destination dead. A stale copy of a given-up request
+    /// may still commit there, so the VM's fate is unknown: it is parked
+    /// as a zombie, never replanned, and a late verdict within the
+    /// patience window still resolves it.
+    fn expire_requests(&mut self, i: usize) {
+        let (now, cfg) = (self.now, self.cfg);
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        let expired: Vec<ReqId> = shim
+            .outstanding
+            .iter()
+            .filter(|(_, o)| o.deadline <= now)
+            .map(|(&id, _)| id)
             .collect();
-        for o in leftovers {
-            if cluster.placement.host_of(o.vm) == o.dest {
-                emit(sink, || Event::MigrationCommitted {
-                    vm: o.vm.index() as u64,
-                    from_host: o.from.index() as u64,
-                    to_host: o.dest.index() as u64,
-                    cost: o.cost,
+        for req_id in expired {
+            self.out.timeouts += 1;
+            let Some(o) = shim.outstanding.get_mut(&req_id) else {
+                continue;
+            };
+            emit(self.sink, || Event::RequestTimeout {
+                req: req_id.0,
+                attempt: o.attempt as u64 + 1,
+            });
+            self.sink.counter("net.timeouts", 1);
+            let dest_rack = self.cluster.placement.rack_of_host(o.dest);
+            if o.attempt + 1 < cfg.backoff.max_attempts {
+                o.attempt += 1;
+                o.deadline = now + cfg.backoff.delay(o.attempt, req_id);
+                self.out.resends += 1;
+                emit(self.sink, || Event::RequestResent {
+                    req: req_id.0,
+                    attempt: o.attempt as u64 + 1,
                 });
-                sink.counter("migrations.committed", 1);
-                shim.st.plan.moves.push(Move {
-                    vm: o.vm,
-                    from: o.from,
-                    to: o.dest,
-                    cost: o.cost,
-                });
-                shim.st.plan.total_cost += o.cost;
-            } else {
-                emit(sink, || Event::MigrationFailed {
-                    vm: o.vm.index() as u64,
-                    rack: shim.st.rack.index() as u64,
-                });
-                sink.counter("migrations.failed", 1);
-                shim.st.pending.push(o.vm);
+                self.sink.counter("net.resends", 1);
+                let epoch = self.failover.view_of(shim.rack);
+                let msg = match o.phase {
+                    TxnPhase::Preparing => ShimMsg::Prepare {
+                        req_id,
+                        vm: o.vm,
+                        dest: o.dest,
+                        lease: o.lease,
+                        epoch,
+                    },
+                    TxnPhase::Committing => ShimMsg::Commit { req_id, epoch },
+                };
+                self.net.send(now, shim.rack, dest_rack, msg);
+            } else if let Some(mut o) = shim.outstanding.remove(&req_id) {
+                shim.liveness.presume_dead(dest_rack);
+                shim.degrade(self.sink);
+                shim.excluded.push((o.vm, o.dest));
+                o.deadline = now + self.patience;
+                shim.zombies.insert(req_id, o);
             }
         }
     }
 
-    report.ticks = t.min(cfg.max_ticks);
-    // the detector's clock spans rounds: silence keeps accruing across
-    // round boundaries, so a crashed shim is eventually declared Dead
-    // even when every individual round is short
-    failover.clock += report.ticks + 1;
-    report.drops = net.stats.dropped;
-    report.dedup_hits = endpoints.iter().map(|e| e.dedup_hits()).sum();
-    if let Some(ts) = &transfers {
-        report.transfer_reroutes = ts.reroutes();
-        report.transfer_queue_delays = ts.queue_delays();
-        report.transfer_peak_sharing = ts.peak_link_sharing();
-        report.transfer_stalls = ts.stalls();
-        report.transfer_retries = ts.retries();
-        report.transfer_failures = ts.failures() + rack_failed_transfers;
-        report.resumed_bytes_saved = ts.resumed_bytes_saved();
-        // stall-duration distribution: total ticks spent stalled (the
-        // per-bucket shape stays queryable on the scheduler's histogram)
-        let hist = ts.stall_histogram();
-        if hist.count() > 0 {
-            sink.counter("transfer.stalled_ticks", hist.sum() as u64);
+    /// Zombies past their patience stay unresolved until round end
+    /// settles them against ground truth. A best-effort ABORT lets the
+    /// destination release the prepare before its lease runs out.
+    fn expire_zombies(&mut self, i: usize) {
+        let now = self.now;
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        let expired: Vec<ReqId> = shim
+            .zombies
+            .iter()
+            .filter(|(_, o)| o.deadline <= now)
+            .map(|(&id, _)| id)
+            .collect();
+        let epoch = self.failover.view_of(shim.rack);
+        for req_id in expired {
+            let Some(o) = shim.zombies.remove(&req_id) else {
+                continue;
+            };
+            let dest_rack = self.cluster.placement.rack_of_host(o.dest);
+            self.net
+                .send(now, shim.rack, dest_rack, ShimMsg::Abort { req_id, epoch });
+            shim.unresolved.push(o);
         }
     }
-    sink.counter("net.sent", net.stats.sent as u64);
-    sink.counter("net.delivered", net.stats.delivered as u64);
-    sink.counter("net.dropped", net.stats.dropped as u64);
-    sink.counter("net.duplicated", net.stats.duplicated as u64);
-    sink.counter("net.reordered", net.stats.reordered as u64);
-    sink.counter("net.blackholed", net.stats.blackholed as u64);
-    sink.counter("net.partitioned", net.stats.partitioned as u64);
-    sink.counter("net.dedup_hits", report.dedup_hits as u64);
-    for shim in shims {
-        let mut plan = shim.st.plan;
-        let mut pending = shim.st.pending;
-        pending.sort_unstable();
-        pending.dedup();
-        plan.unplaced.extend(pending);
-        report.plan.absorb(plan);
-        report.retries += shim.st.retries;
-        if shim.degraded {
-            report.degraded_shims += 1;
+
+    /// Once every PREPARE of the batch has its vote: replan while the
+    /// commits drain (their placement effect is already visible), or
+    /// finish when truly idle.
+    fn replan_or_finish(&mut self, i: usize, hot_hosts: &BTreeSet<HostId>) {
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        if shim
+            .outstanding
+            .values()
+            .any(|o| o.phase == TxnPhase::Preparing)
+        {
+            return;
+        }
+        if !shim.pending.is_empty() && shim.rounds_left > 0 && (shim.progressed || shim.gave_up) {
+            self.plan(i, hot_hosts);
+        } else if shim.outstanding.is_empty() && shim.zombies.is_empty() {
+            shim.done = true;
         }
     }
-    report.audit = audit_placement(&cluster.placement, &cluster.deps);
-    report.audit.merge(manager_audit);
-    report.audit.merge(transfer_audit);
-    report.audit.merge(audit_moves(
-        &cluster.placement,
-        report.plan.moves.iter().map(|m| (m.vm, m.to)),
-    ));
-    report.audit.merge(audit_journals(
-        &cluster.placement,
-        endpoints.iter().map(|e| e.journal()),
-    ));
-    report
-}
 
-/// One fabric planning round: rebuild the slot list from live racks
-/// (degradation ladder step 1; the own rack is always kept — step 2),
-/// run the matching, and send a REQUEST per assignment.
-#[allow(clippy::too_many_arguments)]
-fn fabric_plan_and_send<S: EventSink + ?Sized>(
-    shim: &mut FabricShim,
-    cluster: &Cluster,
-    metric: &RackMetric,
-    sim: &SimConfig,
-    net: &mut SimNet,
-    now: u64,
-    cfg: &FabricConfig,
-    failover: &RegionFailover,
-    hot_hosts: &BTreeSet<HostId>,
-    report: &mut DistributedReport,
-    sink: &mut S,
-) {
-    shim.rounds_left -= 1;
-    shim.progressed = false;
-    shim.gave_up = false;
-
-    let live_region: Vec<RackId> = shim
-        .region
-        .iter()
-        .copied()
-        .filter(|&r| shim.liveness.alive(r, now))
-        .collect();
-    // an active partition cuts part of the region off *right now*: plan
-    // around it immediately (degraded local handling, own rack always
-    // kept) instead of waiting for the liveness deadline to notice
-    let reachable: Vec<RackId> = live_region
-        .iter()
-        .copied()
-        .filter(|&r| !net.cut(now, shim.st.rack, r))
-        .collect();
-    // degraded-mode accounting keys off the ground-truth cut over the
-    // whole region: liveness may have aged the far side out already (its
-    // beacons stopped arriving the moment the cut opened), but the shim
-    // is still planning around a partition, not a crash
-    let cut_off = shim.region.iter().any(|&r| net.cut(now, shim.st.rack, r));
-    if cut_off && !shim.part_degraded {
-        shim.part_degraded = true;
-        report.partition_degraded += 1;
-        sink.counter("region.partition_degraded", 1);
-    }
-    if reachable.len() < shim.region.len() {
-        if !shim.degraded {
-            emit(sink, || Event::ShimDegraded {
-                rack: shim.st.rack.index() as u64,
-            });
+    /// One planning round of shim `i`: rebuild its destination slots
+    /// from the live, reachable racks of its region (degradation ladder
+    /// step 1; its own rack is always kept — step 2), run Alg. 3's
+    /// matching, and PREPARE every assignment.
+    fn plan(&mut self, i: usize, hot_hosts: &BTreeSet<HostId>) {
+        let (now, cfg) = (self.now, self.cfg);
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        shim.rounds_left -= 1;
+        shim.progressed = false;
+        shim.gave_up = false;
+        // an active partition cuts part of the region off *right now*:
+        // plan around it immediately instead of waiting for the liveness
+        // deadline to notice
+        let net = &self.net;
+        let reachable: Vec<RackId> = shim
+            .region
+            .iter()
+            .copied()
+            .filter(|&r| shim.liveness.alive(r, now) && !net.cut(now, shim.rack, r))
+            .collect();
+        // degraded-mode accounting keys off the ground-truth cut over the
+        // whole region: liveness may have aged the far side out already
+        // (its beacons stopped arriving the moment the cut opened), but
+        // the shim is still planning around a partition, not a crash
+        if !shim.part_degraded && shim.region.iter().any(|&r| net.cut(now, shim.rack, r)) {
+            shim.part_degraded = true;
+            self.out.partition_degraded += 1;
+            self.sink.counter("region.partition_degraded", 1);
         }
-        shim.degraded = true;
-    }
-    shim.st.slots = region_slots(&cluster.dcn.inventory, &reachable, shim.st.rack);
-
-    let pending = std::mem::take(&mut shim.st.pending);
-    let (proposals, unassigned, space) = plan_proposals(
-        &cluster.placement,
-        &cluster.deps,
-        metric,
-        sim,
-        &pending,
-        &shim.st.slots,
-        &shim.st.excluded,
-        hot_hosts,
-    );
-    shim.st.plan.search_space += space;
-    shim.st.pending = unassigned;
-    emit(sink, || Event::PlanComputed {
-        rack: shim.st.rack.index() as u64,
-        proposals: proposals.len() as u64,
-        unassigned: shim.st.pending.len() as u64,
-        search_space: space as u64,
-    });
-
-    for p in proposals {
-        let req_id = ReqId::new(shim.st.rack, shim.st.seq);
-        shim.st.seq += 1;
-        emit(sink, || Event::RequestSent {
-            req: req_id.0,
-            vm: p.vm.index() as u64,
-            dest_host: p.dest.index() as u64,
-            attempt: 1,
+        if reachable.len() < shim.region.len() {
+            shim.degrade(self.sink);
+        }
+        let c = &*self.cluster;
+        let slots = region_slots(&c.dcn.inventory, &reachable, shim.rack);
+        let pending = std::mem::take(&mut shim.pending);
+        let (proposals, unassigned, space) = plan_proposals(
+            &c.placement,
+            &c.deps,
+            self.metric,
+            &c.sim,
+            &pending,
+            &slots,
+            &shim.excluded,
+            hot_hosts,
+        );
+        shim.plan.search_space += space;
+        shim.pending = unassigned;
+        emit(self.sink, || Event::PlanComputed {
+            rack: shim.rack.index() as u64,
+            proposals: proposals.len() as u64,
+            unassigned: shim.pending.len() as u64,
+            search_space: space as u64,
         });
-        let from = cluster.placement.host_of(p.vm);
-        let dest_rack = cluster.placement.rack_of_host(p.dest);
-        let lease = now + cfg.prepare_lease;
-        shim.outstanding.insert(
-            req_id,
-            Outstanding {
+        let epoch = self.failover.view_of(shim.rack);
+        for p in proposals {
+            let req_id = ReqId::new(shim.rack, shim.seq);
+            shim.seq += 1;
+            emit(self.sink, || Event::RequestSent {
+                req: req_id.0,
+                vm: p.vm.index() as u64,
+                dest_host: p.dest.index() as u64,
+                attempt: 1,
+            });
+            let lease = now + cfg.prepare_lease;
+            let o = Outstanding {
                 vm: p.vm,
-                from,
+                from: c.placement.host_of(p.vm),
                 dest: p.dest,
                 cost: p.cost,
                 attempt: 0,
                 deadline: now + cfg.backoff.delay(0, req_id),
                 phase: TxnPhase::Preparing,
                 lease,
-            },
-        );
-        net.send(
-            now,
-            shim.st.rack,
-            dest_rack,
-            ShimMsg::Prepare {
+            };
+            shim.outstanding.insert(req_id, o);
+            let msg = ShimMsg::Prepare {
                 req_id,
                 vm: p.vm,
                 dest: p.dest,
                 lease,
-                epoch: failover.view_of(shim.st.rack),
+                epoch,
+            };
+            let dest_rack = c.placement.rack_of_host(p.dest);
+            self.net.send(now, shim.rack, dest_rack, msg);
+        }
+    }
+
+    // ---- delivered messages: source side ---------------------------------
+
+    /// A Hello or Heartbeat reaches source shim `to`.
+    fn on_liveness(&mut self, to: RackId, rack: RackId) {
+        let now = self.now;
+        if let Some(shim) = self.source(to).and_then(|i| self.shims.get_mut(i)) {
+            shim.liveness.observe(rack, now);
+        }
+    }
+
+    /// The destination voted yes: send the COMMIT. A late vote for a
+    /// zombie resolves it too — the destination is alive and holds the
+    /// prepare, so the commit is driven home instead of left for the
+    /// lease to strand. A duplicate vote for a committing transaction is
+    /// ignored.
+    fn on_prepare_ok(&mut self, to: RackId, req_id: ReqId) {
+        let (now, cfg) = (self.now, self.cfg);
+        let placement = &self.cluster.placement;
+        let Some(shim) = self.source(to).and_then(|i| self.shims.get_mut(i)) else {
+            return;
+        };
+        match shim.outstanding.get(&req_id).map(|o| o.phase) {
+            Some(TxnPhase::Committing) => return,
+            Some(TxnPhase::Preparing) => {}
+            None => {
+                let Some(o) = shim.zombies.remove(&req_id) else {
+                    return;
+                };
+                shim.liveness.observe(placement.rack_of_host(o.dest), now);
+                shim.outstanding.insert(req_id, o);
+            }
+        }
+        let Some(o) = shim.outstanding.get_mut(&req_id) else {
+            return;
+        };
+        o.phase = TxnPhase::Committing;
+        o.attempt = 0;
+        o.deadline = now + cfg.backoff.delay(0, req_id);
+        // the vote is in: the transaction will commit, so the batch made
+        // progress
+        shim.progressed = true;
+        let dest_rack = placement.rack_of_host(o.dest);
+        let epoch = self.failover.view_of(shim.rack);
+        self.net
+            .send(now, shim.rack, dest_rack, ShimMsg::Commit { req_id, epoch });
+    }
+
+    /// The destination committed: record the move. A late ACK for a
+    /// given-up request still means the move happened; only that zombie
+    /// case counts as batch progress — for a live transaction the
+    /// PREPARE-OK already did. A duplicate ACK is ignored.
+    fn on_ack(&mut self, to: RackId, req_id: ReqId) {
+        let Some(shim) = self.source(to).and_then(|i| self.shims.get_mut(i)) else {
+            return;
+        };
+        let was_zombie = shim.zombies.contains_key(&req_id);
+        let Some(o) = shim
+            .outstanding
+            .remove(&req_id)
+            .or_else(|| shim.zombies.remove(&req_id))
+        else {
+            return;
+        };
+        emit(self.sink, || Event::AckReceived {
+            req: req_id.0,
+            vm: o.vm.index() as u64,
+        });
+        shim.commit_move(&o, self.sink);
+        shim.progressed |= was_zombie;
+    }
+
+    /// The destination refused: the VM goes back to pending for a replan.
+    /// A `StaleEpoch` refusal teaches the shim the current term, and the
+    /// pairing itself was fine, so it is not excluded. A late REJECT for
+    /// a zombie resolves it: the VM definitively did not move.
+    fn on_reject(&mut self, to: RackId, req_id: ReqId, reason: RejectReason, epoch: u64) {
+        let Some(i) = self.source(to) else {
+            return;
+        };
+        let stale = reason == RejectReason::StaleEpoch;
+        if stale {
+            // a neighbor took over while we were away: adopt its epoch so
+            // the replan goes out under the current term
+            self.failover.adopt(to, epoch);
+        }
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        let (o, zombie) = match shim.outstanding.remove(&req_id) {
+            Some(o) => (o, false),
+            None => match shim.zombies.remove(&req_id) {
+                Some(o) => (o, true),
+                None => return,
             },
-        );
+        };
+        emit(self.sink, || Event::RejectReceived {
+            req: req_id.0,
+            vm: o.vm.index() as u64,
+            reason: reject_kind(reason),
+        });
+        self.sink.counter("migrations.rejected", 1);
+        shim.plan.rejected += 1;
+        shim.retries += 1;
+        if zombie || stale {
+            shim.gave_up = true;
+        } else {
+            shim.excluded.push((o.vm, o.dest));
+        }
+        shim.pending.push(o.vm);
+    }
+
+    // ---- delivered messages: destination side ----------------------------
+
+    /// Epoch fence: a 2PC message from a deposed manager's term mutates
+    /// nothing. The sender gets a `StaleEpoch` reject carrying the current
+    /// epoch, which it must adopt before replanning. Returns whether the
+    /// message was fenced.
+    fn fenced(&mut self, (from, to): (RackId, RackId), req_id: ReqId, epoch: u64) -> bool {
+        let Some(current) = self.failover.fence(from, epoch) else {
+            return false;
+        };
+        self.out.fenced += 1;
+        emit(self.sink, || Event::StaleEpochRejected {
+            req: req_id.0,
+            rack: to.index() as u64,
+            stale: epoch,
+            current,
+        });
+        self.sink.counter("txn.fenced", 1);
+        let msg = ShimMsg::Reject {
+            req_id,
+            reason: RejectReason::StaleEpoch,
+            epoch: current,
+        };
+        self.net.send(self.now, to, from, msg);
+        true
+    }
+
+    /// A single-phase REQUEST (Alg. 4): decide it and reply.
+    fn on_request(&mut self, (from, to): (RackId, RackId), req_id: ReqId, vm: VmId, dest: HostId) {
+        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+            return;
+        };
+        let hits_before = ep.dedup_hits();
+        let c = &mut *self.cluster;
+        let verdict = ep.handle_request(&mut c.placement, &c.deps, req_id, vm, dest);
+        if ep.dedup_hits() > hits_before {
+            emit(self.sink, || Event::DuplicateAbsorbed { req: req_id.0 });
+        }
+        let msg = ShimEndpoint::reply_msg(req_id, verdict, self.failover.view_of(to));
+        self.net.send(self.now, to, from, msg);
+    }
+
+    /// Phase 1: reserve the move, journal the intent, and vote.
+    fn on_prepare(
+        &mut self,
+        hop: (RackId, RackId),
+        req_id: ReqId,
+        vm: VmId,
+        dest: HostId,
+        lease: u64,
+        epoch: u64,
+    ) {
+        if self.fenced(hop, req_id, epoch) {
+            return;
+        }
+        let (from, to) = hop;
+        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+            return;
+        };
+        let (hits_before, journalled_before) = (ep.dedup_hits(), ep.journal().len());
+        let c = &mut *self.cluster;
+        let reply = ep.handle_prepare(&mut c.placement, &c.deps, req_id, vm, dest, lease, epoch);
+        if ep.journal().len() > journalled_before {
+            self.out.txn_prepared += 1;
+            emit(self.sink, || Event::TxnPrepared {
+                req: req_id.0,
+                vm: vm.index() as u64,
+                dest_host: dest.index() as u64,
+            });
+            self.sink.counter("txn.prepared", 1);
+        }
+        if ep.dedup_hits() > hits_before {
+            emit(self.sink, || Event::DuplicateAbsorbed { req: req_id.0 });
+        }
+        let msg = ShimEndpoint::reply_2pc_msg(req_id, reply, self.failover.view_of(to));
+        self.net.send(self.now, to, from, msg);
+    }
+
+    /// Phase 2: finalize — or, with the transfer model on, start the
+    /// pre-copy and defer the commit to its completion.
+    fn on_commit(&mut self, hop: (RackId, RackId), req_id: ReqId, epoch: u64) {
+        if !self.fenced(hop, req_id, epoch) && !self.stream(hop, req_id, epoch) {
+            self.commit(hop, req_id, epoch);
+        }
+    }
+
+    /// The source walked away: undo its prepare (fire-and-forget). A
+    /// stale-epoch ABORT is fenced like any other 2PC mutation; the
+    /// prepare it targeted drains via its lease instead.
+    fn on_abort(&mut self, hop: (RackId, RackId), req_id: ReqId, epoch: u64) {
+        if self.fenced(hop, req_id, epoch) {
+            return;
+        }
+        // a pre-copy in flight means the COMMIT was already accepted here:
+        // the transaction's fate is sealed, and this is only the source's
+        // best-effort give-up ABORT racing the slow transfer. 2PC forbids
+        // rolling back past COMMIT — let the stream finish; ground truth
+        // settles the move at the source.
+        if self.transfer_meta.contains_key(&req_id) {
+            self.sink.counter("transfer.abort_ignored", 1);
+            return;
+        }
+        let (_, to) = hop;
+        self.abort_prepared(to, req_id);
+    }
+
+    /// Finalize the prepared transaction `req_id` at `to` and answer
+    /// `from`: the one COMMIT path, for a delivered COMMIT and for a
+    /// completed pre-copy alike.
+    fn commit(&mut self, (from, to): (RackId, RackId), req_id: ReqId, epoch: u64) {
+        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+            return;
+        };
+        let was_prepared = ep.journal().state(req_id) == Some(TxnState::Prepared);
+        let reply = ep.handle_commit(req_id, epoch);
+        if was_prepared && reply == TwoPhaseReply::Ack {
+            self.out.txn_committed += 1;
+            if let Some(vm) = ep.journal().get(req_id).map(|r| r.vm) {
+                emit(self.sink, || Event::TxnCommitted {
+                    req: req_id.0,
+                    vm: vm.index() as u64,
+                });
+            }
+            self.sink.counter("txn.committed", 1);
+        }
+        let msg = ShimEndpoint::reply_2pc_msg(req_id, reply, self.failover.view_of(to));
+        self.net.send(self.now, to, from, msg);
+    }
+
+    /// With the transfer model on, a COMMIT for a prepared, current-epoch
+    /// transaction hands the migration to the transfer scheduler instead
+    /// of committing: the journal entry stays Prepared under an extended
+    /// lease until the last byte lands, so the lease sweep cannot abort
+    /// it, and the ACK flows at completion. A duplicate COMMIT while the
+    /// pre-copy streams is absorbed. Returns whether the COMMIT was
+    /// consumed; a stale one falls through to the normal reject path.
+    fn stream(&mut self, (from, to): (RackId, RackId), req_id: ReqId, epoch: u64) -> bool {
+        let (Some(ts), Some(ep)) = (self.transfers.as_mut(), self.endpoints.get_mut(to.index()))
+        else {
+            return false;
+        };
+        let Some(rec) = ep
+            .journal()
+            .get(req_id)
+            .filter(|r| r.state == TxnState::Prepared && epoch >= r.epoch)
+        else {
+            return false;
+        };
+        if self.transfer_meta.contains_key(&req_id) {
+            return true;
+        }
+        let (vm, src_host, dst_host) = (rec.vm, rec.src, rec.dst);
+        ep.extend_lease(req_id, u64::MAX);
+        let c = &*self.cluster;
+        let src_rack = c.placement.rack_of_host(src_host);
+        let dst_rack = c.placement.rack_of_host(dst_host);
+        let candidates = if src_rack == dst_rack {
+            Vec::new()
+        } else {
+            sheriff_transfer::route_candidates(
+                &c.dcn.graph,
+                c.dcn.rack_node(src_rack),
+                c.dcn.rack_node(dst_rack),
+                ts.config().k_paths,
+            )
+        };
+        let spec = TransferSpec {
+            id: req_id.0,
+            vm: vm.index() as u64,
+            dst_rack: to.index(),
+            bytes: c.placement.spec(vm).capacity * ts.config().bytes_per_capacity,
+        };
+        let meta = TransferMeta {
+            vm,
+            src_rack: from,
+            dst_rack: to,
+            epoch,
+        };
+        self.transfer_meta.insert(req_id, meta);
+        match ts.submit(self.now, spec, candidates) {
+            Admission::Started(s) => self.transfer_started(&s),
+            Admission::Queued => self.sink.counter("transfer.queued", 1),
+        }
+        true
+    }
+
+    // ---- shared accounting -------------------------------------------------
+
+    /// Roll back `req_id`'s journalled prepare at `at`'s endpoint.
+    fn abort_prepared(&mut self, at: RackId, req_id: ReqId) {
+        let Some(ep) = self.endpoints.get_mut(at.index()) else {
+            return;
+        };
+        let c = &mut *self.cluster;
+        if let Some((vm, _)) = ep.handle_abort(&mut c.placement, &c.deps, req_id) {
+            self.txn_aborted(req_id, vm);
+        }
+    }
+
+    /// Abort endpoint `r`'s prepares whose lease is `<= until`.
+    fn abort_expired(&mut self, r: usize, until: u64) {
+        let Some(ep) = self.endpoints.get_mut(r) else {
+            return;
+        };
+        let c = &mut *self.cluster;
+        for (req, vm) in ep.expire_leases(&mut c.placement, &c.deps, until) {
+            self.txn_aborted(req, vm);
+        }
+    }
+
+    /// A journalled transaction ended aborted.
+    fn txn_aborted(&mut self, req: ReqId, vm: VmId) {
+        self.out.txn_aborted += 1;
+        emit(self.sink, || Event::TxnAborted {
+            req: req.0,
+            vm: vm.index() as u64,
+        });
+        self.sink.counter("txn.aborted", 1);
+    }
+
+    /// A pre-copy was admitted: streaming, or stalled from the start when
+    /// every candidate route crosses a failed link.
+    fn transfer_started(&mut self, s: &Started) {
+        self.out.transfers_started += 1;
+        emit(self.sink, || Event::TransferStarted {
+            req: s.id,
+            vm: s.vm,
+            bytes: s.bytes,
+            hops: s.hops as u64,
+            rate: s.rate,
+            waited: s.waited,
+        });
+        self.sink.counter("transfer.started", 1);
+        if s.rerouted {
+            self.transfer_rerouted(s.id, s.vm, s.hops);
+        }
+        if let Some(link) = s.stalled_on {
+            self.transfer_stalled(s.id, s.vm, link);
+        }
+    }
+
+    /// A pre-copy moved off its primary route (congestion or a failed
+    /// link).
+    fn transfer_rerouted(&mut self, req: u64, vm: u64, hops: usize) {
+        emit(self.sink, || Event::TransferRerouted {
+            req,
+            vm,
+            hops: hops as u64,
+        });
+        self.sink.counter("transfer.rerouted", 1);
+    }
+
+    /// A pre-copy lost every route to the failed `link`.
+    fn transfer_stalled(&mut self, req: u64, vm: u64, link: usize) {
+        emit(self.sink, || Event::TransferStalled {
+            req,
+            vm,
+            link: link as u64,
+        });
+        self.sink.counter("transfer.stalled", 1);
+    }
+
+    /// A stalled pre-copy found a route again and resumed from its
+    /// checkpoint.
+    fn transfer_resumed(&mut self, r: &Resumed) {
+        emit(self.sink, || Event::TransferResumed {
+            req: r.id,
+            vm: r.vm,
+            saved: r.saved,
+        });
+        self.sink.counter("transfer.resumed", 1);
+    }
+
+    /// A pre-copy failed for good: report it and, if its 2PC context
+    /// survives, roll its prepare back at the destination `dst`.
+    fn fail_transfer(&mut self, req_id: ReqId, vm: u64, attempts: u32, dst: Option<RackId>) {
+        emit(self.sink, || Event::TransferFailed {
+            req: req_id.0,
+            vm,
+            attempts: attempts as u64,
+        });
+        self.sink.counter("transfer.failed", 1);
+        if let Some(dst) = dst {
+            self.abort_prepared(dst, req_id);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{FabricRuntime, Runtime};
     use dcn_sim::engine::ClusterConfig;
     use dcn_topology::fattree::{self, FatTreeConfig};
     use sheriff_obs::{NullSink, RingRecorder};
 
-    fn cluster(seed: u64) -> Cluster {
-        let dcn = fattree::build(&FatTreeConfig::paper(8));
+    fn cluster_k(pods: usize, seed: u64) -> Cluster {
+        let dcn = fattree::build(&FatTreeConfig::paper(pods));
         Cluster::build(
             dcn,
             &ClusterConfig {
@@ -2221,11 +2143,31 @@ mod tests {
         )
     }
 
-    fn alert_values(c: &Cluster) -> Vec<f64> {
-        c.placement
+    fn cluster(seed: u64) -> Cluster {
+        cluster_k(8, seed)
+    }
+
+    /// One round of `rt` on `c` for `alerts`, observed by `sink`; each
+    /// VM's ALERT value is its host's utilisation.
+    fn round(
+        rt: &mut FabricRuntime,
+        c: &mut Cluster,
+        alerts: &[Alert],
+        sink: &mut dyn EventSink,
+    ) -> RoundOutcome {
+        let metric = RackMetric::build(&c.dcn, &c.sim);
+        let vals: Vec<f64> = c
+            .placement
             .vm_ids()
             .map(|vm| c.placement.utilization(c.placement.host_of(vm)))
-            .collect()
+            .collect();
+        rt.step(&mut RunCtx {
+            cluster: c,
+            metric: &metric,
+            alerts,
+            alert_values: &vals,
+            sink,
+        })
     }
 
     fn assert_capacity_ok(c: &Cluster) {
@@ -2252,10 +2194,27 @@ mod tests {
         }
     }
 
+    /// Replaying `moves` from `initial` lands exactly on `c`'s placement:
+    /// every committed move applied once.
+    fn assert_moves_replay(initial: &dcn_topology::Placement, moves: &[Move], c: &Cluster) {
+        let mut loc: std::collections::HashMap<VmId, HostId> = c
+            .placement
+            .vm_ids()
+            .map(|vm| (vm, initial.host_of(vm)))
+            .collect();
+        for m in moves {
+            assert_eq!(loc[&m.vm], m.from, "stale or doubled move for {}", m.vm);
+            loc.insert(m.vm, m.to);
+        }
+        for vm in c.placement.vm_ids() {
+            assert_eq!(loc[&vm], c.placement.host_of(vm));
+        }
+    }
+
     /// FNV-1a over a round's plan — every move's (vm, from, to, cost
     /// bits), the rejected count and the unplaced VMs — followed by the
     /// final host of every VM.
-    fn plan_digest(plan: &crate::vmmigration::MigrationPlan, c: &Cluster) -> u64 {
+    fn plan_digest(plan: &MigrationPlan, c: &Cluster) -> u64 {
         let mut buf = String::new();
         for m in &plan.moves {
             buf.push_str(&format!(
@@ -2319,10 +2278,9 @@ mod tests {
         assert_eq!(cfg.max_retry, 3);
         for (seed, pct, moves, digest) in THREADED_DIGESTS {
             let mut c = cluster(seed);
-            let metric = RackMetric::build(&c.dcn, &c.sim);
             let alerts = c.fraction_alerts(pct as f64 / 100.0, 0);
-            let vals = alert_values(&c);
-            let rf = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+            let mut rt = FabricRuntime::with_config(cfg.clone());
+            let rf = round(&mut rt, &mut c, &alerts, &mut NullSink);
 
             assert_eq!(rf.plan.moves.len(), moves, "seed {seed} at {pct}%");
             assert_eq!(
@@ -2348,9 +2306,7 @@ mod tests {
     #[test]
     fn lossy_fabric_with_crash_completes_and_degrades_gracefully() {
         let mut c = cluster(27);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
         // crash the shim of the first alerted rack: its own alert goes
         // unserved and every other shim must route around it
         let crashed = alerts[0].rack;
@@ -2363,7 +2319,8 @@ mod tests {
             crashed: vec![CrashWindow::whole_round(crashed)],
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let mut rt = FabricRuntime::with_config(cfg.clone());
+        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
 
         assert!(
             report.ticks < cfg.max_ticks,
@@ -2400,12 +2357,16 @@ mod tests {
         for (seed, pct, cfg) in [(28, 0.10, duplicating), (24, 0.05, FabricConfig::default())] {
             let mut c = cluster(seed);
             let initial = c.placement.clone();
-            let metric = RackMetric::build(&c.dcn, &c.sim);
             let alerts = c.fraction_alerts(pct, 0);
-            let vals = alert_values(&c);
-            let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+            let reliable = cfg.faults.is_reliable();
+            let report = round(
+                &mut FabricRuntime::with_config(cfg),
+                &mut c,
+                &alerts,
+                &mut NullSink,
+            );
             assert!(!report.plan.moves.is_empty());
-            if cfg.faults.is_reliable() {
+            if reliable {
                 assert_eq!(report.dedup_hits, 0);
             } else {
                 assert!(
@@ -2413,20 +2374,7 @@ mod tests {
                     "50% duplication must hit the dedup log"
                 );
             }
-            // chaining the recorded moves from the initial placement lands
-            // exactly on the final placement: every ACKed move applied once
-            let mut loc: std::collections::HashMap<VmId, HostId> = c
-                .placement
-                .vm_ids()
-                .map(|vm| (vm, initial.host_of(vm)))
-                .collect();
-            for m in &report.plan.moves {
-                assert_eq!(loc[&m.vm], m.from, "stale or doubled move for {}", m.vm);
-                loc.insert(m.vm, m.to);
-            }
-            for vm in c.placement.vm_ids() {
-                assert_eq!(loc[&vm], c.placement.host_of(vm));
-            }
+            assert_moves_replay(&initial, &report.plan.moves, &c);
             let sum: f64 = report.plan.moves.iter().map(|m| m.cost).sum();
             assert!((report.plan.total_cost - sum).abs() < 1e-9);
             assert_capacity_ok(&c);
@@ -2436,9 +2384,7 @@ mod tests {
     #[test]
     fn fabric_with_all_shims_crashed_is_a_noop() {
         let mut c = cluster(29);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.05, 0);
-        let vals = alert_values(&c);
         let before = c.utilization_stddev();
         let crashed: Vec<RackId> = {
             let mut r: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
@@ -2454,15 +2400,16 @@ mod tests {
                 .collect(),
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let mut rt = FabricRuntime::with_config(cfg);
+        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
         assert_eq!(report.shims, 0);
         assert_eq!(report.crashed_shims, crashed.len());
         assert!(report.plan.moves.is_empty());
         assert_eq!(c.utilization_stddev(), before);
 
         // a round without alerts is a no-op on a healthy fabric too
-        let cfg = FabricConfig::default();
-        let report = fabric_round_obs(&mut c, &metric, &[], &[], &cfg, &mut NullSink);
+        let mut rt = FabricRuntime::default();
+        let report = round(&mut rt, &mut c, &[], &mut NullSink);
         assert_eq!(report.shims, 0);
         assert!(report.plan.moves.is_empty());
         assert_eq!(c.utilization_stddev(), before);
@@ -2472,9 +2419,7 @@ mod tests {
     fn mid_round_source_crash_recovers_and_audits_clean() {
         let mut c = cluster(31);
         let initial = c.placement.clone();
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
         // kill an alerted source shim between its PREPARE burst (applied
         // at t = 3 on the destinations) and the COMMIT phase, then
         // recover it: the orphaned prepares must lease-abort cleanly and
@@ -2484,7 +2429,8 @@ mod tests {
             crashed: vec![CrashWindow::during(victim, 4, 12)],
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let mut rt = FabricRuntime::with_config(cfg.clone());
+        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
 
         assert!(report.ticks < cfg.max_ticks, "round wedged");
         assert_eq!(report.recoveries, 1);
@@ -2495,28 +2441,14 @@ mod tests {
         assert!(report.audit.is_clean(), "{}", report.audit);
         assert_capacity_ok(&c);
         assert_deps_ok(&c);
-        // exactly-once despite the crash: replaying the recorded moves
-        // from the initial placement reproduces the final one
-        let mut loc: std::collections::HashMap<VmId, HostId> = c
-            .placement
-            .vm_ids()
-            .map(|vm| (vm, initial.host_of(vm)))
-            .collect();
-        for m in &report.plan.moves {
-            assert_eq!(loc[&m.vm], m.from, "stale or doubled move for {}", m.vm);
-            loc.insert(m.vm, m.to);
-        }
-        for vm in c.placement.vm_ids() {
-            assert_eq!(loc[&vm], c.placement.host_of(vm));
-        }
+        // exactly-once despite the crash
+        assert_moves_replay(&initial, &report.plan.moves, &c);
     }
 
     #[test]
     fn mid_round_source_crash_settles_without_zombie_txns() {
         let mut c = cluster(32);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
         // kill an alerted source shim right after its PREPAREs land and
         // never bring it back: its prepares must lease-abort or settle,
         // never stay half-done
@@ -2529,7 +2461,8 @@ mod tests {
             }],
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let mut rt = FabricRuntime::with_config(cfg.clone());
+        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
         assert!(report.ticks < cfg.max_ticks, "round wedged");
         assert!(report.audit.is_clean(), "{}", report.audit);
         assert_capacity_ok(&c);
@@ -2539,58 +2472,41 @@ mod tests {
     #[test]
     fn sustained_crash_takeover_then_zombie_is_fenced() {
         let mut c = cluster(33);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
         let victim = alerts[0].rack;
-        let mut failover = RegionFailover::default();
-        let crash_cfg = FabricConfig {
-            crashed: vec![CrashWindow::whole_round(victim)],
-            ..FabricConfig::default()
+        let mut rt = FabricRuntime {
+            cfg: FabricConfig {
+                crashed: vec![CrashWindow::whole_round(victim)],
+                ..FabricConfig::default()
+            },
+            failover: RegionFailover::default(),
         };
         // the victim stays dark across rounds: the detector walks it to
         // Dead and exactly one takeover (epoch bump) follows, however
         // many further rounds it stays dead
         let mut takeovers = 0;
         for _ in 0..6 {
-            let vals = alert_values(&c);
-            let r = fabric_round_failover_obs(
-                &mut c,
-                &metric,
-                &alerts,
-                &vals,
-                &crash_cfg,
-                &mut failover,
-                &mut NullSink,
-            );
+            let r = round(&mut rt, &mut c, &alerts, &mut NullSink);
             assert!(r.audit.is_clean(), "{}", r.audit);
             takeovers += r.takeovers;
         }
         assert_eq!(takeovers, 1, "one manager change, one epoch bump");
-        assert_eq!(failover.epoch_of(victim), 1);
-        assert!(failover.taken_over(victim));
+        assert_eq!(rt.failover.epoch_of(victim), 1);
+        assert!(rt.failover.taken_over(victim));
         assert_eq!(
-            failover.view_of(victim),
+            rt.failover.view_of(victim),
             0,
             "the deposed shim never heard the bump"
         );
 
         // the shim returns: its first PREPARE burst still carries epoch
         // 0, gets fenced, and the reject teaches it the current epoch
-        let cfg = FabricConfig::default();
-        let vals = alert_values(&c);
-        let r = fabric_round_failover_obs(
-            &mut c,
-            &metric,
-            &alerts,
-            &vals,
-            &cfg,
-            &mut failover,
-            &mut NullSink,
-        );
+        rt.cfg = FabricConfig::default();
+        let r = round(&mut rt, &mut c, &alerts, &mut NullSink);
         assert!(r.fenced > 0, "zombie PREPAREs must be fenced");
-        assert_eq!(failover.view_of(victim), 1, "reject taught the epoch");
+        assert_eq!(rt.failover.view_of(victim), 1, "reject taught the epoch");
         assert!(
-            !failover.taken_over(victim),
+            !rt.failover.taken_over(victim),
             "beaconing again reinstates management"
         );
         assert!(r.audit.is_clean(), "{}", r.audit);
@@ -2602,75 +2518,47 @@ mod tests {
     fn crash_recover_with_concurrent_takeover_never_double_manages() {
         let mut c = cluster(36);
         let initial = c.placement.clone();
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
         let victim = alerts[0].rack;
         // an aggressive detector (dead after ~6 ticks of silence)
         // declares the crashed shim Dead mid-round; its unplanned work
         // moves to a successor under a bumped epoch, and the shim then
         // recovers into the takeover — the regression this guards is two
         // shims both claiming the victim's VMs
-        let mut failover = RegionFailover::new(2, 4);
-        let cfg = FabricConfig {
-            crashed: vec![CrashWindow::during(victim, 1, 20)],
-            ..FabricConfig::default()
+        let mut rt = FabricRuntime {
+            cfg: FabricConfig {
+                crashed: vec![CrashWindow::during(victim, 1, 20)],
+                ..FabricConfig::default()
+            },
+            failover: RegionFailover::new(2, 4),
         };
-        let report = fabric_round_failover_obs(
-            &mut c,
-            &metric,
-            &alerts,
-            &vals,
-            &cfg,
-            &mut failover,
-            &mut NullSink,
-        );
-        assert!(report.ticks < cfg.max_ticks, "round wedged");
+        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
+        assert!(report.ticks < rt.cfg.max_ticks, "round wedged");
         assert_eq!(report.takeovers, 1, "mid-round takeover must fire");
-        assert_eq!(failover.epoch_of(victim), 1);
+        assert_eq!(rt.failover.epoch_of(victim), 1);
         assert_eq!(report.recoveries, 1);
         // the manager audit (merged into report.audit) proves no VM was
         // pending/outstanding at two shims at once
         assert!(report.audit.is_clean(), "{}", report.audit);
         assert_capacity_ok(&c);
         assert_deps_ok(&c);
-        // exactly-once despite crash + takeover: replaying the recorded
-        // moves from the initial placement reproduces the final one
-        let mut loc: std::collections::HashMap<VmId, HostId> = c
-            .placement
-            .vm_ids()
-            .map(|vm| (vm, initial.host_of(vm)))
-            .collect();
-        for m in &report.plan.moves {
-            assert_eq!(loc[&m.vm], m.from, "stale or doubled move for {}", m.vm);
-            loc.insert(m.vm, m.to);
-        }
-        for vm in c.placement.vm_ids() {
-            assert_eq!(loc[&vm], c.placement.host_of(vm));
-        }
+        // exactly-once despite crash + takeover
+        assert_moves_replay(&initial, &report.plan.moves, &c);
     }
 
     #[test]
     fn partition_degrades_minority_without_takeover_or_fencing() {
         let mut c = cluster(34);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
         let isolated = alerts[0].rack;
-        let cfg = FabricConfig {
-            partitions: vec![PartitionWindow::new(vec![isolated], 0, Some(24))],
-            ..FabricConfig::default()
+        let mut rt = FabricRuntime {
+            cfg: FabricConfig {
+                partitions: vec![PartitionWindow::new(vec![isolated], 0, Some(24))],
+                ..FabricConfig::default()
+            },
+            failover: RegionFailover::default(),
         };
-        let mut failover = RegionFailover::default();
-        let report = fabric_round_failover_obs(
-            &mut c,
-            &metric,
-            &alerts,
-            &vals,
-            &cfg,
-            &mut failover,
-            &mut NullSink,
-        );
+        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
         assert!(
             report.partition_degraded > 0,
             "the cut shim must notice its shrunken region"
@@ -2681,7 +2569,7 @@ mod tests {
         assert_eq!(report.fenced, 0, "no epoch bumped, nothing to fence");
         assert_eq!(report.crashed_shims, 0);
         for r in 0..c.dcn.rack_count() {
-            assert_eq!(failover.epoch_of(RackId::from_index(r)), 0);
+            assert_eq!(rt.failover.epoch_of(RackId::from_index(r)), 0);
         }
         assert!(report.audit.is_clean(), "{}", report.audit);
         assert_capacity_ok(&c);
@@ -2692,25 +2580,17 @@ mod tests {
     fn partitioned_lossy_fabric_is_deterministic() {
         let run = || {
             let mut c = cluster(35);
-            let metric = RackMetric::build(&c.dcn, &c.sim);
             let alerts = c.fraction_alerts(0.10, 0);
-            let vals = alert_values(&c);
-            let cfg = FabricConfig {
-                faults: ChannelFaults::lossy(0.05),
-                seed: 41,
-                partitions: vec![PartitionWindow::new(vec![alerts[0].rack], 2, Some(20))],
-                ..FabricConfig::default()
+            let mut rt = FabricRuntime {
+                cfg: FabricConfig {
+                    faults: ChannelFaults::lossy(0.05),
+                    seed: 41,
+                    partitions: vec![PartitionWindow::new(vec![alerts[0].rack], 2, Some(20))],
+                    ..FabricConfig::default()
+                },
+                failover: RegionFailover::default(),
             };
-            let mut failover = RegionFailover::default();
-            let report = fabric_round_failover_obs(
-                &mut c,
-                &metric,
-                &alerts,
-                &vals,
-                &cfg,
-                &mut failover,
-                &mut NullSink,
-            );
+            let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
             let placement: Vec<HostId> = c
                 .placement
                 .vm_ids()
@@ -2722,15 +2602,7 @@ mod tests {
         let (r2, p2) = run();
         assert_eq!(p1, p2, "same seed, same placement");
         assert!(!p1.is_empty());
-        assert_eq!(r1.plan.moves.len(), r2.plan.moves.len());
-        for (a, b) in r1.plan.moves.iter().zip(&r2.plan.moves) {
-            assert_eq!((a.vm, a.from, a.to), (b.vm, b.from, b.to));
-        }
-        assert_eq!(
-            (r1.drops, r1.resends, r1.ticks, r1.partition_degraded),
-            (r2.drops, r2.resends, r2.ticks, r2.partition_degraded)
-        );
-        assert_eq!(r1.reconciliations, r2.reconciliations);
+        assert_eq!(r1, r2, "same seed, same outcome");
     }
 
     #[test]
@@ -2753,9 +2625,7 @@ mod tests {
         // i.e. t = 11, comfortably before recovery.
         let run = |tight: bool| {
             let mut c = cluster(26);
-            let metric = RackMetric::build(&c.dcn, &c.sim);
             let alerts = c.fraction_alerts(0.10, 0);
-            let vals = alert_values(&c);
             let victim = alerts[0].rack;
             let mut cfg = FabricConfig {
                 crashed: vec![CrashWindow::during(victim, 5, 20)],
@@ -2764,17 +2634,12 @@ mod tests {
             if tight {
                 cfg = cfg.with_beacon_interval(victim, 2);
             }
-            let mut failover = RegionFailover::new(8, 6);
+            let mut rt = FabricRuntime {
+                cfg,
+                failover: RegionFailover::new(8, 6),
+            };
             let mut rec = RingRecorder::new(65536);
-            let report = fabric_round_failover_obs(
-                &mut c,
-                &metric,
-                &alerts,
-                &vals,
-                &cfg,
-                &mut failover,
-                &mut rec,
-            );
+            let report = round(&mut rt, &mut c, &alerts, &mut rec);
             assert!(report.audit.is_clean(), "{}", report.audit);
             assert_eq!(report.recoveries, 1, "the victim must come back");
             (rec.count_kind("shim_declared_dead"), c)
@@ -2800,9 +2665,7 @@ mod tests {
         // land at different virtual times — behavior a per-round phase
         // cannot express
         let mut c = cluster(37);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
         let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
         racks.sort_unstable();
         racks.dedup();
@@ -2812,7 +2675,12 @@ mod tests {
             .with_alert_check(a, 3)
             .with_alert_check(b, 5);
         let mut rec = RingRecorder::new(65536);
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
+        let report = round(
+            &mut FabricRuntime::with_config(cfg),
+            &mut c,
+            &alerts,
+            &mut rec,
+        );
         let mut ticks_a: Vec<u64> = Vec::new();
         let mut ticks_b: Vec<u64> = Vec::new();
         for e in rec.to_vec() {
@@ -2845,12 +2713,11 @@ mod tests {
         // checks never double-adopt a VM the shim already manages, the
         // round still terminates, and every invariant audit stays clean
         let mut c = cluster(38);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
         let cfg = FabricConfig::default().with_alert_check(alerts[0].rack, 2);
         let mut rec = RingRecorder::new(65536);
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
+        let mut rt = FabricRuntime::with_config(cfg.clone());
+        let report = round(&mut rt, &mut c, &alerts, &mut rec);
         assert!(rec.count_kind("alert_check_fired") > 0);
         assert!(
             report.ticks < cfg.max_ticks,
@@ -2868,9 +2735,7 @@ mod tests {
         // surface as MigrationFailed (event and counter agree), not
         // vanish silently back into the pending queue
         let mut c = cluster(27);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
-        let vals = alert_values(&c);
         let crashed = alerts[0].rack;
         let cfg = FabricConfig {
             faults: ChannelFaults {
@@ -2882,7 +2747,12 @@ mod tests {
             ..FabricConfig::default()
         };
         let mut rec = RingRecorder::new(65536);
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
+        let report = round(
+            &mut FabricRuntime::with_config(cfg),
+            &mut c,
+            &alerts,
+            &mut rec,
+        );
         let failed: Vec<u64> = rec
             .to_vec()
             .into_iter()
@@ -2907,5 +2777,116 @@ mod tests {
         );
         assert_capacity_ok(&c);
         assert_deps_ok(&c);
+    }
+
+    /// Every `RoundOutcome` counter beside the sink's count of the same
+    /// fact: `(sink counter, outcome value, sink value)`.
+    fn counter_pairs(out: &RoundOutcome, rec: &RingRecorder) -> Vec<(&'static str, usize, u64)> {
+        let c = rec.counters();
+        let pair = |name: &'static str, n: usize| (name, n, c.get(name));
+        let recovered = rec.count_kind("shim_recovered") as u64;
+        vec![
+            pair("txn.prepared", out.txn_prepared),
+            pair("txn.committed", out.txn_committed),
+            pair("txn.aborted", out.txn_aborted),
+            pair("net.timeouts", out.timeouts),
+            pair("net.resends", out.resends),
+            pair("net.dropped", out.drops),
+            pair("net.dedup_hits", out.dedup_hits),
+            pair("txn.fenced", out.fenced),
+            pair("region.takeovers", out.takeovers),
+            pair("region.partition_degraded", out.partition_degraded),
+            pair("transfer.started", out.transfers_started),
+            pair("transfer.completed", out.transfers_completed),
+            pair("transfer.rerouted", out.transfer_reroutes),
+            pair("transfer.stalled", out.transfer_stalls),
+            pair("transfer.retried", out.transfer_retries),
+            pair("transfer.failed", out.transfer_failures),
+            ("shim_recovered", out.recoveries, recovered),
+            pair("migrations.committed", out.plan.moves.len()),
+            pair("migrations.rejected", out.plan.rejected),
+        ]
+    }
+
+    #[test]
+    fn every_outcome_counter_agrees_with_its_sink_counter() {
+        let mut exercised: BTreeSet<&str> = BTreeSet::new();
+        let mut check = |rt: &mut FabricRuntime, c: &mut Cluster, alerts: &[Alert]| {
+            let mut rec = RingRecorder::new(1 << 16);
+            let out = round(rt, c, alerts, &mut rec);
+            for (name, outcome, sink) in counter_pairs(&out, &rec) {
+                assert_eq!(outcome as u64, sink, "{name}");
+                if outcome > 0 {
+                    exercised.insert(name);
+                }
+            }
+        };
+
+        // a lossy channel and a mid-round crash that recovers
+        let mut c = cluster(27);
+        let alerts = c.fraction_alerts(0.10, 0);
+        let cfg = FabricConfig {
+            faults: ChannelFaults::lossy(0.10),
+            seed: 99,
+            crashed: vec![CrashWindow::during(alerts[0].rack, 4, 12)],
+            ..FabricConfig::default()
+        };
+        check(&mut FabricRuntime::with_config(cfg), &mut c, &alerts);
+
+        // a takeover, then the returning zombie is fenced
+        let mut c = cluster(33);
+        let alerts = c.fraction_alerts(0.10, 0);
+        let mut rt = FabricRuntime {
+            cfg: FabricConfig {
+                crashed: vec![CrashWindow::whole_round(alerts[0].rack)],
+                ..FabricConfig::default()
+            },
+            failover: RegionFailover::default(),
+        };
+        for _ in 0..6 {
+            check(&mut rt, &mut c, &alerts);
+        }
+        rt.cfg = FabricConfig::default();
+        check(&mut rt, &mut c, &alerts);
+
+        // a partition cutting an alerted rack off
+        let mut c = cluster(34);
+        let alerts = c.fraction_alerts(0.10, 0);
+        let cfg = FabricConfig {
+            partitions: vec![PartitionWindow::new(vec![alerts[0].rack], 0, Some(24))],
+            ..FabricConfig::default()
+        };
+        check(&mut FabricRuntime::with_config(cfg), &mut c, &alerts);
+
+        // pre-copies admitted while every route is cut stall at once:
+        // every third link fails from tick 10 to 40, and rack 1 dies for
+        // good at tick 12
+        let mut c = cluster_k(4, 26);
+        let alerts = c.fraction_alerts(0.15, 0);
+        let cfg = FabricConfig {
+            link_faults: (0..c.dcn.graph.edge_count())
+                .step_by(3)
+                .map(|e| LinkFaultWindow::during(e, 10, 40))
+                .collect(),
+            crashed: vec![CrashWindow {
+                rack: RackId::from_index(1),
+                crash_at: 12,
+                recover_at: None,
+            }],
+            ..FabricConfig::default()
+        }
+        .with_transfer(sheriff_transfer::TransferConfig {
+            link_bandwidth: 1.0,
+            stall_budget: 3,
+            max_attempts: 2,
+            ..sheriff_transfer::TransferConfig::default()
+        });
+        check(&mut FabricRuntime::with_config(cfg), &mut c, &alerts);
+
+        let all: BTreeSet<&str> = counter_pairs(&RoundOutcome::default(), &RingRecorder::new(1))
+            .into_iter()
+            .map(|(name, _, _)| name)
+            .collect();
+        assert_eq!(exercised, all, "every pair must be exercised somewhere");
     }
 }

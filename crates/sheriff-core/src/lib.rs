@@ -16,8 +16,8 @@
 //! together with FLOWREROUTE, the centralized-manager baseline
 //! ([`CentralizedRuntime`]), a deterministic sequential runtime
 //! ([`Sheriff`]) and the shim runtime, which negotiates every move as
-//! REQUEST/ACK/REJECT messages in virtual time ([`fabric_round_obs`], or
-//! [`FabricRuntime`] behind the [`Runtime`] trait).
+//! REQUEST/ACK/REJECT messages in virtual time ([`FabricRuntime`] behind
+//! the [`Runtime`] trait).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,9 +55,8 @@ pub use centralized::{
     destination_tors, destination_tors_obs, kmedian_migration, kmedian_migration_obs,
 };
 pub use channel::{CrashWindow, LinkFaultWindow, NetStats, PartitionWindow, SimNet};
-pub use distributed::DistributedReport;
 pub use evacuation::{drain_rack, evacuate_host, try_drain_rack, try_evacuate_host};
-pub use fabric::{fabric_round_failover_obs, fabric_round_obs, FabricConfig};
+pub use fabric::FabricConfig;
 pub use failure::{FailureDetector, RegionFailover, ShimHealth};
 pub use journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnRecord, TxnState};
 pub use kmedian::{

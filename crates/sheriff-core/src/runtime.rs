@@ -11,8 +11,8 @@
 
 use crate::audit::{audit_moves, audit_placement, AuditReport};
 use crate::centralized::centralized_migration_obs;
-use crate::distributed::{select_victims, DistributedReport};
-use crate::fabric::{fabric_round_failover_obs, FabricConfig};
+use crate::distributed::select_victims;
+use crate::fabric::{run_round, FabricConfig};
 use crate::failure::RegionFailover;
 use crate::vmmigration::{MigrationContext, MigrationPlan};
 use dcn_sim::engine::Cluster;
@@ -43,7 +43,7 @@ pub struct RunCtx<'a> {
 
 /// What one [`Runtime::step`] did, across both runtimes. Fields a
 /// runtime does not track (e.g. `ticks` outside the fabric) stay zero.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundOutcome {
     /// Merged migration plan of the round.
     pub plan: MigrationPlan,
@@ -108,53 +108,6 @@ pub struct RoundOutcome {
     pub resumed_bytes_saved: f64,
     /// Post-round invariant audit — clean unless a bug corrupted state.
     pub audit: AuditReport,
-}
-
-/// Nearest-rank p95 over a set of transfer durations, 0.0 when empty.
-fn p95_ticks(durations: &[u64]) -> f64 {
-    if durations.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = durations.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() as f64) * 0.95).ceil() as usize;
-    let idx = rank.saturating_sub(1).min(sorted.len() - 1);
-    sorted.get(idx).copied().unwrap_or(0) as f64
-}
-
-impl From<DistributedReport> for RoundOutcome {
-    fn from(r: DistributedReport) -> Self {
-        Self {
-            plan: r.plan,
-            shims: r.shims,
-            retries: r.retries,
-            drops: r.drops,
-            timeouts: r.timeouts,
-            resends: r.resends,
-            dedup_hits: r.dedup_hits,
-            degraded_shims: r.degraded_shims,
-            crashed_shims: r.crashed_shims,
-            ticks: r.ticks,
-            txn_prepared: r.txn_prepared,
-            txn_committed: r.txn_committed,
-            txn_aborted: r.txn_aborted,
-            recoveries: r.recoveries,
-            takeovers: r.takeovers,
-            fenced: r.fenced,
-            partition_degraded: r.partition_degraded,
-            reconciliations: r.reconciliations,
-            transfers_started: r.transfers_started,
-            transfers_completed: r.transfers_completed,
-            transfer_reroutes: r.transfer_reroutes,
-            transfer_p95_completion: p95_ticks(&r.transfer_durations),
-            bottleneck_serialized: r.transfer_peak_sharing >= 2,
-            transfer_stalls: r.transfer_stalls,
-            transfer_retries: r.transfer_retries,
-            transfer_failures: r.transfer_failures,
-            resumed_bytes_saved: r.resumed_bytes_saved,
-            audit: r.audit,
-        }
-    }
 }
 
 /// One management loop: given this period's alerts, mutate the cluster's
@@ -272,16 +225,7 @@ impl Runtime for FabricRuntime {
     }
 
     fn step(&mut self, ctx: &mut RunCtx<'_>) -> RoundOutcome {
-        fabric_round_failover_obs(
-            ctx.cluster,
-            ctx.metric,
-            ctx.alerts,
-            ctx.alert_values,
-            &self.cfg,
-            &mut self.failover,
-            &mut *ctx.sink,
-        )
-        .into()
+        run_round(ctx, &self.cfg, &mut self.failover)
     }
 }
 

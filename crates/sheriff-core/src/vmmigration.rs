@@ -24,7 +24,7 @@ pub struct Move {
 }
 
 /// Outcome of a VMMIGRATION invocation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MigrationPlan {
     /// Committed moves, in commit order.
     pub moves: Vec<Move>,
@@ -50,8 +50,7 @@ impl MigrationPlan {
     }
 }
 
-/// Mutable state VMMIGRATION operates on (split out so the distributed
-/// runtime can hold it behind a lock).
+/// The cluster state VMMIGRATION reads and mutates.
 pub struct MigrationContext<'a> {
     /// The authoritative placement.
     pub placement: &'a mut Placement,

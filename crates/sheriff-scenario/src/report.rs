@@ -13,6 +13,7 @@
 
 use crate::runner::SeedRun;
 use crate::spec::ScenarioSpec;
+use sheriff_core::RoundOutcome;
 use sheriff_obs::Counters;
 
 /// Mean / median / 95th percentile of one metric across seed runs.
@@ -20,9 +21,9 @@ use sheriff_obs::Counters;
 pub struct Stat {
     /// Arithmetic mean.
     pub mean: f64,
-    /// Median (nearest-rank on the sorted values).
+    /// Median: the sorted value at index `round((n - 1) * 0.5)`.
     pub p50: f64,
-    /// 95th percentile (nearest-rank).
+    /// 95th percentile: the sorted value at index `round((n - 1) * 0.95)`.
     pub p95: f64,
 }
 
@@ -122,6 +123,9 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
     let sum_rounds = |f: &dyn Fn(&crate::runner::RoundStat) -> f64| {
         stat(&|run: &SeedRun| run.rounds.iter().map(f).sum())
     };
+    let sum_outcomes = |f: &dyn Fn(&RoundOutcome) -> f64| {
+        sum_rounds(&|s: &crate::runner::RoundStat| f(&s.outcome))
+    };
     let metrics: Vec<(String, Stat)> = vec![
         ("initial_stddev_pct".into(), stat(&|r| r.initial_stddev_pct)),
         (
@@ -145,77 +149,94 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
                 }
             }),
         ),
-        ("migrations_total".into(), sum_rounds(&|s| s.moves as f64)),
-        ("migration_cost_total".into(), sum_rounds(&|s| s.cost)),
-        ("unplaced_total".into(), sum_rounds(&|s| s.unplaced as f64)),
+        (
+            "migrations_total".into(),
+            sum_outcomes(&|o| o.plan.moves.len() as f64),
+        ),
+        (
+            "migration_cost_total".into(),
+            sum_outcomes(&|o| o.plan.total_cost),
+        ),
+        (
+            "unplaced_total".into(),
+            sum_outcomes(&|o| o.plan.unplaced.len() as f64),
+        ),
         (
             "evacuated_total".into(),
             sum_rounds(&|s| s.evacuated as f64),
         ),
-        ("retries_total".into(), sum_rounds(&|s| s.retries as f64)),
-        ("drops_total".into(), sum_rounds(&|s| s.drops as f64)),
-        ("timeouts_total".into(), sum_rounds(&|s| s.timeouts as f64)),
-        ("resends_total".into(), sum_rounds(&|s| s.resends as f64)),
+        ("retries_total".into(), sum_outcomes(&|o| o.retries as f64)),
+        ("drops_total".into(), sum_outcomes(&|o| o.drops as f64)),
+        (
+            "timeouts_total".into(),
+            sum_outcomes(&|o| o.timeouts as f64),
+        ),
+        ("resends_total".into(), sum_outcomes(&|o| o.resends as f64)),
         (
             "dedup_hits_total".into(),
-            sum_rounds(&|s| s.dedup_hits as f64),
+            sum_outcomes(&|o| o.dedup_hits as f64),
         ),
         (
             "degraded_shim_rounds".into(),
-            sum_rounds(&|s| s.degraded_shims as f64),
+            sum_outcomes(&|o| o.degraded_shims as f64),
         ),
         (
             "crashed_shim_rounds".into(),
-            sum_rounds(&|s| s.crashed_shims as f64),
+            sum_outcomes(&|o| o.crashed_shims as f64),
         ),
-        ("ticks_total".into(), sum_rounds(&|s| s.ticks as f64)),
+        ("ticks_total".into(), sum_outcomes(&|o| o.ticks as f64)),
         (
             "overload_rounds".into(),
             stat(&|r| r.rounds.iter().filter(|s| s.overloaded_hosts > 0).count() as f64),
         ),
         (
             "audit_violations_total".into(),
-            sum_rounds(&|s| s.audit_violations as f64),
+            sum_outcomes(&|o| o.audit.len() as f64),
         ),
         (
             "txn_committed_total".into(),
-            sum_rounds(&|s| s.txn_committed as f64),
+            sum_outcomes(&|o| o.txn_committed as f64),
         ),
         (
             "txn_aborted_total".into(),
-            sum_rounds(&|s| s.txn_aborted as f64),
+            sum_outcomes(&|o| o.txn_aborted as f64),
         ),
         (
             "shim_recoveries_total".into(),
-            sum_rounds(&|s| s.recoveries as f64),
+            sum_outcomes(&|o| o.recoveries as f64),
         ),
         (
             "takeovers_total".into(),
-            sum_rounds(&|s| s.takeovers as f64),
+            sum_outcomes(&|o| o.takeovers as f64),
         ),
         (
             "fenced_messages_total".into(),
-            sum_rounds(&|s| s.fenced as f64),
+            sum_outcomes(&|o| o.fenced as f64),
         ),
         (
             "partition_degraded_rounds".into(),
-            stat(&|r| r.rounds.iter().filter(|s| s.partition_degraded > 0).count() as f64),
+            stat(&|r| {
+                r.rounds
+                    .iter()
+                    .filter(|s| s.outcome.partition_degraded > 0)
+                    .count() as f64
+            }),
         ),
         (
             "reconciliation_conflicts_total".into(),
-            sum_rounds(&|s| s.reconciliations as f64),
+            sum_outcomes(&|o| o.reconciliations as f64),
         ),
         (
             "transfers_started_total".into(),
-            sum_rounds(&|s| s.transfers_started as f64),
+            sum_outcomes(&|o| o.transfers_started as f64),
         ),
         (
             "transfers_completed_total".into(),
-            sum_rounds(&|s| s.transfers_completed as f64),
+            sum_outcomes(&|o| o.transfers_completed as f64),
         ),
         (
             "transfer_reroutes_total".into(),
-            sum_rounds(&|s| s.transfer_reroutes as f64),
+            sum_outcomes(&|o| o.transfer_reroutes as f64),
         ),
         (
             // worst per-round p95 across the run: the round where
@@ -224,29 +245,34 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
             stat(&|r| {
                 r.rounds
                     .iter()
-                    .map(|s| s.transfer_p95_completion)
+                    .map(|s| s.outcome.transfer_p95_completion)
                     .fold(0.0, f64::max)
             }),
         ),
         (
             "bottleneck_serialization_rounds".into(),
-            stat(&|r| r.rounds.iter().filter(|s| s.bottleneck_serialized).count() as f64),
+            stat(&|r| {
+                r.rounds
+                    .iter()
+                    .filter(|s| s.outcome.bottleneck_serialized)
+                    .count() as f64
+            }),
         ),
         (
             "transfer_stalls_total".into(),
-            sum_rounds(&|s| s.transfer_stalls as f64),
+            sum_outcomes(&|o| o.transfer_stalls as f64),
         ),
         (
             "transfer_retries_total".into(),
-            sum_rounds(&|s| s.transfer_retries as f64),
+            sum_outcomes(&|o| o.transfer_retries as f64),
         ),
         (
             "transfer_failures_total".into(),
-            sum_rounds(&|s| s.transfer_failures as f64),
+            sum_outcomes(&|o| o.transfer_failures as f64),
         ),
         (
             "resumed_bytes_saved_total".into(),
-            sum_rounds(&|s| s.resumed_bytes_saved),
+            sum_outcomes(&|o| o.resumed_bytes_saved),
         ),
     ];
 
@@ -450,7 +476,7 @@ skew = 3.0
 "#;
 
     #[test]
-    fn stat_quantiles_are_nearest_rank() {
+    fn stat_quantiles_round_a_linear_index() {
         let s = Stat::of(&[4.0, 1.0, 3.0, 2.0]);
         assert!((s.mean - 2.5).abs() < 1e-12);
         assert_eq!(s.p50, 3.0); // index round(3 * 0.5) = 2 on [1,2,3,4]

@@ -58,73 +58,13 @@ pub struct RoundStat {
     /// step (trace mode; equals `alerts` in fraction mode, where alerts
     /// are by construction the hottest hosts).
     pub true_alerts: usize,
-    /// Migrations committed.
-    pub moves: usize,
-    /// Eqn. 1 cost of the committed migrations.
-    pub cost: f64,
-    /// Victims the matching could not place.
-    pub unplaced: usize,
-    /// Commit attempts rejected and replanned.
-    pub retries: usize,
-    /// Messages lost by the channel (fabric).
-    pub drops: usize,
-    /// Requests whose deadline expired at least once (fabric).
-    pub timeouts: usize,
-    /// Retransmissions (fabric).
-    pub resends: usize,
-    /// Duplicate deliveries absorbed by dedup (fabric).
-    pub dedup_hits: usize,
-    /// Shims that ran degraded (part of their region presumed dead).
-    pub degraded_shims: usize,
-    /// Alerted shims that were crashed and could not participate.
-    pub crashed_shims: usize,
-    /// Virtual ticks of the round (fabric).
-    pub ticks: u64,
     /// Hosts above the alert threshold after the round.
     pub overloaded_hosts: usize,
     /// VMs evacuated by the backup system this round (host/rack faults).
     pub evacuated: usize,
-    /// Invariant breaches the post-round auditor found (should be 0).
-    pub audit_violations: usize,
-    /// Migration transactions committed via 2PC (fabric).
-    pub txn_committed: usize,
-    /// Migration transactions aborted or lease-expired (fabric).
-    pub txn_aborted: usize,
-    /// Shims that crashed mid-round and replayed their journal (fabric).
-    pub recoveries: usize,
-    /// Regions whose management moved to a successor shim (fabric).
-    pub takeovers: usize,
-    /// Protocol messages rejected for carrying a stale epoch (fabric).
-    pub fenced: usize,
-    /// Shims that planned against a partition-reduced region (fabric).
-    pub partition_degraded: usize,
-    /// Pending alerts dropped at heal because another shim now manages
-    /// the VM's rack (fabric).
-    pub reconciliations: usize,
-    /// Migration pre-copies admitted by the transfer scheduler (fabric
-    /// with the transfer model on).
-    pub transfers_started: usize,
-    /// Pre-copies that streamed to completion (fabric).
-    pub transfers_completed: usize,
-    /// Transfers steered off their shortest path by QCN congestion
-    /// (fabric).
-    pub transfer_reroutes: usize,
-    /// Nearest-rank p95 transfer completion time in virtual ticks
-    /// (fabric; 0.0 when nothing completed).
-    pub transfer_p95_completion: f64,
-    /// Whether some link carried ≥ 2 concurrent pre-copies this round
-    /// (fabric).
-    pub bottleneck_serialized: bool,
-    /// Pre-copy streams stalled by a link failure (fabric).
-    pub transfer_stalls: usize,
-    /// Backoff retries attempted by stalled streams (fabric).
-    pub transfer_retries: usize,
-    /// Streams that exhausted their retries and aborted their 2PC
-    /// transaction (fabric).
-    pub transfer_failures: usize,
-    /// Bytes that checkpointed resumes avoided re-copying versus a
-    /// restart from zero (fabric).
-    pub resumed_bytes_saved: f64,
+    /// What the runtime reported: the committed plan, the protocol and
+    /// transfer counters, and the post-round audit.
+    pub outcome: RoundOutcome,
 }
 
 /// The full deterministic record of one (topology, seed) job.
@@ -501,8 +441,7 @@ pub(crate) fn run_job(
             {
                 let phase = &spec.channel_phases[phase_cursor];
                 rt.cfg.faults = phase.faults.clone();
-                rt.cfg = std::mem::take(&mut rt.cfg)
-                    .with_hello_window(2u64.max(phase.faults.delay_max + 1));
+                rt.cfg.hello_window = 2u64.max(phase.faults.delay_max + 1);
                 phase_cursor += 1;
             }
             rt.cfg.crashed = crash_schedule
@@ -535,7 +474,7 @@ pub(crate) fn run_job(
             cluster.fraction_alerts(spec.workload.alert_fraction, t)
         };
         // a crashed shim serves no alerts; the fabric models this itself
-        // through its liveness ladder, the other runtimes need the
+        // through its liveness ladder, the centralized runtime needs the
         // filter up front
         if !matches!(runtime, Loop::Fabric(_)) {
             alerts.retain(|a| !injector.shim_down(a.rack));
@@ -576,7 +515,7 @@ pub(crate) fn run_job(
 
         // 6. one management round through the Runtime trait
         let alert_count = alerts.len();
-        let out = {
+        let outcome = {
             let mut ctx = RunCtx {
                 cluster: &mut cluster,
                 metric: &metric,
@@ -599,36 +538,9 @@ pub(crate) fn run_job(
             stddev_pct: cluster.utilization_stddev(),
             alerts: alert_count,
             true_alerts,
-            moves: out.plan.moves.len(),
-            cost: out.plan.total_cost,
-            unplaced: out.plan.unplaced.len(),
-            retries: out.retries,
-            drops: out.drops,
-            timeouts: out.timeouts,
-            resends: out.resends,
-            dedup_hits: out.dedup_hits,
-            degraded_shims: out.degraded_shims,
-            crashed_shims: out.crashed_shims,
-            ticks: out.ticks,
             overloaded_hosts,
             evacuated: evac.moves.len(),
-            audit_violations: out.audit.len(),
-            txn_committed: out.txn_committed,
-            txn_aborted: out.txn_aborted,
-            recoveries: out.recoveries,
-            takeovers: out.takeovers,
-            fenced: out.fenced,
-            partition_degraded: out.partition_degraded,
-            reconciliations: out.reconciliations,
-            transfers_started: out.transfers_started,
-            transfers_completed: out.transfers_completed,
-            transfer_reroutes: out.transfer_reroutes,
-            transfer_p95_completion: out.transfer_p95_completion,
-            bottleneck_serialized: out.bottleneck_serialized,
-            transfer_stalls: out.transfer_stalls,
-            transfer_retries: out.transfer_retries,
-            transfer_failures: out.transfer_failures,
-            resumed_bytes_saved: out.resumed_bytes_saved,
+            outcome,
         });
     }
 
@@ -733,7 +645,11 @@ skew = 3.0
         let runs = ScenarioRunner::new(spec).run().unwrap();
         for run in &runs {
             for rs in &run.rounds {
-                assert_eq!(rs.moves, 0, "seed {}: moves under total crash", run.seed);
+                assert!(
+                    rs.outcome.plan.moves.is_empty(),
+                    "seed {}: moves under total crash",
+                    run.seed
+                );
             }
         }
     }

@@ -219,10 +219,11 @@ pub struct Started {
     pub rerouted: bool,
     /// Ticks spent waiting in the admission queue.
     pub waited: u64,
-    /// Admitted straight into `Stalled` because every candidate route
-    /// crosses a failed link; it streams nothing until a restore or
-    /// retry finds a path.
-    pub stalled: bool,
+    /// `Some(link)` when admitted straight into `Stalled` because every
+    /// candidate route crosses a failed link: the first failed link on
+    /// the first candidate. It streams nothing until a restore or retry
+    /// finds a path.
+    pub stalled_on: Option<EdgeIdx>,
 }
 
 /// A transfer that finished streaming its last byte.
@@ -793,7 +794,12 @@ impl TransferScheduler {
                 rate: a.rate,
                 rerouted: a.rerouted,
                 waited,
-                stalled: a.stalled_since.is_some(),
+                stalled_on: a.stalled_since.and(a.candidates.first()).and_then(|c| {
+                    c.links
+                        .iter()
+                        .copied()
+                        .find(|l| self.failed_links.contains(l))
+                }),
             },
             // unreachable: callers only ask about ids they just admitted
             None => Started {
@@ -804,7 +810,7 @@ impl TransferScheduler {
                 rate: 0.0,
                 rerouted: false,
                 waited,
-                stalled: false,
+                stalled_on: None,
             },
         }
     }
@@ -1669,7 +1675,7 @@ mod tests {
         let Admission::Started(s) = adm else {
             panic!("should admit");
         };
-        assert!(s.stalled, "every route crosses the failed link");
+        assert_eq!(s.stalled_on, Some(7), "every route crosses the failed link");
         assert_eq!(s.rate, 0.0);
         assert_eq!(ts.stalls(), 1);
         assert!(!ts.is_idle());

@@ -2,7 +2,7 @@
 //!
 //! Facade crate for the Sheriff reproduction (ICPP'15: *Sheriff: A
 //! Regional Pre-Alert Management Scheme in Data Center Networks*).
-//! Re-exports the four workspace crates:
+//! Re-exports six workspace crates:
 //!
 //! * [`topology`] — Fat-Tree/BCube builders, wired graph, shortest paths,
 //!   placement, dependency graph;
@@ -14,6 +14,7 @@
 //!   REQUEST, k-median local search) and both runtimes, including the
 //!   deterministic event core under [`sheriff::sim`](sheriff_core::sim)
 //!   that the fabric runtime's virtual-time rounds are scheduled on;
+//! * [`obs`] — structured events, counters, histograms and timers;
 //! * [`scenario`] — declarative experiment files (TOML/JSON), seed
 //!   sweeps with fault schedules, parallel deterministic execution.
 //!
@@ -65,10 +66,10 @@ pub mod prelude {
     // --- management: both loops behind one Runtime trait -------------
     pub use sheriff_core::{
         audit_placement, drain_rack, evacuate_host, priority, vmmigration, AuditReport, Budget,
-        CentralizedRuntime, CrashWindow, DistributedReport, FabricConfig, FabricRuntime,
-        FailureDetector, IntentJournal, MigrationContext, MigrationPlan, PartitionWindow,
-        RegionFailover, RoundOutcome, RoundReport, RunCtx, Runtime, Sheriff, ShimHealth,
-        StepReport, System, SystemBuilder,
+        CentralizedRuntime, CrashWindow, FabricConfig, FabricRuntime, FailureDetector,
+        IntentJournal, MigrationContext, MigrationPlan, PartitionWindow, RegionFailover,
+        RoundOutcome, RoundReport, RunCtx, Runtime, Sheriff, ShimHealth, StepReport, System,
+        SystemBuilder,
     };
 
     // --- event core: the virtual-time scheduler under the fabric ------

@@ -105,19 +105,28 @@ fn mid_round_crash_scenario_is_deterministic_with_clean_audit() {
     let runs = runner.run().expect("scenario runs");
     for run in &runs {
         for s in &run.rounds {
-            assert_eq!(
-                s.audit_violations, 0,
+            assert!(
+                s.outcome.audit.is_clean(),
                 "seed {} round {}: auditor found violations",
-                run.seed, s.round
+                run.seed,
+                s.round
             );
         }
         assert!(
-            run.rounds.iter().map(|s| s.txn_committed).sum::<usize>() > 0,
+            run.rounds
+                .iter()
+                .map(|s| s.outcome.txn_committed)
+                .sum::<usize>()
+                > 0,
             "seed {}: no transaction ever committed",
             run.seed
         );
         assert!(
-            run.rounds.iter().map(|s| s.recoveries).sum::<usize>() >= 1,
+            run.rounds
+                .iter()
+                .map(|s| s.outcome.recoveries)
+                .sum::<usize>()
+                >= 1,
             "seed {}: the scheduled mid-round recovery never happened",
             run.seed
         );
@@ -201,7 +210,11 @@ fn zombie_shim_scenario_takes_over_and_fences_the_returner() {
             run.seed
         );
         assert!(
-            run.rounds.iter().map(|s| s.takeovers).sum::<usize>() >= 1,
+            run.rounds
+                .iter()
+                .map(|s| s.outcome.takeovers)
+                .sum::<usize>()
+                >= 1,
             "seed {}: nobody took the dead region over",
             run.seed
         );
@@ -211,10 +224,11 @@ fn zombie_shim_scenario_takes_over_and_fences_the_returner() {
             run.seed
         );
         for s in &run.rounds {
-            assert_eq!(
-                s.audit_violations, 0,
+            assert!(
+                s.outcome.audit.is_clean(),
                 "seed {} round {}: auditor found violations",
-                run.seed, s.round
+                run.seed,
+                s.round
             );
         }
     }
@@ -235,7 +249,7 @@ fn region_partition_scenario_degrades_and_heals_clean() {
         assert!(
             run.rounds
                 .iter()
-                .map(|s| s.partition_degraded)
+                .map(|s| s.outcome.partition_degraded)
                 .sum::<usize>()
                 > 0,
             "seed {}: the cut never degraded anyone",
@@ -244,16 +258,20 @@ fn region_partition_scenario_degrades_and_heals_clean() {
         // a partition is not a crash: emission-based detection must not
         // let the cut trigger a takeover or any fencing
         assert_eq!(
-            run.rounds.iter().map(|s| s.takeovers).sum::<usize>(),
+            run.rounds
+                .iter()
+                .map(|s| s.outcome.takeovers)
+                .sum::<usize>(),
             0,
             "seed {}: a partition masqueraded as a crash",
             run.seed
         );
         for s in &run.rounds {
-            assert_eq!(
-                s.audit_violations, 0,
+            assert!(
+                s.outcome.audit.is_clean(),
                 "seed {} round {}: auditor found violations",
-                run.seed, s.round
+                run.seed,
+                s.round
             );
         }
     }
