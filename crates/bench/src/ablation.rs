@@ -179,7 +179,7 @@ pub fn ablation_matching(seed: u64) -> Table {
                     }
                 }
                 if let Some((host, cost)) = best {
-                    if request_migration(&mut c2.placement, &c2.deps, vm, host).is_ack() {
+                    if request_migration(&mut c2.placement, &c2.deps, vm, host).is_ok() {
                         total += cost;
                     }
                 }

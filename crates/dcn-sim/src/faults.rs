@@ -334,38 +334,6 @@ impl FaultInjector {
         schedule
     }
 
-    /// The virtual ticks at which the *pending* schedules change fault
-    /// state — every crash, recovery, partition cut, and heal tick from
-    /// the windows queued for the next round — sorted and deduplicated.
-    ///
-    /// A non-draining peek: event-driven runtimes use it to seed their
-    /// agenda with exactly the activation times the schedule will need,
-    /// while the schedules themselves stay queued for the later
-    /// [`FaultInjector::drain_crash_schedule`] /
-    /// [`FaultInjector::drain_partition_schedule`].
-    pub fn pending_event_times(&self) -> Vec<u64> {
-        let mut ticks = BTreeSet::new();
-        for &(_, crash_at, recover_at) in &self.timed_crashes {
-            ticks.insert(crash_at);
-            if let Some(r) = recover_at {
-                ticks.insert(r);
-            }
-        }
-        for (_, _, start_at, heal_at) in &self.timed_partitions {
-            ticks.insert(*start_at);
-            if let Some(h) = heal_at {
-                ticks.insert(*h);
-            }
-        }
-        for &(_, fail_at, restore_at) in &self.timed_links {
-            ticks.insert(fail_at);
-            if let Some(r) = restore_at {
-                ticks.insert(r);
-            }
-        }
-        ticks.into_iter().collect()
-    }
-
     /// Borrow the injector together with an [`EventSink`]: every fault
     /// applied through the returned handle also emits a
     /// [`Event::FaultInjected`], so
@@ -712,7 +680,6 @@ mod tests {
         inj.fail_link(&mut dcn, 2); // standing down, whole-round prefix
         inj.fail_link_at(7, 3, Some(9)); // mid-round blip, restored at drain
         inj.fail_link_at(5, 4, None); // stays down after the round
-        assert_eq!(inj.pending_event_times(), vec![3, 4, 9]);
         let sched = inj.drain_link_schedule(&mut dcn);
         assert_eq!(sched, vec![(2, 0, None), (7, 3, Some(9)), (5, 4, None)]);
         // end-state after the round: 7 back at its old utilisation, 2 and
@@ -726,21 +693,6 @@ mod tests {
             inj.drain_link_schedule(&mut dcn),
             vec![(2, 0, None), (5, 0, None)]
         );
-    }
-
-    #[test]
-    fn pending_event_times_peek_sorted_without_draining() {
-        let mut inj = FaultInjector::new();
-        assert!(inj.pending_event_times().is_empty());
-        inj.crash_shim_at(RackId(1), 9, Some(20));
-        inj.crash_shim_at(RackId(2), 4, None);
-        inj.partition_at("west", vec![RackId(0)], 9, Some(15));
-        assert_eq!(inj.pending_event_times(), vec![4, 9, 15, 20]);
-        // peeking drains nothing: the schedules still hand out every window
-        assert_eq!(inj.drain_crash_schedule().len(), 2);
-        assert_eq!(inj.drain_partition_schedule().len(), 1);
-        // whole-round state (already-down shims) has no in-round tick
-        assert!(inj.pending_event_times().is_empty());
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::priority::{priority, Budget};
 use crate::reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
 use crate::vmmigration::{vmmigration_scoped_obs, MigrationContext, MigrationPlan};
 use dcn_sim::flows::FlowNetwork;
-use dcn_sim::{Alert, AlertSource};
-use dcn_topology::{Dcn, NodeId, RackId, VmId};
+use dcn_sim::{Alert, AlertSource, SimConfig};
+use dcn_topology::{Dcn, Inventory, NodeId, Placement, RackId, VmId};
 use sheriff_obs::{emit, Event, EventSink, NullSink};
 
 /// Everything one shim did in one management round.
@@ -76,9 +76,6 @@ pub fn pre_alert_management_obs<S: EventSink + ?Sized>(
     sink: &mut S,
 ) -> ShimOutcome {
     let mut outcome = ShimOutcome::default();
-    let mut candidate_pool = 0usize;
-    let mut migration_set: Vec<VmId> = Vec::new();
-    let mut tor_alert = false;
 
     for alert in alerts.iter().filter(|a| a.rack == rack) {
         match alert.source {
@@ -170,41 +167,19 @@ pub fn pre_alert_management_obs<S: EventSink + ?Sized>(
                 outcome.reroutes.stuck += r.stuck;
                 outcome.reroutes.skipped_delay_sensitive += r.skipped_delay_sensitive;
             }
-            AlertSource::LocalTor(_) => {
-                tor_alert = true;
-            }
-            AlertSource::Host(h) => {
-                let f: Vec<VmId> = ctx.placement.vms_on(h).to_vec();
-                candidate_pool += f.len();
-                migration_set.extend(priority(
-                    &f,
-                    ctx.placement,
-                    alert_of,
-                    Budget::SingleMaxAlert,
-                ));
-            }
+            // migration victims: selected below, on the same placement
+            AlertSource::Host(_) | AlertSource::LocalTor(_) => {}
         }
     }
 
-    if tor_alert {
-        // every VM in the rack is a candidate; release a β-portion of the
-        // ToR capacity
-        let mut f: Vec<VmId> = Vec::new();
-        for &host in ctx.inventory.hosts_in(rack) {
-            f.extend_from_slice(ctx.placement.vms_on(host));
-        }
-        let tor_capacity = ctx.inventory.rack(rack).tor_capacity;
-        candidate_pool += f.len();
-        migration_set.extend(priority(
-            &f,
-            ctx.placement,
-            alert_of,
-            Budget::Capacity(ctx.sim.beta * tor_capacity),
-        ));
-    }
-
-    migration_set.sort_unstable();
-    migration_set.dedup();
+    let (migration_set, candidate_pool) = select_victims(
+        ctx.placement,
+        ctx.inventory,
+        ctx.sim,
+        rack,
+        alerts,
+        alert_of,
+    );
     outcome.migration_candidates = migration_set.len();
     if !migration_set.is_empty() {
         emit(sink, || Event::VictimsSelected {
@@ -215,6 +190,57 @@ pub fn pre_alert_management_obs<S: EventSink + ?Sized>(
         outcome.plan = vmmigration_scoped_obs(ctx, &migration_set, region, max_rounds, true, sink);
     }
     outcome
+}
+
+/// Alg. 1/2 victim selection for `rack`'s host and local-ToR alerts:
+/// `PRIORITY(F, 1)` over each alerted host's VMs, and — when any
+/// local-ToR alert is present — one `PRIORITY(F, β)` pass over the whole
+/// rack. Returns the selected VMs (sorted, deduplicated) with the size of
+/// the candidate pool PRIORITY examined. Outer-switch alerts reroute
+/// flows instead and select nothing here.
+pub(crate) fn select_victims(
+    placement: &Placement,
+    inventory: &Inventory,
+    sim: &SimConfig,
+    rack: RackId,
+    alerts: &[Alert],
+    alert_of: impl Fn(VmId) -> f64,
+) -> (Vec<VmId>, usize) {
+    let mut set: Vec<VmId> = Vec::new();
+    let mut candidates = 0usize;
+    let mut tor_alert = false;
+    for alert in alerts.iter().filter(|a| a.rack == rack) {
+        match alert.source {
+            AlertSource::Host(h) => {
+                let f = placement.vms_on(h);
+                candidates += f.len();
+                set.extend(priority(f, placement, &alert_of, Budget::SingleMaxAlert));
+            }
+            AlertSource::LocalTor(_) => tor_alert = true,
+            AlertSource::OuterSwitch(_) => {}
+        }
+    }
+    if tor_alert {
+        // every VM in the rack is a candidate; release a β-portion of the
+        // ToR capacity
+        let mut f: Vec<VmId> = Vec::new();
+        for &host in inventory.hosts_in(rack) {
+            f.extend_from_slice(placement.vms_on(host));
+        }
+        candidates += f.len();
+        let budget = sim.beta * inventory.rack(rack).tor_capacity;
+        set.extend(priority(&f, placement, &alert_of, Budget::Capacity(budget)));
+    }
+    set.sort_unstable();
+    set.dedup();
+    (set, candidates)
+}
+
+/// PRIORITY's ALERT ranking read from a per-VM table
+/// ([`RunCtx::alert_values`](crate::RunCtx::alert_values)); a VM the
+/// table does not cover carries no alert.
+pub(crate) fn alert_lookup(values: &[f64]) -> impl Fn(VmId) -> f64 + '_ {
+    move |vm| values.get(vm.index()).copied().unwrap_or_default()
 }
 
 #[cfg(test)]

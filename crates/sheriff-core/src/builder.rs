@@ -23,7 +23,7 @@ use dcn_sim::flows::{Flow, FlowNetwork};
 use dcn_sim::{ChannelFaults, SheriffError, SimConfig};
 use dcn_topology::{Dcn, RackId};
 use sheriff_obs::EventSink;
-use sheriff_transfer::{RouteStrategy, TransferConfig};
+use sheriff_transfer::TransferConfig;
 
 /// Builder for the assembled [`System`]: topology in, validated system
 /// out. Every setter has a sensible default (paper parameters, no flows,
@@ -165,13 +165,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Enable the transfer model and pick how pre-copies are routed
-    /// across the core under QCN congestion feedback.
-    pub fn transfer_route_strategy(mut self, strategy: RouteStrategy) -> Self {
-        self.transfer_mut().route_strategy = strategy;
-        self
-    }
-
     /// A [`FabricRuntime`] matching this builder's channel faults and
     /// event intervals: the channel-aware replacement for constructing a
     /// `FabricConfig` by hand and writing its deprecated queue knobs.
@@ -189,8 +182,8 @@ impl SystemBuilder {
         for &(rack, every) in &self.alert_checks {
             cfg = cfg.with_alert_check(rack, every);
         }
-        if let Some(tc) = &self.transfer {
-            cfg = cfg.with_transfer(tc.clone());
+        if let Some(tc) = self.transfer {
+            cfg = cfg.with_transfer(tc);
         }
         FabricRuntime::with_config(cfg)
     }
@@ -286,18 +279,12 @@ mod tests {
         let rt = SystemBuilder::new(dcn)
             .migration_bandwidth(2.0)
             .max_concurrent_transfers(6)
-            .transfer_route_strategy(sheriff_transfer::RouteStrategy::LeastLoaded)
             .fabric_runtime(5);
-        let tc = rt.cfg.transfer.as_ref().expect("knobs enable the model");
+        let tc = rt.cfg.transfer.expect("knobs enable the model");
         assert_eq!(tc.link_bandwidth, 2.0);
         assert_eq!(tc.max_concurrent, 6);
         assert_eq!(
-            tc.route_strategy,
-            sheriff_transfer::RouteStrategy::LeastLoaded
-        );
-        let untouched = tc.clone();
-        assert_eq!(
-            untouched.k_paths,
+            tc.k_paths,
             sheriff_transfer::TransferConfig::default().k_paths,
             "knobs leave the other fields at their defaults"
         );

@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 /// Channel-level counters for one round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
+pub(crate) struct NetStats {
     /// Messages handed to [`SimNet::send`].
     pub sent: usize,
     /// Messages delivered to a receiver (duplicates count individually).
@@ -188,7 +188,7 @@ impl PartitionWindow {
 
 /// The simulated network fabric connecting shims.
 #[derive(Debug, Clone)]
-pub struct SimNet {
+pub(crate) struct SimNet {
     faults: ChannelFaults,
     rng: StdRng,
     queue: BinaryHeap<Reverse<InFlight>>,
@@ -234,11 +234,6 @@ impl SimNet {
         self.partitions.iter().any(|p| p.cuts(t, a, b))
     }
 
-    /// The installed partition windows.
-    pub fn partitions(&self) -> &[PartitionWindow] {
-        &self.partitions
-    }
-
     /// Crash an endpoint: messages to or from it vanish silently.
     pub fn set_down(&mut self, rack: RackId) {
         self.down.insert(rack);
@@ -247,11 +242,6 @@ impl SimNet {
     /// Recover a crashed endpoint.
     pub fn set_up(&mut self, rack: RackId) {
         self.down.remove(&rack);
-    }
-
-    /// Whether an endpoint is currently crashed.
-    pub fn is_down(&self, rack: RackId) -> bool {
-        self.down.contains(&rack)
     }
 
     /// Submit a message at virtual time `now`. It is dropped, delayed,
@@ -340,24 +330,16 @@ impl SimNet {
     pub fn next_delivery(&self) -> Option<u64> {
         self.queue.peek().map(|Reverse(m)| m.deliver_at)
     }
-
-    /// Whether nothing is in flight.
-    pub fn idle(&self) -> bool {
-        self.queue.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::ReqId;
-    use dcn_topology::{HostId, VmId};
 
     fn req(seq: u32) -> ShimMsg {
-        ShimMsg::Request {
+        ShimMsg::Commit {
             req_id: ReqId::new(RackId(0), seq),
-            vm: VmId(0),
-            dest: HostId(0),
             epoch: 0,
         }
     }
@@ -377,7 +359,7 @@ mod tests {
         for (s, (_, _, msg)) in got.into_iter().enumerate() {
             assert_eq!(msg, req(s as u32), "FIFO order preserved");
         }
-        assert!(net.idle());
+        assert_eq!(net.next_delivery(), None);
         assert_eq!(net.stats.sent, 5);
         assert_eq!(net.stats.delivered, 5);
         assert_eq!(
@@ -445,7 +427,7 @@ mod tests {
         let order: Vec<u32> = got
             .iter()
             .map(|(_, _, m)| match m {
-                ShimMsg::Request { req_id, .. } => req_id.0 as u32,
+                ShimMsg::Commit { req_id, .. } => req_id.0 as u32,
                 _ => unreachable!(),
             })
             .collect();

@@ -29,18 +29,18 @@
 //! alert-check intervals ([`FabricConfig::with_alert_check`]) that fire
 //! at their own virtual times within one round.
 
+use crate::alert_mgmt::{alert_lookup, select_victims};
 use crate::audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
 };
 use crate::channel::{CrashWindow, LinkFaultWindow, PartitionWindow, SimNet};
-use crate::distributed::{plan_proposals, region_slots, reject_kind, select_victims};
 use crate::failure::{RegionFailover, ShimHealth};
 use crate::journal::TxnState;
 use crate::protocol::{
-    BackoffPolicy, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply,
+    reject_kind, BackoffPolicy, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply,
 };
 use crate::runtime::{RoundOutcome, RunCtx};
-use crate::vmmigration::{MigrationPlan, Move};
+use crate::vmmigration::{match_victims, MigrationPlan, Move};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{Alert, ChannelFaults, RackMetric};
 use dcn_topology::{HostId, RackId, VmId};
@@ -604,10 +604,7 @@ impl<'r> FabricRound<'r> {
                 .map(|r| ShimEndpoint::new(RackId::from_index(r)))
                 .collect(),
             patience: 2 * (cfg.faults.delay_max + 3) + 2,
-            transfers: cfg
-                .transfer
-                .as_ref()
-                .map(|tc| TransferScheduler::new(tc.clone())),
+            transfers: cfg.transfer.map(TransferScheduler::new),
             transfer_meta: BTreeMap::new(),
             transfer_durations: Vec::new(),
             rack_failed_transfers: 0,
@@ -665,7 +662,7 @@ impl<'r> FabricRound<'r> {
             &c.sim,
             rack,
             self.alerts,
-            self.alert_values,
+            alert_lookup(self.alert_values),
         )
     }
 
@@ -1339,9 +1336,6 @@ impl<'r> FabricRound<'r> {
                 ShimMsg::Hello { rack, .. } | ShimMsg::Heartbeat { rack, .. } => {
                     self.on_liveness(to, rack)
                 }
-                ShimMsg::Request {
-                    req_id, vm, dest, ..
-                } => self.on_request(hop, req_id, vm, dest),
                 ShimMsg::Prepare {
                     req_id,
                     vm,
@@ -1649,7 +1643,7 @@ impl<'r> FabricRound<'r> {
         // plan around it immediately instead of waiting for the liveness
         // deadline to notice
         let net = &self.net;
-        let reachable: Vec<RackId> = shim
+        let mut reachable: Vec<RackId> = shim
             .region
             .iter()
             .copied()
@@ -1667,10 +1661,16 @@ impl<'r> FabricRound<'r> {
         if reachable.len() < shim.region.len() {
             shim.degrade(self.sink);
         }
+        // destination slots: every host of the reachable racks, plus the
+        // shim's own rack
+        reachable.push(shim.rack);
         let c = &*self.cluster;
-        let slots = region_slots(&c.dcn.inventory, &reachable, shim.rack);
+        let mut slots: Vec<HostId> = Vec::new();
+        for &r in &reachable {
+            slots.extend_from_slice(c.dcn.inventory.hosts_in(r));
+        }
         let pending = std::mem::take(&mut shim.pending);
-        let (proposals, unassigned, space) = plan_proposals(
+        let (matched, space) = match_victims(
             &c.placement,
             &c.deps,
             self.metric,
@@ -1680,8 +1680,14 @@ impl<'r> FabricRound<'r> {
             &shim.excluded,
             hot_hosts,
         );
+        let mut proposals = Vec::new();
+        for (vm, assigned) in pending.into_iter().zip(matched) {
+            match assigned {
+                Some((dest, cost)) => proposals.push((vm, dest, cost)),
+                None => shim.pending.push(vm),
+            }
+        }
         shim.plan.search_space += space;
-        shim.pending = unassigned;
         emit(self.sink, || Event::PlanComputed {
             rack: shim.rack.index() as u64,
             proposals: proposals.len() as u64,
@@ -1689,21 +1695,21 @@ impl<'r> FabricRound<'r> {
             search_space: space as u64,
         });
         let epoch = self.failover.view_of(shim.rack);
-        for p in proposals {
+        for (vm, dest, cost) in proposals {
             let req_id = ReqId::new(shim.rack, shim.seq);
             shim.seq += 1;
             emit(self.sink, || Event::RequestSent {
                 req: req_id.0,
-                vm: p.vm.index() as u64,
-                dest_host: p.dest.index() as u64,
+                vm: vm.index() as u64,
+                dest_host: dest.index() as u64,
                 attempt: 1,
             });
             let lease = now + cfg.prepare_lease;
             let o = Outstanding {
-                vm: p.vm,
-                from: c.placement.host_of(p.vm),
-                dest: p.dest,
-                cost: p.cost,
+                vm,
+                from: c.placement.host_of(vm),
+                dest,
+                cost,
                 attempt: 0,
                 deadline: now + cfg.backoff.delay(0, req_id),
                 phase: TxnPhase::Preparing,
@@ -1712,12 +1718,12 @@ impl<'r> FabricRound<'r> {
             shim.outstanding.insert(req_id, o);
             let msg = ShimMsg::Prepare {
                 req_id,
-                vm: p.vm,
-                dest: p.dest,
+                vm,
+                dest,
                 lease,
                 epoch,
             };
-            let dest_rack = c.placement.rack_of_host(p.dest);
+            let dest_rack = c.placement.rack_of_host(dest);
             self.net.send(now, shim.rack, dest_rack, msg);
         }
     }
@@ -1860,22 +1866,8 @@ impl<'r> FabricRound<'r> {
         true
     }
 
-    /// A single-phase REQUEST (Alg. 4): decide it and reply.
-    fn on_request(&mut self, (from, to): (RackId, RackId), req_id: ReqId, vm: VmId, dest: HostId) {
-        let Some(ep) = self.endpoints.get_mut(to.index()) else {
-            return;
-        };
-        let hits_before = ep.dedup_hits();
-        let c = &mut *self.cluster;
-        let verdict = ep.handle_request(&mut c.placement, &c.deps, req_id, vm, dest);
-        if ep.dedup_hits() > hits_before {
-            emit(self.sink, || Event::DuplicateAbsorbed { req: req_id.0 });
-        }
-        let msg = ShimEndpoint::reply_msg(req_id, verdict, self.failover.view_of(to));
-        self.net.send(self.now, to, from, msg);
-    }
-
-    /// Phase 1: reserve the move, journal the intent, and vote.
+    /// Phase 1 (Alg. 4's REQUEST): reserve the move, journal the intent,
+    /// and vote.
     fn on_prepare(
         &mut self,
         hop: (RackId, RackId),

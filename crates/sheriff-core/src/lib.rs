@@ -4,8 +4,8 @@
 //! Scheme in Data Center Networks* (ICPP'15): the per-rack shim
 //! controllers and their management algorithms —
 //!
-//! * Alg. 1 `pre_alert_management` — the framework routine dispatching on
-//!   alert type,
+//! * Alg. 1 [`pre_alert_management`] — the framework routine dispatching
+//!   on alert type,
 //! * Alg. 2 [`priority()`] — knapsack victim selection,
 //! * Alg. 3 [`vmmigration()`] — minimum-weight-matching migration with
 //!   negotiation,
@@ -15,9 +15,12 @@
 //!
 //! together with FLOWREROUTE, the centralized-manager baseline
 //! ([`CentralizedRuntime`]), a deterministic sequential runtime
-//! ([`Sheriff`]) and the shim runtime, which negotiates every move as
-//! REQUEST/ACK/REJECT messages in virtual time ([`FabricRuntime`] behind
-//! the [`Runtime`] trait).
+//! ([`Sheriff`]) and the shim runtime, which negotiates every move with
+//! its destination as two-phase PREPARE/COMMIT messages in virtual time
+//! ([`FabricRuntime`] behind the [`Runtime`] trait). Every runtime runs
+//! the same copy of each step: Alg. 1/2 victim selection lives in
+//! [`alert_mgmt`], the Eqn. 1 matching step in [`mod@vmmigration`], and the
+//! destination's verdict in [`request`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +30,6 @@ pub mod audit;
 pub mod builder;
 pub mod centralized;
 pub mod channel;
-pub mod distributed;
 pub mod evacuation;
 pub mod fabric;
 pub mod failure;
@@ -54,7 +56,7 @@ pub use centralized::{
     centralized_migration_chunked, centralized_migration_chunked_obs, centralized_migration_obs,
     destination_tors, destination_tors_obs, kmedian_migration, kmedian_migration_obs,
 };
-pub use channel::{CrashWindow, LinkFaultWindow, NetStats, PartitionWindow, SimNet};
+pub use channel::{CrashWindow, LinkFaultWindow, PartitionWindow};
 pub use evacuation::{drain_rack, evacuate_host, try_drain_rack, try_evacuate_host};
 pub use fabric::FabricConfig;
 pub use failure::{FailureDetector, RegionFailover, ShimHealth};
@@ -66,14 +68,11 @@ pub use kmedian::{
 pub use matching::{min_cost_assignment, min_cost_assignment_padded};
 pub use metrics::{RatioPoint, Series, Totals};
 pub use priority::{priority, Budget};
-pub use protocol::{
-    BackoffPolicy, DedupLog, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply,
-    Verdict,
-};
-pub use request::{request_migration, RequestOutcome};
+pub use protocol::{BackoffPolicy, RejectReason, ReqId, ShimMsg, TwoPhaseReply};
+pub use request::request_migration;
 pub use reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
 pub use runtime::{CentralizedRuntime, FabricRuntime, RoundOutcome, RunCtx, Runtime};
-pub use sheriff_transfer::{RouteStrategy, TransferConfig, TransferScheduler};
+pub use sheriff_transfer::{TransferConfig, TransferScheduler};
 pub use shim::{RoundReport, Sheriff};
 pub use strategy::{run_policy, AlertPolicy, StrategyOutcome};
 pub use system::{StepReport, System};

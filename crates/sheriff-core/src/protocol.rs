@@ -11,8 +11,9 @@
 //! matching instead of waiting on them forever.
 
 use crate::journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnState};
-use crate::request::{request_migration, RequestOutcome};
+use crate::request::request_migration;
 use dcn_topology::{DependencyGraph, HostId, Placement, RackId, VmId};
+use sheriff_obs::RejectKind;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -59,30 +60,14 @@ pub enum RejectReason {
     StaleEpoch,
 }
 
-/// A destination's verdict on one REQUEST — what the dedup log replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Migration committed.
-    Ack,
-    /// Migration refused.
-    Reject(RejectReason),
-}
-
-impl Verdict {
-    /// Whether the request was accepted.
-    pub fn is_ack(self) -> bool {
-        matches!(self, Verdict::Ack)
-    }
-}
-
-impl From<RequestOutcome> for Verdict {
-    fn from(o: RequestOutcome) -> Self {
-        match o {
-            RequestOutcome::Ack => Verdict::Ack,
-            RequestOutcome::RejectCapacity => Verdict::Reject(RejectReason::Capacity),
-            RequestOutcome::RejectConflict => Verdict::Reject(RejectReason::Conflict),
-            RequestOutcome::RejectNoop => Verdict::Reject(RejectReason::Noop),
-        }
+/// Map a REJECT payload to its observability label.
+pub(crate) fn reject_kind(reason: RejectReason) -> RejectKind {
+    match reason {
+        RejectReason::Capacity => RejectKind::Capacity,
+        RejectReason::Conflict => RejectKind::Conflict,
+        RejectReason::Noop => RejectKind::Noop,
+        RejectReason::Expired => RejectKind::Expired,
+        RejectReason::StaleEpoch => RejectKind::Stale,
     }
 }
 
@@ -111,18 +96,6 @@ pub enum ShimMsg {
         /// The beating shim's view of its own rack's epoch.
         epoch: u64,
     },
-    /// Ask the destination's delegation node to accept a migration
-    /// (Alg. 4). Retransmissions reuse the same `req_id`.
-    Request {
-        /// Request id (stable across retransmissions).
-        req_id: ReqId,
-        /// The VM to migrate.
-        vm: VmId,
-        /// The host it should land on.
-        dest: HostId,
-        /// The sender's view of its own rack's epoch.
-        epoch: u64,
-    },
     /// The destination committed the migration.
     Ack {
         /// Id of the accepted request.
@@ -140,9 +113,9 @@ pub enum ShimMsg {
         /// rack's *current* epoch, which the fenced sender must adopt.
         epoch: u64,
     },
-    /// Phase 1 of a crash-consistent migration: ask the destination to
-    /// reserve the move and journal the intent. Supersedes `Request` for
-    /// the fabric runtime; retransmissions reuse the same `req_id`.
+    /// Phase 1 of a crash-consistent migration (Alg. 4's REQUEST): ask
+    /// the destination to reserve the move and journal the intent.
+    /// Retransmissions reuse the same `req_id`.
     Prepare {
         /// Transaction id (stable across retransmissions).
         req_id: ReqId,
@@ -184,7 +157,6 @@ impl ShimMsg {
         match self {
             ShimMsg::Hello { epoch, .. }
             | ShimMsg::Heartbeat { epoch, .. }
-            | ShimMsg::Request { epoch, .. }
             | ShimMsg::Ack { epoch, .. }
             | ShimMsg::Reject { epoch, .. }
             | ShimMsg::Prepare { epoch, .. }
@@ -253,19 +225,20 @@ impl BackoffPolicy {
     }
 }
 
-/// Replay log making the destination commit idempotent: the first
-/// decision for a `req_id` is recorded and every later copy of that
-/// request — retransmission or channel duplicate — gets the recorded
-/// verdict back without touching the placement again.
+/// Replay log for refused transactions: the first refusal of a
+/// `req_id` is recorded and every later copy of that PREPARE —
+/// retransmission or channel duplicate — gets the same REJECT back
+/// without running Alg. 4 again. (Accepted transactions replay from the
+/// intent journal instead.)
 #[derive(Debug, Clone, Default)]
-pub struct DedupLog {
-    seen: HashMap<ReqId, Verdict>,
+pub(crate) struct DedupLog {
+    seen: HashMap<ReqId, RejectReason>,
     hits: usize,
 }
 
 impl DedupLog {
-    /// Look up a previously decided request, counting a hit if found.
-    pub fn replay(&mut self, id: ReqId) -> Option<Verdict> {
+    /// Look up a previously refused transaction, counting a hit if found.
+    pub fn replay(&mut self, id: ReqId) -> Option<RejectReason> {
         let v = self.seen.get(&id).copied();
         if v.is_some() {
             self.hits += 1;
@@ -273,12 +246,12 @@ impl DedupLog {
         v
     }
 
-    /// Record the verdict for a fresh request.
-    pub fn record(&mut self, id: ReqId, verdict: Verdict) {
-        self.seen.insert(id, verdict);
+    /// Record the refusal of a fresh transaction.
+    pub fn record(&mut self, id: ReqId, reason: RejectReason) {
+        self.seen.insert(id, reason);
     }
 
-    /// How many duplicate requests were absorbed.
+    /// How many duplicate messages were absorbed.
     pub fn hits(&self) -> usize {
         self.hits
     }
@@ -288,23 +261,14 @@ impl DedupLog {
     pub fn note_hit(&mut self) {
         self.hits += 1;
     }
-
-    /// Number of distinct requests decided.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Whether no request has been decided yet.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
 }
 
-/// A rack's delegation node: the destination side of Alg. 4, hardened
-/// with the dedup log so it is safe to call once per *delivered copy* of
-/// a REQUEST rather than once per request.
+/// A rack's delegation node: the destination side of Alg. 4 as two-phase
+/// commit, hardened with the dedup log and the intent journal so it is
+/// safe to call once per *delivered copy* of a message rather than once
+/// per transaction.
 #[derive(Debug, Clone)]
-pub struct ShimEndpoint {
+pub(crate) struct ShimEndpoint {
     /// The rack this endpoint speaks for.
     pub rack: RackId,
     dedup: DedupLog,
@@ -319,25 +283,6 @@ impl ShimEndpoint {
             dedup: DedupLog::default(),
             journal: IntentJournal::new(),
         }
-    }
-
-    /// Decide one delivered REQUEST copy against the authoritative
-    /// placement. First delivery runs Alg. 4 and commits on ACK; every
-    /// later delivery of the same `req_id` replays the recorded verdict.
-    pub fn handle_request(
-        &mut self,
-        placement: &mut Placement,
-        deps: &DependencyGraph,
-        req_id: ReqId,
-        vm: VmId,
-        dest: HostId,
-    ) -> Verdict {
-        if let Some(v) = self.dedup.replay(req_id) {
-            return v;
-        }
-        let verdict = Verdict::from(request_migration(placement, deps, vm, dest));
-        self.dedup.record(req_id, verdict);
-        verdict
     }
 
     /// Decide one delivered PREPARE copy. A fresh prepare runs Alg. 4,
@@ -368,20 +313,17 @@ impl ShimEndpoint {
             Some(TxnState::Aborted) => return TwoPhaseReply::Reject(RejectReason::Expired),
             None => {}
         }
-        if let Some(v) = self.dedup.replay(req_id) {
-            return match v {
-                Verdict::Ack => TwoPhaseReply::Ack,
-                Verdict::Reject(reason) => TwoPhaseReply::Reject(reason),
-            };
+        if let Some(reason) = self.dedup.replay(req_id) {
+            return TwoPhaseReply::Reject(reason);
         }
         let src = placement.host_of(vm);
-        match Verdict::from(request_migration(placement, deps, vm, dest)) {
-            Verdict::Ack => {
+        match request_migration(placement, deps, vm, dest) {
+            Ok(()) => {
                 self.journal.prepare(req_id, vm, src, dest, lease, epoch);
                 TwoPhaseReply::PrepareOk
             }
-            Verdict::Reject(reason) => {
-                self.dedup.record(req_id, Verdict::Reject(reason));
+            Err(reason) => {
+                self.dedup.record(req_id, reason);
                 TwoPhaseReply::Reject(reason)
             }
         }
@@ -431,8 +373,7 @@ impl ShimEndpoint {
             Some(_) => None,
             None => {
                 if self.dedup.replay(req_id).is_none() {
-                    self.dedup
-                        .record(req_id, Verdict::Reject(RejectReason::Expired));
+                    self.dedup.record(req_id, RejectReason::Expired);
                 }
                 None
             }
@@ -450,21 +391,11 @@ impl ShimEndpoint {
     }
 
     /// Replay the journal after a crash: re-ACKs to send, orphaned
-    /// prepares aborted, in-lease prepares kept.
-    pub fn recover(
-        &mut self,
-        placement: &mut Placement,
-        deps: &DependencyGraph,
-        now: u64,
-    ) -> RecoveryReport {
-        self.journal.recover(placement, deps, now)
-    }
-
-    /// Epoch-aware crash recovery: like [`ShimEndpoint::recover`], but
-    /// prepares journalled under an epoch older than their source rack's
-    /// current epoch are aborted even when their lease is still live —
-    /// the source was taken over, so its COMMIT will never legitimately
-    /// arrive. Rollback when possible, commit-forward otherwise.
+    /// prepares aborted, in-lease prepares kept — and prepares journalled
+    /// under an epoch older than their source rack's current epoch
+    /// aborted even when their lease is still live, since the source was
+    /// taken over and its COMMIT will never legitimately arrive. Rollback
+    /// when possible, commit-forward otherwise.
     pub fn recover_fenced(
         &mut self,
         placement: &mut Placement,
@@ -497,19 +428,6 @@ impl ShimEndpoint {
         self.journal.next_lease()
     }
 
-    /// Build the reply message for a verdict, stamped with the replying
-    /// shim's epoch.
-    pub fn reply_msg(req_id: ReqId, verdict: Verdict, epoch: u64) -> ShimMsg {
-        match verdict {
-            Verdict::Ack => ShimMsg::Ack { req_id, epoch },
-            Verdict::Reject(reason) => ShimMsg::Reject {
-                req_id,
-                reason,
-                epoch,
-            },
-        }
-    }
-
     /// Build the reply message for a 2PC reply, stamped with the replying
     /// shim's epoch.
     pub fn reply_2pc_msg(req_id: ReqId, reply: TwoPhaseReply, epoch: u64) -> ShimMsg {
@@ -535,7 +453,7 @@ impl ShimEndpoint {
 /// from within `deadline` ticks; crashed shims simply fall silent and age
 /// out, after which the matching excludes their hosts.
 #[derive(Debug, Clone)]
-pub struct Liveness {
+pub(crate) struct Liveness {
     last_seen: HashMap<RackId, u64>,
     /// Maximum silence before a rack is presumed dead.
     pub deadline: u64,
@@ -597,35 +515,6 @@ mod tests {
         assert_eq!(id.source(), RackId(7));
         assert_ne!(ReqId::new(RackId(7), 43), id);
         assert_ne!(ReqId::new(RackId(8), 42), id);
-    }
-
-    #[test]
-    fn duplicate_request_replays_without_double_commit() {
-        let (mut p, deps) = small();
-        let mut ep = ShimEndpoint::new(RackId(0));
-        let id = ReqId::new(RackId(0), 0);
-        let v1 = ep.handle_request(&mut p, &deps, id, VmId(0), HostId(1));
-        assert_eq!(v1, Verdict::Ack);
-        assert_eq!(p.host_of(VmId(0)), HostId(1));
-        // a second copy of the same request must not re-run Alg. 4 (which
-        // would now see a no-op and REJECT, confusing the source)
-        let v2 = ep.handle_request(&mut p, &deps, id, VmId(0), HostId(1));
-        assert_eq!(v2, Verdict::Ack);
-        assert_eq!(ep.dedup_hits(), 1);
-        assert_eq!(p.host_of(VmId(0)), HostId(1));
-    }
-
-    #[test]
-    fn fresh_request_after_commit_gets_noop_reject() {
-        let (mut p, deps) = small();
-        let mut ep = ShimEndpoint::new(RackId(0));
-        assert!(ep
-            .handle_request(&mut p, &deps, ReqId::new(RackId(0), 0), VmId(0), HostId(1))
-            .is_ack());
-        // a *different* request id for the same move is a new decision
-        let v = ep.handle_request(&mut p, &deps, ReqId::new(RackId(0), 1), VmId(0), HostId(1));
-        assert_eq!(v, Verdict::Reject(RejectReason::Noop));
-        assert_eq!(ep.dedup_hits(), 0);
     }
 
     #[test]
@@ -748,12 +637,6 @@ mod tests {
             ShimMsg::Heartbeat {
                 rack: RackId(0),
                 tick: 5,
-                epoch: 3,
-            },
-            ShimMsg::Request {
-                req_id: id,
-                vm: VmId(0),
-                dest: HostId(0),
                 epoch: 3,
             },
             ShimMsg::Ack {

@@ -6,46 +6,27 @@
 //! then commits the reservation and replies ACK; otherwise it replies
 //! REJECT and the source shim must recalculate.
 
+use crate::protocol::RejectReason;
 use dcn_topology::{DependencyGraph, HostId, Placement, PlacementError, VmId};
-use serde::{Deserialize, Serialize};
 
-/// The destination shim's reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RequestOutcome {
-    /// Accepted; the VM has been moved and capacity committed.
-    Ack,
-    /// Rejected: the host no longer has enough free capacity.
-    RejectCapacity,
-    /// Rejected: a dependent VM occupies the host (χ constraint, Eqn. 7).
-    RejectConflict,
-    /// Rejected: the VM is already on that host (no-op request).
-    RejectNoop,
-}
-
-impl RequestOutcome {
-    /// Whether the request succeeded.
-    pub fn is_ack(self) -> bool {
-        self == RequestOutcome::Ack
-    }
-}
-
-/// Process one migration REQUEST against the authoritative placement.
-/// FCFS ordering is the caller's responsibility (sequential runtime:
-/// iteration order; distributed runtime: per-rack agent channel order).
+/// Process one migration REQUEST against the authoritative placement:
+/// `Ok` is the ACK (the VM has moved and its capacity is committed),
+/// `Err` the REJECT with its reason. FCFS ordering is the caller's
+/// responsibility (the sequential planner's iteration order, or the
+/// fabric's per-rack delivery order).
 pub fn request_migration(
     placement: &mut Placement,
     deps: &DependencyGraph,
     vm: VmId,
     dest: HostId,
-) -> RequestOutcome {
+) -> Result<(), RejectReason> {
     if deps.conflicts_on_host(vm, dest, placement) {
-        return RequestOutcome::RejectConflict;
+        return Err(RejectReason::Conflict);
     }
-    match placement.migrate(vm, dest) {
-        Ok(()) => RequestOutcome::Ack,
-        Err(PlacementError::CapacityExceeded { .. }) => RequestOutcome::RejectCapacity,
-        Err(PlacementError::AlreadyPlaced { .. }) => RequestOutcome::RejectNoop,
-    }
+    placement.migrate(vm, dest).map_err(|e| match e {
+        PlacementError::CapacityExceeded { .. } => RejectReason::Capacity,
+        PlacementError::AlreadyPlaced { .. } => RejectReason::Noop,
+    })
 }
 
 #[cfg(test)]
@@ -85,7 +66,7 @@ mod tests {
         let vm = VmId(0);
         let out = request_migration(&mut p, &deps, vm, HostId(1));
         // host 1 has 10-6=4 free < 6 -> capacity reject
-        assert_eq!(out, RequestOutcome::RejectCapacity);
+        assert_eq!(out, Err(RejectReason::Capacity));
         assert_eq!(p.host_of(vm), HostId(0));
     }
 
@@ -94,14 +75,14 @@ mod tests {
         let (mut p, mut deps) = setup();
         deps.add_dependency(VmId(0), VmId(1));
         let out = request_migration(&mut p, &deps, VmId(0), HostId(1));
-        assert_eq!(out, RequestOutcome::RejectConflict);
+        assert_eq!(out, Err(RejectReason::Conflict));
     }
 
     #[test]
     fn noop_request_rejected() {
         let (mut p, deps) = setup();
         let out = request_migration(&mut p, &deps, VmId(0), HostId(0));
-        assert_eq!(out, RequestOutcome::RejectNoop);
+        assert_eq!(out, Err(RejectReason::Noop));
     }
 
     #[test]
@@ -120,10 +101,10 @@ mod tests {
         }
         let deps = DependencyGraph::new(2);
         // both VMs request host 2; only the first fits
-        assert!(request_migration(&mut p, &deps, VmId(0), HostId(2)).is_ack());
+        assert!(request_migration(&mut p, &deps, VmId(0), HostId(2)).is_ok());
         assert_eq!(
             request_migration(&mut p, &deps, VmId(1), HostId(2)),
-            RequestOutcome::RejectCapacity
+            Err(RejectReason::Capacity)
         );
         assert_eq!(p.host_of(VmId(0)), HostId(2));
         assert_eq!(p.host_of(VmId(1)), HostId(1));

@@ -9,9 +9,9 @@
 //! matching on names, and both report through the same [`RoundOutcome`]
 //! and the same [`EventSink`].
 
+use crate::alert_mgmt::{alert_lookup, select_victims};
 use crate::audit::{audit_moves, audit_placement, AuditReport};
 use crate::centralized::centralized_migration_obs;
-use crate::distributed::select_victims;
 use crate::fabric::{run_round, FabricConfig};
 use crate::failure::RegionFailover;
 use crate::vmmigration::{MigrationContext, MigrationPlan};
@@ -152,7 +152,7 @@ impl Runtime for CentralizedRuntime {
                 &ctx.cluster.sim,
                 rack,
                 ctx.alerts,
-                ctx.alert_values,
+                alert_lookup(ctx.alert_values),
             );
             emit(&mut *ctx.sink, || Event::VictimsSelected {
                 rack: rack.index() as u64,

@@ -3,11 +3,12 @@
 //! shim (Alg. 4), recalculating for rejected VMs.
 
 use crate::matching::{min_cost_assignment_padded, FORBIDDEN};
-use crate::request::{request_migration, RequestOutcome};
+use crate::protocol::reject_kind;
+use crate::request::request_migration;
 use dcn_sim::{RackMetric, SimConfig};
 use dcn_topology::{DependencyGraph, HostId, Placement, RackId, VmId};
 use serde::{Deserialize, Serialize};
-use sheriff_obs::{emit, Event, EventSink, NullSink, RejectKind};
+use sheriff_obs::{emit, Event, EventSink, NullSink};
 use std::collections::{BTreeSet, HashSet};
 
 /// One committed migration.
@@ -190,56 +191,7 @@ pub fn vmmigration_scoped_obs<S: EventSink + ?Sized>(
     include_own_racks: bool,
     sink: &mut S,
 ) -> MigrationPlan {
-    vmmigration_in_flight_obs(
-        ctx,
-        candidates,
-        target_racks,
-        max_rounds,
-        include_own_racks,
-        &BTreeSet::new(),
-        sink,
-    )
-}
-
-/// [`vmmigration_scoped_obs`] with an in-flight guard: VMs whose
-/// pre-copy is currently streaming are excluded from re-planning in
-/// this window, on both sides of the matching.
-///
-/// Eqn. 1 prices each move independently; that only holds across
-/// *distinct* moves. A VM mid-transfer is already being moved, so
-/// re-selecting it as a source would double-count the same migration,
-/// and — because PREPARE reserves the VM at its destination, so
-/// `host_of` points there while the stream is in flight — the host
-/// absorbing its pre-copy must take no additional arrivals either.
-/// With `in_flight` empty this is exactly [`vmmigration_scoped_obs`].
-pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    target_racks: &[RackId],
-    max_rounds: usize,
-    include_own_racks: bool,
-    in_flight: &BTreeSet<VmId>,
-    sink: &mut S,
-) -> MigrationPlan {
-    // source guard: drop candidates already mid-transfer
-    let mut skipped = 0u64;
-    let mut pending: Vec<VmId> = Vec::with_capacity(candidates.len());
-    for &vm in candidates {
-        if in_flight.contains(&vm) {
-            skipped += 1;
-        } else {
-            pending.push(vm);
-        }
-    }
-    if skipped > 0 {
-        sink.counter("migrations.in_flight_skipped", skipped);
-    }
-    // destination guard: hosts currently absorbing a pre-copy
-    let hot_hosts: BTreeSet<HostId> = in_flight
-        .iter()
-        .filter(|vm| vm.index() < ctx.placement.vm_count())
-        .map(|&vm| ctx.placement.host_of(vm))
-        .collect();
+    let mut pending = candidates.to_vec();
     let home_rack = pending
         .first()
         .map(|&vm| ctx.placement.rack_of(vm).index() as u64);
@@ -272,56 +224,26 @@ pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
             break;
         }
 
-        plan.search_space += pending.len() * slot_hosts.len();
-
-        // Two matrices: `base` is the literal Eqn. 1 cost (what the plan
-        // reports), `adjusted` adds the load-aware tie-break that steers
-        // the matching toward under-utilised hosts (the balancing
-        // objective behind constraint (10)).
-        let mut base = vec![vec![FORBIDDEN; slot_hosts.len()]; pending.len()];
-        let mut adjusted = vec![vec![FORBIDDEN; slot_hosts.len()]; pending.len()];
-        for (i, &vm) in pending.iter().enumerate() {
-            let spec = ctx.placement.spec(vm);
-            let from_host = ctx.placement.host_of(vm);
-            let from_rack = ctx.placement.rack_of(vm);
-            for (j, &host) in slot_hosts.iter().enumerate() {
-                if host == from_host
-                    || hot_hosts.contains(&host)
-                    || excluded.contains(&(vm, host))
-                    || ctx.placement.free_capacity(host) < spec.capacity
-                    || ctx.deps.conflicts_on_host(vm, host, ctx.placement)
-                {
-                    continue;
-                }
-                let to_rack = ctx.placement.rack_of_host(host);
-                if !ctx.metric.reachable(from_rack, to_rack) {
-                    continue;
-                }
-                let chi = ctx.deps.chi(vm, to_rack, ctx.placement);
-                let c = ctx
-                    .metric
-                    .migration_cost(ctx.sim, spec.capacity, from_rack, to_rack, chi);
-                let post_util = (ctx.placement.used_capacity(host) + spec.capacity)
-                    / ctx.placement.host_capacity(host);
-                base[i][j] = c;
-                adjusted[i][j] = c + ctx.sim.load_balance_weight * post_util;
-            }
-        }
-
-        let (assignment, _) = min_cost_assignment_padded(&adjusted);
-        let cost = base;
+        let (matched, space) = match_victims(
+            ctx.placement,
+            ctx.deps,
+            ctx.metric,
+            ctx.sim,
+            &pending,
+            &slot_hosts,
+            &excluded,
+            &BTreeSet::new(),
+        );
+        plan.search_space += space;
 
         let mut next_pending = Vec::new();
         let mut any_progress = false;
-        for (i, assigned) in assignment.into_iter().enumerate() {
-            let vm = pending[i];
-            let Some(j) = assigned else {
+        for (vm, assigned) in pending.into_iter().zip(matched) {
+            let Some((host, move_cost)) = assigned else {
                 next_pending.push(vm);
                 continue;
             };
-            let host = slot_hosts[j];
             let from = ctx.placement.host_of(vm);
-            let move_cost = cost[i][j];
             req_seq += 1;
             let req = (ctx.placement.rack_of(vm).index() as u64) << 32 | req_seq;
             emit(sink, || Event::RequestSent {
@@ -331,7 +253,7 @@ pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
                 attempt: 1,
             });
             match request_migration(ctx.placement, ctx.deps, vm, host) {
-                RequestOutcome::Ack => {
+                Ok(()) => {
                     emit(sink, || Event::AckReceived {
                         req,
                         vm: vm.index() as u64,
@@ -352,15 +274,11 @@ pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
                     plan.total_cost += move_cost;
                     any_progress = true;
                 }
-                verdict => {
+                Err(reason) => {
                     emit(sink, || Event::RejectReceived {
                         req,
                         vm: vm.index() as u64,
-                        reason: match verdict {
-                            RequestOutcome::RejectConflict => RejectKind::Conflict,
-                            RequestOutcome::RejectNoop => RejectKind::Noop,
-                            _ => RejectKind::Capacity,
-                        },
+                        reason: reject_kind(reason),
                     });
                     sink.counter("migrations.rejected", 1);
                     plan.rejected += 1;
@@ -384,6 +302,69 @@ pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
         });
     }
     plan
+}
+
+/// Alg. 3's matching step on the current placement. Prices every
+/// (victim, slot) pair under Eqn. 1 — FORBIDDEN where the slot is the
+/// VM's own host, is `banned`, was `excluded` for that VM, lacks Eqn. 8
+/// capacity, conflicts under χ, or is unreachable under `B_t` — adds the
+/// load-aware tie-break that steers the matching toward under-utilised
+/// hosts (the balancing objective behind constraint (10)), and solves
+/// minimum-weight matching. Returns each victim's `(host, Eqn. 1 cost)`
+/// in input order (`None` where it got no slot), and the search space
+/// explored — every (victim, slot) pair, forbidden ones included (the
+/// paper's "searching space" of Fig. 12/14).
+///
+/// `banned` hosts are absorbing an in-flight pre-copy: they take no
+/// additional arrivals this window, or the independent-cost assumption
+/// of Eqn. 1 would double-count them.
+#[allow(clippy::too_many_arguments)] // the cluster state + the round's constraints
+pub(crate) fn match_victims(
+    placement: &Placement,
+    deps: &DependencyGraph,
+    metric: &RackMetric,
+    sim: &SimConfig,
+    pending: &[VmId],
+    slots: &[HostId],
+    excluded: &[(VmId, HostId)],
+    banned: &BTreeSet<HostId>,
+) -> (Vec<Option<(HostId, f64)>>, usize) {
+    // `cost` is the literal Eqn. 1 cost (what a plan reports), `adjusted`
+    // adds the tie-break the matching minimises
+    let mut cost = vec![vec![FORBIDDEN; slots.len()]; pending.len()];
+    let mut adjusted = vec![vec![FORBIDDEN; slots.len()]; pending.len()];
+    for (i, &vm) in pending.iter().enumerate() {
+        let spec = placement.spec(vm);
+        let from_host = placement.host_of(vm);
+        let from_rack = placement.rack_of(vm);
+        for (j, &host) in slots.iter().enumerate() {
+            if host == from_host
+                || banned.contains(&host)
+                || excluded.contains(&(vm, host))
+                || placement.free_capacity(host) < spec.capacity
+                || deps.conflicts_on_host(vm, host, placement)
+            {
+                continue;
+            }
+            let to_rack = placement.rack_of_host(host);
+            if !metric.reachable(from_rack, to_rack) {
+                continue;
+            }
+            let chi = deps.chi(vm, to_rack, placement);
+            let c = metric.migration_cost(sim, spec.capacity, from_rack, to_rack, chi);
+            let post_util =
+                (placement.used_capacity(host) + spec.capacity) / placement.host_capacity(host);
+            cost[i][j] = c;
+            adjusted[i][j] = c + sim.load_balance_weight * post_util;
+        }
+    }
+    let (assignment, _) = min_cost_assignment_padded(&adjusted);
+    let matched = assignment
+        .into_iter()
+        .zip(cost)
+        .map(|(assigned, row)| assigned.and_then(|j| Some((*slots.get(j)?, *row.get(j)?))))
+        .collect();
+    (matched, pending.len() * slots.len())
 }
 
 #[cfg(test)]
@@ -560,97 +541,45 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_vms_are_neither_source_nor_destination() {
-        let mut c = cluster();
+    fn banned_hosts_take_no_victims_and_keep_the_search_space() {
+        let c = cluster();
         let metric = RackMetric::build(&c.dcn, &c.sim);
-        let candidates: Vec<VmId> = c.placement.vm_ids().take(4).collect();
-        let rack = c.placement.rack_of(candidates[0]);
-        let region = c.dcn.neighbor_racks(rack, 4);
-        // the first candidate's pre-copy is mid-stream: its reserved
-        // destination is wherever the placement says it lives right now
-        let streaming = candidates[0];
-        let reserved_dest = c.placement.host_of(streaming);
-        let in_flight: BTreeSet<VmId> = [streaming].into_iter().collect();
-        let plan = {
-            let mut ctx = MigrationContext {
-                placement: &mut c.placement,
-                inventory: &c.dcn.inventory,
-                deps: &c.deps,
-                metric: &metric,
-                sim: &c.sim,
-            };
-            vmmigration_in_flight_obs(
-                &mut ctx,
-                &candidates,
-                &region,
-                5,
-                true,
-                &in_flight,
-                &mut NullSink,
+        let pending: Vec<VmId> = c.placement.vm_ids().take(4).collect();
+        let rack = c.placement.rack_of(pending[0]);
+        let mut racks = c.dcn.neighbor_racks(rack, 4);
+        racks.push(rack);
+        let slots: Vec<HostId> = racks
+            .iter()
+            .flat_map(|&r| c.dcn.inventory.hosts_in(r).iter().copied())
+            .collect();
+        let run = |banned: &BTreeSet<HostId>| {
+            match_victims(
+                &c.placement,
+                &c.deps,
+                &metric,
+                &c.sim,
+                &pending,
+                &slots,
+                &[],
+                banned,
             )
         };
-        assert!(!plan.moves.is_empty(), "remaining candidates must move");
-        for m in &plan.moves {
-            assert_ne!(m.vm, streaming, "in-flight VM re-planned as source");
-            assert_ne!(
-                m.to, reserved_dest,
-                "arrival scheduled onto a host mid-pre-copy"
-            );
-        }
-        assert_eq!(
-            c.placement.host_of(streaming),
-            reserved_dest,
-            "in-flight VM must not be moved by the planner"
+        let (free, space) = run(&BTreeSet::new());
+        // ban every host the unconstrained matching picked
+        let banned: BTreeSet<HostId> = free.iter().flatten().map(|&(h, _)| h).collect();
+        assert!(!banned.is_empty(), "nothing matched without a ban");
+        let (guarded, guarded_space) = run(&banned);
+        assert_eq!(guarded.len(), pending.len(), "one entry per victim");
+        assert!(
+            guarded.iter().flatten().all(|(h, _)| !banned.contains(h)),
+            "a victim landed on a banned host: {guarded:?}"
         );
         assert!(
-            !plan.unplaced.contains(&streaming),
-            "a guarded VM is managed elsewhere, not unplaced"
+            guarded.iter().any(Option::is_some),
+            "the rest of the region still takes victims"
         );
-    }
-
-    #[test]
-    fn empty_in_flight_set_matches_unguarded_plan() {
-        let mut a = cluster();
-        let mut b = cluster();
-        let metric_a = RackMetric::build(&a.dcn, &a.sim);
-        let metric_b = RackMetric::build(&b.dcn, &b.sim);
-        let candidates: Vec<VmId> = a.placement.vm_ids().take(3).collect();
-        let rack = a.placement.rack_of(candidates[0]);
-        let region = a.dcn.neighbor_racks(rack, 4);
-        let guarded = {
-            let mut ctx = MigrationContext {
-                placement: &mut a.placement,
-                inventory: &a.dcn.inventory,
-                deps: &a.deps,
-                metric: &metric_a,
-                sim: &a.sim,
-            };
-            vmmigration_in_flight_obs(
-                &mut ctx,
-                &candidates,
-                &region,
-                5,
-                true,
-                &BTreeSet::new(),
-                &mut NullSink,
-            )
-        };
-        let plain = {
-            let mut ctx = MigrationContext {
-                placement: &mut b.placement,
-                inventory: &b.dcn.inventory,
-                deps: &b.deps,
-                metric: &metric_b,
-                sim: &b.sim,
-            };
-            vmmigration_scoped(&mut ctx, &candidates, &region, 5, true)
-        };
-        assert_eq!(guarded.moves.len(), plain.moves.len());
-        for (g, p) in guarded.moves.iter().zip(plain.moves.iter()) {
-            assert_eq!((g.vm, g.from, g.to), (p.vm, p.from, p.to));
-            assert!((g.cost - p.cost).abs() < 1e-12);
-        }
-        assert_eq!(guarded.search_space, plain.search_space);
+        assert_eq!(guarded_space, space, "banned slots are still explored");
+        assert_eq!(space, pending.len() * slots.len());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use report::{aggregate, ScenarioReport, Stat};
 pub use runner::{RoundStat, ScenarioRunner, SeedRun, TallySink};
 pub use spec::{
     ChannelPhase, FaultAction, FaultEvent, PredictorKind, RuntimeSpec, ScenarioSpec, SurgeSpec,
-    TopologySpec, TransferModelSpec, WorkloadSpec,
+    TopologySpec, WorkloadSpec,
 };
 pub use value::Value;
 

@@ -179,7 +179,7 @@ impl Loop {
                 let mut cfg = FabricConfig::for_channel(sim.channel.clone(), seed);
                 cfg.max_retry = max_retry;
                 if let Some(ts) = transfer {
-                    cfg = cfg.with_transfer(ts.to_config());
+                    cfg = cfg.with_transfer(ts);
                 }
                 Loop::Fabric(FabricRuntime::with_config(cfg))
             }

@@ -16,6 +16,7 @@ use dcn_topology::dcell::{self, DCellConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
 use dcn_topology::vl2::{self, Vl2Config};
 use dcn_topology::Dcn;
+use sheriff_transfer::TransferConfig;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -198,68 +199,8 @@ pub enum RuntimeSpec {
         /// Optional migration transfer model (pre-copies stream over
         /// the core at finite bandwidth instead of committing
         /// instantly).
-        transfer: Option<TransferModelSpec>,
+        transfer: Option<TransferConfig>,
     },
-}
-
-/// Migration transfer-model knobs for the fabric runtime — a `Copy`
-/// mirror of [`sheriff_transfer::TransferConfig`] so [`RuntimeSpec`]
-/// stays a plain value type.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferModelSpec {
-    /// Per-link migration bandwidth (capacity units per virtual tick).
-    pub bandwidth: f64,
-    /// Fabric-wide concurrent pre-copy cap (0 = unlimited).
-    pub max_concurrent: usize,
-    /// Route selection under QCN congestion feedback.
-    pub route_strategy: sheriff_transfer::RouteStrategy,
-    /// QCN severity above which the primary path is abandoned.
-    pub reroute_threshold: f64,
-    /// Bytes streamed per unit of VM capacity.
-    pub bytes_per_capacity: f64,
-    /// k-shortest-path candidates per transfer.
-    pub k_paths: usize,
-    /// Fraction of copied bytes re-dirtied when a stream resumes or
-    /// re-routes after a link failure (0 = perfect checkpoint).
-    pub dirty_rate: f64,
-    /// Base of the stalled-stream retry backoff in ticks.
-    pub stall_budget: u64,
-    /// Retry attempts a stalled stream gets before it aborts.
-    pub max_attempts: u32,
-}
-
-impl Default for TransferModelSpec {
-    fn default() -> Self {
-        let d = sheriff_transfer::TransferConfig::default();
-        Self {
-            bandwidth: d.link_bandwidth,
-            max_concurrent: d.max_concurrent,
-            route_strategy: d.route_strategy,
-            reroute_threshold: d.reroute_threshold,
-            bytes_per_capacity: d.bytes_per_capacity,
-            k_paths: d.k_paths,
-            dirty_rate: d.dirty_rate,
-            stall_budget: d.stall_budget,
-            max_attempts: d.max_attempts,
-        }
-    }
-}
-
-impl TransferModelSpec {
-    /// The scheduler config these knobs describe.
-    pub fn to_config(self) -> sheriff_transfer::TransferConfig {
-        sheriff_transfer::TransferConfig {
-            link_bandwidth: self.bandwidth,
-            max_concurrent: self.max_concurrent,
-            route_strategy: self.route_strategy,
-            reroute_threshold: self.reroute_threshold,
-            bytes_per_capacity: self.bytes_per_capacity,
-            k_paths: self.k_paths,
-            dirty_rate: self.dirty_rate,
-            stall_budget: self.stall_budget,
-            max_attempts: self.max_attempts,
-        }
-    }
 }
 
 impl Default for RuntimeSpec {
@@ -722,7 +663,6 @@ fn parse_runtime(v: &Value) -> Result<RuntimeSpec, SheriffError> {
                     "max_retry",
                     "transfer_bandwidth",
                     "transfer_max_concurrent",
-                    "transfer_route_strategy",
                     "transfer_reroute_threshold",
                     "transfer_bytes_per_capacity",
                     "transfer_k_paths",
@@ -748,33 +688,22 @@ fn parse_runtime(v: &Value) -> Result<RuntimeSpec, SheriffError> {
 /// defaults.
 fn parse_transfer_model(
     t: &BTreeMap<String, Value>,
-) -> Result<Option<TransferModelSpec>, SheriffError> {
+) -> Result<Option<TransferConfig>, SheriffError> {
     let any = t.keys().any(|k| k.starts_with("transfer_"));
     if !any {
         return Ok(None);
     }
-    let mut spec = TransferModelSpec::default();
+    let mut spec = TransferConfig::default();
     if let Some(bw) = get_f64(t, "transfer_bandwidth", "runtime")? {
         if bw.is_nan() || bw <= 0.0 {
             return Err(invalid(format!(
                 "runtime.transfer_bandwidth must be positive, got {bw}"
             )));
         }
-        spec.bandwidth = bw;
+        spec.link_bandwidth = bw;
     }
     if let Some(cap) = get_usize(t, "transfer_max_concurrent", "runtime")? {
         spec.max_concurrent = cap;
-    }
-    if let Some(s) = get_str(t, "transfer_route_strategy", "runtime")? {
-        spec.route_strategy = match s {
-            "shortest" => sheriff_transfer::RouteStrategy::Shortest,
-            "least_loaded" => sheriff_transfer::RouteStrategy::LeastLoaded,
-            other => {
-                return Err(invalid(format!(
-                    "unknown runtime.transfer_route_strategy {other:?} (shortest, least_loaded)"
-                )))
-            }
-        };
     }
     if let Some(thr) = get_f64(t, "transfer_reroute_threshold", "runtime")? {
         if !(0.0..=1.0).contains(&thr) {

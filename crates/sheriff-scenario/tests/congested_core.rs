@@ -34,7 +34,7 @@ fn congested_core_spec_parses_with_transfer_model() {
         panic!("congested_core must run the fabric runtime with transfers on");
     };
     assert_eq!(max_retry, 3);
-    assert_eq!(t.bandwidth, 1.0);
+    assert_eq!(t.link_bandwidth, 1.0);
     assert_eq!(t.max_concurrent, 3);
     assert_eq!(t.reroute_threshold, 0.02);
     assert_eq!(t.bytes_per_capacity, 16.0);
@@ -55,7 +55,7 @@ fn congested_core_shows_contention_against_uncontended_baseline() {
     else {
         panic!("fabric runtime expected");
     };
-    t.bandwidth = 1e9;
+    t.link_bandwidth = 1e9;
     t.reroute_threshold = 1.0;
 
     let congested_runs = ScenarioRunner::new(spec.clone()).run().expect("runs");

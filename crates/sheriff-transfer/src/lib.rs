@@ -63,23 +63,10 @@ const EPS: f64 = 1e-9;
 /// Floor on a computed rate so completion times stay finite.
 const MIN_RATE: f64 = 1e-6;
 
-/// How a transfer picks among its k candidate routes at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RouteStrategy {
-    /// Take the shortest candidate unless QCN severity on it exceeds the
-    /// reroute threshold; then the first under-threshold alternate (or
-    /// the least-severe candidate when all are hot).
-    #[default]
-    Shortest,
-    /// Always take the candidate whose busiest link carries the fewest
-    /// concurrent transfers (ties: fewer hops, then candidate order).
-    LeastLoaded,
-}
-
 /// Knobs for the transfer scheduler. `None` on
 /// `FabricConfig::transfer` disables the model entirely (instantaneous
 /// settlement, byte-identical to the pre-transfer fabric).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransferConfig {
     /// Migration-lane capacity of every link, in bytes per virtual tick.
     pub link_bandwidth: f64,
@@ -90,8 +77,6 @@ pub struct TransferConfig {
     pub max_concurrent: usize,
     /// Number of k-shortest-path route candidates computed per transfer.
     pub k_paths: usize,
-    /// Route selection policy at admission.
-    pub route_strategy: RouteStrategy,
     /// QCN severity in `[0, 1]` above which the primary route is
     /// abandoned for an alternate (a `TransferRerouted` event).
     pub reroute_threshold: f64,
@@ -131,7 +116,6 @@ impl Default for TransferConfig {
             bytes_per_capacity: 8.0,
             max_concurrent: 0,
             k_paths: 4,
-            route_strategy: RouteStrategy::Shortest,
             reroute_threshold: 0.25,
             dirty_rate: default_dirty_rate(),
             stall_budget: default_stall_budget(),
@@ -398,16 +382,10 @@ pub struct TransferScheduler {
     sampled_at: u64,
     peak_sharing: usize,
     reroutes: usize,
-    queue_delays: usize,
-    starts: usize,
-    completes: usize,
-    completion_hist: Histogram,
-    bandwidth_hist: Histogram,
     /// Links currently failed; routes crossing any of these are not
     /// viable. Empty ⇒ every recovery path below is inert.
     failed_links: BTreeSet<EdgeIdx>,
     stalls: usize,
-    resumes: usize,
     retries: usize,
     failures: usize,
     saved_bytes: f64,
@@ -427,14 +405,8 @@ impl TransferScheduler {
             sampled_at: 0,
             peak_sharing: 0,
             reroutes: 0,
-            queue_delays: 0,
-            starts: 0,
-            completes: 0,
-            completion_hist: Histogram::exponential(1.0, 2.0, 16),
-            bandwidth_hist: Histogram::exponential(0.125, 2.0, 12),
             failed_links: BTreeSet::new(),
             stalls: 0,
-            resumes: 0,
             retries: 0,
             failures: 0,
             saved_bytes: 0.0,
@@ -460,16 +432,6 @@ impl TransferScheduler {
         self.active.is_empty() && self.queue.is_empty()
     }
 
-    /// Count of currently running transfers.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Count of transfers waiting behind the admission cap.
-    pub fn queued_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// VM indices with a pre-copy running or queued; the planner must
     /// not re-plan these as source or destination mid-transfer.
     pub fn in_flight_vms(&self) -> BTreeSet<u64> {
@@ -490,39 +452,9 @@ impl TransferScheduler {
         self.reroutes
     }
 
-    /// Admissions delayed by the concurrency cap.
-    pub fn queue_delays(&self) -> usize {
-        self.queue_delays
-    }
-
-    /// Transfers admitted so far.
-    pub fn starts(&self) -> usize {
-        self.starts
-    }
-
-    /// Transfers completed so far.
-    pub fn completes(&self) -> usize {
-        self.completes
-    }
-
-    /// Histogram of completion times in ticks.
-    pub fn completion_histogram(&self) -> &Histogram {
-        &self.completion_hist
-    }
-
-    /// Histogram of achieved per-transfer bandwidth in bytes/tick.
-    pub fn bandwidth_histogram(&self) -> &Histogram {
-        &self.bandwidth_hist
-    }
-
     /// Streams that entered `Stalled` after losing their route.
     pub fn stalls(&self) -> usize {
         self.stalls
-    }
-
-    /// Stalled streams that found a route again and resumed.
-    pub fn resumes(&self) -> usize {
-        self.resumes
     }
 
     /// Stalled retry timers fired.
@@ -547,11 +479,6 @@ impl TransferScheduler {
     /// Histogram of stall durations in ticks (recorded at resume).
     pub fn stall_histogram(&self) -> &Histogram {
         &self.stall_hist
-    }
-
-    /// The links currently marked failed.
-    pub fn failed_link_set(&self) -> &BTreeSet<EdgeIdx> {
-        &self.failed_links
     }
 
     /// Ids of every active transfer (streaming or stalled), in order.
@@ -630,7 +557,6 @@ impl TransferScheduler {
     ) -> Admission {
         self.settle(now);
         if self.cfg.max_concurrent > 0 && self.active.len() >= self.cfg.max_concurrent {
-            self.queue_delays += 1;
             self.queue.push_back(Queued {
                 spec,
                 candidates,
@@ -648,7 +574,6 @@ impl TransferScheduler {
     /// until the caller recomputes. When every candidate crosses a
     /// failed link the transfer is admitted straight into `Stalled`.
     fn admit(&mut self, now: u64, spec: TransferSpec, candidates: &[RouteCandidate]) {
-        self.starts += 1;
         match self.choose_route(candidates) {
             Some((links, hops, rerouted)) => {
                 if rerouted {
@@ -713,11 +638,13 @@ impl TransferScheduler {
         self.severity_of_links(&c.links)
     }
 
-    /// Pick a route among the candidates that avoid every failed link;
-    /// returns `(links, hops, rerouted)`, or `None` when candidates
-    /// exist but all cross a failed link (the caller stalls the
-    /// transfer). An empty candidate list is an intra-rack move that
-    /// crosses no shared links.
+    /// Pick a route among the candidates that avoid every failed link:
+    /// the shortest unless QCN severity on it exceeds the reroute
+    /// threshold, then the first under-threshold alternate, or the
+    /// least-severe candidate when all are hot. Returns `(links, hops,
+    /// rerouted)`, or `None` when candidates exist but all cross a failed
+    /// link (the caller stalls the transfer). An empty candidate list is
+    /// an intra-rack move that crosses no shared links.
     fn choose_route(&self, candidates: &[RouteCandidate]) -> Option<(Vec<EdgeIdx>, usize, bool)> {
         if candidates.is_empty() {
             return Some((Vec::new(), 0, false));
@@ -733,55 +660,31 @@ impl TransferScheduler {
                 .map(|c| (c.links.clone(), c.hops(), i != 0))
                 .unwrap_or_else(|| (primary.links.clone(), primary.hops(), first != 0))
         };
-        match self.cfg.route_strategy {
-            RouteStrategy::Shortest => {
-                let thr = self.cfg.reroute_threshold;
-                if self.severity_of(primary) <= thr {
-                    return Some(pick(first));
-                }
-                // primary is hot: first alternate under threshold, else
-                // the least-severe candidate overall
-                for &i in rest {
-                    if candidates
-                        .get(i)
-                        .is_some_and(|c| self.severity_of(c) <= thr)
-                    {
-                        return Some(pick(i));
-                    }
-                }
-                let mut best = first;
-                let mut best_sev = self.severity_of(primary);
-                for &i in rest {
-                    let Some(c) = candidates.get(i) else { continue };
-                    let s = self.severity_of(c);
-                    if s < best_sev - EPS {
-                        best = i;
-                        best_sev = s;
-                    }
-                }
-                Some(pick(best))
-            }
-            RouteStrategy::LeastLoaded => {
-                let load = |c: &RouteCandidate| {
-                    c.links
-                        .iter()
-                        .map(|l| self.link_users.get(l).copied().unwrap_or(0))
-                        .max()
-                        .unwrap_or(0)
-                };
-                let mut best = first;
-                let mut key = (load(primary), primary.hops());
-                for &i in rest {
-                    let Some(c) = candidates.get(i) else { continue };
-                    let k = (load(c), c.hops());
-                    if k < key {
-                        best = i;
-                        key = k;
-                    }
-                }
-                Some(pick(best))
+        let thr = self.cfg.reroute_threshold;
+        if self.severity_of(primary) <= thr {
+            return Some(pick(first));
+        }
+        // primary is hot: first alternate under threshold, else the
+        // least-severe candidate overall
+        for &i in rest {
+            if candidates
+                .get(i)
+                .is_some_and(|c| self.severity_of(c) <= thr)
+            {
+                return Some(pick(i));
             }
         }
+        let mut best = first;
+        let mut best_sev = self.severity_of(primary);
+        for &i in rest {
+            let Some(c) = candidates.get(i) else { continue };
+            let s = self.severity_of(c);
+            if s < best_sev - EPS {
+                best = i;
+                best_sev = s;
+            }
+        }
+        Some(pick(best))
     }
 
     fn started_info(&self, id: u64, waited: u64) -> Started {
@@ -955,16 +858,12 @@ impl TransferScheduler {
             if let Some(a) = self.active.remove(&id) {
                 self.completes_at.remove(&id);
                 let duration = (now - a.started_at).max(1);
-                let achieved = a.bytes / duration as f64;
-                self.completion_hist.record(duration as f64);
-                self.bandwidth_hist.record(achieved);
-                self.completes += 1;
                 completions.push(Completion {
                     id,
                     vm: a.vm,
                     bytes: a.bytes,
                     duration,
-                    achieved_bw: achieved,
+                    achieved_bw: a.bytes / duration as f64,
                 });
             }
         }
@@ -1059,7 +958,6 @@ impl TransferScheduler {
         let vm = a.vm;
         self.saved_bytes += saved;
         self.stall_hist.record(stalled_ticks.max(1) as f64);
-        self.resumes += 1;
         Some(Resumed {
             id,
             vm,
@@ -1205,21 +1103,6 @@ impl TransferScheduler {
             }
         }
         moved
-    }
-
-    /// Cancel one transfer (2PC abort or crash); residual bytes are
-    /// discarded and remaining transfers speed up at the next poll.
-    pub fn cancel(&mut self, id: u64, now: u64) -> bool {
-        self.settle(now);
-        let hit = self.active.remove(&id).is_some();
-        self.completes_at.remove(&id);
-        let before = self.queue.len();
-        self.queue.retain(|q| q.spec.id != id);
-        let hit = hit || self.queue.len() != before;
-        if hit {
-            self.recompute(now);
-        }
-        hit
     }
 
     /// Cancel every transfer bound for a crashed destination rack;
@@ -1402,7 +1285,6 @@ mod tests {
             ts.submit(0, spec(2, 4.0), shared_link()),
             Admission::Queued
         ));
-        assert_eq!(ts.queue_delays(), 1);
         // 4 bytes at rate 4.0: #1 completes at t=1 and frees the slot
         let tick = ts.poll(1);
         assert_eq!(tick.completions.len(), 1);
@@ -1550,16 +1432,6 @@ mod tests {
     }
 
     #[test]
-    fn histograms_observe_completions() {
-        let mut ts = TransferScheduler::new(TransferConfig::default());
-        ts.submit(0, spec(1, 8.0), shared_link());
-        ts.poll(2);
-        assert_eq!(ts.completion_histogram().count(), 1);
-        assert_eq!(ts.bandwidth_histogram().count(), 1);
-        assert_eq!(ts.completes(), 1);
-    }
-
-    #[test]
     fn link_failure_stalls_and_resume_keeps_the_checkpoint() {
         let cfg = TransferConfig {
             stall_budget: 4,
@@ -1581,7 +1453,6 @@ mod tests {
         let r = &resumed[0];
         assert!((r.saved - 3.0).abs() < 1e-9, "checkpoint saved {}", r.saved);
         assert_eq!(r.stalled_ticks, 1);
-        assert_eq!(ts.resumes(), 1);
         assert!((ts.resumed_bytes_saved() - 3.0).abs() < 1e-9);
         assert_eq!(ts.stall_histogram().count(), 1);
         // 5 bytes at 4.0 from t=2: completes at 4 — strictly earlier
@@ -1663,7 +1534,6 @@ mod tests {
         let tick = ts.poll(1);
         assert_eq!(tick.retried.len(), 1);
         assert_eq!(tick.resumed.len(), 1, "retry probe must find the route");
-        assert_eq!(ts.resumes(), 1);
         assert!(ts.poll(3).completions.len() == 1);
     }
 

@@ -280,17 +280,21 @@ fn region_partition_scenario_degrades_and_heals_clean() {
     assert_eq!(serial, parallel, "partitions broke determinism");
 }
 
-#[test]
-fn every_bundled_scenario_parses_and_validates_clean() {
-    let dir = std::path::Path::new("scenarios");
-    let mut checked = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
+/// Every `scenarios/*.toml`, in file-name order.
+fn bundled_scenarios() -> Vec<std::path::PathBuf> {
+    let mut entries: Vec<_> = std::fs::read_dir("scenarios")
         .expect("scenarios/ exists")
         .map(|e| e.expect("readable entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "toml"))
         .collect();
     entries.sort();
-    for path in entries {
+    entries
+}
+
+#[test]
+fn every_bundled_scenario_parses_and_validates_clean() {
+    let mut checked = 0;
+    for path in bundled_scenarios() {
         let spec = ScenarioSpec::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let warnings = spec
             .validate()
@@ -306,4 +310,48 @@ fn every_bundled_scenario_parses_and_validates_clean() {
         checked >= 6,
         "expected the full scenario library, found {checked}"
     );
+}
+
+/// FNV-1a-64 of each bundled scenario's full canonical report. A
+/// refactor that claims identical behaviour must leave every digest
+/// alone; a new scenario file needs its own pin.
+const SCENARIO_DIGESTS: &[(&str, u64)] = &[
+    ("burst_surge.toml", 0x3cc2_3cee_f0e5_19f2),
+    ("cascading_rack_failure.toml", 0xf71f_4494_4b75_6bce),
+    ("congested_core.toml", 0x1c49_8e28_4355_c292),
+    ("fig10_bcube.toml", 0xed1c_b408_3aaf_c405),
+    ("fig9_prealert.toml", 0x4019_2faf_2930_ecc6),
+    ("flaky_spine.toml", 0x013b_266a_d7f1_5eeb),
+    ("lossy_fabric.toml", 0x0f8f_6a0d_b17a_8e7d),
+    ("mid_round_shim_crash.toml", 0x8d64_1f52_8d03_c61d),
+    ("mixed_topology.toml", 0x1913_7dd9_ab18_92fe),
+    ("region_partition.toml", 0x7560_38a8_0627_5a73),
+    ("zombie_shim.toml", 0xb049_9559_a5a1_1130),
+];
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn every_bundled_scenario_reproduces_its_pinned_report() {
+    let mut failures = Vec::new();
+    for path in bundled_scenarios() {
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("utf-8 file name");
+        let spec = ScenarioSpec::load(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let digest = fnv1a64(canonical(&spec, true, 0).as_bytes());
+        match SCENARIO_DIGESTS.iter().find(|(n, _)| *n == name) {
+            Some(&(_, pinned)) if pinned == digest => {}
+            Some(&(_, pinned)) => failures.push(format!(
+                "{name}: digest {digest:#018x}, pinned {pinned:#018x}"
+            )),
+            None => failures.push(format!("{name}: no pin; its digest is {digest:#018x}")),
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
