@@ -38,7 +38,6 @@ pub use config::{ChannelFaults, SimConfig};
 pub use congestion::{CongestionConfig, CongestionSim};
 pub use engine::{Cluster, ClusterConfig, HoltPredictor, LastValue, ProfilePredictor};
 pub use error::SheriffError;
-pub use faults::{FaultInjector, ObservedFaults};
 pub use flows::{Flow, FlowNetwork};
 pub use forecaster::ArimaProfilePredictor;
 pub use migration::{precopy_timeline, MigrationTimeline, RackMetric};

@@ -97,11 +97,6 @@ impl CrashWindow {
             recover_at: Some(recover_at),
         }
     }
-
-    /// Whether the shim is down at virtual time `t`.
-    pub fn down_at(self, t: u64) -> bool {
-        t >= self.crash_at && self.recover_at.is_none_or(|r| t < r)
-    }
 }
 
 /// One link-fault window in virtual time: the data-plane link `link`
@@ -137,11 +132,6 @@ impl LinkFaultWindow {
             fail_at,
             restore_at: Some(restore_at),
         }
-    }
-
-    /// Whether the link is down at virtual time `t`.
-    pub fn down_at(self, t: u64) -> bool {
-        t >= self.fail_at && self.restore_at.is_none_or(|r| t < r)
     }
 }
 

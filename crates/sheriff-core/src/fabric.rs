@@ -161,18 +161,6 @@ impl FabricConfig {
         self
     }
 
-    /// Override the global liveness-beacon interval.
-    pub fn with_heartbeat_every(mut self, ticks: u64) -> Self {
-        self.heartbeat_period = ticks;
-        self
-    }
-
-    /// Override the liveness silence deadline.
-    pub fn with_liveness_deadline(mut self, ticks: u64) -> Self {
-        self.liveness_deadline = ticks;
-        self
-    }
-
     /// Beacon `rack` every `every` ticks instead of the global interval.
     pub fn with_beacon_interval(mut self, rack: RackId, every: u64) -> Self {
         self.beacon_intervals.retain(|(r, _)| *r != rack);
@@ -196,17 +184,6 @@ impl FabricConfig {
         self
     }
 
-    /// Schedule a data-plane link fault window for the transfer plane.
-    pub fn with_link_fault(mut self, window: LinkFaultWindow) -> Self {
-        self.link_faults.push(window);
-        self
-    }
-
-    /// The global liveness-beacon interval.
-    pub fn heartbeat_every(&self) -> u64 {
-        self.heartbeat_period
-    }
-
     /// The beacon interval of `rack`: its override if listed, else the
     /// global interval.
     pub fn beacon_every(&self, rack: RackId) -> u64 {
@@ -214,7 +191,7 @@ impl FabricConfig {
             .iter()
             .find(|(r, _)| *r == rack)
             .map(|&(_, every)| every)
-            .unwrap_or_else(|| self.heartbeat_every())
+            .unwrap_or(self.heartbeat_period)
     }
 
     /// The alert-check interval of `rack` (0 = no mid-round checks).
@@ -544,9 +521,6 @@ struct FabricRound<'r> {
     transfer_meta: BTreeMap<ReqId, TransferMeta>,
     /// Completion time of every finished pre-copy.
     transfer_durations: Vec<u64>,
-    /// Pre-copies cancelled for good by a crash with no recovery,
-    /// counted into `transfer_failures` on top of the scheduler's own.
-    rack_failed_transfers: usize,
     /// In-round transfer-plane audit; each breach is flagged once.
     transfer_audit: AuditReport,
     flagged_on_failed: BTreeSet<(u64, usize)>,
@@ -607,7 +581,6 @@ impl<'r> FabricRound<'r> {
             transfers: cfg.transfer.map(TransferScheduler::new),
             transfer_meta: BTreeMap::new(),
             transfer_durations: Vec::new(),
-            rack_failed_transfers: 0,
             transfer_audit: AuditReport::default(),
             flagged_on_failed: BTreeSet::new(),
             flagged_no_prepare: BTreeSet::new(),
@@ -861,19 +834,7 @@ impl<'r> FabricRound<'r> {
         out.dedup_hits = self.endpoints.iter().map(ShimEndpoint::dedup_hits).sum();
         out.transfer_p95_completion = p95_ticks(&self.transfer_durations);
         if let Some(ts) = &self.transfers {
-            out.transfer_reroutes = ts.reroutes();
             out.bottleneck_serialized = ts.peak_link_sharing() >= 2;
-            out.transfer_stalls = ts.stalls();
-            out.transfer_retries = ts.retries();
-            out.transfer_failures = ts.failures() + self.rack_failed_transfers;
-            out.resumed_bytes_saved = ts.resumed_bytes_saved();
-            // stall-duration distribution: total ticks spent stalled (the
-            // per-bucket shape stays queryable on the scheduler)
-            let hist = ts.stall_histogram();
-            if hist.count() > 0 {
-                self.sink
-                    .counter("transfer.stalled_ticks", hist.sum() as u64);
-            }
         }
         let stats = &self.net.stats;
         for (name, n) in [
@@ -1056,7 +1017,6 @@ impl<'r> FabricRound<'r> {
             let Some(meta) = meta.filter(|_| w.recover_at.is_none()) else {
                 continue;
             };
-            self.rack_failed_transfers += 1;
             self.fail_transfer(req, meta.vm.index() as u64, 0, Some(meta.dst_rack));
         }
         if let Some(shim) = self.source(w.rack).and_then(|i| self.shims.get_mut(i)) {
@@ -1375,6 +1335,7 @@ impl<'r> FabricRound<'r> {
             self.transfer_rerouted(r.id, r.vm, r.hops);
         }
         for r in &tick.retried {
+            self.out.transfer_retries += 1;
             emit(self.sink, || Event::TransferRetried {
                 req: r.id,
                 vm: r.vm,
@@ -2069,6 +2030,7 @@ impl<'r> FabricRound<'r> {
     /// A pre-copy moved off its primary route (congestion or a failed
     /// link).
     fn transfer_rerouted(&mut self, req: u64, vm: u64, hops: usize) {
+        self.out.transfer_reroutes += 1;
         emit(self.sink, || Event::TransferRerouted {
             req,
             vm,
@@ -2079,6 +2041,7 @@ impl<'r> FabricRound<'r> {
 
     /// A pre-copy lost every route to the failed `link`.
     fn transfer_stalled(&mut self, req: u64, vm: u64, link: usize) {
+        self.out.transfer_stalls += 1;
         emit(self.sink, || Event::TransferStalled {
             req,
             vm,
@@ -2090,17 +2053,22 @@ impl<'r> FabricRound<'r> {
     /// A stalled pre-copy found a route again and resumed from its
     /// checkpoint.
     fn transfer_resumed(&mut self, r: &Resumed) {
+        self.out.resumed_bytes_saved += r.saved;
         emit(self.sink, || Event::TransferResumed {
             req: r.id,
             vm: r.vm,
             saved: r.saved,
         });
         self.sink.counter("transfer.resumed", 1);
+        // a resume at the tick of the stall still counts one tick
+        self.sink
+            .counter("transfer.stalled_ticks", r.stalled_ticks.max(1));
     }
 
     /// A pre-copy failed for good: report it and, if its 2PC context
     /// survives, roll its prepare back at the destination `dst`.
     fn fail_transfer(&mut self, req_id: ReqId, vm: u64, attempts: u32, dst: Option<RackId>) {
+        self.out.transfer_failures += 1;
         emit(self.sink, || Event::TransferFailed {
             req: req_id.0,
             vm,

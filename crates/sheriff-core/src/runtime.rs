@@ -88,7 +88,8 @@ pub struct RoundOutcome {
     pub transfers_started: usize,
     /// Pre-copies that streamed to completion and finalized COMMIT.
     pub transfers_completed: usize,
-    /// Transfers steered off their shortest path by QCN congestion.
+    /// Transfers steered off their route by QCN congestion or a failed
+    /// link.
     pub transfer_reroutes: usize,
     /// 95th-percentile transfer completion time in virtual ticks
     /// (nearest-rank over this round's completed transfers; 0.0 when
@@ -97,11 +98,12 @@ pub struct RoundOutcome {
     /// True when some link carried two or more concurrent transfers —
     /// the round paid a bottleneck serialization penalty.
     pub bottleneck_serialized: bool,
-    /// Streams stalled by a link failure mid-copy.
+    /// Streams stalled by a link failure, mid-copy or at admission.
     pub transfer_stalls: usize,
     /// Backoff retries attempted by stalled streams.
     pub transfer_retries: usize,
-    /// Streams that exhausted their retry budget and aborted.
+    /// Pre-copies that failed for good: their retry budget ran out, or a
+    /// destination crash with no recovery cancelled them.
     pub transfer_failures: usize,
     /// Bytes checkpointed resumes avoided re-copying versus a restart
     /// from zero.
@@ -214,7 +216,7 @@ impl FabricRuntime {
     /// Runtime for `cfg`, with the failure detector's thresholds derived
     /// from the config's heartbeat period and liveness deadline.
     pub fn with_config(cfg: FabricConfig) -> Self {
-        let failover = RegionFailover::new(cfg.heartbeat_every().max(1), cfg.liveness_deadline);
+        let failover = RegionFailover::new(cfg.heartbeat_period.max(1), cfg.liveness_deadline);
         Self { cfg, failover }
     }
 }

@@ -48,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod faults;
 pub mod report;
 pub mod runner;
 pub mod spec;

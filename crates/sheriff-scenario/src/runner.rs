@@ -2,25 +2,26 @@
 //! job, run serially or fanned out over scoped threads.
 //!
 //! A job is a pure function of the spec, the topology variant and the
-//! sweep seed — it builds its own [`Cluster`], its own [`FaultInjector`]
-//! and its own event sink, and never shares mutable state with sibling
-//! jobs. The parallel path therefore produces byte-identical results to
+//! sweep seed — it builds its own [`Cluster`], its own fault state (the
+//! private `faults` module, which turns the spec's `[[fault]]` actions
+//! into the fabric's crash, link-fault and partition windows) and its
+//! own event sink, and never shares mutable state with sibling jobs. The parallel path therefore produces byte-identical results to
 //! the serial path: jobs are distributed over threads in contiguous
 //! chunks and re-assembled in job order, and nothing inside a job can
 //! observe scheduling (wall-clock durations travel outside the
 //! deterministic state, see [`SeedRun::wall_nanos`]).
 
-use crate::spec::{FaultAction, PredictorKind, RuntimeSpec, ScenarioSpec, SurgeSpec, TopologySpec};
+use crate::faults::Faults;
+use crate::spec::{PredictorKind, RuntimeSpec, ScenarioSpec, SurgeSpec, TopologySpec};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{
-    alert::alert_value, Alert, AlertSource, FaultInjector, HoltPredictor, LastValue,
-    ProfilePredictor, RackMetric, SheriffError,
+    alert::alert_value, Alert, AlertSource, HoltPredictor, LastValue, ProfilePredictor, RackMetric,
+    SheriffError,
 };
-use dcn_topology::{HostId, RackId, VmId};
+use dcn_topology::{HostId, RackId};
 use sheriff_core::{
-    try_drain_rack, try_evacuate_host, CentralizedRuntime, CrashWindow, FabricConfig,
-    FabricRuntime, LinkFaultWindow, MigrationContext, MigrationPlan, PartitionWindow, RoundOutcome,
-    RunCtx, Runtime,
+    try_drain_rack, try_evacuate_host, CentralizedRuntime, FabricConfig, FabricRuntime,
+    MigrationContext, MigrationPlan, RoundOutcome, RunCtx, Runtime,
 };
 use sheriff_obs::{Counters, Event, EventSink};
 
@@ -246,106 +247,13 @@ impl ProfilePredictor for Predictor {
     }
 }
 
-/// Apply the fault schedule entries of round `t`. Returns the VMs
-/// stranded by host/rack failures (the backup system's work-list) and
-/// whether any link changed state (the metric must be rebuilt).
-#[allow(clippy::type_complexity)]
-fn apply_faults(
-    spec: &ScenarioSpec,
-    cluster: &mut Cluster,
-    injector: &mut FaultInjector,
-    sink: &mut TallySink,
-    t: usize,
-) -> (Vec<(HostId, Vec<VmId>)>, Vec<RackId>, bool) {
-    let mut stranded: Vec<(HostId, Vec<VmId>)> = Vec::new();
-    let mut drained: Vec<RackId> = Vec::new();
-    let mut links_changed = false;
-    for ev in spec.faults.iter().filter(|e| e.round == t) {
-        let mut obs = injector.observed(sink);
-        match &ev.action {
-            FaultAction::FailLink {
-                link,
-                fail_at,
-                restore_at,
-            } => {
-                if fail_at.is_none() && restore_at.is_none() {
-                    obs.fail_link(&mut cluster.dcn, *link);
-                } else {
-                    obs.fail_link_at(*link, fail_at.unwrap_or(0), *restore_at);
-                }
-                links_changed = true;
-            }
-            FaultAction::RestoreLink { link } => {
-                obs.restore_link(&mut cluster.dcn, *link);
-                links_changed = true;
-            }
-            FaultAction::FailHost { host } => {
-                let host = HostId::from_index(*host);
-                let vms = obs.fail_host(&mut cluster.placement, host);
-                if !vms.is_empty() {
-                    stranded.push((host, vms));
-                }
-            }
-            FaultAction::RestoreHost { host } => {
-                obs.restore_host(&mut cluster.placement, HostId::from_index(*host));
-            }
-            FaultAction::FailRack { rack } => {
-                let rack = RackId::from_index(*rack);
-                let hosts: Vec<HostId> = cluster.dcn.inventory.hosts_in(rack).to_vec();
-                let mut any = false;
-                for h in hosts {
-                    any |= !obs.fail_host(&mut cluster.placement, h).is_empty();
-                }
-                obs.crash_shim(rack);
-                if any {
-                    drained.push(rack);
-                }
-            }
-            FaultAction::RestoreRack { rack } => {
-                let rack = RackId::from_index(*rack);
-                let hosts: Vec<HostId> = cluster.dcn.inventory.hosts_in(rack).to_vec();
-                for h in hosts {
-                    obs.restore_host(&mut cluster.placement, h);
-                }
-                obs.recover_shim(rack);
-            }
-            FaultAction::CrashShim {
-                rack,
-                crash_at,
-                recover_at,
-            } => {
-                let rack = RackId::from_index(*rack);
-                if crash_at.is_none() && recover_at.is_none() {
-                    obs.crash_shim(rack);
-                } else {
-                    obs.crash_shim_at(rack, crash_at.unwrap_or(0), *recover_at);
-                }
-            }
-            FaultAction::RecoverShim { rack } => obs.recover_shim(RackId::from_index(*rack)),
-            FaultAction::Partition {
-                name,
-                racks,
-                start_at,
-                heal_at,
-            } => {
-                let members: Vec<RackId> = racks.iter().map(|&r| RackId::from_index(r)).collect();
-                obs.partition_at(name, members, *start_at, *heal_at);
-            }
-            FaultAction::HealPartition { name, heal_at } => {
-                obs.heal_partition_at(name, *heal_at);
-            }
-        }
-    }
-    (stranded, drained, links_changed)
-}
-
 /// The backup system of Sec. III-A: place every VM stranded by a host
 /// or rack failure somewhere live, via the same matching machinery as
 /// VMMIGRATION. Returns the merged evacuation plan.
 fn evacuate(
     cluster: &mut Cluster,
     metric: &RackMetric,
-    stranded: &[(HostId, Vec<VmId>)],
+    stranded: &[HostId],
     drained: &[RackId],
 ) -> Result<MigrationPlan, SheriffError> {
     let mut plan = MigrationPlan::default();
@@ -360,8 +268,8 @@ fn evacuate(
         };
         plan.absorb(try_drain_rack(&mut ctx, rack, &region, 3)?);
     }
-    for (host, _) in stranded {
-        let rack = cluster.placement.rack_of_host(*host);
+    for &host in stranded {
+        let rack = cluster.placement.rack_of_host(host);
         // hosts inside a drained rack were already handled above
         if drained.contains(&rack) {
             continue;
@@ -374,7 +282,7 @@ fn evacuate(
             metric,
             sim: &cluster.sim,
         };
-        plan.absorb(try_evacuate_host(&mut ctx, *host, &region, 3)?);
+        plan.absorb(try_evacuate_host(&mut ctx, host, &region, 3)?);
     }
     Ok(plan)
 }
@@ -402,7 +310,7 @@ pub(crate) fn run_job(
     let predictor = Predictor::build(&spec.workload.predictor);
     let threshold = cluster.sim.alert_threshold;
 
-    let mut injector = FaultInjector::new();
+    let mut faults = Faults::default();
     let mut metric = RackMetric::build(&cluster.dcn, &cluster.sim);
     let mut runtime = Loop::build(&spec.runtime, &cluster.sim, seed);
     let mut sink = TallySink::default();
@@ -413,58 +321,25 @@ pub(crate) fn run_job(
 
     for t in 0..spec.rounds {
         // 1. scheduled faults fire at the start of the round
-        let (stranded, drained, links_changed) =
-            apply_faults(spec, &mut cluster, &mut injector, &mut sink, t);
-        if links_changed {
+        for ev in spec.faults.iter().filter(|e| e.round == t) {
+            faults.apply(&ev.action, &mut cluster, &mut sink);
+        }
+        if faults.links_changed {
             metric = RackMetric::build(&cluster.dcn, &cluster.sim);
         }
         // 2. the backup system resolves crash errors before management
-        let evac = evacuate(&mut cluster, &metric, &stranded, &drained)?;
+        let evac = evacuate(&mut cluster, &metric, &faults.stranded, &faults.drained)?;
 
-        // 3. channel phases re-shape the fabric's control channel; the
-        // injector's crash schedule (whole-round downs plus any timed
-        // mid-round windows) is drained every round — this also settles
-        // the injector's end-of-round shim_down state for step 4
-        let crash_schedule = injector.drain_crash_schedule();
-        // the link schedule (standing whole-round downs plus any timed
-        // mid-round windows) likewise drains every round; draining also
-        // applies each timed window's end-state to the topology graph,
-        // so the metric must be rebuilt when a mid-round fault leaves a
-        // link down (or brings one back) past the round boundary
-        let link_schedule = injector.drain_link_schedule(&mut cluster.dcn);
-        if link_schedule.iter().any(|&(_, f, r)| f > 0 || r.is_some()) {
+        // 3. the round's fault windows; taking them applies each timed
+        // link window's end-state to the topology graph, so the metric
+        // must be rebuilt when a mid-round fault leaves a link down (or
+        // brings one back) past the round boundary
+        let (crashed, link_faults, partitions) = faults.windows(&mut cluster.dcn);
+        if link_faults
+            .iter()
+            .any(|w| w.fail_at > 0 || w.restore_at.is_some())
+        {
             metric = RackMetric::build(&cluster.dcn, &cluster.sim);
-        }
-        if let Loop::Fabric(rt) = &mut runtime {
-            while phase_cursor < spec.channel_phases.len()
-                && spec.channel_phases[phase_cursor].round <= t
-            {
-                let phase = &spec.channel_phases[phase_cursor];
-                rt.cfg.faults = phase.faults.clone();
-                rt.cfg.hello_window = 2u64.max(phase.faults.delay_max + 1);
-                phase_cursor += 1;
-            }
-            rt.cfg.crashed = crash_schedule
-                .iter()
-                .map(|&(rack, crash_at, recover_at)| CrashWindow {
-                    rack,
-                    crash_at,
-                    recover_at,
-                })
-                .collect();
-            rt.cfg.partitions = injector
-                .drain_partition_schedule()
-                .into_iter()
-                .map(|(racks, start_at, heal_at)| PartitionWindow::new(racks, start_at, heal_at))
-                .collect();
-            rt.cfg.link_faults = link_schedule
-                .iter()
-                .map(|&(link, fail_at, restore_at)| LinkFaultWindow {
-                    link,
-                    fail_at,
-                    restore_at,
-                })
-                .collect();
         }
 
         // 4. raise this round's pre-alerts
@@ -473,11 +348,26 @@ pub(crate) fn run_job(
         } else {
             cluster.fraction_alerts(spec.workload.alert_fraction, t)
         };
-        // a crashed shim serves no alerts; the fabric models this itself
-        // through its liveness ladder, the centralized runtime needs the
-        // filter up front
-        if !matches!(runtime, Loop::Fabric(_)) {
-            alerts.retain(|a| !injector.shim_down(a.rack));
+        match &mut runtime {
+            // channel phases re-shape the fabric's control channel, and
+            // the fabric runs the fault windows in virtual time: a
+            // crashed shim serves no alerts through its liveness ladder
+            Loop::Fabric(rt) => {
+                while phase_cursor < spec.channel_phases.len()
+                    && spec.channel_phases[phase_cursor].round <= t
+                {
+                    let phase = &spec.channel_phases[phase_cursor];
+                    rt.cfg.faults = phase.faults.clone();
+                    rt.cfg.hello_window = 2u64.max(phase.faults.delay_max + 1);
+                    phase_cursor += 1;
+                }
+                rt.cfg.crashed = crashed;
+                rt.cfg.link_faults = link_faults;
+                rt.cfg.partitions = partitions;
+            }
+            // without virtual time every crash window is whole-round: the
+            // crashed shim serves none of its alerts
+            Loop::Centralized(_) => alerts.retain(|a| crashed.iter().all(|w| w.rack != a.rack)),
         }
         let true_alerts = if trace {
             alerts
@@ -652,6 +542,48 @@ skew = 3.0
                 );
             }
         }
+    }
+
+    #[test]
+    fn centralized_drops_alerts_of_a_shim_that_recovers_within_the_round() {
+        // the centralized runtime has no virtual time, so a crash that
+        // recovers within its round counts as whole-round: it must serve
+        // what a whole-round crash followed by `recover_shim` serves
+        let run = |faults: &str| {
+            let src = format!(
+                r#"
+name = "test"
+rounds = 3
+seeds = [7]
+
+[topology]
+kind = "fat_tree"
+pods = 4
+
+[cluster]
+vms_per_host = 1.5
+skew = 2.0
+
+[workload]
+alert_fraction = 0.3
+
+[runtime]
+kind = "centralized"
+{faults}"#
+            );
+            let spec = ScenarioSpec::parse_str(&src).expect("spec parses");
+            ScenarioRunner::new(spec).run().unwrap().remove(0).rounds
+        };
+        let timed = run(
+            "\n[[fault]]\nround = 1\naction = \"crash_shim\"\nrack = 0\ncrash_at = 2\nrecover_at = 5\n",
+        );
+        let whole = run(
+            "\n[[fault]]\nround = 1\naction = \"crash_shim\"\nrack = 0\n\
+             \n[[fault]]\nround = 2\naction = \"recover_shim\"\nrack = 0\n",
+        );
+        let alerts: Vec<usize> = timed.iter().map(|r| r.alerts).collect();
+        assert_eq!(alerts, vec![8, 7, 8]);
+        assert_eq!(timed, whole);
     }
 
     #[test]

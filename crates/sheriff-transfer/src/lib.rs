@@ -54,7 +54,6 @@ use dcn_sim::qcn::{CongestionPoint, CpConfig};
 use dcn_topology::graph::{EdgeIdx, NetGraph, NodeIdx};
 use dcn_topology::ksp::k_shortest_paths;
 use serde::{Deserialize, Serialize};
-use sheriff_obs::Histogram;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -381,15 +380,9 @@ pub struct TransferScheduler {
     /// Virtual time of the last QCN sampling interval.
     sampled_at: u64,
     peak_sharing: usize,
-    reroutes: usize,
     /// Links currently failed; routes crossing any of these are not
     /// viable. Empty ⇒ every recovery path below is inert.
     failed_links: BTreeSet<EdgeIdx>,
-    stalls: usize,
-    retries: usize,
-    failures: usize,
-    saved_bytes: f64,
-    stall_hist: Histogram,
 }
 
 impl TransferScheduler {
@@ -404,13 +397,7 @@ impl TransferScheduler {
             completes_at: BTreeMap::new(),
             sampled_at: 0,
             peak_sharing: 0,
-            reroutes: 0,
             failed_links: BTreeSet::new(),
-            stalls: 0,
-            retries: 0,
-            failures: 0,
-            saved_bytes: 0.0,
-            stall_hist: Histogram::exponential(1.0, 2.0, 16),
         }
     }
 
@@ -445,40 +432,6 @@ impl TransferScheduler {
     /// Peak number of transfers that ever shared one link.
     pub fn peak_link_sharing(&self) -> usize {
         self.peak_sharing
-    }
-
-    /// Transfers steered off their primary route by congestion.
-    pub fn reroutes(&self) -> usize {
-        self.reroutes
-    }
-
-    /// Streams that entered `Stalled` after losing their route.
-    pub fn stalls(&self) -> usize {
-        self.stalls
-    }
-
-    /// Stalled retry timers fired.
-    pub fn retries(&self) -> usize {
-        self.retries
-    }
-
-    /// Transfers that exhausted their retry budget and must be aborted
-    /// by the caller. Rack-crash cancellations are not counted here —
-    /// the caller decides whether a cancellation is terminal (see
-    /// [`TransferScheduler::cancel_rack`]).
-    pub fn failures(&self) -> usize {
-        self.failures
-    }
-
-    /// Checkpointed bytes resumed streams did *not* have to re-copy
-    /// (copied before the fault, minus the dirty re-copy penalty).
-    pub fn resumed_bytes_saved(&self) -> f64 {
-        self.saved_bytes
-    }
-
-    /// Histogram of stall durations in ticks (recorded at resume).
-    pub fn stall_histogram(&self) -> &Histogram {
-        &self.stall_hist
     }
 
     /// Ids of every active transfer (streaming or stalled), in order.
@@ -576,9 +529,6 @@ impl TransferScheduler {
     fn admit(&mut self, now: u64, spec: TransferSpec, candidates: &[RouteCandidate]) {
         match self.choose_route(candidates) {
             Some((links, hops, rerouted)) => {
-                if rerouted {
-                    self.reroutes += 1;
-                }
                 self.active.insert(
                     spec.id,
                     Active {
@@ -600,7 +550,6 @@ impl TransferScheduler {
                 );
             }
             None => {
-                self.stalls += 1;
                 let retry_at = now + self.retry_delay(0, spec.id);
                 self.active.insert(
                     spec.id,
@@ -915,14 +864,12 @@ impl TransferScheduler {
             }) else {
                 continue;
             };
-            self.retries += 1;
             retried.push(Retried { id, vm, attempt });
             if let Some(r) = self.try_resume(now, id) {
                 resumed.push(r);
             } else if attempt >= self.cfg.max_attempts.max(1) {
                 self.active.remove(&id);
                 self.completes_at.remove(&id);
-                self.failures += 1;
                 failed.push(Failed {
                     id,
                     vm,
@@ -956,8 +903,6 @@ impl TransferScheduler {
         let stalled_ticks = now.saturating_sub(since);
         let saved = (a.bytes - a.remaining).max(0.0);
         let vm = a.vm;
-        self.saved_bytes += saved;
-        self.stall_hist.record(stalled_ticks.max(1) as f64);
         Some(Resumed {
             id,
             vm,
@@ -1004,7 +949,6 @@ impl TransferScheduler {
                     if let Some(a) = self.active.get_mut(&id) {
                         a.links = links;
                         a.hops = hops;
-                        self.reroutes += 1;
                         out.rerouted.push(Rerouted { id, vm: a.vm, hops });
                     }
                 }
@@ -1017,7 +961,6 @@ impl TransferScheduler {
                         a.rate = 0.0;
                         a.retry_at = now + delay;
                         self.completes_at.remove(&id);
-                        self.stalls += 1;
                         out.stalled.push(Stalled { id, vm: a.vm, link });
                     }
                 }
@@ -1098,7 +1041,6 @@ impl TransferScheduler {
                 a.links = links;
                 a.hops = hops;
                 a.rerouted = true;
-                self.reroutes += 1;
                 moved.push(Rerouted { id, vm: a.vm, hops });
             }
         }
@@ -1129,10 +1071,10 @@ impl TransferScheduler {
         self.queue.retain(|q| q.spec.dst_rack != rack);
         cancelled.extend(queued);
         if !cancelled.is_empty() {
-            // NOT counted in `failures`: whether a cancellation is a
-            // real failure (no recovery coming) or a restartable blip
-            // (the rack replays its journal and the COMMIT retransmits)
-            // is the caller's call, not the scheduler's
+            // not a `Failed` record: whether a cancellation is a real
+            // failure (no recovery coming) or a restartable blip (the
+            // rack replays its journal and the COMMIT retransmits) is
+            // the caller's call, not the scheduler's
             self.recompute(now);
         }
         cancelled
@@ -1318,10 +1260,13 @@ mod tests {
         });
         // hammer the primary: each submit recomputes and samples the
         // QCN points, so severity on links 10/11 climbs
+        let mut rerouted = 0;
         for i in 0..8 {
-            ts.submit(0, spec(i, 64.0), two_routes());
+            if let Admission::Started(s) = ts.submit(0, spec(i, 64.0), two_routes()) {
+                rerouted += usize::from(s.rerouted);
+            }
         }
-        assert!(ts.reroutes() > 0, "QCN pressure must steer someone away");
+        assert!(rerouted > 0, "QCN pressure must steer someone away");
         // at least one rerouted transfer runs on the alternate links
         assert!(ts
             .active
@@ -1350,9 +1295,19 @@ mod tests {
         });
         // two long streams share the primary; severity lags their
         // admission, so both start on links 10/11
-        ts.submit(0, spec(1, 200.0), two_routes());
-        ts.submit(0, spec(2, 200.0), two_routes());
-        assert_eq!(ts.reroutes(), 0, "admission cannot see its own sharing");
+        for id in [1, 2] {
+            let adm = ts.submit(0, spec(id, 200.0), two_routes());
+            assert!(
+                matches!(
+                    adm,
+                    Admission::Started(Started {
+                        rerouted: false,
+                        ..
+                    })
+                ),
+                "admission cannot see its own sharing"
+            );
+        }
         // sustained 2-way sharing integrates queue over elapsed time;
         // the next polls steer the streams onto the colder alternate
         let mut moved = Vec::new();
@@ -1360,17 +1315,17 @@ mod tests {
             moved.extend(ts.poll(t).rerouted);
         }
         assert!(!moved.is_empty(), "QCN pressure must reroute a stream");
-        assert!(ts.reroutes() >= 1);
         assert!(ts
             .active
             .values()
             .any(|a| a.rerouted && a.links == vec![20, 21]));
         // each stream moves at most once — no ping-pong
-        let after = ts.reroutes();
         for t in [80u64, 100, 120] {
-            ts.poll(t);
+            assert!(
+                ts.poll(t).rerouted.is_empty(),
+                "reroutes are once per transfer"
+            );
         }
-        assert_eq!(ts.reroutes(), after, "reroutes are once per transfer");
     }
 
     #[test]
@@ -1443,7 +1398,6 @@ mod tests {
         let out = ts.fail_link(1, 7);
         assert_eq!(out.stalled.len(), 1, "no alternate route exists");
         assert!(out.rerouted.is_empty());
-        assert_eq!(ts.stalls(), 1);
         assert!(ts.streaming_on_failed_links().is_empty());
         // dirty penalty: 25% of the 4 copied bytes re-dirtied → 5 remain
         // and the stream holds at rate zero until a restore or retry
@@ -1453,8 +1407,6 @@ mod tests {
         let r = &resumed[0];
         assert!((r.saved - 3.0).abs() < 1e-9, "checkpoint saved {}", r.saved);
         assert_eq!(r.stalled_ticks, 1);
-        assert!((ts.resumed_bytes_saved() - 3.0).abs() < 1e-9);
-        assert_eq!(ts.stall_histogram().count(), 1);
         // 5 bytes at 4.0 from t=2: completes at 4 — strictly earlier
         // than a restart-from-zero (8 bytes → t=4 only if restarted at
         // t=2 with ceil(8/4)=2... restart completes at 4 too; assert on
@@ -1482,7 +1434,6 @@ mod tests {
         assert!(out.stalled.is_empty(), "the alternate survives");
         assert_eq!(out.rerouted.len(), 1);
         assert_eq!(out.rerouted[0].hops, 2);
-        assert_eq!(ts.stalls(), 0);
         assert!(ts.streaming_on_failed_links().is_empty());
         // checkpoint kept minus the dirty penalty: 4 copied, 1 re-dirtied,
         // 5 remain at rate 4.0 → completes at ceil(5/4)=2 ticks from t=1
@@ -1512,8 +1463,6 @@ mod tests {
         assert_eq!(tick.retried.len(), 1);
         assert_eq!(tick.failed.len(), 1);
         assert_eq!(tick.failed[0].attempts, 2);
-        assert_eq!(ts.failures(), 1);
-        assert_eq!(ts.retries(), 2);
         assert!(ts.is_idle());
     }
 
@@ -1547,7 +1496,6 @@ mod tests {
         };
         assert_eq!(s.stalled_on, Some(7), "every route crosses the failed link");
         assert_eq!(s.rate, 0.0);
-        assert_eq!(ts.stalls(), 1);
         assert!(!ts.is_idle());
         // restore resumes it from byte zero (nothing copied, nothing saved)
         let resumed = ts.restore_link(2, 7);

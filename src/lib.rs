@@ -61,7 +61,7 @@ pub mod prelude {
         Alert, AlertSource, ArimaProfilePredictor, CongestionSim, Profile, RackMetric, SimConfig,
         TorMonitor, VmWorkload,
     };
-    pub use dcn_sim::{ChannelFaults, FaultInjector, SheriffError};
+    pub use dcn_sim::{ChannelFaults, SheriffError};
 
     // --- management: both loops behind one Runtime trait -------------
     pub use sheriff_core::{

@@ -355,3 +355,171 @@ fn every_bundled_scenario_reproduces_its_pinned_report() {
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
+
+/// A k=4 Fat-Tree spec whose `[[fault]]` schedule fires every action
+/// kind: an untimed link cut, a link blip that restores in-round and a
+/// mid-round cut that stays down, `restore_link`, a host failure and its
+/// silent repeat, `restore_host`, a rack failure and its restore, shim
+/// crashes untimed and mid-round without recovery, `recover_shim`, and
+/// an in-round and a standing partition with its heal.
+/// `recovering_crash` adds a shim crash that recovers within its round.
+fn every_fault_action_spec(runtime: &str, recovering_crash: bool) -> ScenarioSpec {
+    let recovering = if recovering_crash {
+        "[[fault]]\nround = 2\naction = \"crash_shim\"\nrack = 2\ncrash_at = 10\nrecover_at = 60\n"
+    } else {
+        ""
+    };
+    let src = format!(
+        r#"
+name = "every_fault_action"
+rounds = 7
+seeds = [11, 12]
+
+[topology]
+kind = "fat_tree"
+pods = 4
+
+[cluster]
+vms_per_host = 2.0
+skew = 3.0
+
+[workload]
+alert_fraction = 0.3
+
+[runtime]
+{runtime}
+
+[[fault]]
+round = 0
+action = "fail_link"
+link = 2
+
+[[fault]]
+round = 0
+action = "fail_link"
+link = 1
+fail_at = 10
+restore_at = 40
+
+[[fault]]
+round = 0
+action = "fail_host"
+host = 0
+
+[[fault]]
+round = 0
+action = "partition"
+name = "blip"
+racks = [3]
+start_at = 2
+heal_at = 30
+
+[[fault]]
+round = 1
+action = "fail_link"
+link = 3
+fail_at = 20
+
+[[fault]]
+round = 1
+action = "fail_host"
+host = 0
+
+[[fault]]
+round = 1
+action = "crash_shim"
+rack = 1
+
+[[fault]]
+round = 1
+action = "partition"
+name = "west"
+racks = [4, 5]
+start_at = 5
+
+[[fault]]
+round = 2
+action = "restore_link"
+link = 2
+
+[[fault]]
+round = 2
+action = "restore_host"
+host = 0
+
+[[fault]]
+round = 2
+action = "fail_rack"
+rack = 6
+
+{recovering}
+[[fault]]
+round = 3
+action = "crash_shim"
+rack = 3
+crash_at = 15
+
+[[fault]]
+round = 3
+action = "recover_shim"
+rack = 1
+
+[[fault]]
+round = 4
+action = "restore_rack"
+rack = 6
+
+[[fault]]
+round = 4
+action = "heal"
+name = "west"
+heal_at = 10
+
+[[fault]]
+round = 4
+action = "restore_link"
+link = 3
+
+[[fault]]
+round = 5
+action = "recover_shim"
+rack = 3
+"#
+    );
+    let spec = ScenarioSpec::parse_str(&src).expect("spec parses");
+    spec.validate().expect("spec is valid");
+    spec
+}
+
+#[test]
+fn every_fault_action_reproduces_its_pinned_report() {
+    // FNV-1a-64 of each canonical report; a change that claims identical
+    // behaviour must leave both alone. No bundled scenario uses
+    // `restore_link`, `fail_host`, `restore_host` or the centralized
+    // runtime, so SCENARIO_DIGESTS alone does not guard those paths
+    let fabric = "kind = \"fabric\"\nmax_retry = 3\ntransfer_bandwidth = 1.0\n\
+                  transfer_max_concurrent = 3\ntransfer_bytes_per_capacity = 16.0\n\
+                  transfer_k_paths = 2\ntransfer_stall_budget = 8\ntransfer_max_attempts = 3";
+    let cases = [
+        (
+            "fabric",
+            every_fault_action_spec(fabric, true),
+            0xf106_6d9a_a134_3dd5,
+        ),
+        (
+            "centralized",
+            every_fault_action_spec("kind = \"centralized\"", false),
+            0x1d23_c05b_da47_c9cf,
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (name, spec, pinned) in cases {
+        let digest = fnv1a64(canonical(&spec, true, 0).as_bytes());
+        if digest != pinned {
+            failures.push(format!(
+                "{name}: digest {digest:#018x}, pinned {pinned:#018x}"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
