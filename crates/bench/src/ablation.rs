@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sheriff_core::kmedian::{exact_optimal, local_search};
 use sheriff_core::vmmigration::{vmmigration, MigrationContext};
-use sheriff_core::{priority, request_migration, Budget, Sheriff};
+use sheriff_core::{balance_trajectory, priority, request_migration, Budget, FabricRuntime};
 use timeseries::metrics::mse;
 use timeseries::selector::{DynamicSelector, Predictor};
 
@@ -298,8 +298,13 @@ pub fn ablation_scope(seed: u64) -> Table {
             sim,
         );
         let metric = RackMetric::build(&cluster.dcn, &cluster.sim);
-        let sheriff = Sheriff::new(&cluster);
-        let (traj, plan) = sheriff.balance_trajectory(&mut cluster, &metric, 0.05, 12);
+        let (traj, plan) = balance_trajectory(
+            &mut FabricRuntime::default(),
+            &mut cluster,
+            &metric,
+            0.05,
+            12,
+        );
         t.push(vec![
             hops as f64,
             traj.last().copied().unwrap_or(f64::NAN),

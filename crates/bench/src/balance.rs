@@ -1,6 +1,7 @@
 //! Fig. 9/10: workload-percentage standard deviation across all servers
 //! over 24 migration rounds, on Fat-Tree and BCube, with 5 % of VMs
-//! raising alerts per round (Sec. VI-B).
+//! raising alerts per round (Sec. VI-B). Sheriff's shims run on the
+//! fabric runtime over a reliable channel.
 
 use crate::report::Table;
 use dcn_sim::engine::{Cluster, ClusterConfig};
@@ -9,7 +10,7 @@ use dcn_topology::bcube::{self, BCubeConfig};
 use dcn_topology::dcell::{self, DCellConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
 use dcn_topology::vl2::{self, Vl2Config};
-use sheriff_core::Sheriff;
+use sheriff_core::{balance_trajectory, FabricRuntime};
 
 /// The cluster population used by the balance experiments: scattered
 /// hotspots (skew 4) so round 0 shows the paper's ~45 % imbalance scale.
@@ -24,8 +25,13 @@ pub fn balance_cluster_config(seed: u64) -> ClusterConfig {
 
 fn run_balance(id: &str, title: &str, cluster: &mut Cluster, rounds: usize) -> Table {
     let metric = RackMetric::build(&cluster.dcn, &cluster.sim);
-    let sheriff = Sheriff::new(cluster);
-    let (traj, plan) = sheriff.balance_trajectory(cluster, &metric, 0.05, rounds);
+    let (traj, plan) = balance_trajectory(
+        &mut FabricRuntime::default(),
+        cluster,
+        &metric,
+        0.05,
+        rounds,
+    );
     let mut t = Table::new(id, title, &["round", "stddev_pct"]);
     for (i, v) in traj.iter().enumerate() {
         t.push(vec![i as f64, *v]);

@@ -8,21 +8,20 @@ use crate::report::Table;
 use dcn_sim::congestion::{CongestionConfig, CongestionSim};
 use dcn_sim::engine::{Cluster, ClusterConfig};
 use dcn_sim::flows::{Flow, FlowNetwork};
-use dcn_sim::{Alert, AlertSource};
-use dcn_sim::{RackMetric, SimConfig};
+use dcn_sim::{Alert, AlertSource, SimConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
 use dcn_topology::{RackId, VmId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sheriff_core::pre_alert_management;
-use sheriff_core::vmmigration::MigrationContext;
+use sheriff_core::reroute_switch_alerts;
+use sheriff_obs::NullSink;
 
 /// Run the congestion loop for `steps` steps: heavy cross-pod flows, QCN
-/// queues, and shims reacting through Alg. 1 at each alert. Reports the
-/// worst queue per step and the cumulative reroutes.
+/// queues, and shims reacting through Alg. 1's outer-switch arm at each
+/// alert. Reports the worst queue per step and the cumulative reroutes.
 pub fn qcn_experiment(steps: usize, seed: u64) -> Table {
     let dcn = fattree::build(&FatTreeConfig::paper(4));
-    let mut cluster = Cluster::build(
+    let cluster = Cluster::build(
         dcn,
         &ClusterConfig {
             vms_per_host: 2.0,
@@ -32,7 +31,6 @@ pub fn qcn_experiment(steps: usize, seed: u64) -> Table {
         },
         SimConfig::paper(),
     );
-    let metric = RackMetric::build(&cluster.dcn, &cluster.sim);
 
     // Congestion from *overlap*: pairs of medium flows between the same
     // rack pair initially share the one distance-shortest path (combined
@@ -115,30 +113,21 @@ pub fn qcn_experiment(steps: usize, seed: u64) -> Table {
             }
         }
         let alert_count = alerts.len();
-        // racks handle their alerts in order (the sequential runtime)
+        // every alert is an outer-switch alert: racks reroute in order
         let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
         racks.sort_unstable();
         racks.dedup();
         for rack in racks {
-            let region = cluster.dcn.neighbor_racks(rack, cluster.sim.region_hops);
-            let mut ctx = MigrationContext {
-                placement: &mut cluster.placement,
-                inventory: &cluster.dcn.inventory,
-                deps: &cluster.deps,
-                metric: &metric,
-                sim: &cluster.sim,
-            };
-            let out = pre_alert_management(
-                &mut ctx,
+            let out = reroute_switch_alerts(
                 &cluster.dcn,
-                Some(&mut flows),
+                &cluster.placement,
+                &cluster.sim,
+                &mut flows,
                 rack,
-                &region,
                 &alerts,
-                &|_| 0.95,
-                3,
+                &mut NullSink,
             );
-            rerouted_total += out.reroutes.rerouted;
+            rerouted_total += out.rerouted;
         }
         t.push(vec![
             step as f64,

@@ -2,6 +2,7 @@
 //! the topology scales — total migration cost (Fig. 11/13) and matching
 //! search space (Fig. 12/14), on Fat-Tree (pods 8..48) and BCube
 //! (switches per level 8..48), with 5 % of VMs alerting (Sec. VI-B).
+//! Sheriff's shims run one fabric round over a reliable channel.
 
 use crate::report::Table;
 use dcn_sim::engine::{Cluster, ClusterConfig};
@@ -10,7 +11,9 @@ use dcn_topology::bcube::{self, BCubeConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
 use dcn_topology::{Dcn, VmId};
 use sheriff_core::vmmigration::MigrationContext;
-use sheriff_core::{centralized_migration_chunked, priority, Budget, Sheriff};
+use sheriff_core::{
+    balance_trajectory, centralized_migration_chunked, priority, Budget, FabricRuntime,
+};
 
 /// Which topology family a sweep runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,12 +107,14 @@ pub fn run_point(topo: Topo, k: usize, seed: u64) -> ScalePoint {
         .collect();
     let candidates = candidate_set(&c_sheriff, &alert_values);
 
-    // Sheriff: one management round over the host alerts
-    let sheriff = Sheriff::new(&c_sheriff);
-    let alerts = c_sheriff.fraction_alerts(0.05, 0);
-    let report = sheriff.round(&mut c_sheriff, &metric, None, &alerts, &|vm| {
-        alert_values[vm.index()]
-    });
+    // Sheriff: one management round over the same 5 % of VMs alerting
+    let (_, sheriff) = balance_trajectory(
+        &mut FabricRuntime::default(),
+        &mut c_sheriff,
+        &metric,
+        0.05,
+        1,
+    );
 
     // Centralized: the same candidates against every host
     let central = {
@@ -126,11 +131,11 @@ pub fn run_point(topo: Topo, k: usize, seed: u64) -> ScalePoint {
     ScalePoint {
         k,
         candidates: candidates.len(),
-        sheriff_cost: report.plan.total_cost,
+        sheriff_cost: sheriff.total_cost,
         central_cost: central.total_cost,
-        sheriff_space: report.plan.search_space,
+        sheriff_space: sheriff.search_space,
         central_space: central.search_space,
-        sheriff_moves: report.plan.moves.len(),
+        sheriff_moves: sheriff.moves.len(),
         central_moves: central.moves.len(),
     }
 }

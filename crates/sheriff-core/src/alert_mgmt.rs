@@ -7,10 +7,16 @@
 //! `PRIORITY(F, β)` pass over the whole rack adds more migration victims.
 //! Finally VMMIGRATION places the victims and FLOWREROUTE moves the
 //! conflicted flows.
+//!
+//! Each arm lives here once: [`reroute_switch_alerts`] is the
+//! outer-switch arm, which the assembled [`System`](crate::System) runs
+//! before its fabric round, and `select_victims` is the host/local-ToR
+//! arm, which every runtime's shims run. [`pre_alert_management`] chains
+//! both with a sequential VMMIGRATION for one shim.
 
 use crate::priority::{priority, Budget};
 use crate::reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
-use crate::vmmigration::{vmmigration_scoped_obs, MigrationContext, MigrationPlan};
+use crate::vmmigration::{vmmigration, MigrationContext, MigrationPlan};
 use dcn_sim::flows::FlowNetwork;
 use dcn_sim::{Alert, AlertSource, SimConfig};
 use dcn_topology::{Dcn, Inventory, NodeId, Placement, RackId, VmId};
@@ -27,7 +33,9 @@ pub struct ShimOutcome {
     pub migration_candidates: usize,
 }
 
-/// Run Alg. 1 for the shim of `rack` over the alerts addressed to it.
+/// Run Alg. 1 for the shim of `rack` over the alerts addressed to it:
+/// reroute around its outer-switch alerts, then place its host and
+/// local-ToR victims with VMMIGRATION.
 ///
 /// * `region` — the racks of this shim's dominating region (destination
 ///   candidates for VMMIGRATION).
@@ -47,132 +55,19 @@ pub fn pre_alert_management(
     alert_of: &dyn Fn(VmId) -> f64,
     max_rounds: usize,
 ) -> ShimOutcome {
-    pre_alert_management_obs(
-        ctx,
-        dcn,
-        flows,
-        rack,
-        region,
-        alerts,
-        alert_of,
-        max_rounds,
-        &mut NullSink,
-    )
-}
-
-/// [`pre_alert_management`] with instrumentation: PRIORITY selections
-/// (`victims_selected`), reroute outcomes (`flows_rerouted`) and the
-/// whole VMMIGRATION negotiation are emitted to `sink`.
-#[allow(clippy::too_many_arguments)] // Alg. 1 signature + sink
-pub fn pre_alert_management_obs<S: EventSink + ?Sized>(
-    ctx: &mut MigrationContext<'_>,
-    dcn: &Dcn,
-    mut flows: Option<&mut FlowNetwork>,
-    rack: RackId,
-    region: &[RackId],
-    alerts: &[Alert],
-    alert_of: &dyn Fn(VmId) -> f64,
-    max_rounds: usize,
-    sink: &mut S,
-) -> ShimOutcome {
     let mut outcome = ShimOutcome::default();
-
-    for alert in alerts.iter().filter(|a| a.rack == rack) {
-        match alert.source {
-            AlertSource::OuterSwitch(sw) => {
-                // conflict flows from local VMs passing through s_j
-                let Some(flow_net) = flows.as_deref_mut() else {
-                    continue;
-                };
-                let local_flow_ids: Vec<usize> = flow_net
-                    .flows_through_switch(dcn, sw)
-                    .into_iter()
-                    .filter(|&f| ctx.placement.rack_of(flow_net.flows()[f].src) == rack)
-                    .collect();
-                // Alg. 2's α branch in *flow-rate* units. Rerouting every
-                // flow off the switch just moves the herd to the next
-                // path (and oscillates); instead, relieve exactly enough:
-                // pull the largest offenders until the switch's worst
-                // incident link drops an α-portion below capacity. Delay-
-                // sensitive VMs stay exempt.
-                // rerouting moves packets, not the VM, so only the
-                // *flow's* delay-sensitivity matters here (a DS VM's bulk
-                // flows may detour; its latency-critical flows may not)
-                let mut rate_of: std::collections::HashMap<VmId, f64> = Default::default();
-                for &f in &local_flow_ids {
-                    let flow = &flow_net.flows()[f];
-                    if !flow.delay_sensitive {
-                        *rate_of.entry(flow.src).or_insert(0.0) += flow.rate;
-                    }
-                }
-                let mut ranked: Vec<(VmId, f64)> = rate_of.into_iter().collect();
-                ranked.sort_by(|a, b| {
-                    // total_cmp: a NaN rate/value (corrupt input) must not
-                    // abort the whole management round — it gets a fixed
-                    // place in the order instead
-                    b.1.total_cmp(&a.1)
-                        .then_with(|| {
-                            ctx.placement
-                                .spec(a.0)
-                                .value
-                                .total_cmp(&ctx.placement.spec(b.0).value)
-                        })
-                        .then(a.0.cmp(&b.0))
-                });
-                // overshoot of the worst incident link above the
-                // (1 − α)·capacity target
-                let overshoot = match dcn.graph.node_idx(NodeId::Switch(sw)) {
-                    Some(node) => dcn
-                        .graph
-                        .neighbors(node)
-                        .iter()
-                        .map(|&(_, e)| {
-                            flow_net.load(e) - (1.0 - ctx.sim.alpha) * dcn.graph.link(e).capacity
-                        })
-                        .fold(0.0f64, f64::max),
-                    None => 0.0,
-                };
-                let mut chosen: Vec<VmId> = Vec::new();
-                let mut to_remove = overshoot;
-                for (vm, rate) in ranked {
-                    if to_remove <= 0.0 {
-                        break;
-                    }
-                    to_remove -= rate;
-                    chosen.push(vm);
-                }
-                let chosen_flow_ids: Vec<usize> = local_flow_ids
-                    .into_iter()
-                    .filter(|&f| chosen.contains(&flow_net.flows()[f].src))
-                    .collect();
-                let r = if ctx.sim.reroute_paths > 1 {
-                    flow_reroute_balanced(
-                        dcn,
-                        ctx.placement,
-                        flow_net,
-                        sw,
-                        &chosen_flow_ids,
-                        ctx.sim.reroute_paths,
-                    )
-                } else {
-                    flow_reroute(dcn, ctx.placement, flow_net, sw, &chosen_flow_ids)
-                };
-                emit(sink, || Event::FlowsRerouted {
-                    rack: rack.index() as u64,
-                    rerouted: r.rerouted as u64,
-                    stuck: r.stuck as u64,
-                });
-                sink.counter("reroutes.flows", r.rerouted as u64);
-                outcome.reroutes.rerouted += r.rerouted;
-                outcome.reroutes.stuck += r.stuck;
-                outcome.reroutes.skipped_delay_sensitive += r.skipped_delay_sensitive;
-            }
-            // migration victims: selected below, on the same placement
-            AlertSource::Host(_) | AlertSource::LocalTor(_) => {}
-        }
+    if let Some(flows) = flows {
+        outcome.reroutes = reroute_switch_alerts(
+            dcn,
+            ctx.placement,
+            ctx.sim,
+            flows,
+            rack,
+            alerts,
+            &mut NullSink,
+        );
     }
-
-    let (migration_set, candidate_pool) = select_victims(
+    let (migration_set, _) = select_victims(
         ctx.placement,
         ctx.inventory,
         ctx.sim,
@@ -182,14 +77,112 @@ pub fn pre_alert_management_obs<S: EventSink + ?Sized>(
     );
     outcome.migration_candidates = migration_set.len();
     if !migration_set.is_empty() {
-        emit(sink, || Event::VictimsSelected {
-            rack: rack.index() as u64,
-            candidates: candidate_pool as u64,
-            selected: migration_set.len() as u64,
-        });
-        outcome.plan = vmmigration_scoped_obs(ctx, &migration_set, region, max_rounds, true, sink);
+        outcome.plan = vmmigration(ctx, &migration_set, region, max_rounds);
     }
     outcome
+}
+
+/// Alg. 1's outer-switch arm for the shim of `rack`: for each of its
+/// outer-switch alerts, FLOWREROUTE moves the conflicted flows of the
+/// rack's own VMs off the hot switch. Each alert emits `flows_rerouted`
+/// and bumps the `reroutes.flows` counter. Host and local-ToR alerts
+/// select migration victims instead and are skipped here.
+pub fn reroute_switch_alerts<S: EventSink + ?Sized>(
+    dcn: &Dcn,
+    placement: &Placement,
+    sim: &SimConfig,
+    flows: &mut FlowNetwork,
+    rack: RackId,
+    alerts: &[Alert],
+    sink: &mut S,
+) -> RerouteReport {
+    let mut total = RerouteReport::default();
+    for alert in alerts.iter().filter(|a| a.rack == rack) {
+        let AlertSource::OuterSwitch(sw) = alert.source else {
+            continue;
+        };
+        // conflict flows from local VMs passing through s_j
+        let local_flow_ids: Vec<usize> = flows
+            .flows_through_switch(dcn, sw)
+            .into_iter()
+            .filter(|&f| placement.rack_of(flows.flows()[f].src) == rack)
+            .collect();
+        // Alg. 2's α branch in *flow-rate* units. Rerouting every flow
+        // off the switch just moves the herd to the next path (and
+        // oscillates); instead, relieve exactly enough: pull the largest
+        // offenders until the switch's worst incident link drops an
+        // α-portion below capacity. Delay-sensitive VMs stay exempt.
+        // rerouting moves packets, not the VM, so only the *flow's*
+        // delay-sensitivity matters here (a DS VM's bulk flows may
+        // detour; its latency-critical flows may not)
+        let mut rate_of: std::collections::HashMap<VmId, f64> = Default::default();
+        for &f in &local_flow_ids {
+            let flow = &flows.flows()[f];
+            if !flow.delay_sensitive {
+                *rate_of.entry(flow.src).or_insert(0.0) += flow.rate;
+            }
+        }
+        let mut ranked: Vec<(VmId, f64)> = rate_of.into_iter().collect();
+        ranked.sort_by(|a, b| {
+            // total_cmp: a NaN rate/value (corrupt input) must not abort
+            // the whole management round — it gets a fixed place in the
+            // order instead
+            b.1.total_cmp(&a.1)
+                .then_with(|| {
+                    placement
+                        .spec(a.0)
+                        .value
+                        .total_cmp(&placement.spec(b.0).value)
+                })
+                .then(a.0.cmp(&b.0))
+        });
+        // overshoot of the worst incident link above the
+        // (1 − α)·capacity target
+        let overshoot = match dcn.graph.node_idx(NodeId::Switch(sw)) {
+            Some(node) => dcn
+                .graph
+                .neighbors(node)
+                .iter()
+                .map(|&(_, e)| flows.load(e) - (1.0 - sim.alpha) * dcn.graph.link(e).capacity)
+                .fold(0.0f64, f64::max),
+            None => 0.0,
+        };
+        let mut chosen: Vec<VmId> = Vec::new();
+        let mut to_remove = overshoot;
+        for (vm, rate) in ranked {
+            if to_remove <= 0.0 {
+                break;
+            }
+            to_remove -= rate;
+            chosen.push(vm);
+        }
+        let chosen_flow_ids: Vec<usize> = local_flow_ids
+            .into_iter()
+            .filter(|&f| chosen.contains(&flows.flows()[f].src))
+            .collect();
+        let r = if sim.reroute_paths > 1 {
+            flow_reroute_balanced(
+                dcn,
+                placement,
+                flows,
+                sw,
+                &chosen_flow_ids,
+                sim.reroute_paths,
+            )
+        } else {
+            flow_reroute(dcn, placement, flows, sw, &chosen_flow_ids)
+        };
+        emit(sink, || Event::FlowsRerouted {
+            rack: rack.index() as u64,
+            rerouted: r.rerouted as u64,
+            stuck: r.stuck as u64,
+        });
+        sink.counter("reroutes.flows", r.rerouted as u64);
+        total.rerouted += r.rerouted;
+        total.stuck += r.stuck;
+        total.skipped_delay_sensitive += r.skipped_delay_sensitive;
+    }
+    total
 }
 
 /// Alg. 1/2 victim selection for `rack`'s host and local-ToR alerts:

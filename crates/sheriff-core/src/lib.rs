@@ -14,11 +14,13 @@
 //!   ratio 3 + 2/p, plus the VMMIGRATION → k-median transformation,
 //!
 //! together with FLOWREROUTE, the centralized-manager baseline
-//! ([`CentralizedRuntime`]), a deterministic sequential runtime
-//! ([`Sheriff`]) and the shim runtime, which negotiates every move with
-//! its destination as two-phase PREPARE/COMMIT messages in virtual time
-//! ([`FabricRuntime`] behind the [`Runtime`] trait). Every runtime runs
-//! the same copy of each step: Alg. 1/2 victim selection lives in
+//! ([`CentralizedRuntime`]) and the shim runtime, which negotiates every
+//! move with its destination as two-phase PREPARE/COMMIT messages in
+//! virtual time ([`FabricRuntime`] behind the [`Runtime`] trait). Every
+//! Sheriff round runs on the fabric: the figures through
+//! [`balance_trajectory`], the assembled [`System`] through one kept
+//! `FabricRuntime`. Every runtime runs the same copy of each step:
+//! Alg. 1's switch arm and Alg. 1/2 victim selection live in
 //! [`alert_mgmt`], the Eqn. 1 matching step in [`mod@vmmigration`], and the
 //! destination's verdict in [`request`].
 
@@ -42,12 +44,11 @@ pub mod protocol;
 pub mod request;
 pub mod reroute;
 pub mod runtime;
-pub mod shim;
 pub mod strategy;
 pub mod system;
 pub mod vmmigration;
 
-pub use alert_mgmt::{pre_alert_management, pre_alert_management_obs, ShimOutcome};
+pub use alert_mgmt::{pre_alert_management, reroute_switch_alerts, ShimOutcome};
 pub use audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
 };
@@ -71,9 +72,10 @@ pub use priority::{priority, Budget};
 pub use protocol::{BackoffPolicy, RejectReason, ReqId, ShimMsg, TwoPhaseReply};
 pub use request::request_migration;
 pub use reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
-pub use runtime::{CentralizedRuntime, FabricRuntime, RoundOutcome, RunCtx, Runtime};
+pub use runtime::{
+    balance_trajectory, CentralizedRuntime, FabricRuntime, RoundOutcome, RunCtx, Runtime,
+};
 pub use sheriff_transfer::{TransferConfig, TransferScheduler};
-pub use shim::{RoundReport, Sheriff};
 pub use strategy::{run_policy, AlertPolicy, StrategyOutcome};
 pub use system::{StepReport, System};
 pub use vmmigration::{

@@ -18,7 +18,7 @@ use crate::vmmigration::{MigrationContext, MigrationPlan};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{Alert, RackMetric};
 use dcn_topology::{RackId, VmId};
-use sheriff_obs::{emit, Event, EventSink};
+use sheriff_obs::{emit, Event, EventSink, NullSink};
 
 /// Everything one management round needs: the mutable cluster, the
 /// precomputed cost metric, this period's alerts with their ALERT
@@ -231,21 +231,55 @@ impl Runtime for FabricRuntime {
     }
 }
 
+/// Run `rounds` successive rounds of `runtime` with the Fig. 9/10
+/// protocol: each round a fixed fraction of VMs alerts, and each VM's
+/// ALERT value is its host's utilisation. Returns the std-dev trajectory,
+/// initial point included, and the merged plan of every round.
+pub fn balance_trajectory(
+    runtime: &mut dyn Runtime,
+    cluster: &mut Cluster,
+    metric: &RackMetric,
+    alert_fraction: f64,
+    rounds: usize,
+) -> (Vec<f64>, MigrationPlan) {
+    let mut stddevs = vec![cluster.utilization_stddev()];
+    let mut plan = MigrationPlan::default();
+    for t in 0..rounds {
+        let alerts = cluster.fraction_alerts(alert_fraction, t);
+        let utils: Vec<f64> = cluster
+            .placement
+            .vm_ids()
+            .map(|vm| cluster.placement.utilization(cluster.placement.host_of(vm)))
+            .collect();
+        let out = runtime.step(&mut RunCtx {
+            cluster: &mut *cluster,
+            metric,
+            alerts: &alerts,
+            alert_values: &utils,
+            sink: &mut NullSink,
+        });
+        plan.absorb(out.plan);
+        stddevs.push(cluster.utilization_stddev());
+    }
+    (stddevs, plan)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcn_sim::engine::ClusterConfig;
     use dcn_sim::SimConfig;
+    use dcn_topology::bcube::{self, BCubeConfig};
     use dcn_topology::fattree::{self, FatTreeConfig};
-    use sheriff_obs::{NullSink, RingRecorder};
+    use sheriff_obs::RingRecorder;
 
-    fn cluster(seed: u64) -> Cluster {
+    fn cluster(seed: u64, skew: f64) -> Cluster {
         let dcn = fattree::build(&FatTreeConfig::paper(8));
         Cluster::build(
             dcn,
             &ClusterConfig {
                 vms_per_host: 2.5,
-                skew: 3.0,
+                skew,
                 seed,
                 ..ClusterConfig::default()
             },
@@ -267,30 +301,70 @@ mod tests {
             Box::new(FabricRuntime::default()),
         ];
         for mut rt in runtimes {
-            let mut c = cluster(91);
+            let mut c = cluster(91, 3.0);
             let metric = RackMetric::build(&c.dcn, &c.sim);
-            let before = c.utilization_stddev();
-            for t in 0..4 {
-                let alerts = c.fraction_alerts(0.08, t);
-                let vals = alert_values(&c);
-                let mut ctx = RunCtx {
-                    cluster: &mut c,
-                    metric: &metric,
-                    alerts: &alerts,
-                    alert_values: &vals,
-                    sink: &mut NullSink,
-                };
-                let out = rt.step(&mut ctx);
-                assert!(out.shims > 0, "{}: no shims ran", rt.name());
-            }
-            let after = c.utilization_stddev();
-            assert!(after < before, "{}: std-dev {before} -> {after}", rt.name());
+            let (traj, plan) = balance_trajectory(rt.as_mut(), &mut c, &metric, 0.08, 4);
+            assert_eq!(traj.len(), 5);
+            assert!(!plan.moves.is_empty(), "{}: no moves", rt.name());
+            let (before, after) = (traj[0], traj[4]);
+            assert!(
+                after < before * 0.75,
+                "{}: std-dev {before} -> {after}",
+                rt.name()
+            );
         }
     }
 
     #[test]
+    fn balancing_reduces_stddev_on_fattree() {
+        let mut c = cluster(1, 4.0);
+        let metric = RackMetric::build(&c.dcn, &c.sim);
+        let (traj, plan) =
+            balance_trajectory(&mut FabricRuntime::default(), &mut c, &metric, 0.05, 24);
+        assert_eq!(traj.len(), 25);
+        assert!(!plan.moves.is_empty());
+        let first = traj[0];
+        let last = *traj.last().unwrap();
+        assert!(
+            last < first * 0.6,
+            "std-dev should roughly halve over 24 rounds: {first} -> {last}"
+        );
+    }
+
+    #[test]
+    fn balancing_reduces_stddev_on_bcube() {
+        let dcn = bcube::build(&BCubeConfig::paper(8));
+        let mut c = Cluster::build(
+            dcn,
+            &ClusterConfig {
+                vms_per_host: 2.5,
+                skew: 4.0,
+                seed: 2,
+                ..ClusterConfig::default()
+            },
+            SimConfig::paper(),
+        );
+        let metric = RackMetric::build(&c.dcn, &c.sim);
+        let (traj, _) =
+            balance_trajectory(&mut FabricRuntime::default(), &mut c, &metric, 0.05, 24);
+        assert!(*traj.last().unwrap() < traj[0] * 0.7, "{traj:?}");
+    }
+
+    #[test]
+    fn rounds_are_deterministic() {
+        let run = |seed| {
+            let mut c = cluster(seed, 4.0);
+            let metric = RackMetric::build(&c.dcn, &c.sim);
+            let (traj, plan) =
+                balance_trajectory(&mut FabricRuntime::default(), &mut c, &metric, 0.05, 5);
+            (traj, plan.total_cost)
+        };
+        assert_eq!(run(9), run(9));
+    }
+
+    #[test]
     fn trait_step_streams_events_through_the_ctx_sink() {
-        let mut c = cluster(93);
+        let mut c = cluster(93, 3.0);
         let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
         let vals = alert_values(&c);

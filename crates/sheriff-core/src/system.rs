@@ -6,10 +6,12 @@
 //!
 //! Each step gathers alerts from all three sources of Sec. III-B —
 //! predicted host overload, predicted ToR uplink congestion, and QCN
-//! feedback from outer switches — and lets every alerted shim run Alg. 1.
+//! feedback from outer switches — and lets every alerted shim run Alg. 1:
+//! each reroutes around its outer-switch alerts, then the shims place
+//! their migration victims in one [`FabricRuntime`] round.
 
-use crate::shim::Sheriff;
-use crate::vmmigration::MigrationContext;
+use crate::alert_mgmt::reroute_switch_alerts;
+use crate::runtime::{FabricRuntime, RunCtx, Runtime};
 use dcn_sim::congestion::{CongestionConfig, CongestionSim};
 use dcn_sim::engine::{Cluster, ProfilePredictor};
 use dcn_sim::flows::FlowNetwork;
@@ -58,7 +60,9 @@ pub struct System<S: EventSink = NullSink> {
     pub tor: TorMonitor,
     /// Precomputed migration-cost metric.
     pub metric: RackMetric,
-    sheriff: Sheriff,
+    /// The shims' runtime, kept across steps so its failover state
+    /// carries over.
+    runtime: FabricRuntime,
     sink: S,
     time: usize,
 }
@@ -79,14 +83,13 @@ impl<S: EventSink> System<S> {
         let metric = RackMetric::build(&cluster.dcn, &cluster.sim);
         let qcn = CongestionSim::new(&cluster.dcn, CongestionConfig::default());
         let tor = TorMonitor::new(&cluster.dcn, 32);
-        let sheriff = Sheriff::new(&cluster);
         Self {
             cluster,
             flows,
             qcn,
             tor,
             metric,
-            sheriff,
+            runtime: FabricRuntime::default(),
             sink,
             time: 0,
         }
@@ -189,60 +192,51 @@ impl<S: EventSink> System<S> {
             .counter("alerts.switch", report.switch_alerts as u64);
 
         // --- management (Alg. 1 per alerted shim) ---------------------
+        // 1. the outer-switch arm: each alerted shim reroutes first, in
+        //    rack order
         let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
         racks.sort_unstable();
         racks.dedup();
         for rack in racks {
-            let region = self.sheriff.region(rack).to_vec();
-            let demands: Vec<f64> = if self.cluster.workloads.is_empty() {
-                self.cluster
-                    .placement
-                    .vm_ids()
-                    .map(|vm| {
-                        self.cluster
-                            .placement
-                            .utilization(self.cluster.placement.host_of(vm))
-                    })
-                    .collect()
-            } else {
-                self.cluster
-                    .placement
-                    .vm_ids()
-                    .map(|vm| {
-                        predictor
-                            .predict(&self.cluster.workloads[vm.index()], t + 1)
-                            .max()
-                    })
-                    .collect()
-            };
-            let outcome = {
-                let mut ctx = MigrationContext {
-                    placement: &mut self.cluster.placement,
-                    inventory: &self.cluster.dcn.inventory,
-                    deps: &self.cluster.deps,
-                    metric: &self.metric,
-                    sim: &self.cluster.sim,
-                };
-                crate::alert_mgmt::pre_alert_management_obs(
-                    &mut ctx,
-                    &self.cluster.dcn,
-                    Some(&mut self.flows),
-                    rack,
-                    &region,
-                    &alerts,
-                    &|vm| demands[vm.index()],
-                    self.sheriff.max_rounds,
-                    &mut self.sink,
-                )
-            };
-            report.migrations += outcome.plan.moves.len();
-            report.reroutes += outcome.reroutes.rerouted;
-            // migrated VMs carry their flows with them: rebase any flow
-            // touching a moved VM onto its new rack's paths
-            for m in &outcome.plan.moves {
-                self.flows
-                    .rebase_vm(&self.cluster.dcn, &self.cluster.placement, m.vm);
-            }
+            let r = reroute_switch_alerts(
+                &self.cluster.dcn,
+                &self.cluster.placement,
+                &self.cluster.sim,
+                &mut self.flows,
+                rack,
+                &alerts,
+                &mut self.sink,
+            );
+            report.reroutes += r.rerouted;
+        }
+        // 2. the host and local-ToR arms: one fabric round over every
+        //    alert, ranked by each VM's predicted demand
+        let placement = &self.cluster.placement;
+        let demands: Vec<f64> = if self.cluster.workloads.is_empty() {
+            placement
+                .vm_ids()
+                .map(|vm| placement.utilization(placement.host_of(vm)))
+                .collect()
+        } else {
+            let workloads = &self.cluster.workloads;
+            placement
+                .vm_ids()
+                .map(|vm| predictor.predict(&workloads[vm.index()], t + 1).max())
+                .collect()
+        };
+        let outcome = self.runtime.step(&mut RunCtx {
+            cluster: &mut self.cluster,
+            metric: &self.metric,
+            alerts: &alerts,
+            alert_values: &demands,
+            sink: &mut self.sink,
+        });
+        report.migrations = outcome.plan.moves.len();
+        // 3. migrated VMs carry their flows with them: rebase any flow
+        //    touching a moved VM onto its new rack's paths
+        for m in &outcome.plan.moves {
+            self.flows
+                .rebase_vm(&self.cluster.dcn, &self.cluster.placement, m.vm);
         }
 
         report.audit_violations =
@@ -364,6 +358,22 @@ mod tests {
             }
         }
         assert_eq!(sys.time(), 40);
+    }
+
+    #[test]
+    fn steps_commit_through_the_fabric_two_phase_commit() {
+        let dcn = fattree::build(&FatTreeConfig::paper(4));
+        let mut sys = crate::SystemBuilder::new(dcn)
+            .seed(7)
+            .vms_per_host(2.0)
+            .workload_len(200)
+            .build_with_sink(sheriff_obs::RingRecorder::new(64))
+            .expect("valid config");
+        let reports = sys.run(&HoltPredictor::default(), 40);
+        let migrations: usize = reports.iter().map(|r| r.migrations).sum();
+        let committed = sys.sink().counters().get("txn.committed");
+        assert!(migrations > 0, "no step migrated");
+        assert_eq!(committed, migrations as u64);
     }
 
     #[test]

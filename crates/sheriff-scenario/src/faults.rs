@@ -46,7 +46,8 @@ pub(crate) struct Faults {
     pub(crate) stranded: Vec<HostId>,
     /// Racks failed this round that stranded VMs, for the backup system.
     pub(crate) drained: Vec<RackId>,
-    /// Whether a link action fired this round (the metric is rebuilt).
+    /// Whether a link action or window changed the graph since the
+    /// runner last took this flag (the metric is then rebuilt).
     pub(crate) links_changed: bool,
 }
 
@@ -69,7 +70,6 @@ impl Faults {
                 if self.fail_link(&mut cluster.dcn, *link) {
                     fault_injected(sink, FaultKind::LinkDown, *link as u64);
                 }
-                self.links_changed = true;
             }
             FaultAction::FailLink {
                 link,
@@ -82,13 +82,11 @@ impl Faults {
                     restore_at: *restore_at,
                 });
                 fault_injected(sink, FaultKind::LinkDown, *link as u64);
-                self.links_changed = true;
             }
             FaultAction::RestoreLink { link } => {
                 if self.restore_link(&mut cluster.dcn, *link) {
                     fault_injected(sink, FaultKind::LinkUp, *link as u64);
                 }
-                self.links_changed = true;
             }
             FaultAction::FailHost { host } => {
                 let host = HostId::from_index(*host);
@@ -172,7 +170,6 @@ impl Faults {
     ) -> (Vec<CrashWindow>, Vec<LinkFaultWindow>, Vec<PartitionWindow>) {
         self.stranded.clear();
         self.drained.clear();
-        self.links_changed = false;
 
         let timed = std::mem::take(&mut self.crashes);
         let mut crashed: Vec<CrashWindow> = self
@@ -237,6 +234,7 @@ impl Faults {
             return false;
         }
         self.down_links.insert(e, fail_link(dcn, e));
+        self.links_changed = true;
         true
     }
 
@@ -246,6 +244,7 @@ impl Faults {
         let consumed = self.down_links.remove(&e);
         if let Some(consumed) = consumed {
             restore_link(dcn, e, consumed);
+            self.links_changed = true;
         }
         consumed.is_some()
     }

@@ -324,7 +324,7 @@ pub(crate) fn run_job(
         for ev in spec.faults.iter().filter(|e| e.round == t) {
             faults.apply(&ev.action, &mut cluster, &mut sink);
         }
-        if faults.links_changed {
+        if std::mem::take(&mut faults.links_changed) {
             metric = RackMetric::build(&cluster.dcn, &cluster.sim);
         }
         // 2. the backup system resolves crash errors before management
@@ -332,13 +332,9 @@ pub(crate) fn run_job(
 
         // 3. the round's fault windows; taking them applies each timed
         // link window's end-state to the topology graph, so the metric
-        // must be rebuilt when a mid-round fault leaves a link down (or
-        // brings one back) past the round boundary
+        // is rebuilt when that end-state changed a link
         let (crashed, link_faults, partitions) = faults.windows(&mut cluster.dcn);
-        if link_faults
-            .iter()
-            .any(|w| w.fail_at > 0 || w.restore_at.is_some())
-        {
+        if std::mem::take(&mut faults.links_changed) {
             metric = RackMetric::build(&cluster.dcn, &cluster.sim);
         }
 

@@ -34,9 +34,14 @@ fn main() {
         SimConfig::paper(),
     );
     let metric = RackMetric::build(&cluster.dcn, &cluster.sim);
-    let sheriff = Sheriff::new(&cluster);
 
-    let (trajectory, plan) = sheriff.balance_trajectory(&mut cluster, &metric, 0.05, 24);
+    let (trajectory, plan) = balance_trajectory(
+        &mut FabricRuntime::default(),
+        &mut cluster,
+        &metric,
+        0.05,
+        24,
+    );
     println!("\nworkload std-dev per round:");
     for (round, v) in trajectory.iter().enumerate() {
         if round % 4 == 0 || round == trajectory.len() - 1 {

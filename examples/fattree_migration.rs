@@ -75,18 +75,21 @@ fn main() {
         candidates.len()
     );
 
-    // --- regional Sheriff -------------------------------------------------
-    let sheriff = Sheriff::new(&regional);
-    let report = sheriff.round(&mut regional, &metric, None, &alerts, &|vm| {
-        alert_values[vm.index()]
-    });
+    // --- regional Sheriff: one round of the per-rack shims -----------------
+    let (stddev, sheriff) = balance_trajectory(
+        &mut FabricRuntime::default(),
+        &mut regional,
+        &metric,
+        0.05,
+        1,
+    );
     println!(
         "Sheriff (regional): {:>4} moves, cost {:>9.0}, search space {:>8}, std-dev {:.1}% -> {:.1}%",
-        report.plan.moves.len(),
-        report.plan.total_cost,
-        report.plan.search_space,
-        report.stddev_before,
-        report.stddev_after
+        sheriff.moves.len(),
+        sheriff.total_cost,
+        sheriff.search_space,
+        stddev[0],
+        stddev[1]
     );
 
     // --- centralized global manager ---------------------------------------
@@ -110,9 +113,9 @@ fn main() {
         central.utilization_stddev()
     );
 
-    let ratio = plan.search_space as f64 / report.plan.search_space.max(1) as f64;
+    let ratio = plan.search_space as f64 / sheriff.search_space.max(1) as f64;
     println!(
         "\nSheriff examined {ratio:.0}x fewer candidate pairs for {:+.1}% cost difference",
-        (report.plan.total_cost / plan.total_cost.max(1e-9) - 1.0) * 100.0
+        (sheriff.total_cost / plan.total_cost.max(1e-9) - 1.0) * 100.0
     );
 }

@@ -65,10 +65,10 @@ pub mod prelude {
 
     // --- management: both loops behind one Runtime trait -------------
     pub use sheriff_core::{
-        audit_placement, drain_rack, evacuate_host, priority, vmmigration, AuditReport, Budget,
-        CentralizedRuntime, CrashWindow, FabricConfig, FabricRuntime, FailureDetector,
-        IntentJournal, MigrationContext, MigrationPlan, PartitionWindow, RegionFailover,
-        RoundOutcome, RoundReport, RunCtx, Runtime, Sheriff, ShimHealth, StepReport, System,
+        audit_placement, balance_trajectory, drain_rack, evacuate_host, priority, vmmigration,
+        AuditReport, Budget, CentralizedRuntime, CrashWindow, FabricConfig, FabricRuntime,
+        FailureDetector, IntentJournal, MigrationContext, MigrationPlan, PartitionWindow,
+        RegionFailover, RoundOutcome, RunCtx, Runtime, ShimHealth, StepReport, System,
         SystemBuilder,
     };
 

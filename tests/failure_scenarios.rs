@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sheriff_dcn::prelude::*;
-use sheriff_dcn::sheriff::{drain_rack, evacuate_host, MigrationContext, Sheriff};
+use sheriff_dcn::sheriff::{drain_rack, evacuate_host, MigrationContext};
 use sheriff_dcn::sim::faults::{fail_link, fail_random_links, racks_connected};
 
 fn cluster(seed: u64) -> Cluster {
@@ -33,8 +33,7 @@ fn balancing_still_works_on_degraded_fabric() {
     fail_random_links(&mut c.dcn, &mut rng, 0.10);
     assert!(racks_connected(&c.dcn, c.sim.bandwidth_threshold));
     let metric = RackMetric::build(&c.dcn, &c.sim);
-    let sheriff = Sheriff::new(&c);
-    let (traj, plan) = sheriff.balance_trajectory(&mut c, &metric, 0.05, 16);
+    let (traj, plan) = balance_trajectory(&mut FabricRuntime::default(), &mut c, &metric, 0.05, 16);
     assert!(!plan.moves.is_empty(), "no migrations on degraded fabric");
     assert!(
         *traj.last().unwrap() < traj[0],
@@ -140,8 +139,7 @@ fn rack_drain_then_balance_round_trip() {
     // the drain concentrated load elsewhere; a few Sheriff rounds spread
     // it back out
     let before = c.utilization_stddev();
-    let sheriff = Sheriff::new(&c);
-    let (traj, _) = sheriff.balance_trajectory(&mut c, &metric, 0.05, 10);
+    let (traj, _) = balance_trajectory(&mut FabricRuntime::default(), &mut c, &metric, 0.05, 10);
     assert!(*traj.last().unwrap() <= before, "{traj:?}");
 }
 

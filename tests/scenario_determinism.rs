@@ -523,3 +523,50 @@ fn every_fault_action_reproduces_its_pinned_report() {
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
+
+/// A k=4 Fat-Tree spec that fails `links` at round 1, untimed or with
+/// `timing` (e.g. `fail_at = 0`) added to each `fail_link`.
+fn link_fault_spec(runtime: &str, links: &[usize], timing: &str) -> ScenarioSpec {
+    let faults: String = links
+        .iter()
+        .map(|l| format!("\n[[fault]]\nround = 1\naction = \"fail_link\"\nlink = {l}\n{timing}"))
+        .collect();
+    let src = format!(
+        r#"
+name = "link_fault"
+rounds = 4
+seeds = [11, 12]
+
+[topology]
+kind = "fat_tree"
+pods = 4
+
+[cluster]
+vms_per_host = 2.0
+skew = 3.0
+
+[workload]
+alert_fraction = 0.3
+
+[runtime]
+kind = "{runtime}"
+{faults}"#
+    );
+    let spec = ScenarioSpec::parse_str(&src).expect("spec parses");
+    spec.validate().expect("spec is valid");
+    spec
+}
+
+#[test]
+fn fail_at_zero_link_fault_matches_the_untimed_form() {
+    // a window that fails at tick 0 and never restores takes the link
+    // down for the whole round and after it, exactly like the untimed
+    // action, so the planner's metric must drop the link in both
+    for runtime in ["fabric", "centralized"] {
+        for links in [&[0][..], &[0, 1], &[2, 3, 4, 5]] {
+            let untimed = canonical(&link_fault_spec(runtime, links, ""), false, 0);
+            let timed = canonical(&link_fault_spec(runtime, links, "fail_at = 0\n"), false, 0);
+            assert_eq!(untimed, timed, "{runtime}: links {links:?}");
+        }
+    }
+}
