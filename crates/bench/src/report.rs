@@ -1,6 +1,7 @@
 //! Result containers and pretty-printing for the experiment harness.
 
 use serde::Serialize;
+use sheriff_obs::json_str;
 use std::io::Write;
 use std::path::Path;
 
@@ -82,23 +83,6 @@ impl Table {
     /// Hand-rolled serialization: the offline `serde_json` polyfill cannot
     /// derive real output, and the shape is simple enough to emit directly.
     fn to_json_pretty(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
         fn num(v: f64) -> String {
             if v.is_finite() {
                 format!("{v}")
@@ -106,7 +90,7 @@ impl Table {
                 "null".to_string()
             }
         }
-        let columns: Vec<String> = self.columns.iter().map(|c| esc(c)).collect();
+        let columns: Vec<String> = self.columns.iter().map(|c| json_str(c)).collect();
         let rows: Vec<String> = self
             .rows
             .iter()
@@ -117,11 +101,11 @@ impl Table {
                 )
             })
             .collect();
-        let notes: Vec<String> = self.notes.iter().map(|n| esc(n)).collect();
+        let notes: Vec<String> = self.notes.iter().map(|n| json_str(n)).collect();
         format!(
             "{{\n  \"id\": {},\n  \"title\": {},\n  \"columns\": [{}],\n  \"rows\": [{}],\n  \"notes\": [{}]\n}}\n",
-            esc(&self.id),
-            esc(&self.title),
+            json_str(&self.id),
+            json_str(&self.title),
             columns.join(", "),
             rows.join(", "),
             notes.join(", ")

@@ -51,6 +51,11 @@ pub struct SimConfig {
     pub channel: ChannelFaults,
 }
 
+/// The most extra ticks the reorder fault holds a message back: a
+/// reordered message is delayed by a uniform draw from
+/// `1..=REORDER_HOLD_BACK` on top of its base delay.
+pub const REORDER_HOLD_BACK: u64 = 3;
+
 /// Fault model for the control channel carrying REQUEST/ACK/REJECT and
 /// heartbeat traffic between shims (the crash scenarios Sec. III-A
 /// delegates to a "backup system"). All probabilities are per message and
@@ -109,6 +114,17 @@ impl ChannelFaults {
             && self.duplicate == 0.0
             && self.reorder == 0.0
             && self.delay_min == self.delay_max
+    }
+
+    /// The longest a delivered message can take: the base delay window's
+    /// maximum, plus the reorder hold-back when the reorder fault is on.
+    pub fn max_delay(&self) -> u64 {
+        let hold_back = if self.reorder > 0.0 {
+            REORDER_HOLD_BACK
+        } else {
+            0
+        };
+        self.delay_max + hold_back
     }
 
     /// Check every probability is in `[0, 1]` and the delay window is
@@ -227,6 +243,17 @@ mod tests {
             .is_reliable(),
             "random delay can reorder across senders"
         );
+    }
+
+    #[test]
+    fn max_delay_adds_the_reorder_hold_back() {
+        assert_eq!(ChannelFaults::reliable().max_delay(), 1);
+        assert_eq!(ChannelFaults::lossy(0.1).max_delay(), 3 + REORDER_HOLD_BACK);
+        let reorder_only = ChannelFaults {
+            reorder: 0.3,
+            ..ChannelFaults::reliable()
+        };
+        assert_eq!(reorder_only.max_delay(), 1 + REORDER_HOLD_BACK);
     }
 
     #[test]

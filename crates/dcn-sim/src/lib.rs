@@ -34,7 +34,7 @@ pub mod tor_monitor;
 pub mod workload;
 
 pub use alert::{Alert, AlertSource, VmAlert};
-pub use config::{ChannelFaults, SimConfig};
+pub use config::{ChannelFaults, SimConfig, REORDER_HOLD_BACK};
 pub use congestion::{CongestionConfig, CongestionSim};
 pub use engine::{Cluster, ClusterConfig, HoltPredictor, LastValue, ProfilePredictor};
 pub use error::SheriffError;

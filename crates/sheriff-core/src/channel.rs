@@ -10,7 +10,7 @@
 //! runtime exactly.
 
 use crate::protocol::ShimMsg;
-use dcn_sim::{ChannelFaults, SheriffError};
+use dcn_sim::{ChannelFaults, SheriffError, REORDER_HOLD_BACK};
 use dcn_topology::RackId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -271,7 +271,7 @@ impl SimNet {
         };
         let extra = if self.faults.reorder > 0.0 && self.rng.gen_bool(self.faults.reorder) {
             self.stats.reordered += 1;
-            self.rng.gen_range(1..=3u64)
+            self.rng.gen_range(1..=REORDER_HOLD_BACK)
         } else {
             0
         };

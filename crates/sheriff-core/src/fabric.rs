@@ -2,7 +2,7 @@
 //!
 //! [`FabricRuntime::step`](crate::runtime::FabricRuntime) runs one
 //! management round as a discrete-event simulation over [`sheriff_sim`]:
-//! heartbeat emissions, failure-detector sweeps, REQUEST/2PC timeouts
+//! liveness beacons, failure-detector sweeps, REQUEST/2PC timeouts
 //! and backoff, lease expiry, crash/recover windows, link faults and
 //! partition heals are all *scheduled events* on a [`Simulation`] agenda
 //! instead of per-tick drains of the channel and fault queues. The round
@@ -23,11 +23,12 @@
 //! therefore harmless and missed ones are the only bug class, which is
 //! what the byte-identical equivalence tests pin.
 //!
-//! Because time is now continuous inside the round, behavior rounds
-//! alone cannot express becomes available: per-rack liveness-beacon
-//! intervals ([`FabricConfig::with_beacon_interval`]) and per-rack
-//! alert-check intervals ([`FabricConfig::with_alert_check`]) that fire
-//! at their own virtual times within one round.
+//! Every rack beacons at one cadence, [`HEARTBEAT_PERIOD`], so each
+//! period is one self-rearming `Beacon` event whose handler walks the
+//! racks in index order — the order the per-tick loop beaconed in. The
+//! protocol's other timings are constants too: [`LIVENESS_DEADLINE`],
+//! [`PREPARE_LEASE`], the tick cap [`MAX_TICKS`] and the retransmission
+//! backoff in [`crate::protocol`].
 
 use crate::alert_mgmt::{alert_lookup, select_victims};
 use crate::audit::{
@@ -37,17 +38,35 @@ use crate::channel::{CrashWindow, LinkFaultWindow, PartitionWindow, SimNet};
 use crate::failure::{RegionFailover, ShimHealth};
 use crate::journal::TxnState;
 use crate::protocol::{
-    reject_kind, BackoffPolicy, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply,
+    backoff_delay, reject_kind, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg,
+    TwoPhaseReply, MAX_ATTEMPTS,
 };
 use crate::runtime::{RoundOutcome, RunCtx};
 use crate::vmmigration::{match_victims, MigrationPlan, Move};
 use dcn_sim::engine::Cluster;
-use dcn_sim::{Alert, ChannelFaults, RackMetric};
+use dcn_sim::{Alert, ChannelFaults, RackMetric, REORDER_HOLD_BACK};
 use dcn_topology::{HostId, RackId, VmId};
 use sheriff_obs::{emit, Event, EventSink};
 use sheriff_sim::{EventId, Simulation, VirtualTime};
 use sheriff_transfer::{Admission, Resumed, Started, TransferScheduler, TransferSpec};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Ticks between liveness beacons: every live rack beacons at the
+/// round's start and once per period after.
+pub const HEARTBEAT_PERIOD: u64 = 8;
+
+/// Silence, in ticks, after which a source shim presumes a rack dead;
+/// also the failure detector's floor for declaring a shim Dead.
+pub const LIVENESS_DEADLINE: u64 = 24;
+
+/// Hard cap on a round's virtual time — a deadlock backstop; requests
+/// unresolved at the cap are abandoned and their VMs reported unplaced.
+pub const MAX_TICKS: u64 = 4096;
+
+/// Ticks a journalled PREPARE stays valid without a COMMIT before the
+/// destination unilaterally aborts it; comfortably exceeds one prepare
+/// → commit round trip, so healthy transactions never expire.
+pub const PREPARE_LEASE: u64 = 64;
 
 /// Configuration of the message-passing fabric runtime.
 #[derive(Debug, Clone)]
@@ -59,47 +78,22 @@ pub struct FabricConfig {
     /// Replan rounds per shim after the first (Alg. 3's negotiation
     /// retries).
     pub max_retry: usize,
-    /// Timeout/retransmission policy per request.
-    pub backoff: BackoffPolicy,
-    /// Ticks to collect `Hello`s before the first planning round; must
-    /// exceed the channel's maximum delay or live racks look dead.
+    /// Ticks to collect beacons before the first planning round; must
+    /// exceed the channel's longest delivery delay or live racks look
+    /// dead. [`FabricConfig::set_channel`] derives it from the channel.
     pub hello_window: u64,
-    /// Interval between liveness beacons.
-    pub heartbeat_period: u64,
-    /// Silence (in ticks) after which a rack is presumed dead.
-    pub liveness_deadline: u64,
-    /// Hard cap on virtual time — a deadlock backstop; unresolved
-    /// requests at the cap are abandoned and their VMs reported unplaced.
-    pub max_ticks: u64,
     /// Shim crash schedule in virtual time. A window with `crash_at == 0`
     /// and no `recover_at` reproduces the old whole-round semantics (the
-    /// shim answers no requests, sends no heartbeats and serves none of
-    /// its own alerts); any other window crashes the shim mid-round and
+    /// shim answers no requests, sends no beacons and serves none of its
+    /// own alerts); any other window crashes the shim mid-round and
     /// optionally recovers it, at which point it replays its intent
-    /// journal and rejoins heartbeating.
+    /// journal and rejoins beaconing.
     pub crashed: Vec<CrashWindow>,
     /// Named network-partition schedule in virtual time: while a window
     /// is active, traffic crossing its cut is silently swallowed. Both
     /// sides keep working — the minority side in degraded local mode —
     /// and reconcile when the window heals.
     pub partitions: Vec<PartitionWindow>,
-    /// Ticks a journalled PREPARE stays valid without a COMMIT before the
-    /// destination unilaterally aborts it. Must comfortably exceed one
-    /// prepare → commit round trip or healthy transactions expire.
-    pub prepare_lease: u64,
-    /// Per-rack liveness-beacon interval overrides: `(rack, every)`
-    /// pairs. A listed rack beacons every `every` ticks instead of the
-    /// global heartbeat interval, letting a critical rack be watched at
-    /// a tighter cadence. Empty (the default) keeps every rack on the
-    /// global interval and reproduces the historical per-tick fabric
-    /// exactly.
-    pub beacon_intervals: Vec<(RackId, u64)>,
-    /// Per-rack alert-check intervals: `(rack, every)` pairs. A listed
-    /// source rack rescans itself for fresh pre-alerts every `every`
-    /// ticks of virtual time *within* the round — the paper's regional
-    /// pre-alert checks decoupled from round boundaries. Empty (the
-    /// default) disables mid-round checks.
-    pub alert_checks: Vec<(RackId, u64)>,
     /// Data-plane link-fault schedule in virtual time: while a window is
     /// open the link is dead for the transfer plane — any pre-copy whose
     /// route crosses it stalls at its checkpoint or re-routes onto a
@@ -125,16 +119,9 @@ impl Default for FabricConfig {
             faults: ChannelFaults::reliable(),
             seed: 0x5EED,
             max_retry: 3,
-            backoff: BackoffPolicy::default(),
             hello_window: 2,
-            heartbeat_period: 8,
-            liveness_deadline: 24,
-            max_ticks: 4096,
             crashed: Vec::new(),
             partitions: Vec::new(),
-            prepare_lease: 64,
-            beacon_intervals: Vec::new(),
-            alert_checks: Vec::new(),
             link_faults: Vec::new(),
             transfer: None,
         }
@@ -142,38 +129,24 @@ impl Default for FabricConfig {
 }
 
 impl FabricConfig {
-    /// A fabric configuration for the given channel fault model, with
-    /// the hello window widened past the channel's worst base delay so a
-    /// healthy, slow channel is not mistaken for dead shims.
+    /// A fabric configuration for the given channel fault model and
+    /// seed, its hello window set by [`FabricConfig::set_channel`].
     pub fn for_channel(faults: ChannelFaults, seed: u64) -> Self {
-        let hello = 2u64.max(faults.delay_max + 1);
-        Self {
-            faults,
+        let mut cfg = Self {
             seed,
-            hello_window: hello,
             ..Self::default()
-        }
+        };
+        cfg.set_channel(faults);
+        cfg
     }
 
-    /// Override the pre-planning hello window.
-    pub fn with_hello_window(mut self, ticks: u64) -> Self {
-        self.hello_window = ticks;
-        self
-    }
-
-    /// Beacon `rack` every `every` ticks instead of the global interval.
-    pub fn with_beacon_interval(mut self, rack: RackId, every: u64) -> Self {
-        self.beacon_intervals.retain(|(r, _)| *r != rack);
-        self.beacon_intervals.push((rack, every));
-        self
-    }
-
-    /// Rescan `rack` for fresh pre-alerts every `every` ticks of virtual
-    /// time within the round.
-    pub fn with_alert_check(mut self, rack: RackId, every: u64) -> Self {
-        self.alert_checks.retain(|(r, _)| *r != rack);
-        self.alert_checks.push((rack, every));
-        self
+    /// Run the control channel under `faults`, with the hello window
+    /// widened past the channel's longest delivery delay (reorder
+    /// hold-back included), so a healthy but slow or reordering channel
+    /// is not mistaken for dead shims.
+    pub fn set_channel(&mut self, faults: ChannelFaults) {
+        self.hello_window = 2u64.max(faults.max_delay() + 1);
+        self.faults = faults;
     }
 
     /// Enable the network-aware transfer model: committed migrations
@@ -182,25 +155,6 @@ impl FabricConfig {
     pub fn with_transfer(mut self, transfer: sheriff_transfer::TransferConfig) -> Self {
         self.transfer = Some(transfer);
         self
-    }
-
-    /// The beacon interval of `rack`: its override if listed, else the
-    /// global interval.
-    pub fn beacon_every(&self, rack: RackId) -> u64 {
-        self.beacon_intervals
-            .iter()
-            .find(|(r, _)| *r == rack)
-            .map(|&(_, every)| every)
-            .unwrap_or(self.heartbeat_period)
-    }
-
-    /// The alert-check interval of `rack` (0 = no mid-round checks).
-    pub fn alert_check_every(&self, rack: RackId) -> u64 {
-        self.alert_checks
-            .iter()
-            .find(|(r, _)| *r == rack)
-            .map(|&(_, every)| every)
-            .unwrap_or(0)
     }
 }
 
@@ -299,7 +253,7 @@ impl FabricShim {
             plan: MigrationPlan::default(),
             retries: 0,
             seq: 0,
-            liveness: Liveness::new(cfg.liveness_deadline),
+            liveness: Liveness::default(),
             region,
             outstanding: BTreeMap::new(),
             zombies: BTreeMap::new(),
@@ -376,11 +330,9 @@ enum FabricEvent {
     /// Link-fault window `cfg.link_faults[i]` closes: stalled pre-copies
     /// resume from their checkpoints.
     LinkRestore(usize),
-    /// A liveness beacon from a rack (Hello at tick 0, Heartbeat after),
-    /// self-rescheduling at the rack's beacon interval.
-    Beacon(RackId),
-    /// A per-rack alert-check interval fires.
-    AlertCheck(RackId),
+    /// Every live rack's liveness beacon, at tick 0 and then once per
+    /// [`HEARTBEAT_PERIOD`], self-rescheduling.
+    Beacon,
     /// A derived activation: a delivery, lease, detector transition,
     /// planning gate or transfer event is due. No payload, because an
     /// activation runs *every* phase for its tick.
@@ -401,15 +353,15 @@ impl FabricEvent {
             FabricEvent::LinkFail(_) => 1,
             FabricEvent::LinkRestore(_) => 2,
             FabricEvent::Heal(_) => 3,
-            FabricEvent::AlertCheck(_) => 4,
-            FabricEvent::Beacon(_) => 5,
-            FabricEvent::Wake | FabricEvent::TimeoutWake => 6,
+            FabricEvent::Beacon => 4,
+            FabricEvent::Wake | FabricEvent::TimeoutWake => 5,
         }
     }
 }
 
-/// Actor id for derived wakes (no rack owns them).
-const WAKE_ACTOR: u64 = u64::MAX;
+/// Actor id of the events no single rack owns: the beacon sweep and
+/// derived wakes.
+const ROUND_ACTOR: u64 = u64::MAX;
 
 /// The round's agenda, with derived wakes deduplicated on time.
 struct Agenda {
@@ -433,7 +385,7 @@ impl Agenda {
     fn wake(&mut self, at: u64) {
         if self.seen.insert(at) {
             self.sim
-                .schedule_at(VirtualTime::new(at), WAKE_ACTOR, FabricEvent::Wake);
+                .schedule_at(VirtualTime::new(at), ROUND_ACTOR, FabricEvent::Wake);
         }
     }
 
@@ -452,7 +404,7 @@ impl Agenda {
         } else {
             let id =
                 self.sim
-                    .schedule_at(VirtualTime::new(at), WAKE_ACTOR, FabricEvent::TimeoutWake);
+                    .schedule_at(VirtualTime::new(at), ROUND_ACTOR, FabricEvent::TimeoutWake);
             Some((at, id))
         };
     }
@@ -512,7 +464,7 @@ struct FabricRound<'r> {
     endpoints: Vec<ShimEndpoint>,
     /// How long a given-up request waits for a late verdict: the longest
     /// request + reply round trip (base delay plus the reorder fault's
-    /// hold-back of up to 3 ticks each way), with slack.
+    /// hold-back each way, counted even with the fault off), with slack.
     patience: u64,
     /// The pre-copy scheduler; `None` settles every commit at once.
     transfers: Option<TransferScheduler>,
@@ -577,7 +529,7 @@ impl<'r> FabricRound<'r> {
             endpoints: (0..rack_count)
                 .map(|r| ShimEndpoint::new(RackId::from_index(r)))
                 .collect(),
-            patience: 2 * (cfg.faults.delay_max + 3) + 2,
+            patience: 2 * (cfg.faults.delay_max + REORDER_HOLD_BACK) + 2,
             transfers: cfg.transfer.map(TransferScheduler::new),
             transfer_meta: BTreeMap::new(),
             transfer_durations: Vec::new(),
@@ -610,9 +562,9 @@ impl<'r> FabricRound<'r> {
             // past the tick cap the round is abandoned exactly as the
             // per-tick loop abandoned it
             match self.agenda.sim.next_time() {
-                Some(t) if t.get() <= self.cfg.max_ticks => self.now = t.get(),
+                Some(t) if t.get() <= MAX_TICKS => self.now = t.get(),
                 _ => {
-                    self.now = self.cfg.max_ticks.saturating_add(1);
+                    self.now = MAX_TICKS + 1;
                     break;
                 }
             }
@@ -733,8 +685,8 @@ impl<'r> FabricRound<'r> {
         self.shims = shims;
     }
 
-    /// Seed the agenda with every schedule window and heal, each rack's
-    /// first beacon and alert check, and the first planning gate.
+    /// Seed the agenda with every schedule window and heal, the first
+    /// beacon, and the first planning gate.
     fn seed_agenda(&mut self) {
         let cfg = self.cfg;
         for (i, w) in self.schedule.iter().enumerate() {
@@ -761,18 +713,9 @@ impl<'r> FabricRound<'r> {
                 }
             }
         }
-        // every rack beacons from tick 0 (Hello), then re-arms itself at
-        // its own interval — the emit_self idiom, flattened
-        for r in 0..self.cluster.dcn.rack_count() {
-            let rack = RackId::from_index(r);
-            self.agenda.at(0, r as u64, FabricEvent::Beacon(rack));
-        }
-        for &(r, every) in &cfg.alert_checks {
-            if every > 0 {
-                self.agenda
-                    .at(every, r.index() as u64, FabricEvent::AlertCheck(r));
-            }
-        }
+        // every rack beacons from tick 0, then the event re-arms itself
+        // once per period — the emit_self idiom, flattened
+        self.agenda.at(0, ROUND_ACTOR, FabricEvent::Beacon);
         self.agenda.wake(cfg.hello_window);
     }
 
@@ -825,7 +768,7 @@ impl<'r> FabricRound<'r> {
         self.settle();
 
         let out = &mut self.out;
-        out.ticks = self.now.min(self.cfg.max_ticks);
+        out.ticks = self.now.min(MAX_TICKS);
         // the detector's clock spans rounds: silence keeps accruing across
         // round boundaries, so a crashed shim is eventually declared Dead
         // even when every individual round is short
@@ -917,8 +860,7 @@ impl<'r> FabricRound<'r> {
                 FabricEvent::LinkFail(i) => self.on_link_fail(i),
                 FabricEvent::LinkRestore(i) => self.on_link_restore(i),
                 FabricEvent::Heal(i) => self.on_heal(i),
-                FabricEvent::AlertCheck(r) => self.on_alert_check(r),
-                FabricEvent::Beacon(r) => self.on_beacon(r),
+                FabricEvent::Beacon => self.on_beacon(),
                 FabricEvent::TimeoutWake => self.agenda.timeout = None,
                 FabricEvent::Wake => {}
             }
@@ -1032,8 +974,8 @@ impl<'r> FabricRound<'r> {
     /// A crash window closes. Journal replay re-ACKs committed transfers
     /// and aborts orphaned prepares whose lease lapsed while down, plus
     /// prepares journalled under a since-superseded epoch — the restore
-    /// path can never resurrect old-epoch intents. The shim rejoins
-    /// heartbeating at once and plans again once its liveness view has
+    /// path can never resurrect old-epoch intents. The shim beacons again
+    /// from the next period and plans again once its liveness view has
     /// had a full beacon period to repopulate.
     fn on_recover(&mut self, window: usize) {
         let Some(&w) = self.schedule.get(window) else {
@@ -1067,7 +1009,7 @@ impl<'r> FabricRound<'r> {
         for &(req, vm) in rep.lease_aborts.iter().chain(&rep.epoch_aborts) {
             self.txn_aborted(req, vm);
         }
-        let resume_at = now + self.cfg.beacon_every(w.rack) + 1;
+        let resume_at = now + HEARTBEAT_PERIOD + 1;
         if let Some(shim) = self.source(w.rack).and_then(|i| self.shims.get_mut(i)) {
             shim.down = false;
             shim.resume_at = resume_at;
@@ -1131,93 +1073,32 @@ impl<'r> FabricRound<'r> {
         }
     }
 
-    /// A rack's alert-check interval fires: rescan it for fresh
-    /// pre-alerts, independent of round boundaries. VMs already managed
-    /// (pending, in flight, of unknown fate, moved, or mid-stream — a
-    /// second plan for those would double-plan the same move) are never
-    /// re-adopted.
-    fn on_alert_check(&mut self, rack: RackId) {
+    /// A beacon period: every live rack, in index order, announces
+    /// itself to every source shim. The failure detector watches the
+    /// *emission* (simulator ground truth), so a partitioned-but-alive
+    /// shim keeps emitting, a cut never looks like a crash, and takeover
+    /// stays crash-only. The next period is armed first, so the cadence
+    /// survives crash windows.
+    fn on_beacon(&mut self) {
         let now = self.now;
-        let every = self.cfg.alert_check_every(rack);
-        if every > 0 {
-            self.agenda.at(
-                now + every,
-                rack.index() as u64,
-                FabricEvent::AlertCheck(rack),
-            );
-        }
-        let Some(i) = self.source(rack) else {
-            return;
-        };
-        if self.shims.get(i).is_none_or(|s| s.down) {
-            return;
-        }
-        let (victims, _) = self.victims(rack);
-        let in_flight = self
-            .transfers
-            .as_ref()
-            .map(TransferScheduler::in_flight_vms)
-            .unwrap_or_default();
-        let Some(shim) = self.shims.get_mut(i) else {
-            return;
-        };
-        let busy: BTreeSet<VmId> = shim
-            .managed()
-            .chain(shim.plan.moves.iter().map(|m| m.vm))
-            .chain(in_flight.into_iter().map(|v| VmId::from_index(v as usize)))
-            .collect();
-        let fresh: Vec<VmId> = victims
-            .into_iter()
-            .filter(|vm| !busy.contains(vm))
-            .collect();
-        emit(self.sink, || Event::AlertCheckFired {
-            rack: rack.index() as u64,
-            tick: now,
-            fresh: fresh.len() as u64,
-        });
-        self.sink.counter("alerts.checks", 1);
-        if !fresh.is_empty() {
-            shim.pending.extend(fresh);
-            shim.wake();
-        }
-    }
-
-    /// A liveness beacon: every live rack announces itself to every
-    /// source shim (Hello at t = 0, Heartbeat after). The failure
-    /// detector watches the *emission* (simulator ground truth), so a
-    /// partitioned-but-alive shim keeps emitting, a cut never looks like
-    /// a crash, and takeover stays crash-only. The recurrence re-arms
-    /// first — even for a down rack — so the cadence survives crash
-    /// windows.
-    fn on_beacon(&mut self, rack: RackId) {
-        let now = self.now;
-        let every = self.cfg.beacon_every(rack);
-        if every > 0 {
-            self.agenda
-                .at(now + every, rack.index() as u64, FabricEvent::Beacon(rack));
-        }
-        if self.down.contains(&rack) {
-            return;
-        }
+        self.agenda
+            .at(now + HEARTBEAT_PERIOD, ROUND_ACTOR, FabricEvent::Beacon);
         let clock = self.failover.clock;
-        if self.failover.detector.observe_emission(rack, clock + now) == ShimHealth::Dead {
-            // a shim the detector wrote off is beaconing again: management
-            // reverts to it, while its stale epoch view keeps its old 2PC
-            // traffic fenced until it adopts the bump
-            self.failover.reinstate(rack);
-        }
-        let epoch = self.failover.view_of(rack);
-        for &s in &self.racks {
-            let msg = if now == 0 {
-                ShimMsg::Hello { rack, epoch }
-            } else {
-                ShimMsg::Heartbeat {
-                    rack,
-                    tick: now,
-                    epoch,
-                }
-            };
-            self.net.send(now, rack, s, msg);
+        for r in 0..self.cluster.dcn.rack_count() {
+            let rack = RackId::from_index(r);
+            if self.down.contains(&rack) {
+                continue;
+            }
+            if self.failover.detector.observe_emission(rack, clock + now) == ShimHealth::Dead {
+                // a shim the detector wrote off is beaconing again:
+                // management reverts to it, while its stale epoch view
+                // keeps its old 2PC traffic fenced until it adopts the bump
+                self.failover.reinstate(rack);
+            }
+            let epoch = self.failover.view_of(rack);
+            for &s in &self.racks {
+                self.net.send(now, rack, s, ShimMsg::Beacon { rack, epoch });
+            }
         }
     }
 
@@ -1293,9 +1174,7 @@ impl<'r> FabricRound<'r> {
         for (from, to, msg) in self.net.poll(self.now) {
             let hop = (from, to);
             match msg {
-                ShimMsg::Hello { rack, .. } | ShimMsg::Heartbeat { rack, .. } => {
-                    self.on_liveness(to, rack)
-                }
+                ShimMsg::Beacon { rack, .. } => self.on_liveness(to, rack),
                 ShimMsg::Prepare {
                     req_id,
                     vm,
@@ -1489,7 +1368,7 @@ impl<'r> FabricRound<'r> {
     /// as a zombie, never replanned, and a late verdict within the
     /// patience window still resolves it.
     fn expire_requests(&mut self, i: usize) {
-        let (now, cfg) = (self.now, self.cfg);
+        let now = self.now;
         let Some(shim) = self.shims.get_mut(i) else {
             return;
         };
@@ -1510,9 +1389,9 @@ impl<'r> FabricRound<'r> {
             });
             self.sink.counter("net.timeouts", 1);
             let dest_rack = self.cluster.placement.rack_of_host(o.dest);
-            if o.attempt + 1 < cfg.backoff.max_attempts {
+            if o.attempt + 1 < MAX_ATTEMPTS {
                 o.attempt += 1;
-                o.deadline = now + cfg.backoff.delay(o.attempt, req_id);
+                o.deadline = now + backoff_delay(o.attempt, req_id);
                 self.out.resends += 1;
                 emit(self.sink, || Event::RequestResent {
                     req: req_id.0,
@@ -1593,7 +1472,7 @@ impl<'r> FabricRound<'r> {
     /// step 1; its own rack is always kept — step 2), run Alg. 3's
     /// matching, and PREPARE every assignment.
     fn plan(&mut self, i: usize, hot_hosts: &BTreeSet<HostId>) {
-        let (now, cfg) = (self.now, self.cfg);
+        let now = self.now;
         let Some(shim) = self.shims.get_mut(i) else {
             return;
         };
@@ -1665,14 +1544,14 @@ impl<'r> FabricRound<'r> {
                 dest_host: dest.index() as u64,
                 attempt: 1,
             });
-            let lease = now + cfg.prepare_lease;
+            let lease = now + PREPARE_LEASE;
             let o = Outstanding {
                 vm,
                 from: c.placement.host_of(vm),
                 dest,
                 cost,
                 attempt: 0,
-                deadline: now + cfg.backoff.delay(0, req_id),
+                deadline: now + backoff_delay(0, req_id),
                 phase: TxnPhase::Preparing,
                 lease,
             };
@@ -1691,7 +1570,7 @@ impl<'r> FabricRound<'r> {
 
     // ---- delivered messages: source side ---------------------------------
 
-    /// A Hello or Heartbeat reaches source shim `to`.
+    /// A beacon from `rack` reaches source shim `to`.
     fn on_liveness(&mut self, to: RackId, rack: RackId) {
         let now = self.now;
         if let Some(shim) = self.source(to).and_then(|i| self.shims.get_mut(i)) {
@@ -1705,7 +1584,7 @@ impl<'r> FabricRound<'r> {
     /// lease to strand. A duplicate vote for a committing transaction is
     /// ignored.
     fn on_prepare_ok(&mut self, to: RackId, req_id: ReqId) {
-        let (now, cfg) = (self.now, self.cfg);
+        let now = self.now;
         let placement = &self.cluster.placement;
         let Some(shim) = self.source(to).and_then(|i| self.shims.get_mut(i)) else {
             return;
@@ -1726,7 +1605,7 @@ impl<'r> FabricRound<'r> {
         };
         o.phase = TxnPhase::Committing;
         o.attempt = 0;
-        o.deadline = now + cfg.backoff.delay(0, req_id);
+        o.deadline = now + backoff_delay(0, req_id);
         // the vote is in: the transaction will commit, so the batch made
         // progress
         shim.progressed = true;
@@ -2279,13 +2158,10 @@ mod tests {
             crashed: vec![CrashWindow::whole_round(crashed)],
             ..FabricConfig::default()
         };
-        let mut rt = FabricRuntime::with_config(cfg.clone());
+        let mut rt = FabricRuntime::with_config(cfg);
         let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
 
-        assert!(
-            report.ticks < cfg.max_ticks,
-            "round wedged until the tick cap"
-        );
+        assert!(report.ticks < MAX_TICKS, "round wedged until the tick cap");
         assert!(
             !report.plan.moves.is_empty(),
             "lossy fabric still made progress"
@@ -2389,10 +2265,10 @@ mod tests {
             crashed: vec![CrashWindow::during(victim, 4, 12)],
             ..FabricConfig::default()
         };
-        let mut rt = FabricRuntime::with_config(cfg.clone());
+        let mut rt = FabricRuntime::with_config(cfg);
         let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
 
-        assert!(report.ticks < cfg.max_ticks, "round wedged");
+        assert!(report.ticks < MAX_TICKS, "round wedged");
         assert_eq!(report.recoveries, 1);
         assert_eq!(
             report.crashed_shims, 0,
@@ -2421,9 +2297,9 @@ mod tests {
             }],
             ..FabricConfig::default()
         };
-        let mut rt = FabricRuntime::with_config(cfg.clone());
+        let mut rt = FabricRuntime::with_config(cfg);
         let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
-        assert!(report.ticks < cfg.max_ticks, "round wedged");
+        assert!(report.ticks < MAX_TICKS, "round wedged");
         assert!(report.audit.is_clean(), "{}", report.audit);
         assert_capacity_ok(&c);
         assert_deps_ok(&c);
@@ -2493,7 +2369,7 @@ mod tests {
             failover: RegionFailover::new(2, 4),
         };
         let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
-        assert!(report.ticks < rt.cfg.max_ticks, "round wedged");
+        assert!(report.ticks < MAX_TICKS, "round wedged");
         assert_eq!(report.takeovers, 1, "mid-round takeover must fire");
         assert_eq!(rt.failover.epoch_of(victim), 1);
         assert_eq!(report.recoveries, 1);
@@ -2566,126 +2442,66 @@ mod tests {
     }
 
     #[test]
-    fn tighter_beacon_interval_detects_crash_before_recovery() {
-        // Regression for heartbeat emission timing: beacons are scheduled
-        // events at each rack's own interval, so watching one rack at a
-        // tighter cadence shortens the adaptive detector's silence
-        // thresholds for that rack alone and a mid-round crash is
-        // declared before the shim recovers.
+    fn crash_outlasting_the_dead_threshold_is_declared_before_recovery() {
+        // Regression for heartbeat emission timing: every rack beacons at
+        // t = 0 and then once per HEARTBEAT_PERIOD, so the adaptive
+        // detector declares a silent shim Dead at an exact tick.
         //
-        // The victim crashes mid-negotiation at t = 5 and recovers at
-        // t = 20 under a detector with a dead floor of 6 ticks. On the
-        // default 8-tick cadence only the t = 0 Hello lands before the
-        // crash, the mean interval stays at the 8-tick hint, and Dead
-        // needs max(6, 3·8) + 1 = 25 ticks of silence (t = 25) — the
-        // post-recovery beacon at t = 24 resets the clock first, so no
-        // death is ever declared. Beaconing the victim every 2 ticks
-        // lands emissions at t = 0, 2, 4, driving the mean to 2: Dead
-        // fires max(6, 3·2) + 1 = 7 ticks after the t = 4 emission,
-        // i.e. t = 11, comfortably before recovery.
-        let run = |tight: bool| {
+        // The victim crashes mid-negotiation at t = 5 under a detector
+        // with a dead floor of 6 ticks. Only its t = 0 beacon lands
+        // before the crash, the mean interval stays at the 8-tick hint,
+        // and Dead needs max(6, 3·8) + 1 = 25 ticks of silence (t = 25).
+        // Back at t = 24, the victim beacons on that period tick and
+        // resets the clock first, so no death is ever declared; back at
+        // t = 26, it is declared Dead at t = 25, before it recovers.
+        let run = |recover_at: u64| {
             let mut c = cluster(26);
             let alerts = c.fraction_alerts(0.10, 0);
             let victim = alerts[0].rack;
-            let mut cfg = FabricConfig {
-                crashed: vec![CrashWindow::during(victim, 5, 20)],
-                ..FabricConfig::default()
-            };
-            if tight {
-                cfg = cfg.with_beacon_interval(victim, 2);
-            }
             let mut rt = FabricRuntime {
-                cfg,
-                failover: RegionFailover::new(8, 6),
+                cfg: FabricConfig {
+                    crashed: vec![CrashWindow::during(victim, 5, recover_at)],
+                    ..FabricConfig::default()
+                },
+                failover: RegionFailover::new(HEARTBEAT_PERIOD, 6),
             };
             let mut rec = RingRecorder::new(65536);
             let report = round(&mut rt, &mut c, &alerts, &mut rec);
             assert!(report.audit.is_clean(), "{}", report.audit);
             assert_eq!(report.recoveries, 1, "the victim must come back");
-            (rec.count_kind("shim_declared_dead"), c)
+            assert_capacity_ok(&c);
+            assert_deps_ok(&c);
+            rec.count_kind("shim_declared_dead")
         };
-        let (slow_deaths, _) = run(false);
-        assert_eq!(
-            slow_deaths, 0,
-            "default cadence cannot notice a 15-tick crash"
-        );
-        let (fast_deaths, c) = run(true);
+        assert_eq!(run(24), 0, "a crash over by t = 24 is never declared");
         assert!(
-            fast_deaths >= 1,
-            "a 2-tick beacon interval must surface the crash before recovery"
+            run(26) >= 1,
+            "a crash still silent at t = 25 must be declared before recovery"
         );
-        assert_capacity_ok(&c);
-        assert_deps_ok(&c);
     }
 
     #[test]
-    fn per_rack_alert_checks_fire_at_distinct_virtual_times() {
-        // two alerted racks rescan for fresh pre-alerts at their own
-        // intervals: within a single round their AlertCheckFired events
-        // land at different virtual times — behavior a per-round phase
-        // cannot express
-        let mut c = cluster(37);
+    fn reordering_alone_degrades_no_shim() {
+        // a channel that only reorders loses nothing, so no live shim may
+        // plan around a missing neighbour: the hello window must cover
+        // the reorder hold-back on top of the base delay, or the first
+        // plan runs before every held-back beacon has landed
+        let mut c = cluster(26);
         let alerts = c.fraction_alerts(0.10, 0);
-        let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
-        racks.sort_unstable();
-        racks.dedup();
-        assert!(racks.len() >= 2, "need two alerted racks");
-        let (a, b) = (racks[0], racks[1]);
-        let cfg = FabricConfig::default()
-            .with_alert_check(a, 3)
-            .with_alert_check(b, 5);
-        let mut rec = RingRecorder::new(65536);
+        let faults = ChannelFaults {
+            reorder: 0.3,
+            ..ChannelFaults::reliable()
+        };
+        let cfg = FabricConfig::for_channel(faults, 7);
         let report = round(
             &mut FabricRuntime::with_config(cfg),
             &mut c,
             &alerts,
-            &mut rec,
+            &mut NullSink,
         );
-        let mut ticks_a: Vec<u64> = Vec::new();
-        let mut ticks_b: Vec<u64> = Vec::new();
-        for e in rec.to_vec() {
-            if let Event::AlertCheckFired { rack, tick, .. } = e {
-                if rack == a.index() as u64 {
-                    ticks_a.push(tick);
-                } else if rack == b.index() as u64 {
-                    ticks_b.push(tick);
-                }
-            }
-        }
-        assert!(
-            !ticks_a.is_empty() && !ticks_b.is_empty(),
-            "both intervals must fire within the round (ticks={})",
-            report.ticks
-        );
-        assert!(ticks_a.iter().all(|t| t % 3 == 0 && *t <= report.ticks));
-        assert!(ticks_b.iter().all(|t| t % 5 == 0 && *t <= report.ticks));
-        assert!(
-            ticks_a.iter().any(|t| !ticks_b.contains(t)),
-            "the two racks' checks must fire at distinct virtual times"
-        );
+        assert!(report.shims > 0 && !report.plan.moves.is_empty());
+        assert_eq!(report.degraded_shims, 0, "of {} shims", report.shims);
         assert!(report.audit.is_clean(), "{}", report.audit);
-    }
-
-    #[test]
-    fn alert_checks_adopt_fresh_victims_mid_round() {
-        // a single rack re-scanning at a tight interval keeps adopting
-        // whatever PRIORITY surfaces on the evolving placement; the
-        // checks never double-adopt a VM the shim already manages, the
-        // round still terminates, and every invariant audit stays clean
-        let mut c = cluster(38);
-        let alerts = c.fraction_alerts(0.10, 0);
-        let cfg = FabricConfig::default().with_alert_check(alerts[0].rack, 2);
-        let mut rec = RingRecorder::new(65536);
-        let mut rt = FabricRuntime::with_config(cfg.clone());
-        let report = round(&mut rt, &mut c, &alerts, &mut rec);
-        assert!(rec.count_kind("alert_check_fired") > 0);
-        assert!(
-            report.ticks < cfg.max_ticks,
-            "checks must not wedge the round"
-        );
-        assert!(report.audit.is_clean(), "{}", report.audit);
-        assert_capacity_ok(&c);
-        assert_deps_ok(&c);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! adopts it — the lazy re-integration step of the
 //! Alive→Suspect→Dead→Fenced→Reintegrated state machine (DESIGN.md §5d).
 
+use crate::fabric::{HEARTBEAT_PERIOD, LIVENESS_DEADLINE};
 use dcn_topology::RackId;
 use std::collections::BTreeMap;
 
@@ -77,7 +78,7 @@ impl FailureDetector {
         self.health.entry(rack).or_insert(ShimHealth::Alive);
     }
 
-    /// Record a heartbeat/hello emission from `rack` at `t`. Returns the
+    /// Record a beacon emission from `rack` at `t`. Returns the
     /// shim's previous health so the caller can notice a Dead shim
     /// returning (the Reintegrated transition).
     pub fn observe_emission(&mut self, rack: RackId, t: u64) -> ShimHealth {
@@ -272,9 +273,10 @@ impl RegionFailover {
 }
 
 impl Default for RegionFailover {
+    /// The fabric's own cadence: beacons every [`HEARTBEAT_PERIOD`]
+    /// ticks, never Dead before [`LIVENESS_DEADLINE`] ticks of silence.
     fn default() -> Self {
-        // matches FabricConfig's heartbeat_period / liveness_deadline
-        Self::new(8, 24)
+        Self::new(HEARTBEAT_PERIOD, LIVENESS_DEADLINE)
     }
 }
 

@@ -69,7 +69,7 @@ pub use kmedian::{
 pub use matching::{min_cost_assignment, min_cost_assignment_padded};
 pub use metrics::{RatioPoint, Series, Totals};
 pub use priority::{priority, Budget};
-pub use protocol::{BackoffPolicy, RejectReason, ReqId, ShimMsg, TwoPhaseReply};
+pub use protocol::{RejectReason, ReqId, ShimMsg, TwoPhaseReply};
 pub use request::request_migration;
 pub use reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
 pub use runtime::{

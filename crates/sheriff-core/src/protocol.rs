@@ -10,6 +10,7 @@
 //! heartbeat ledger lets a source shim exclude dead neighbours from its
 //! matching instead of waiting on them forever.
 
+use crate::fabric::LIVENESS_DEADLINE;
 use crate::journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnState};
 use crate::request::request_migration;
 use dcn_topology::{DependencyGraph, HostId, Placement, RackId, VmId};
@@ -80,20 +81,12 @@ pub(crate) fn reject_kind(reason: RejectReason) -> RejectKind {
 /// epoch 0 everywhere, which compares equal and changes nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShimMsg {
-    /// A shim announcing itself when a round starts.
-    Hello {
-        /// The announcing shim's rack.
+    /// A liveness beacon, sent by every live shim at the round's start
+    /// and once per heartbeat period after.
+    Beacon {
+        /// The beaconing shim's rack.
         rack: RackId,
-        /// The announcing shim's view of its own rack's epoch.
-        epoch: u64,
-    },
-    /// Periodic liveness beacon.
-    Heartbeat {
-        /// The beating shim's rack.
-        rack: RackId,
-        /// Virtual time at which it was sent.
-        tick: u64,
-        /// The beating shim's view of its own rack's epoch.
+        /// The beaconing shim's view of its own rack's epoch.
         epoch: u64,
     },
     /// The destination committed the migration.
@@ -155,8 +148,7 @@ impl ShimMsg {
     /// The epoch the message carries, whatever the variant.
     pub fn epoch(&self) -> u64 {
         match self {
-            ShimMsg::Hello { epoch, .. }
-            | ShimMsg::Heartbeat { epoch, .. }
+            ShimMsg::Beacon { epoch, .. }
             | ShimMsg::Ack { epoch, .. }
             | ShimMsg::Reject { epoch, .. }
             | ShimMsg::Prepare { epoch, .. }
@@ -178,51 +170,31 @@ pub enum TwoPhaseReply {
     Reject(RejectReason),
 }
 
-/// Retransmission policy: exponential backoff with deterministic jitter.
+/// First-attempt reply deadline in ticks; exceeds one round trip.
+pub(crate) const BACKOFF_BASE: u64 = 8;
+/// Upper bound on the exponential backoff term, in ticks.
+pub(crate) const BACKOFF_CAP: u64 = 64;
+/// Total send attempts before a source gives up on a request.
+pub(crate) const MAX_ATTEMPTS: u32 = 4;
+
+/// Ticks to wait for a reply to attempt `attempt` (0-based) of `req_id`:
+/// exponential backoff with deterministic jitter.
 ///
-/// Attempt `n` waits `base · 2ⁿ` ticks (capped at `cap`) plus a jitter in
-/// `[0, base)` hashed from `(req_id, attempt)` — deterministic for
-/// reproducibility, yet decorrelated across requests so synchronized
-/// timeouts don't retransmit in lockstep.
-#[derive(Debug, Clone)]
-pub struct BackoffPolicy {
-    /// First-attempt deadline in ticks; must exceed one round trip.
-    pub base: u64,
-    /// Upper bound on the backoff term.
-    pub cap: u64,
-    /// Total send attempts before the source gives up on the request.
-    pub max_attempts: u32,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        Self {
-            base: 8,
-            cap: 64,
-            max_attempts: 4,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// Ticks to wait for a reply to attempt `attempt` (0-based).
-    pub fn delay(&self, attempt: u32, req_id: ReqId) -> u64 {
-        let exp = self
-            .base
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.cap.max(self.base));
-        let jitter = if self.base > 1 {
-            // SplitMix64 over (req_id, attempt): stable, but different
-            // requests back off on different schedules
-            let mut z = req_id.0 ^ ((attempt as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            (z ^ (z >> 31)) % self.base
-        } else {
-            0
-        };
-        exp + jitter
-    }
+/// Attempt `n` waits `BACKOFF_BASE · 2ⁿ` ticks (capped at
+/// [`BACKOFF_CAP`]) plus a jitter in `[0, BACKOFF_BASE)` hashed from
+/// `(req_id, attempt)` — deterministic for reproducibility, yet
+/// decorrelated across requests so synchronized timeouts don't
+/// retransmit in lockstep.
+pub(crate) fn backoff_delay(attempt: u32, req_id: ReqId) -> u64 {
+    let exp = BACKOFF_BASE
+        .saturating_mul(1u64 << attempt.min(16))
+        .min(BACKOFF_CAP);
+    // SplitMix64 over (req_id, attempt): stable, but different requests
+    // back off on different schedules
+    let mut z = req_id.0 ^ ((attempt as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    exp + (z ^ (z >> 31)) % BACKOFF_BASE
 }
 
 /// Replay log for refused transactions: the first refusal of a
@@ -449,25 +421,15 @@ impl ShimEndpoint {
 }
 
 /// A source shim's view of which neighbour shims are alive, fed by
-/// `Hello`/`Heartbeat` messages. A rack is alive iff it has been heard
-/// from within `deadline` ticks; crashed shims simply fall silent and age
+/// `Beacon` messages. A rack is alive iff it has been heard from within
+/// [`LIVENESS_DEADLINE`] ticks; crashed shims simply fall silent and age
 /// out, after which the matching excludes their hosts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Liveness {
     last_seen: HashMap<RackId, u64>,
-    /// Maximum silence before a rack is presumed dead.
-    pub deadline: u64,
 }
 
 impl Liveness {
-    /// Fresh ledger with the given silence deadline.
-    pub fn new(deadline: u64) -> Self {
-        Self {
-            last_seen: HashMap::new(),
-            deadline,
-        }
-    }
-
     /// Record a beacon from `rack` at `tick`.
     pub fn observe(&mut self, rack: RackId, tick: u64) {
         let e = self.last_seen.entry(rack).or_insert(tick);
@@ -486,7 +448,7 @@ impl Liveness {
     pub fn alive(&self, rack: RackId, now: u64) -> bool {
         self.last_seen
             .get(&rack)
-            .is_some_and(|&seen| now.saturating_sub(seen) <= self.deadline)
+            .is_some_and(|&seen| now.saturating_sub(seen) <= LIVENESS_DEADLINE)
     }
 }
 
@@ -519,23 +481,18 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let b = BackoffPolicy {
-            base: 8,
-            cap: 64,
-            max_attempts: 5,
-        };
         let id = ReqId::new(RackId(1), 1);
-        let d0 = b.delay(0, id);
-        let d1 = b.delay(1, id);
-        let d3 = b.delay(3, id);
+        let d0 = backoff_delay(0, id);
+        let d1 = backoff_delay(1, id);
+        let d3 = backoff_delay(3, id);
         assert!((8..16).contains(&d0), "{d0}");
         assert!((16..24).contains(&d1), "{d1}");
         assert!((64..72).contains(&d3), "capped: {d3}");
         // deterministic
-        assert_eq!(d1, b.delay(1, id));
+        assert_eq!(d1, backoff_delay(1, id));
         // jitter decorrelates requests
         let other = ReqId::new(RackId(2), 9);
-        assert!((8..16).contains(&b.delay(0, other)));
+        assert!((8..16).contains(&backoff_delay(0, other)));
     }
 
     #[test]
@@ -630,13 +587,8 @@ mod tests {
     fn shim_msg_epoch_accessor_covers_every_variant() {
         let id = ReqId::new(RackId(0), 0);
         let msgs = [
-            ShimMsg::Hello {
+            ShimMsg::Beacon {
                 rack: RackId(0),
-                epoch: 3,
-            },
-            ShimMsg::Heartbeat {
-                rack: RackId(0),
-                tick: 5,
                 epoch: 3,
             },
             ShimMsg::Ack {
@@ -675,14 +627,14 @@ mod tests {
 
     #[test]
     fn liveness_ages_out_and_recovers() {
-        let mut l = Liveness::new(5);
+        let mut l = Liveness::default();
         l.observe(RackId(0), 10);
-        assert!(l.alive(RackId(0), 15));
-        assert!(!l.alive(RackId(0), 16));
+        assert!(l.alive(RackId(0), 10 + LIVENESS_DEADLINE));
+        assert!(!l.alive(RackId(0), 11 + LIVENESS_DEADLINE));
         assert!(!l.alive(RackId(1), 0), "never heard from");
-        l.observe(RackId(0), 20);
-        assert!(l.alive(RackId(0), 22));
+        l.observe(RackId(0), 40);
+        assert!(l.alive(RackId(0), 42));
         l.presume_dead(RackId(0));
-        assert!(!l.alive(RackId(0), 22));
+        assert!(!l.alive(RackId(0), 42));
     }
 }

@@ -201,23 +201,23 @@ impl Runtime for CentralizedRuntime {
 /// runs as a virtual-time event agenda (beacons, crash/heal windows,
 /// deliveries, timeouts, leases, detector transitions) and returns at
 /// the round boundary, so callers keep the familiar one-call-per-round
-/// shape while per-rack event cadences
-/// ([`FabricConfig::with_beacon_interval`],
-/// [`FabricConfig::with_alert_check`]) fire inside the round.
+/// shape.
 #[derive(Debug, Clone, Default)]
 pub struct FabricRuntime {
-    /// Channel fault model, seed, backoff and liveness configuration.
+    /// Channel fault model, seed, retries, fault windows and transfers.
     pub cfg: FabricConfig,
     /// Cross-round failover state (detector, epochs, managers).
     pub failover: RegionFailover,
 }
 
 impl FabricRuntime {
-    /// Runtime for `cfg`, with the failure detector's thresholds derived
-    /// from the config's heartbeat period and liveness deadline.
+    /// Runtime for `cfg`, with fresh failover state on the fabric's own
+    /// beacon cadence ([`RegionFailover::default`]).
     pub fn with_config(cfg: FabricConfig) -> Self {
-        let failover = RegionFailover::new(cfg.heartbeat_period.max(1), cfg.liveness_deadline);
-        Self { cfg, failover }
+        Self {
+            cfg,
+            failover: RegionFailover::default(),
+        }
     }
 }
 

@@ -9,6 +9,7 @@ use dcn_sim::{ChannelFaults, RackMetric, SimConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
 use dcn_topology::HostId;
 use proptest::prelude::*;
+use sheriff_core::fabric::MAX_TICKS;
 use sheriff_core::{CrashWindow, FabricConfig, FabricRuntime, RunCtx, Runtime};
 use sheriff_obs::NullSink;
 
@@ -81,7 +82,7 @@ proptest! {
             crashed,
             ..FabricConfig::default()
         };
-        let report = FabricRuntime::with_config(cfg.clone()).step(&mut RunCtx {
+        let report = FabricRuntime::with_config(cfg).step(&mut RunCtx {
             cluster: &mut c,
             metric: &metric,
             alerts: &alerts,
@@ -90,7 +91,7 @@ proptest! {
         });
 
         // termination: bounded rounds x bounded retries x bounded backoff
-        prop_assert!(report.ticks <= cfg.max_ticks);
+        prop_assert!(report.ticks <= MAX_TICKS);
 
         // Eqn. 8: no host over capacity, ever
         for h in 0..c.placement.host_count() {

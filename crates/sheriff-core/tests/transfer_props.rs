@@ -13,6 +13,7 @@ use dcn_sim::engine::{Cluster, ClusterConfig};
 use dcn_sim::{ChannelFaults, RackMetric, SimConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
 use proptest::prelude::*;
+use sheriff_core::fabric::MAX_TICKS;
 use sheriff_core::{
     CrashWindow, FabricConfig, FabricRuntime, LinkFaultWindow, RoundOutcome, RunCtx, Runtime,
 };
@@ -509,7 +510,7 @@ proptest! {
         // no alerted rack is written off for the whole round here, so
         // no shim means no alerts
         prop_assume!(report.shims > 0);
-        prop_assert!(report.ticks <= cfg.max_ticks);
+        prop_assert!(report.ticks <= MAX_TICKS);
         prop_assert!(report.audit.is_clean(), "{}", report.audit);
         let mut loc: std::collections::HashMap<_, _> = c
             .placement

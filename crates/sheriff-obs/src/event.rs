@@ -326,17 +326,6 @@ pub enum Event {
         /// Racks that were inside the partition set.
         racks: u64,
     },
-    /// A per-rack alert check fired at its own virtual-time interval
-    /// (independent of round boundaries) and rescanned the rack for
-    /// fresh pre-alerts.
-    AlertCheckFired {
-        /// Rack whose alert interval fired.
-        rack: u64,
-        /// Virtual tick inside the round it fired at.
-        tick: u64,
-        /// Fresh alerted VMs picked up by this check.
-        fresh: u64,
-    },
     /// A 2PC message carrying a pre-takeover epoch was fenced and
     /// rejected instead of being applied.
     StaleEpochRejected {
@@ -460,7 +449,6 @@ impl Event {
             Event::ShimDeclaredDead { .. } => "shim_declared_dead",
             Event::RegionTakenOver { .. } => "region_taken_over",
             Event::PartitionHealed { .. } => "partition_healed",
-            Event::AlertCheckFired { .. } => "alert_check_fired",
             Event::StaleEpochRejected { .. } => "stale_epoch_rejected",
             Event::TransferStarted { .. } => "transfer_started",
             Event::TransferRerouted { .. } => "transfer_rerouted",
@@ -620,11 +608,6 @@ impl Event {
                 w.u64("partition", *partition);
                 w.u64("racks", *racks);
             }
-            Event::AlertCheckFired { rack, tick, fresh } => {
-                w.u64("rack", *rack);
-                w.u64("tick", *tick);
-                w.u64("fresh", *fresh);
-            }
             Event::StaleEpochRejected {
                 req,
                 rack,
@@ -696,146 +679,96 @@ impl Event {
 mod tests {
     use super::*;
 
-    #[test]
-    fn kind_is_stable() {
-        assert_eq!(Event::RoundStart { time: 3 }.kind(), "round_start");
-        assert_eq!(
-            Event::RejectReceived {
-                req: 1,
-                vm: 2,
-                reason: RejectKind::Capacity
+    /// Declares one sample of every `Event` variant with its exact JSON
+    /// line, as `samples()` and `pinned(&Event)`. `pinned` is a `match`
+    /// without a wildcard arm, so a variant missing from the list fails
+    /// to compile, and every listed variant has a sample to render.
+    macro_rules! pins {
+        ($($variant:ident { $($field:ident: $value:expr),* $(,)? } => $json:literal,)*) => {
+            fn samples() -> Vec<Event> {
+                vec![$(Event::$variant { $($field: $value),* }),*]
             }
-            .kind(),
-            "reject_received"
-        );
-    }
 
-    #[test]
-    fn json_has_stable_shape() {
-        let ev = Event::AlertRaised {
-            time: 7,
-            rack: 2,
-            kind: AlertKind::OuterSwitch,
-            severity: 0.5,
+            fn pinned(ev: &Event) -> &'static str {
+                match ev {
+                    $(Event::$variant { .. } => $json,)*
+                }
+            }
         };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"alert_raised","time":7,"rack":2,"kind":"outer_switch","severity":0.5}"#
-        );
+    }
+
+    pins! {
+        RoundStart { time: 3 } => r#"{"ev":"round_start","time":3}"#,
+        RoundEnd { time: 3, migrations: 12, reroutes: 2 }
+            => r#"{"ev":"round_end","time":3,"migrations":12,"reroutes":2}"#,
+        AlertRaised { time: 7, rack: 2, kind: AlertKind::OuterSwitch, severity: 0.5 }
+            => r#"{"ev":"alert_raised","time":7,"rack":2,"kind":"outer_switch","severity":0.5}"#,
+        VictimsSelected { rack: 2, candidates: 9, selected: 3 }
+            => r#"{"ev":"victims_selected","rack":2,"candidates":9,"selected":3}"#,
+        PlanComputed { rack: 2, proposals: 3, unassigned: 1, search_space: 48 }
+            => r#"{"ev":"plan_computed","rack":2,"proposals":3,"unassigned":1,"search_space":48}"#,
+        RequestSent { req: 9, vm: 4, dest_host: 17, attempt: 1 }
+            => r#"{"ev":"request_sent","req":9,"vm":4,"dest_host":17,"attempt":1}"#,
+        AckReceived { req: 9, vm: 4 } => r#"{"ev":"ack_received","req":9,"vm":4}"#,
+        RejectReceived { req: 1, vm: 2, reason: RejectKind::Stale }
+            => r#"{"ev":"reject_received","req":1,"vm":2,"reason":"stale_epoch"}"#,
+        RequestTimeout { req: 9, attempt: 2 } => r#"{"ev":"request_timeout","req":9,"attempt":2}"#,
+        RequestResent { req: 9, attempt: 3 } => r#"{"ev":"request_resent","req":9,"attempt":3}"#,
+        DuplicateAbsorbed { req: 9 } => r#"{"ev":"duplicate_absorbed","req":9}"#,
+        SwapAccepted { iteration: 4, cost: 12.25 }
+            => r#"{"ev":"swap_accepted","iteration":4,"cost":12.25}"#,
+        MigrationCommitted { vm: 4, from_host: 1, to_host: 17, cost: 101.5 }
+            => r#"{"ev":"migration_committed","vm":4,"from_host":1,"to_host":17,"cost":101.5}"#,
+        MigrationFailed { vm: 4, rack: 2 } => r#"{"ev":"migration_failed","vm":4,"rack":2}"#,
+        FlowsRerouted { rack: 2, rerouted: 5, stuck: 1 }
+            => r#"{"ev":"flows_rerouted","rack":2,"rerouted":5,"stuck":1}"#,
+        FaultInjected { kind: FaultKind::Partition, id: 3 }
+            => r#"{"ev":"fault_injected","kind":"partition","id":3}"#,
+        ShimDegraded { rack: 2 } => r#"{"ev":"shim_degraded","rack":2}"#,
+        ShimCrashed { rack: 2 } => r#"{"ev":"shim_crashed","rack":2}"#,
+        ShimRecovered { rack: 2 } => r#"{"ev":"shim_recovered","rack":2}"#,
+        TxnPrepared { req: 9, vm: 4, dest_host: 17 }
+            => r#"{"ev":"txn_prepared","req":9,"vm":4,"dest_host":17}"#,
+        TxnCommitted { req: 9, vm: 4 } => r#"{"ev":"txn_committed","req":9,"vm":4}"#,
+        TxnAborted { req: 9, vm: 4 } => r#"{"ev":"txn_aborted","req":9,"vm":4}"#,
+        ShimSuspected { rack: 1 } => r#"{"ev":"shim_suspected","rack":1}"#,
+        ShimDeclaredDead { rack: 1 } => r#"{"ev":"shim_declared_dead","rack":1}"#,
+        RegionTakenOver { rack: 3, by: 1, epoch: 2 }
+            => r#"{"ev":"region_taken_over","rack":3,"by":1,"epoch":2}"#,
+        PartitionHealed { partition: 0, racks: 4 }
+            => r#"{"ev":"partition_healed","partition":0,"racks":4}"#,
+        StaleEpochRejected { req: 9, rack: 3, stale: 0, current: 2 }
+            => r#"{"ev":"stale_epoch_rejected","req":9,"rack":3,"stale":0,"current":2}"#,
+        TransferStarted { req: 5, vm: 7, bytes: 8.0, hops: 4, rate: 2.0, waited: 0 }
+            => r#"{"ev":"transfer_started","req":5,"vm":7,"bytes":8,"hops":4,"rate":2,"waited":0}"#,
+        TransferRerouted { req: 5, vm: 7, hops: 6 }
+            => r#"{"ev":"transfer_rerouted","req":5,"vm":7,"hops":6}"#,
+        TransferCompleted { req: 5, vm: 7, ticks: 4, bandwidth: 2.5 }
+            => r#"{"ev":"transfer_completed","req":5,"vm":7,"ticks":4,"bandwidth":2.5}"#,
+        TransferStalled { req: 5, vm: 7, link: 12 }
+            => r#"{"ev":"transfer_stalled","req":5,"vm":7,"link":12}"#,
+        TransferResumed { req: 5, vm: 7, saved: 3.5 }
+            => r#"{"ev":"transfer_resumed","req":5,"vm":7,"saved":3.5}"#,
+        TransferRetried { req: 5, vm: 7, attempt: 2 }
+            => r#"{"ev":"transfer_retried","req":5,"vm":7,"attempt":2}"#,
+        TransferFailed { req: 5, vm: 7, attempts: 4 }
+            => r#"{"ev":"transfer_failed","req":5,"vm":7,"attempts":4}"#,
     }
 
     #[test]
-    fn failover_events_have_stable_shape() {
-        assert_eq!(
-            Event::RegionTakenOver {
-                rack: 3,
-                by: 1,
-                epoch: 2
-            }
-            .to_json(),
-            r#"{"ev":"region_taken_over","rack":3,"by":1,"epoch":2}"#
-        );
-        assert_eq!(
-            Event::StaleEpochRejected {
-                req: 9,
-                rack: 3,
-                stale: 0,
-                current: 2
-            }
-            .to_json(),
-            r#"{"ev":"stale_epoch_rejected","req":9,"rack":3,"stale":0,"current":2}"#
-        );
-        assert_eq!(
-            Event::PartitionHealed {
-                partition: 0,
-                racks: 4
-            }
-            .kind(),
-            "partition_healed"
-        );
-        assert_eq!(Event::ShimSuspected { rack: 1 }.kind(), "shim_suspected");
-        assert_eq!(
-            Event::ShimDeclaredDead { rack: 1 }.kind(),
-            "shim_declared_dead"
-        );
-        assert_eq!(RejectKind::Stale.label(), "stale_epoch");
-        assert_eq!(FaultKind::Partition.label(), "partition");
+    fn every_variant_renders_its_pinned_json_line() {
+        let samples = samples();
+        assert_eq!(samples.len(), 34);
+        for ev in &samples {
+            assert_eq!(ev.to_json(), pinned(ev), "{}", ev.kind());
+        }
+    }
+
+    #[test]
+    fn labels_are_stable() {
+        assert_eq!(AlertKind::LocalTor.label(), "local_tor");
+        assert_eq!(RejectKind::Capacity.label(), "capacity");
         assert_eq!(FaultKind::Heal.label(), "heal");
-    }
-
-    #[test]
-    fn transfer_events_have_stable_shape() {
-        assert_eq!(
-            Event::TransferStarted {
-                req: 5,
-                vm: 7,
-                bytes: 8.0,
-                hops: 4,
-                rate: 2.0,
-                waited: 0
-            }
-            .to_json(),
-            r#"{"ev":"transfer_started","req":5,"vm":7,"bytes":8,"hops":4,"rate":2,"waited":0}"#
-        );
-        assert_eq!(
-            Event::TransferRerouted {
-                req: 5,
-                vm: 7,
-                hops: 6
-            }
-            .to_json(),
-            r#"{"ev":"transfer_rerouted","req":5,"vm":7,"hops":6}"#
-        );
-        assert_eq!(
-            Event::TransferCompleted {
-                req: 5,
-                vm: 7,
-                ticks: 4,
-                bandwidth: 2.5
-            }
-            .to_json(),
-            r#"{"ev":"transfer_completed","req":5,"vm":7,"ticks":4,"bandwidth":2.5}"#
-        );
-    }
-
-    #[test]
-    fn transfer_recovery_events_have_stable_shape() {
-        assert_eq!(
-            Event::TransferStalled {
-                req: 5,
-                vm: 7,
-                link: 12
-            }
-            .to_json(),
-            r#"{"ev":"transfer_stalled","req":5,"vm":7,"link":12}"#
-        );
-        assert_eq!(
-            Event::TransferResumed {
-                req: 5,
-                vm: 7,
-                saved: 3.5
-            }
-            .to_json(),
-            r#"{"ev":"transfer_resumed","req":5,"vm":7,"saved":3.5}"#
-        );
-        assert_eq!(
-            Event::TransferRetried {
-                req: 5,
-                vm: 7,
-                attempt: 2
-            }
-            .to_json(),
-            r#"{"ev":"transfer_retried","req":5,"vm":7,"attempt":2}"#
-        );
-        assert_eq!(
-            Event::TransferFailed {
-                req: 5,
-                vm: 7,
-                attempts: 4
-            }
-            .to_json(),
-            r#"{"ev":"transfer_failed","req":5,"vm":7,"attempts":4}"#
-        );
     }
 
     #[test]

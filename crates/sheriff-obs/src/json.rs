@@ -52,6 +52,14 @@ impl JsonObject {
     }
 }
 
+/// `s` escaped and quoted as a JSON string: the escaper behind the
+/// event traces, the scenario reports and the experiment tables.
+pub fn json_str(s: &str) -> String {
+    let mut buf = String::with_capacity(s.len() + 2);
+    push_json_str(&mut buf, s);
+    buf
+}
+
 /// Escape and quote `s` as a JSON string into `buf`.
 fn push_json_str(buf: &mut String, s: &str) {
     buf.push('"');
@@ -200,9 +208,10 @@ mod tests {
 
     #[test]
     fn escapes_control_characters() {
-        let mut buf = String::new();
-        push_json_str(&mut buf, "a\"b\\c\nd\u{1}");
-        assert_eq!(buf, r#""a\"b\\c\nd\u0001""#);
+        assert_eq!(
+            json_str("a\"b\\c\nd\re\tf\u{1}"),
+            r#""a\"b\\c\nd\re\tf\u0001""#
+        );
     }
 
     #[test]

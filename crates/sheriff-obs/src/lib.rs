@@ -41,7 +41,7 @@ mod timer;
 pub use counters::Counters;
 pub use event::{AlertKind, Event, FaultKind, RejectKind};
 pub use histogram::Histogram;
-pub use json::JsonLinesSink;
+pub use json::{json_str, JsonLinesSink};
 pub use recorder::{RingRecorder, TimingStat};
 pub use sink::{emit, EventSink, NullSink};
 pub use timer::Timer;

@@ -14,7 +14,7 @@
 use crate::runner::SeedRun;
 use crate::spec::ScenarioSpec;
 use sheriff_core::RoundOutcome;
-use sheriff_obs::Counters;
+use sheriff_obs::{json_str, Counters};
 
 /// Mean / median / 95th percentile of one metric across seed runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -339,24 +339,6 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn num(v: f64) -> String {
     if v.is_finite() {
         let s = format!("{v}");
@@ -397,13 +379,13 @@ impl ScenarioReport {
     fn render(&self, with_timings: bool) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        out.push_str(&format!("  \"id\": {},\n", esc(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", esc(&self.title)));
-        out.push_str(&format!("  \"runtime\": {},\n", esc(&self.runtime)));
+        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
+        out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
+        out.push_str(&format!("  \"runtime\": {},\n", json_str(&self.runtime)));
         out.push_str(&format!("  \"rounds\": {},\n", self.rounds));
         let seeds: Vec<String> = self.seeds.iter().map(|s| s.to_string()).collect();
         out.push_str(&format!("  \"seeds\": [{}],\n", seeds.join(", ")));
-        let columns: Vec<String> = self.columns.iter().map(|c| esc(c)).collect();
+        let columns: Vec<String> = self.columns.iter().map(|c| json_str(c)).collect();
         out.push_str(&format!("  \"columns\": [{}],\n", columns.join(", ")));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
@@ -415,14 +397,14 @@ impl ScenarioReport {
         out.push_str("  \"metrics\": {\n");
         for (i, (k, s)) in self.metrics.iter().enumerate() {
             let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            out.push_str(&format!("    {}: {}{}\n", esc(k), stat_json(s), comma));
+            out.push_str(&format!("    {}: {}{}\n", json_str(k), stat_json(s), comma));
         }
         out.push_str("  },\n");
         out.push_str("  \"counters\": {\n");
         let n = self.counters.len();
         for (i, (k, v)) in self.counters.iter().enumerate() {
             let comma = if i + 1 < n { "," } else { "" };
-            out.push_str(&format!("    {}: {}{}\n", esc(k), v, comma));
+            out.push_str(&format!("    {}: {}{}\n", json_str(k), v, comma));
         }
         out.push_str("  },\n");
         if with_timings {
@@ -433,11 +415,11 @@ impl ScenarioReport {
                 } else {
                     ""
                 };
-                out.push_str(&format!("    {}: {}{}\n", esc(k), stat_json(s), comma));
+                out.push_str(&format!("    {}: {}{}\n", json_str(k), stat_json(s), comma));
             }
             out.push_str("  },\n");
         }
-        let notes: Vec<String> = self.notes.iter().map(|s| esc(s)).collect();
+        let notes: Vec<String> = self.notes.iter().map(|s| json_str(s)).collect();
         out.push_str(&format!(
             "  \"notes\": [\n    {}\n  ]\n",
             notes.join(",\n    ")

@@ -353,8 +353,7 @@ pub(crate) fn run_job(
                     && spec.channel_phases[phase_cursor].round <= t
                 {
                     let phase = &spec.channel_phases[phase_cursor];
-                    rt.cfg.faults = phase.faults.clone();
-                    rt.cfg.hello_window = 2u64.max(phase.faults.delay_max + 1);
+                    rt.cfg.set_channel(phase.faults.clone());
                     phase_cursor += 1;
                 }
                 rt.cfg.crashed = crashed;

@@ -39,7 +39,12 @@ fn main() {
             .vm_ids()
             .map(|vm| probe.placement.utilization(probe.placement.host_of(vm)))
             .collect();
-        let cfg = FabricConfig::for_channel(ChannelFaults::lossy(0.02), 7).with_hello_window(2);
+        let cfg = FabricConfig {
+            faults: ChannelFaults::lossy(0.02),
+            seed: 7,
+            hello_window: 2,
+            ..FabricConfig::default()
+        };
         let out = FabricRuntime::with_config(cfg).step(&mut RunCtx {
             cluster: &mut probe,
             metric: &metric,
@@ -68,7 +73,7 @@ fn main() {
         .map(|vm| cluster.placement.utilization(cluster.placement.host_of(vm)))
         .collect();
 
-    // the fabric's timeline on a quiet channel: HELLO at t=0, PREPAREs
+    // the fabric's timeline on a quiet channel: beacons at t=0, PREPAREs
     // sent at t=2 and journalled at the destinations at t=3, PREPARE-OKs
     // back at t=4, COMMITs land at t=5. Killing the busiest destination
     // at t=6 catches its journal holding committed first-wave transfers
@@ -79,8 +84,13 @@ fn main() {
         victim.index()
     );
 
-    let mut cfg = FabricConfig::for_channel(ChannelFaults::lossy(0.02), 7).with_hello_window(2);
-    cfg.crashed = vec![CrashWindow::during(victim, 6, 14)];
+    let cfg = FabricConfig {
+        faults: ChannelFaults::lossy(0.02),
+        seed: 7,
+        hello_window: 2,
+        crashed: vec![CrashWindow::during(victim, 6, 14)],
+        ..FabricConfig::default()
+    };
     let mut rec = RingRecorder::new(1 << 14);
     let report = FabricRuntime::with_config(cfg).step(&mut RunCtx {
         cluster: &mut cluster,

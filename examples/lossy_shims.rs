@@ -43,8 +43,13 @@ fn main() {
         .vm_ids()
         .map(|vm| cluster.placement.utilization(cluster.placement.host_of(vm)))
         .collect();
-    let mut cfg = FabricConfig::for_channel(ChannelFaults::lossy(0.05), 7).with_hello_window(2);
-    cfg.crashed = vec![CrashWindow::whole_round(crashed)];
+    let cfg = FabricConfig {
+        faults: ChannelFaults::lossy(0.05),
+        seed: 7,
+        hello_window: 2,
+        crashed: vec![CrashWindow::whole_round(crashed)],
+        ..FabricConfig::default()
+    };
     let report = FabricRuntime::with_config(cfg).step(&mut RunCtx {
         cluster: &mut cluster,
         metric: &metric,

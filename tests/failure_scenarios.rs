@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sheriff_dcn::prelude::*;
+use sheriff_dcn::sheriff::fabric::MAX_TICKS;
 use sheriff_dcn::sheriff::{drain_rack, evacuate_host, MigrationContext};
 use sheriff_dcn::sim::faults::{fail_link, fail_random_links, racks_connected};
 
@@ -273,7 +274,7 @@ proptest! {
             crashed,
             ..FabricConfig::default()
         };
-        let report = FabricRuntime::with_config(cfg.clone()).step(&mut RunCtx {
+        let report = FabricRuntime::with_config(cfg).step(&mut RunCtx {
             cluster: &mut c,
             metric: &metric,
             alerts: &alerts,
@@ -281,7 +282,7 @@ proptest! {
             sink: &mut NullSink,
         });
 
-        prop_assert!(report.ticks <= cfg.max_ticks, "round wedged");
+        prop_assert!(report.ticks <= MAX_TICKS, "round wedged");
         prop_assert!(report.audit.is_clean(), "{}", report.audit);
         prop_assert_eq!(
             report.txn_committed + report.txn_aborted,
@@ -370,7 +371,7 @@ proptest! {
                 sink: &mut NullSink,
             });
 
-            prop_assert!(report.ticks <= cfg.max_ticks, "round wedged");
+            prop_assert!(report.ticks <= MAX_TICKS, "round wedged");
             prop_assert!(report.audit.is_clean(), "{}", report.audit);
             prop_assert_eq!(
                 report.txn_committed + report.txn_aborted,
