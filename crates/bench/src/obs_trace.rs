@@ -77,28 +77,31 @@ pub fn trace_run(out: &Path, seed: u64, steps: usize) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sheriff_scenario::Value;
 
     #[test]
     fn trace_run_writes_a_parsable_event_stream() {
-        let dir = std::env::temp_dir().join("sheriff-bench-trace-test");
+        let dir =
+            std::env::temp_dir().join(format!("sheriff-bench-trace-test-{}", std::process::id()));
         let events = trace_run(&dir, 71, 10).expect("trace run");
         let text = fs::read_to_string(dir.join("trace.jsonl")).expect("read back");
-        let lines: Vec<&str> = text.lines().collect();
-        // every line beyond the events is a timing or the final summary
-        let extra = lines
-            .iter()
-            .filter(|l| l.contains("\"ev\":\"timing\"") || l.contains("\"ev\":\"summary\""))
-            .count();
-        assert_eq!(lines.len() as u64, events + extra as u64);
-        assert!(lines
-            .iter()
-            .all(|l| l.starts_with("{\"ev\":") && l.ends_with('}')));
-        assert_eq!(
-            text.lines()
-                .filter(|l| l.contains("\"ev\":\"round_start\""))
-                .count(),
-            10
-        );
         let _ = fs::remove_dir_all(&dir);
+        let kinds: Vec<String> = text
+            .lines()
+            .map(|l| {
+                assert!(l.starts_with("{\"ev\":"), "{l}");
+                let line = Value::from_json(l).unwrap_or_else(|e| panic!("{e}: {l}"));
+                let ev = line.get("ev").and_then(Value::as_str);
+                ev.unwrap_or_else(|| panic!("no string \"ev\": {l}"))
+                    .to_string()
+            })
+            .collect();
+        // every line beyond the events is a timing or the final summary
+        let extra = kinds
+            .iter()
+            .filter(|k| *k == "timing" || *k == "summary")
+            .count();
+        assert_eq!(kinds.len() as u64, events + extra as u64);
+        assert_eq!(kinds.iter().filter(|k| *k == "round_start").count(), 10);
     }
 }

@@ -7,6 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sheriff_core::kmedian::{exact_optimal, local_search_from, KMedianInstance};
 use sheriff_core::RatioPoint;
+use sheriff_obs::NullSink;
 
 /// Random metric k-median instance: clients and facilities are points in
 /// the unit square, costs are Euclidean distances (a metric, as required
@@ -61,7 +62,7 @@ pub fn ratio_experiment(trials: usize, max_p: usize, seed: u64) -> Table {
                     init.swap(i, rng.gen_range(0..=i));
                 }
                 init.truncate(k);
-                let ls = local_search_from(&inst, init, p, 10_000);
+                let ls = local_search_from(&inst, init, p, 10_000, &mut NullSink);
                 let point = RatioPoint::new(p, ls.cost, opt.cost);
                 worst = worst.max(point.ratio);
                 sum += point.ratio;

@@ -142,9 +142,10 @@ mod tests {
     fn json_roundtrip_to_disk() {
         let mut t = Table::new("figtest", "demo", &["a"]);
         t.push(vec![1.0]);
-        let dir = std::env::temp_dir().join("sheriff-bench-test");
+        let dir = std::env::temp_dir().join(format!("sheriff-bench-test-{}", std::process::id()));
         t.write_json(&dir).unwrap();
         let body = std::fs::read_to_string(dir.join("figtest.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
         assert!(body.contains("\"figtest\""));
     }
 }

@@ -11,8 +11,8 @@
 //! ToRs for the alerting source ToRs by local search (Alg. 5) over the
 //! collapsed metric `Cost(v_i, v_p)`.
 
-use crate::kmedian::{greedy_init, local_search_from_obs, KMedianInstance, KMedianSolution};
-use crate::vmmigration::{vmmigration_scoped_obs, MigrationContext, MigrationPlan};
+use crate::kmedian::{greedy_init, local_search_from, KMedianInstance, KMedianSolution};
+use crate::vmmigration::{vmmigration_scoped, MigrationContext, MigrationPlan};
 use dcn_topology::{RackId, VmId};
 use sheriff_obs::{EventSink, NullSink};
 
@@ -20,7 +20,7 @@ use sheriff_obs::{EventSink, NullSink};
 /// VMMIGRATION whose target region is the entire rack set, with an
 /// [`EventSink`] observing every REQUEST/verdict and the final plan
 /// summary.
-pub fn centralized_migration_obs<S: EventSink + ?Sized>(
+pub fn centralized_migration<S: EventSink + ?Sized>(
     ctx: &mut MigrationContext<'_>,
     candidates: &[VmId],
     max_rounds: usize,
@@ -29,10 +29,10 @@ pub fn centralized_migration_obs<S: EventSink + ?Sized>(
     let all_racks: Vec<RackId> = (0..ctx.inventory.rack_count())
         .map(RackId::from_index)
         .collect();
-    vmmigration_scoped_obs(ctx, candidates, &all_racks, max_rounds, true, sink)
+    vmmigration_scoped(ctx, candidates, &all_racks, max_rounds, true, sink)
 }
 
-/// Like [`centralized_migration_obs`] (with a [`NullSink`]) but
+/// Like [`centralized_migration`] (with a [`NullSink`]) but
 /// processes candidates in chunks of
 /// `chunk` rows per matching call. The Hungarian algorithm is
 /// O(rows² · cols); at data-center scale (thousands of candidates ×
@@ -46,44 +46,22 @@ pub fn centralized_migration_chunked(
     chunk: usize,
     max_rounds: usize,
 ) -> MigrationPlan {
-    centralized_migration_chunked_obs(ctx, candidates, chunk, max_rounds, &mut NullSink)
-}
-
-/// [`centralized_migration_chunked`] with an [`EventSink`]: each chunk
-/// contributes its own `plan_computed` summary.
-pub fn centralized_migration_chunked_obs<S: EventSink + ?Sized>(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    chunk: usize,
-    max_rounds: usize,
-    sink: &mut S,
-) -> MigrationPlan {
     assert!(chunk >= 1, "chunk must be positive");
     let mut plan = MigrationPlan::default();
     for part in candidates.chunks(chunk) {
-        plan.absorb(centralized_migration_obs(ctx, part, max_rounds, sink));
+        plan.absorb(centralized_migration(ctx, part, max_rounds, &mut NullSink));
     }
     plan
 }
 
 /// The Sec. V-A transformation: given alerting source racks and the full
 /// rack-to-rack cost matrix, pick `k` destination ToRs minimising total
-/// connection cost with the `p`-swap local search.
+/// connection cost with the `p`-swap local search. `sink` observes the
+/// Alg. 5 descent: each accepted swap emits a `swap_accepted` event.
 ///
 /// `rack_cost[i][j]` must be `Cost(v_i, v_j)` per Eqn. 18 (e.g. from
 /// [`dcn_sim::RackMetric::migration_cost`] with a reference VM size).
-pub fn destination_tors(
-    rack_cost: &[Vec<f64>],
-    sources: &[RackId],
-    k: usize,
-    p: usize,
-) -> KMedianSolution {
-    destination_tors_obs(rack_cost, sources, k, p, &mut NullSink)
-}
-
-/// [`destination_tors`] with an [`EventSink`] observing the Alg. 5
-/// descent: each accepted swap emits a `swap_accepted` event.
-pub fn destination_tors_obs<S: EventSink + ?Sized>(
+pub fn destination_tors<S: EventSink + ?Sized>(
     rack_cost: &[Vec<f64>],
     sources: &[RackId],
     k: usize,
@@ -96,7 +74,7 @@ pub fn destination_tors_obs<S: EventSink + ?Sized>(
         .map(|s| rack_cost[s.index()].clone())
         .collect();
     let inst = KMedianInstance::new(cost, k);
-    local_search_from_obs(&inst, greedy_init(&inst), p, 10_000, sink)
+    local_search_from(&inst, greedy_init(&inst), p, 10_000, sink)
 }
 
 /// The full Sec. V-A pipeline: collapse rack-to-rack costs (done once in
@@ -104,20 +82,9 @@ pub fn destination_tors_obs<S: EventSink + ?Sized>(
 /// alerting source racks with the p-swap local search (Alg. 5), then run
 /// VMMIGRATION restricted to those racks. Compared to matching against
 /// every rack, this caps the candidate-slot set at `k` racks — the
-/// centralized manager's scalable variant.
-pub fn kmedian_migration(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    k: usize,
-    p: usize,
-    max_rounds: usize,
-) -> (MigrationPlan, KMedianSolution) {
-    kmedian_migration_obs(ctx, candidates, k, p, max_rounds, &mut NullSink)
-}
-
-/// [`kmedian_migration`] with an [`EventSink`] observing both stages: the
-/// Alg. 5 swap descent and the scoped VMMIGRATION's request traffic.
-pub fn kmedian_migration_obs<S: EventSink + ?Sized>(
+/// centralized manager's scalable variant. `sink` observes both stages:
+/// the Alg. 5 swap descent and the scoped VMMIGRATION's request traffic.
+pub fn kmedian_migration<S: EventSink + ?Sized>(
     ctx: &mut MigrationContext<'_>,
     candidates: &[VmId],
     k: usize,
@@ -154,13 +121,13 @@ pub fn kmedian_migration_obs<S: EventSink + ?Sized>(
         })
         .collect();
 
-    let solution = destination_tors_obs(&rack_cost, &sources, k, p, sink);
+    let solution = destination_tors(&rack_cost, &sources, k, p, sink);
     let dest_racks: Vec<RackId> = solution
         .open
         .iter()
         .map(|&f| RackId::from_index(f))
         .collect();
-    let plan = vmmigration_scoped_obs(ctx, candidates, &dest_racks, max_rounds, false, sink);
+    let plan = vmmigration_scoped(ctx, candidates, &dest_racks, max_rounds, false, sink);
     (plan, solution)
 }
 
@@ -225,7 +192,7 @@ mod tests {
                 metric: &metric,
                 sim: &c1.sim,
             };
-            centralized_migration_obs(&mut ctx, &cands, 5, &mut NullSink)
+            centralized_migration(&mut ctx, &cands, 5, &mut NullSink)
         };
         let regional = {
             let region = c2.dcn.neighbor_racks(c2.placement.rack_of(cands[0]), 2);
@@ -258,7 +225,7 @@ mod tests {
                 metric: &metric,
                 sim: &c1.sim,
             };
-            centralized_migration_obs(&mut ctx, &cands, 1, &mut NullSink)
+            centralized_migration(&mut ctx, &cands, 1, &mut NullSink)
         };
         let regional = {
             let region = c2.dcn.neighbor_racks(c2.placement.rack_of(cands[0]), 2);
@@ -293,7 +260,7 @@ mod tests {
             metric: &metric,
             sim: &c.sim,
         };
-        let (plan, solution) = kmedian_migration(&mut ctx, &cands, k, 2, 5);
+        let (plan, solution) = kmedian_migration(&mut ctx, &cands, k, 2, 5, &mut NullSink);
         assert_eq!(solution.open.len(), k);
         // every committed move landed in one of the k chosen racks
         let dest: std::collections::HashSet<RackId> = solution
@@ -321,7 +288,7 @@ mod tests {
                 metric: &metric,
                 sim: &c1.sim,
             };
-            kmedian_migration(&mut ctx, &cands, 2, 2, 1)
+            kmedian_migration(&mut ctx, &cands, 2, 2, 1, &mut NullSink)
         };
         let full = {
             let mut ctx = MigrationContext {
@@ -331,7 +298,7 @@ mod tests {
                 metric: &metric,
                 sim: &c2.sim,
             };
-            centralized_migration_obs(&mut ctx, &cands, 1, &mut NullSink)
+            centralized_migration(&mut ctx, &cands, 1, &mut NullSink)
         };
         assert!(
             km_plan.search_space < full.search_space,
@@ -363,7 +330,7 @@ mod tests {
             })
             .collect();
         let sources = vec![RackId(0), RackId(1)];
-        let sol = destination_tors(&rack_cost, &sources, 2, 2);
+        let sol = destination_tors(&rack_cost, &sources, 2, 2, &mut NullSink);
         assert_eq!(sol.open.len(), 2);
         assert!(sol.cost.is_finite());
         // with k = sources and same-pod racks available, the chosen ToRs

@@ -9,6 +9,7 @@
 use crate::vmmigration::{vmmigration, vmmigration_scoped, MigrationContext, MigrationPlan};
 use dcn_sim::SheriffError;
 use dcn_topology::{HostId, RackId, VmId};
+use sheriff_obs::NullSink;
 
 fn check_region(ctx: &MigrationContext<'_>, region: &[RackId]) -> Result<(), SheriffError> {
     let rack_count = ctx.inventory.rack_count();
@@ -107,6 +108,7 @@ pub fn drain_rack(
     let mut plan = MigrationPlan::default();
     let region_without: Vec<RackId> = region.iter().copied().filter(|&r| r != rack).collect();
     let hosts: Vec<HostId> = ctx.inventory.hosts_in(rack).to_vec();
+    let sink = &mut NullSink;
     for host in hosts {
         // a drained rack cannot host evacuees from its own other hosts:
         // temporarily treat the rack's hosts as unavailable by listing
@@ -115,7 +117,7 @@ pub fn drain_rack(
         if victims.is_empty() {
             continue;
         }
-        let mut p = vmmigration_scoped(ctx, &victims, &region_without, max_rounds, false);
+        let mut p = vmmigration_scoped(ctx, &victims, &region_without, max_rounds, false, sink);
         // retry leftovers globally, still excluding the draining rack
         if !p.unplaced.is_empty() {
             let leftover = std::mem::take(&mut p.unplaced);
@@ -124,7 +126,7 @@ pub fn drain_rack(
                 .filter(|&r| r != rack)
                 .collect();
             p.absorb(vmmigration_scoped(
-                ctx, &leftover, &others, max_rounds, false,
+                ctx, &leftover, &others, max_rounds, false, sink,
             ));
         }
         plan.absorb(p);

@@ -38,15 +38,14 @@ use crate::channel::{CrashWindow, LinkFaultWindow, PartitionWindow, SimNet};
 use crate::failure::{RegionFailover, ShimHealth};
 use crate::journal::TxnState;
 use crate::protocol::{
-    backoff_delay, reject_kind, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg,
-    TwoPhaseReply, MAX_ATTEMPTS,
+    backoff_delay, Liveness, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply, MAX_ATTEMPTS,
 };
 use crate::runtime::{RoundOutcome, RunCtx};
 use crate::vmmigration::{match_victims, MigrationPlan, Move};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{Alert, ChannelFaults, RackMetric, REORDER_HOLD_BACK};
 use dcn_topology::{HostId, RackId, VmId};
-use sheriff_obs::{emit, Event, EventSink};
+use sheriff_obs::{emit, Event, EventSink, RejectKind};
 use sheriff_sim::{EventId, Simulation, VirtualTime};
 use sheriff_transfer::{Admission, Resumed, Started, TransferScheduler, TransferSpec};
 use std::collections::{BTreeMap, BTreeSet};
@@ -1233,7 +1232,7 @@ impl<'r> FabricRound<'r> {
             self.fail_transfer(req_id, f.vm, f.attempts, meta.as_ref().map(|m| m.dst_rack));
             if let Some(m) = meta {
                 let epoch = self.failover.view_of(m.dst_rack);
-                let reason = RejectReason::Expired;
+                let reason = RejectKind::Expired;
                 let msg = ShimMsg::Reject {
                     req_id,
                     reason,
@@ -1640,14 +1639,14 @@ impl<'r> FabricRound<'r> {
     }
 
     /// The destination refused: the VM goes back to pending for a replan.
-    /// A `StaleEpoch` refusal teaches the shim the current term, and the
+    /// A `Stale` refusal teaches the shim the current term, and the
     /// pairing itself was fine, so it is not excluded. A late REJECT for
     /// a zombie resolves it: the VM definitively did not move.
-    fn on_reject(&mut self, to: RackId, req_id: ReqId, reason: RejectReason, epoch: u64) {
+    fn on_reject(&mut self, to: RackId, req_id: ReqId, reason: RejectKind, epoch: u64) {
         let Some(i) = self.source(to) else {
             return;
         };
-        let stale = reason == RejectReason::StaleEpoch;
+        let stale = reason == RejectKind::Stale;
         if stale {
             // a neighbor took over while we were away: adopt its epoch so
             // the replan goes out under the current term
@@ -1666,7 +1665,7 @@ impl<'r> FabricRound<'r> {
         emit(self.sink, || Event::RejectReceived {
             req: req_id.0,
             vm: o.vm.index() as u64,
-            reason: reject_kind(reason),
+            reason,
         });
         self.sink.counter("migrations.rejected", 1);
         shim.plan.rejected += 1;
@@ -1682,7 +1681,7 @@ impl<'r> FabricRound<'r> {
     // ---- delivered messages: destination side ----------------------------
 
     /// Epoch fence: a 2PC message from a deposed manager's term mutates
-    /// nothing. The sender gets a `StaleEpoch` reject carrying the current
+    /// nothing. The sender gets a `Stale` reject carrying the current
     /// epoch, which it must adopt before replanning. Returns whether the
     /// message was fenced.
     fn fenced(&mut self, (from, to): (RackId, RackId), req_id: ReqId, epoch: u64) -> bool {
@@ -1699,7 +1698,7 @@ impl<'r> FabricRound<'r> {
         self.sink.counter("txn.fenced", 1);
         let msg = ShimMsg::Reject {
             req_id,
-            reason: RejectReason::StaleEpoch,
+            reason: RejectKind::Stale,
             epoch: current,
         };
         self.net.send(self.now, to, from, msg);

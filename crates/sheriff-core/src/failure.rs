@@ -15,7 +15,7 @@
 //! reassigning its rack bumps the rack's epoch; every protocol message
 //! carries its sender's view of its own rack's epoch, and receivers
 //! fence 2PC messages whose epoch lags the authoritative one. A fenced
-//! zombie learns the current epoch from the `StaleEpoch` reject and
+//! zombie learns the current epoch from the `Stale` reject and
 //! adopts it — the lazy re-integration step of the
 //! Alive→Suspect→Dead→Fenced→Reintegrated state machine (DESIGN.md §5d).
 
@@ -255,7 +255,7 @@ impl RegionFailover {
         self.managers.insert(rack, rack);
     }
 
-    /// `rack`'s shim learned (from a `StaleEpoch` reject) that its rack
+    /// `rack`'s shim learned (from a `Stale` reject) that its rack
     /// is at `epoch`; views only move forward.
     pub fn adopt(&mut self, rack: RackId, epoch: u64) {
         let v = self.views.entry(rack).or_insert(0);

@@ -132,25 +132,16 @@ pub fn greedy_init(inst: &KMedianInstance) -> Vec<usize> {
 /// whose candidate count `C(k, s)·C(m−k, s)` exceeds an internal budget
 /// are skipped (the guarantee of the largest affordable `s` still holds).
 pub fn local_search(inst: &KMedianInstance, p: usize, max_iterations: usize) -> KMedianSolution {
-    local_search_from(inst, greedy_init(inst), p, max_iterations)
+    local_search_from(inst, greedy_init(inst), p, max_iterations, &mut NullSink)
 }
 
 /// [`local_search`] from an explicit initial solution ("S ← an arbitrary
-/// feasible solution", Alg. 5 line 1). Exposed so the ratio experiment
-/// can probe local optima reachable from poor starting points.
-pub fn local_search_from(
-    inst: &KMedianInstance,
-    initial: Vec<usize>,
-    p: usize,
-    max_iterations: usize,
-) -> KMedianSolution {
-    local_search_from_obs(inst, initial, p, max_iterations, &mut NullSink)
-}
-
-/// [`local_search_from`] with instrumentation: every accepted improving
-/// p-swap is emitted as a `swap_accepted` event carrying the objective
-/// value after the swap, so a trace shows the Alg. 5 descent curve.
-pub fn local_search_from_obs<S: EventSink + ?Sized>(
+/// feasible solution", Alg. 5 line 1), with an [`EventSink`]. Exposed so
+/// the ratio experiment can probe local optima reachable from poor
+/// starting points. Every accepted improving p-swap is emitted as a
+/// `swap_accepted` event carrying the objective value after the swap, so
+/// a trace shows the Alg. 5 descent curve.
+pub fn local_search_from<S: EventSink + ?Sized>(
     inst: &KMedianInstance,
     initial: Vec<usize>,
     p: usize,
@@ -437,9 +428,9 @@ mod tests {
         let inst = line_instance(&mut rng, 12, 8, 3);
         // a poor start guarantees at least one improving swap
         let start: Vec<usize> = (0..3).collect();
-        let base = local_search_from(&inst, start.clone(), 2, 1000);
+        let base = local_search_from(&inst, start.clone(), 2, 1000, &mut NullSink);
         let mut rec = RingRecorder::new(64);
-        let traced = local_search_from_obs(&inst, start, 2, 1000, &mut rec);
+        let traced = local_search_from(&inst, start, 2, 1000, &mut rec);
         assert_eq!(traced.cost, base.cost, "instrumentation changed the result");
         let swaps: Vec<f64> = rec
             .events()

@@ -54,8 +54,7 @@ pub use audit::{
 };
 pub use builder::SystemBuilder;
 pub use centralized::{
-    centralized_migration_chunked, centralized_migration_chunked_obs, centralized_migration_obs,
-    destination_tors, destination_tors_obs, kmedian_migration, kmedian_migration_obs,
+    centralized_migration, centralized_migration_chunked, destination_tors, kmedian_migration,
 };
 pub use channel::{CrashWindow, LinkFaultWindow, PartitionWindow};
 pub use evacuation::{drain_rack, evacuate_host, try_drain_rack, try_evacuate_host};
@@ -63,13 +62,12 @@ pub use fabric::FabricConfig;
 pub use failure::{FailureDetector, RegionFailover, ShimHealth};
 pub use journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnRecord, TxnState};
 pub use kmedian::{
-    exact_optimal, local_search, local_search_from, local_search_from_obs, KMedianInstance,
-    KMedianSolution,
+    exact_optimal, local_search, local_search_from, KMedianInstance, KMedianSolution,
 };
 pub use matching::{min_cost_assignment, min_cost_assignment_padded};
 pub use metrics::{RatioPoint, Series, Totals};
 pub use priority::{priority, Budget};
-pub use protocol::{RejectReason, ReqId, ShimMsg, TwoPhaseReply};
+pub use protocol::{ReqId, ShimMsg, TwoPhaseReply};
 pub use request::request_migration;
 pub use reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
 pub use runtime::{
@@ -78,10 +76,7 @@ pub use runtime::{
 pub use sheriff_transfer::{TransferConfig, TransferScheduler};
 pub use strategy::{run_policy, AlertPolicy, StrategyOutcome};
 pub use system::{StepReport, System};
-pub use vmmigration::{
-    try_vmmigration, try_vmmigration_scoped, vmmigration, vmmigration_scoped,
-    vmmigration_scoped_obs, MigrationContext, MigrationPlan, Move,
-};
+pub use vmmigration::{vmmigration, vmmigration_scoped, MigrationContext, MigrationPlan, Move};
 
 // The construction error type lives in `dcn-sim` (both layers raise it);
 // re-exported here so users of the management crate see one error type.

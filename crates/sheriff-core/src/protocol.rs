@@ -42,41 +42,11 @@ impl fmt::Display for ReqId {
     }
 }
 
-/// Why a destination refused a REQUEST (the REJECT payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The host no longer has Eqn. 8 capacity for the VM.
-    Capacity,
-    /// A dependent VM occupies the host (χ constraint, Eqn. 7).
-    Conflict,
-    /// The VM is already on that host — a duplicate of an applied move or
-    /// a stale plan.
-    Noop,
-    /// The transaction was aborted (lease lapsed or ABORT arrived) before
-    /// this message; the source must replan from scratch.
-    Expired,
-    /// The message carried an epoch older than the rack's current epoch:
-    /// the sender missed a takeover and is fenced. The `Reject` carrying
-    /// this reason reports the current epoch so the sender can adopt it.
-    StaleEpoch,
-}
-
-/// Map a REJECT payload to its observability label.
-pub(crate) fn reject_kind(reason: RejectReason) -> RejectKind {
-    match reason {
-        RejectReason::Capacity => RejectKind::Capacity,
-        RejectReason::Conflict => RejectKind::Conflict,
-        RejectReason::Noop => RejectKind::Noop,
-        RejectReason::Expired => RejectKind::Expired,
-        RejectReason::StaleEpoch => RejectKind::Stale,
-    }
-}
-
 /// One message on the shim control plane.
 ///
 /// Every variant carries the sender's view of its own rack's epoch so a
 /// receiver can fence messages minted before a takeover; `Reject` with
-/// [`RejectReason::StaleEpoch`] instead carries the *receiver's* current
+/// [`RejectKind::Stale`] instead carries the *receiver's* current
 /// epoch so the fenced sender can adopt it. Pre-failover traffic carries
 /// epoch 0 everywhere, which compares equal and changes nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,8 +71,8 @@ pub enum ShimMsg {
         /// Id of the refused request.
         req_id: ReqId,
         /// Why it was refused.
-        reason: RejectReason,
-        /// The sender's epoch — for `StaleEpoch` this is the fencing
+        reason: RejectKind,
+        /// The sender's epoch — for `Stale` this is the fencing
         /// rack's *current* epoch, which the fenced sender must adopt.
         epoch: u64,
     },
@@ -167,7 +137,7 @@ pub enum TwoPhaseReply {
     /// COMMIT applied (or replayed); the transaction is final.
     Ack,
     /// The message was refused; the payload says why.
-    Reject(RejectReason),
+    Reject(RejectKind),
 }
 
 /// First-attempt reply deadline in ticks; exceeds one round trip.
@@ -204,13 +174,13 @@ pub(crate) fn backoff_delay(attempt: u32, req_id: ReqId) -> u64 {
 /// intent journal instead.)
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DedupLog {
-    seen: HashMap<ReqId, RejectReason>,
+    seen: HashMap<ReqId, RejectKind>,
     hits: usize,
 }
 
 impl DedupLog {
     /// Look up a previously refused transaction, counting a hit if found.
-    pub fn replay(&mut self, id: ReqId) -> Option<RejectReason> {
+    pub fn replay(&mut self, id: ReqId) -> Option<RejectKind> {
         let v = self.seen.get(&id).copied();
         if v.is_some() {
             self.hits += 1;
@@ -219,7 +189,7 @@ impl DedupLog {
     }
 
     /// Record the refusal of a fresh transaction.
-    pub fn record(&mut self, id: ReqId, reason: RejectReason) {
+    pub fn record(&mut self, id: ReqId, reason: RejectKind) {
         self.seen.insert(id, reason);
     }
 
@@ -282,7 +252,7 @@ impl ShimEndpoint {
                 self.dedup.note_hit();
                 return TwoPhaseReply::Ack;
             }
-            Some(TxnState::Aborted) => return TwoPhaseReply::Reject(RejectReason::Expired),
+            Some(TxnState::Aborted) => return TwoPhaseReply::Reject(RejectKind::Expired),
             None => {}
         }
         if let Some(reason) = self.dedup.replay(req_id) {
@@ -305,13 +275,13 @@ impl ShimEndpoint {
     /// (idempotently re-ACK a committed one); a commit for an aborted or
     /// unknown transaction is refused with `Expired`, and a commit
     /// carrying an epoch *older* than the one its own prepare was
-    /// journalled under is refused with `StaleEpoch` — the journal-level
+    /// journalled under is refused with `Stale` — the journal-level
     /// backstop behind the loop-level fence.
     pub fn handle_commit(&mut self, req_id: ReqId, epoch: u64) -> TwoPhaseReply {
         match self.journal.state(req_id) {
             Some(TxnState::Prepared) => {
                 if self.journal.get(req_id).is_some_and(|r| epoch < r.epoch) {
-                    return TwoPhaseReply::Reject(RejectReason::StaleEpoch);
+                    return TwoPhaseReply::Reject(RejectKind::Stale);
                 }
                 self.journal.commit(req_id);
                 TwoPhaseReply::Ack
@@ -320,7 +290,7 @@ impl ShimEndpoint {
                 self.dedup.note_hit();
                 TwoPhaseReply::Ack
             }
-            Some(TxnState::Aborted) | None => TwoPhaseReply::Reject(RejectReason::Expired),
+            Some(TxnState::Aborted) | None => TwoPhaseReply::Reject(RejectKind::Expired),
         }
     }
 
@@ -345,7 +315,7 @@ impl ShimEndpoint {
             Some(_) => None,
             None => {
                 if self.dedup.replay(req_id).is_none() {
-                    self.dedup.record(req_id, RejectReason::Expired);
+                    self.dedup.record(req_id, RejectKind::Expired);
                 }
                 None
             }
@@ -535,7 +505,7 @@ mod tests {
         // a late commit for the aborted txn is refused
         assert_eq!(
             ep.handle_commit(id, 0),
-            TwoPhaseReply::Reject(RejectReason::Expired)
+            TwoPhaseReply::Reject(RejectKind::Expired)
         );
         // an abort for an id never prepared leaves a tombstone ...
         let stale = ReqId::new(RackId(0), 7);
@@ -543,7 +513,7 @@ mod tests {
         // ... that refuses the late-arriving prepare
         assert_eq!(
             ep.handle_prepare(&mut p, &deps, stale, VmId(0), HostId(1), 50, 0),
-            TwoPhaseReply::Reject(RejectReason::Expired)
+            TwoPhaseReply::Reject(RejectKind::Expired)
         );
     }
 
@@ -558,7 +528,7 @@ mod tests {
         assert_eq!(p.host_of(VmId(0)), HostId(0), "rolled back");
         assert_eq!(
             ep.handle_commit(id, 0),
-            TwoPhaseReply::Reject(RejectReason::Expired)
+            TwoPhaseReply::Reject(RejectKind::Expired)
         );
     }
 
@@ -575,7 +545,7 @@ mod tests {
         // a zombie's commit from epoch 1 is fenced, placement untouched
         assert_eq!(
             ep.handle_commit(id, 1),
-            TwoPhaseReply::Reject(RejectReason::StaleEpoch)
+            TwoPhaseReply::Reject(RejectKind::Stale)
         );
         assert_eq!(p.host_of(VmId(0)), HostId(1), "reservation still held");
         // the legitimate commit (same or newer epoch) still lands
@@ -597,7 +567,7 @@ mod tests {
             },
             ShimMsg::Reject {
                 req_id: id,
-                reason: RejectReason::StaleEpoch,
+                reason: RejectKind::Stale,
                 epoch: 3,
             },
             ShimMsg::Prepare {

@@ -6,8 +6,8 @@
 //! then commits the reservation and replies ACK; otherwise it replies
 //! REJECT and the source shim must recalculate.
 
-use crate::protocol::RejectReason;
 use dcn_topology::{DependencyGraph, HostId, Placement, PlacementError, VmId};
+use sheriff_obs::RejectKind;
 
 /// Process one migration REQUEST against the authoritative placement:
 /// `Ok` is the ACK (the VM has moved and its capacity is committed),
@@ -19,13 +19,13 @@ pub fn request_migration(
     deps: &DependencyGraph,
     vm: VmId,
     dest: HostId,
-) -> Result<(), RejectReason> {
+) -> Result<(), RejectKind> {
     if deps.conflicts_on_host(vm, dest, placement) {
-        return Err(RejectReason::Conflict);
+        return Err(RejectKind::Conflict);
     }
     placement.migrate(vm, dest).map_err(|e| match e {
-        PlacementError::CapacityExceeded { .. } => RejectReason::Capacity,
-        PlacementError::AlreadyPlaced { .. } => RejectReason::Noop,
+        PlacementError::CapacityExceeded { .. } => RejectKind::Capacity,
+        PlacementError::AlreadyPlaced { .. } => RejectKind::Noop,
     })
 }
 
@@ -66,7 +66,7 @@ mod tests {
         let vm = VmId(0);
         let out = request_migration(&mut p, &deps, vm, HostId(1));
         // host 1 has 10-6=4 free < 6 -> capacity reject
-        assert_eq!(out, Err(RejectReason::Capacity));
+        assert_eq!(out, Err(RejectKind::Capacity));
         assert_eq!(p.host_of(vm), HostId(0));
     }
 
@@ -75,14 +75,14 @@ mod tests {
         let (mut p, mut deps) = setup();
         deps.add_dependency(VmId(0), VmId(1));
         let out = request_migration(&mut p, &deps, VmId(0), HostId(1));
-        assert_eq!(out, Err(RejectReason::Conflict));
+        assert_eq!(out, Err(RejectKind::Conflict));
     }
 
     #[test]
     fn noop_request_rejected() {
         let (mut p, deps) = setup();
         let out = request_migration(&mut p, &deps, VmId(0), HostId(0));
-        assert_eq!(out, Err(RejectReason::Noop));
+        assert_eq!(out, Err(RejectKind::Noop));
     }
 
     #[test]
@@ -104,7 +104,7 @@ mod tests {
         assert!(request_migration(&mut p, &deps, VmId(0), HostId(2)).is_ok());
         assert_eq!(
             request_migration(&mut p, &deps, VmId(1), HostId(2)),
-            Err(RejectReason::Capacity)
+            Err(RejectKind::Capacity)
         );
         assert_eq!(p.host_of(VmId(0)), HostId(2));
         assert_eq!(p.host_of(VmId(1)), HostId(1));

@@ -11,7 +11,7 @@
 
 use crate::alert_mgmt::{alert_lookup, select_victims};
 use crate::audit::{audit_moves, audit_placement, AuditReport};
-use crate::centralized::centralized_migration_obs;
+use crate::centralized::centralized_migration;
 use crate::fabric::{run_round, FabricConfig};
 use crate::failure::RegionFailover;
 use crate::vmmigration::{MigrationContext, MigrationPlan};
@@ -173,7 +173,7 @@ impl Runtime for CentralizedRuntime {
                 metric: ctx.metric,
                 sim: &ctx.cluster.sim,
             };
-            centralized_migration_obs(&mut mctx, &candidates, self.max_rounds, &mut *ctx.sink)
+            centralized_migration(&mut mctx, &candidates, self.max_rounds, &mut *ctx.sink)
         };
         let mut audit = audit_placement(&ctx.cluster.placement, &ctx.cluster.deps);
         audit.merge(audit_moves(

@@ -3,7 +3,6 @@
 //! shim (Alg. 4), recalculating for rejected VMs.
 
 use crate::matching::{min_cost_assignment_padded, FORBIDDEN};
-use crate::protocol::reject_kind;
 use crate::request::request_migration;
 use dcn_sim::{RackMetric, SimConfig};
 use dcn_topology::{DependencyGraph, HostId, Placement, RackId, VmId};
@@ -65,75 +64,6 @@ pub struct MigrationContext<'a> {
     pub sim: &'a SimConfig,
 }
 
-/// Check a candidate/target list against the placement and inventory so
-/// the matching never indexes out of range. Shared by the `try_*`
-/// entry points; the panicking entry points skip it (their callers pass
-/// ids they just read back out of the same structures).
-fn check_migration_inputs(
-    ctx: &MigrationContext<'_>,
-    candidates: &[VmId],
-    target_racks: &[RackId],
-) -> Result<(), dcn_sim::SheriffError> {
-    if candidates.is_empty() {
-        return Err(dcn_sim::SheriffError::NoCandidates);
-    }
-    let vm_count = ctx.placement.vm_count();
-    for &vm in candidates {
-        if vm.index() >= vm_count {
-            return Err(dcn_sim::SheriffError::Invalid {
-                reason: format!(
-                    "candidate VM {} out of range (vm count {vm_count})",
-                    vm.index()
-                ),
-            });
-        }
-    }
-    let rack_count = ctx.inventory.rack_count();
-    for &rack in target_racks {
-        if rack.index() >= rack_count {
-            return Err(dcn_sim::SheriffError::Invalid {
-                reason: format!(
-                    "target rack {} out of range (rack count {rack_count})",
-                    rack.index()
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Fallible [`vmmigration`]: validates the candidate and target lists
-/// (non-empty candidates, every id in range) and returns a typed
-/// [`SheriffError`](dcn_sim::SheriffError) instead of indexing out of
-/// bounds deep inside the cost matrix.
-pub fn try_vmmigration(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    target_racks: &[RackId],
-    max_rounds: usize,
-) -> Result<MigrationPlan, dcn_sim::SheriffError> {
-    check_migration_inputs(ctx, candidates, target_racks)?;
-    Ok(vmmigration(ctx, candidates, target_racks, max_rounds))
-}
-
-/// Fallible [`vmmigration_scoped`]; see [`try_vmmigration`].
-pub fn try_vmmigration_scoped(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    target_racks: &[RackId],
-    max_rounds: usize,
-    include_own_racks: bool,
-) -> Result<MigrationPlan, dcn_sim::SheriffError> {
-    check_migration_inputs(ctx, candidates, target_racks)?;
-    Ok(vmmigration_scoped(
-        ctx,
-        candidates,
-        target_racks,
-        max_rounds,
-        include_own_racks,
-    ))
-}
-
 /// Alg. 3. `candidates` are the VMs selected by PRIORITY; `target_racks`
 /// is the shim's dominating region (destination hosts are drawn from
 /// these racks *and* the VMs' own racks, since an overloaded host may
@@ -151,39 +81,29 @@ pub fn vmmigration(
     target_racks: &[RackId],
     max_rounds: usize,
 ) -> MigrationPlan {
-    vmmigration_scoped(ctx, candidates, target_racks, max_rounds, true)
-}
-
-/// [`vmmigration`] with explicit control over whether the candidates' own
-/// racks join the destination set. Rack draining and ToR-failure
-/// evacuation must keep evacuees *out* of the failing rack
-/// (`include_own_racks = false`); the ordinary alert path allows
-/// rack-local reshuffles at cost `C_r`.
-pub fn vmmigration_scoped(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    target_racks: &[RackId],
-    max_rounds: usize,
-    include_own_racks: bool,
-) -> MigrationPlan {
-    vmmigration_scoped_obs(
+    vmmigration_scoped(
         ctx,
         candidates,
         target_racks,
         max_rounds,
-        include_own_racks,
+        true,
         &mut NullSink,
     )
 }
 
-/// [`vmmigration_scoped`] with instrumentation: each REQUEST issued to a
-/// destination shim and its verdict is emitted to `sink`
-/// (`request_sent`, `ack_received`/`reject_received`,
+/// [`vmmigration`] with explicit control over whether the candidates' own
+/// racks join the destination set, and with an [`EventSink`]. Rack
+/// draining and ToR-failure evacuation must keep evacuees *out* of the
+/// failing rack (`include_own_racks = false`); the ordinary alert path
+/// allows rack-local reshuffles at cost `C_r`.
+///
+/// Each REQUEST issued to a destination shim and its verdict is emitted
+/// to `sink` (`request_sent`, `ack_received`/`reject_received`,
 /// `migration_committed`), plus one `plan_computed` summary per
 /// invocation. Request ids follow the wire format `rack << 32 | seq`
 /// with a per-invocation sequence, so a trace interleaves cleanly with
 /// fabric traffic.
-pub fn vmmigration_scoped_obs<S: EventSink + ?Sized>(
+pub fn vmmigration_scoped<S: EventSink + ?Sized>(
     ctx: &mut MigrationContext<'_>,
     candidates: &[VmId],
     target_racks: &[RackId],
@@ -278,7 +198,7 @@ pub fn vmmigration_scoped_obs<S: EventSink + ?Sized>(
                     emit(sink, || Event::RejectReceived {
                         req,
                         vm: vm.index() as u64,
-                        reason: reject_kind(reason),
+                        reason,
                     });
                     sink.counter("migrations.rejected", 1);
                     plan.rejected += 1;

@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sheriff_core::kmedian::{exact_optimal, local_search, local_search_from, KMedianInstance};
 use sheriff_core::matching::{min_cost_assignment_padded, FORBIDDEN};
+use sheriff_obs::NullSink;
 
 fn metric_instance(seed: u64, clients: usize, facilities: usize, k: usize) -> KMedianInstance {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -47,7 +48,7 @@ proptest! {
             init.swap(i, rng.gen_range(0..=i));
         }
         init.truncate(k);
-        let ls = local_search_from(&inst, init, p, 10_000);
+        let ls = local_search_from(&inst, init, p, 10_000, &mut NullSink);
         prop_assert!(ls.cost >= opt.cost - 1e-9, "beat the optimum?!");
         let bound = 3.0 + 2.0 / p as f64;
         prop_assert!(
@@ -56,7 +57,7 @@ proptest! {
             ls.cost / opt.cost.max(1e-12)
         );
         // a local optimum has no improving 1-swap: re-running from it is a fixpoint
-        let again = local_search_from(&inst, ls.open.clone(), 1, 10_000);
+        let again = local_search_from(&inst, ls.open.clone(), 1, 10_000, &mut NullSink);
         prop_assert!(again.cost <= ls.cost + 1e-9);
     }
 

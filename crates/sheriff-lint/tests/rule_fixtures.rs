@@ -429,17 +429,20 @@ fn evt01_flags_dead_event_variant_across_the_workspace() {
 
     let event_enum = "pub enum Event {\n    Alive { rack: u64 },\n    Dead { rack: u64 },\n}";
     let emitter = "pub fn fire() { emit(|| Event::Alive { rack: 0 }); }";
-    let run = |files: &[(&str, &str)]| -> Vec<String> {
+    let run = |files: &[(&str, &str)]| -> Vec<(&'static str, String)> {
         let parsed: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
         let (diags, _) = lint_workspace(parsed);
-        diags.into_iter().map(|d| d.rule.to_string()).collect()
+        diags.into_iter().map(|d| (d.rule, d.message)).collect()
+    };
+    let only_dead = |found: &[(&str, String)]| {
+        found.len() == 1 && found[0].0 == "EVT01" && found[0].1.contains("`Event::Dead`")
     };
 
     let dead = run(&[
         ("crates/sheriff-obs/src/event.rs", event_enum),
         ("crates/sheriff-core/src/fixture.rs", emitter),
     ]);
-    assert_eq!(dead, vec!["EVT01"], "Dead has no emit site");
+    assert!(only_dead(&dead), "Dead has no emit site: {dead:?}");
 
     // a consume site (matching on the variant) keeps it live too
     let consumer = "pub fn fold(e: Event) -> u64 {\n\
@@ -463,5 +466,24 @@ fn evt01_flags_dead_event_variant_across_the_workspace() {
         ("crates/sheriff-core/src/fixture.rs", emitter),
         ("crates/sheriff-core/src/tests_fixture.rs", test_only),
     ]);
-    assert_eq!(still_dead, vec!["EVT01"], "test-gated emits stay dead");
+    assert!(only_dead(&still_dead), "{still_dead:?}");
+
+    // the one-table form: a `macro_rules!` declares `pub enum $name`, and
+    // the call keeps the literal `enum Event { … }` tokens the scan reads
+    let table = "macro_rules! events {\n\
+                     (pub enum $name:ident { $($v:ident = $k:literal { $($f:tt)* },)* }) => {\n\
+                         pub enum $name { $($v { $($f)* },)* }\n\
+                     };\n\
+                 }\n\
+                 events! {\n\
+                     pub enum Event {\n\
+                         Alive = \"alive\" { rack: u64, },\n\
+                         Dead = \"dead\" { rack: u64, },\n\
+                     }\n\
+                 }";
+    let found = run(&[
+        ("crates/sheriff-obs/src/event.rs", table),
+        ("crates/sheriff-core/src/fixture.rs", emitter),
+    ]);
+    assert!(only_dead(&found), "{found:?}");
 }

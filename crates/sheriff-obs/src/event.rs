@@ -5,673 +5,474 @@
 //! instruments. Payloads are plain integers/floats — this crate knows
 //! nothing about topology types, so it stays dependency-free and the
 //! same events can describe any runtime.
+//!
+//! The schema is declared once, in the `labels!` and `events!` tables
+//! below; `label`, `Display`, `kind` and `to_json` are generated.
 
+use crate::json::JsonObject;
 use std::fmt;
 
-/// Which of the three alert sources of Sec. III-B raised an alert.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AlertKind {
-    /// Predicted host overload (CPU/memory profile above `alert_threshold`).
-    Host,
-    /// Predicted local ToR uplink congestion.
-    LocalTor,
-    /// QCN congestion feedback from an outer switch.
-    OuterSwitch,
+/// A payload type an event field may carry: how it renders as the value
+/// of `key` in the event's JSON object.
+trait Field {
+    fn put(&self, key: &str, w: &mut JsonObject);
 }
 
-impl AlertKind {
-    /// Stable lowercase label used in JSON traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            AlertKind::Host => "host",
-            AlertKind::LocalTor => "local_tor",
-            AlertKind::OuterSwitch => "outer_switch",
+impl Field for u64 {
+    fn put(&self, key: &str, w: &mut JsonObject) {
+        w.u64(key, *self);
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, key: &str, w: &mut JsonObject) {
+        w.f64(key, *self);
+    }
+}
+
+/// Declares fieldless enums whose variants each carry a stable lowercase
+/// label: generates the enum, `label`, `Display` and the JSON rendering
+/// (the label as a string).
+macro_rules! labels {
+    ($(
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $label:literal,)*
         }
-    }
-}
-
-impl fmt::Display for AlertKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Why a destination shim rejected a migration REQUEST (Alg. 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RejectKind {
-    /// Destination host lacked spare capacity for the VM.
-    Capacity,
-    /// A concurrent commit already claimed the slot (FCFS conflict).
-    Conflict,
-    /// The VM was already placed on the requested host.
-    Noop,
-    /// The transaction's prepare lease expired (or was aborted) before
-    /// the COMMIT arrived.
-    Expired,
-    /// The message carried an epoch older than the target rack's current
-    /// epoch: the sender is a fenced zombie from before a takeover.
-    Stale,
-}
-
-impl RejectKind {
-    /// Stable lowercase label used in JSON traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            RejectKind::Capacity => "capacity",
-            RejectKind::Conflict => "conflict",
-            RejectKind::Noop => "noop",
-            RejectKind::Expired => "expired",
-            RejectKind::Stale => "stale_epoch",
+    )*) => {$(
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
         }
-    }
-}
 
-impl fmt::Display for RejectKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// What kind of fault an injector applied to the running cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FaultKind {
-    /// A link went down.
-    LinkDown,
-    /// A previously failed link came back.
-    LinkUp,
-    /// A host went down (its VMs are stranded until recovery).
-    HostDown,
-    /// A previously failed host came back.
-    HostUp,
-    /// A shim controller crashed (stops answering the fabric).
-    ShimDown,
-    /// A crashed shim controller recovered.
-    ShimUp,
-    /// A named partition cut the network into disjoint rack sets.
-    Partition,
-    /// A named partition healed; both sides can talk again.
-    Heal,
-}
-
-impl FaultKind {
-    /// Stable lowercase label used in JSON traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::LinkDown => "link_down",
-            FaultKind::LinkUp => "link_up",
-            FaultKind::HostDown => "host_down",
-            FaultKind::HostUp => "host_up",
-            FaultKind::ShimDown => "shim_down",
-            FaultKind::ShimUp => "shim_up",
-            FaultKind::Partition => "partition",
-            FaultKind::Heal => "heal",
-        }
-    }
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// One structured observation from the Sheriff control loop.
-///
-/// Identifiers are raw indices (`rack`, `vm`, `host` …) so the event
-/// vocabulary is independent of the topology crate. Request ids follow
-/// the wire format of the shim protocol: `rack << 32 | sequence`.
-///
-/// Payloads are fully deterministic — no wall-clock values — so equal
-/// seeds yield equal event streams (the recorder property tests rely
-/// on this).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
-    /// A management round (one `period_secs` tick) began.
-    RoundStart {
-        /// Virtual time (period index) of the round.
-        time: u64,
-    },
-    /// A management round finished.
-    RoundEnd {
-        /// Virtual time (period index) of the round.
-        time: u64,
-        /// VM migrations committed during the round.
-        migrations: u64,
-        /// Flows rerouted during the round.
-        reroutes: u64,
-    },
-    /// One of the three alert sources fired (Sec. III-B).
-    AlertRaised {
-        /// Virtual time at which the alert was raised.
-        time: u64,
-        /// Rack whose shim receives the alert.
-        rack: u64,
-        /// Which detector fired.
-        kind: AlertKind,
-        /// Severity score handed to PRIORITY (predicted utilization,
-        /// uplink load or QCN feedback value).
-        severity: f64,
-    },
-    /// PRIORITY (Alg. 2) selected migration victims for a rack.
-    VictimsSelected {
-        /// Alerted rack.
-        rack: u64,
-        /// Candidate VMs considered by the knapsack.
-        candidates: u64,
-        /// Victims actually selected for migration.
-        selected: u64,
-    },
-    /// VMMIGRATION (Alg. 3) produced a min-cost assignment for a rack.
-    PlanComputed {
-        /// Rack the plan was computed for.
-        rack: u64,
-        /// Proposed (vm, destination) assignments.
-        proposals: u64,
-        /// Victims that could not be assigned a destination.
-        unassigned: u64,
-        /// Size of the searched (vm × destination) space.
-        search_space: u64,
-    },
-    /// A shim sent a migration REQUEST (Alg. 4).
-    RequestSent {
-        /// Request id (`rack << 32 | seq`).
-        req: u64,
-        /// VM the request wants to move.
-        vm: u64,
-        /// Destination host.
-        dest_host: u64,
-        /// 1-based send attempt (1 = first transmission).
-        attempt: u64,
-    },
-    /// The destination shim ACKed a REQUEST; the move is committed.
-    AckReceived {
-        /// Request id.
-        req: u64,
-        /// VM that moved.
-        vm: u64,
-    },
-    /// The destination shim REJECTed a REQUEST.
-    RejectReceived {
-        /// Request id.
-        req: u64,
-        /// VM that failed to move.
-        vm: u64,
-        /// Why the destination refused.
-        reason: RejectKind,
-    },
-    /// A pending REQUEST passed its deadline without a verdict.
-    RequestTimeout {
-        /// Request id.
-        req: u64,
-        /// Attempt that timed out.
-        attempt: u64,
-    },
-    /// A timed-out REQUEST was retransmitted after backoff.
-    RequestResent {
-        /// Request id.
-        req: u64,
-        /// New 1-based attempt number.
-        attempt: u64,
-    },
-    /// A duplicate delivery was absorbed by the receiver's dedup log.
-    DuplicateAbsorbed {
-        /// Request id of the duplicate.
-        req: u64,
-    },
-    /// The k-median local search (Alg. 5) accepted an improving p-swap.
-    SwapAccepted {
-        /// 1-based improving-swap count within the search.
-        iteration: u64,
-        /// Objective value after the swap.
-        cost: f64,
-    },
-    /// A VM migration was committed to the placement.
-    MigrationCommitted {
-        /// VM that moved.
-        vm: u64,
-        /// Source host.
-        from_host: u64,
-        /// Destination host.
-        to_host: u64,
-        /// Migration cost `c(v, h)` of the move.
-        cost: f64,
-    },
-    /// A planned VM migration could not be committed.
-    MigrationFailed {
-        /// VM that stayed put.
-        vm: u64,
-        /// Rack whose shim had planned the move.
-        rack: u64,
-    },
-    /// Alg. 1 rerouted delay-insensitive flows off a congested uplink.
-    FlowsRerouted {
-        /// Alerted rack.
-        rack: u64,
-        /// Flows moved to alternate paths.
-        rerouted: u64,
-        /// Flows that had no alternate path.
-        stuck: u64,
-    },
-    /// A fault injector changed the cluster (link/host/shim up or down).
-    FaultInjected {
-        /// What changed.
-        kind: FaultKind,
-        /// Index of the affected link, host or rack.
-        id: u64,
-    },
-    /// A shim fell back to degraded local-only operation.
-    ShimDegraded {
-        /// Rack of the degraded shim.
-        rack: u64,
-    },
-    /// A shim was declared dead by the liveness tracker.
-    ShimCrashed {
-        /// Rack of the crashed shim.
-        rack: u64,
-    },
-    /// A crashed shim came back, replayed its journal and rejoined.
-    ShimRecovered {
-        /// Rack of the recovered shim.
-        rack: u64,
-    },
-    /// A destination shim journalled a PREPARE (intent durable).
-    TxnPrepared {
-        /// Request id of the transaction.
-        req: u64,
-        /// VM the transaction wants to move.
-        vm: u64,
-        /// Destination host of the prepared move.
-        dest_host: u64,
-    },
-    /// A prepared transaction committed (COMMIT applied, ACK sent).
-    TxnCommitted {
-        /// Request id of the transaction.
-        req: u64,
-        /// VM that moved.
-        vm: u64,
-    },
-    /// A prepared transaction aborted (rolled back or lease-expired).
-    TxnAborted {
-        /// Request id of the transaction.
-        req: u64,
-        /// VM whose move was undone.
-        vm: u64,
-    },
-    /// The failure detector moved a shim from Alive to Suspect: its
-    /// heartbeat silence exceeded the adaptive suspect threshold.
-    ShimSuspected {
-        /// Rack of the suspected shim.
-        rack: u64,
-    },
-    /// The failure detector declared a shim Dead: silence exceeded the
-    /// dead threshold and its racks are eligible for takeover.
-    ShimDeclaredDead {
-        /// Rack of the dead shim.
-        rack: u64,
-    },
-    /// A neighbor shim took over a dead shim's rack; the rack's epoch
-    /// was bumped so the old manager's stale messages can be fenced.
-    RegionTakenOver {
-        /// Rack whose management changed hands.
-        rack: u64,
-        /// Rack of the shim that took over.
-        by: u64,
-        /// The rack's epoch after the bump.
-        epoch: u64,
-    },
-    /// A named network partition healed; the cut rack sets rejoined.
-    PartitionHealed {
-        /// Index of the healed partition window.
-        partition: u64,
-        /// Racks that were inside the partition set.
-        racks: u64,
-    },
-    /// A 2PC message carrying a pre-takeover epoch was fenced and
-    /// rejected instead of being applied.
-    StaleEpochRejected {
-        /// Request id of the fenced message.
-        req: u64,
-        /// Rack that fenced the message.
-        rack: u64,
-        /// Epoch the stale message carried.
-        stale: u64,
-        /// The rack's current epoch.
-        current: u64,
-    },
-    /// A committed migration's pre-copy began streaming on the transfer
-    /// scheduler (the 2PC commit finalizes at `TransferCompleted`).
-    TransferStarted {
-        /// 2PC request id of the migration.
-        req: u64,
-        /// VM being transferred.
-        vm: u64,
-        /// Pre-copy volume in bytes.
-        bytes: f64,
-        /// Hop count of the chosen route (0 = intra-rack).
-        hops: u64,
-        /// Max-min fair rate granted at admission, bytes per tick.
-        rate: f64,
-        /// Ticks the transfer waited behind the admission cap.
-        waited: u64,
-    },
-    /// QCN congestion steered a pre-copy off its primary k-shortest
-    /// route onto an alternate candidate.
-    TransferRerouted {
-        /// 2PC request id of the migration.
-        req: u64,
-        /// VM being transferred.
-        vm: u64,
-        /// Hop count of the alternate route actually taken.
-        hops: u64,
-    },
-    /// A pre-copy streamed its last byte; placement flips now.
-    TransferCompleted {
-        /// 2PC request id of the migration.
-        req: u64,
-        /// VM that finished moving.
-        vm: u64,
-        /// Wall ticks from admission to completion.
-        ticks: u64,
-        /// Achieved bandwidth in bytes per tick.
-        bandwidth: f64,
-    },
-    /// A link failure cut every surviving route for an in-flight
-    /// pre-copy; it holds its checkpoint and waits out the stall budget.
-    TransferStalled {
-        /// 2PC request id of the migration.
-        req: u64,
-        /// VM whose pre-copy stalled.
-        vm: u64,
-        /// Edge index of the link whose failure caused the stall.
-        link: u64,
-    },
-    /// A stalled pre-copy found a surviving route and resumed from its
-    /// checkpoint (bytes already copied, minus the dirty re-copy penalty).
-    TransferResumed {
-        /// 2PC request id of the migration.
-        req: u64,
-        /// VM whose pre-copy resumed.
-        vm: u64,
-        /// Bytes the checkpoint saved versus restarting from zero.
-        saved: f64,
-    },
-    /// A stalled pre-copy's backoff timer fired and it re-probed for a
-    /// surviving route (whether or not one was found).
-    TransferRetried {
-        /// 2PC request id of the migration.
-        req: u64,
-        /// VM whose pre-copy retried.
-        vm: u64,
-        /// Retry attempt number (1-based).
-        attempt: u64,
-    },
-    /// A pre-copy exhausted its retry budget (or lost an endpoint) and
-    /// escalated to a clean 2PC abort: lease released, source placement
-    /// kept, `txn_aborted` accounted.
-    TransferFailed {
-        /// 2PC request id of the migration.
-        req: u64,
-        /// VM whose migration aborted.
-        vm: u64,
-        /// Retry attempts consumed before giving up.
-        attempts: u64,
-    },
-}
-
-impl Event {
-    /// Stable snake_case discriminant name, used as the `"ev"` field of
-    /// JSON traces and by [`RingRecorder::count_kind`](crate::RingRecorder::count_kind).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RoundStart { .. } => "round_start",
-            Event::RoundEnd { .. } => "round_end",
-            Event::AlertRaised { .. } => "alert_raised",
-            Event::VictimsSelected { .. } => "victims_selected",
-            Event::PlanComputed { .. } => "plan_computed",
-            Event::RequestSent { .. } => "request_sent",
-            Event::AckReceived { .. } => "ack_received",
-            Event::RejectReceived { .. } => "reject_received",
-            Event::RequestTimeout { .. } => "request_timeout",
-            Event::RequestResent { .. } => "request_resent",
-            Event::DuplicateAbsorbed { .. } => "duplicate_absorbed",
-            Event::SwapAccepted { .. } => "swap_accepted",
-            Event::MigrationCommitted { .. } => "migration_committed",
-            Event::MigrationFailed { .. } => "migration_failed",
-            Event::FlowsRerouted { .. } => "flows_rerouted",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::ShimDegraded { .. } => "shim_degraded",
-            Event::ShimCrashed { .. } => "shim_crashed",
-            Event::ShimRecovered { .. } => "shim_recovered",
-            Event::TxnPrepared { .. } => "txn_prepared",
-            Event::TxnCommitted { .. } => "txn_committed",
-            Event::TxnAborted { .. } => "txn_aborted",
-            Event::ShimSuspected { .. } => "shim_suspected",
-            Event::ShimDeclaredDead { .. } => "shim_declared_dead",
-            Event::RegionTakenOver { .. } => "region_taken_over",
-            Event::PartitionHealed { .. } => "partition_healed",
-            Event::StaleEpochRejected { .. } => "stale_epoch_rejected",
-            Event::TransferStarted { .. } => "transfer_started",
-            Event::TransferRerouted { .. } => "transfer_rerouted",
-            Event::TransferCompleted { .. } => "transfer_completed",
-            Event::TransferStalled { .. } => "transfer_stalled",
-            Event::TransferResumed { .. } => "transfer_resumed",
-            Event::TransferRetried { .. } => "transfer_retried",
-            Event::TransferFailed { .. } => "transfer_failed",
-        }
-    }
-
-    /// Render the event as one JSON object with stable key order
-    /// (`"ev"` first, then payload fields in declaration order).
-    pub fn to_json(&self) -> String {
-        let mut w = crate::json::JsonObject::new(self.kind());
-        match self {
-            Event::RoundStart { time } => {
-                w.u64("time", *time);
-            }
-            Event::RoundEnd {
-                time,
-                migrations,
-                reroutes,
-            } => {
-                w.u64("time", *time);
-                w.u64("migrations", *migrations);
-                w.u64("reroutes", *reroutes);
-            }
-            Event::AlertRaised {
-                time,
-                rack,
-                kind,
-                severity,
-            } => {
-                w.u64("time", *time);
-                w.u64("rack", *rack);
-                w.str("kind", kind.label());
-                w.f64("severity", *severity);
-            }
-            Event::VictimsSelected {
-                rack,
-                candidates,
-                selected,
-            } => {
-                w.u64("rack", *rack);
-                w.u64("candidates", *candidates);
-                w.u64("selected", *selected);
-            }
-            Event::PlanComputed {
-                rack,
-                proposals,
-                unassigned,
-                search_space,
-            } => {
-                w.u64("rack", *rack);
-                w.u64("proposals", *proposals);
-                w.u64("unassigned", *unassigned);
-                w.u64("search_space", *search_space);
-            }
-            Event::RequestSent {
-                req,
-                vm,
-                dest_host,
-                attempt,
-            } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.u64("dest_host", *dest_host);
-                w.u64("attempt", *attempt);
-            }
-            Event::AckReceived { req, vm } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-            }
-            Event::RejectReceived { req, vm, reason } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.str("reason", reason.label());
-            }
-            Event::RequestTimeout { req, attempt } => {
-                w.u64("req", *req);
-                w.u64("attempt", *attempt);
-            }
-            Event::RequestResent { req, attempt } => {
-                w.u64("req", *req);
-                w.u64("attempt", *attempt);
-            }
-            Event::DuplicateAbsorbed { req } => {
-                w.u64("req", *req);
-            }
-            Event::SwapAccepted { iteration, cost } => {
-                w.u64("iteration", *iteration);
-                w.f64("cost", *cost);
-            }
-            Event::MigrationCommitted {
-                vm,
-                from_host,
-                to_host,
-                cost,
-            } => {
-                w.u64("vm", *vm);
-                w.u64("from_host", *from_host);
-                w.u64("to_host", *to_host);
-                w.f64("cost", *cost);
-            }
-            Event::MigrationFailed { vm, rack } => {
-                w.u64("vm", *vm);
-                w.u64("rack", *rack);
-            }
-            Event::FlowsRerouted {
-                rack,
-                rerouted,
-                stuck,
-            } => {
-                w.u64("rack", *rack);
-                w.u64("rerouted", *rerouted);
-                w.u64("stuck", *stuck);
-            }
-            Event::FaultInjected { kind, id } => {
-                w.str("kind", kind.label());
-                w.u64("id", *id);
-            }
-            Event::ShimDegraded { rack } => {
-                w.u64("rack", *rack);
-            }
-            Event::ShimCrashed { rack } => {
-                w.u64("rack", *rack);
-            }
-            Event::ShimRecovered { rack } => {
-                w.u64("rack", *rack);
-            }
-            Event::TxnPrepared { req, vm, dest_host } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.u64("dest_host", *dest_host);
-            }
-            Event::TxnCommitted { req, vm } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-            }
-            Event::TxnAborted { req, vm } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-            }
-            Event::ShimSuspected { rack } => {
-                w.u64("rack", *rack);
-            }
-            Event::ShimDeclaredDead { rack } => {
-                w.u64("rack", *rack);
-            }
-            Event::RegionTakenOver { rack, by, epoch } => {
-                w.u64("rack", *rack);
-                w.u64("by", *by);
-                w.u64("epoch", *epoch);
-            }
-            Event::PartitionHealed { partition, racks } => {
-                w.u64("partition", *partition);
-                w.u64("racks", *racks);
-            }
-            Event::StaleEpochRejected {
-                req,
-                rack,
-                stale,
-                current,
-            } => {
-                w.u64("req", *req);
-                w.u64("rack", *rack);
-                w.u64("stale", *stale);
-                w.u64("current", *current);
-            }
-            Event::TransferStarted {
-                req,
-                vm,
-                bytes,
-                hops,
-                rate,
-                waited,
-            } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.f64("bytes", *bytes);
-                w.u64("hops", *hops);
-                w.f64("rate", *rate);
-                w.u64("waited", *waited);
-            }
-            Event::TransferRerouted { req, vm, hops } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.u64("hops", *hops);
-            }
-            Event::TransferCompleted {
-                req,
-                vm,
-                ticks,
-                bandwidth,
-            } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.u64("ticks", *ticks);
-                w.f64("bandwidth", *bandwidth);
-            }
-            Event::TransferStalled { req, vm, link } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.u64("link", *link);
-            }
-            Event::TransferResumed { req, vm, saved } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.f64("saved", *saved);
-            }
-            Event::TransferRetried { req, vm, attempt } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.u64("attempt", *attempt);
-            }
-            Event::TransferFailed { req, vm, attempts } => {
-                w.u64("req", *req);
-                w.u64("vm", *vm);
-                w.u64("attempts", *attempts);
+        impl $name {
+            /// Stable lowercase label used in JSON traces.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)*
+                }
             }
         }
-        w.finish()
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.label())
+            }
+        }
+
+        impl Field for $name {
+            fn put(&self, key: &str, w: &mut JsonObject) {
+                w.str(key, self.label());
+            }
+        }
+    )*};
+}
+
+labels! {
+    /// Which of the three alert sources of Sec. III-B raised an alert.
+    pub enum AlertKind {
+        /// Predicted host overload (CPU/memory profile above `alert_threshold`).
+        Host = "host",
+        /// Predicted local ToR uplink congestion.
+        LocalTor = "local_tor",
+        /// QCN congestion feedback from an outer switch.
+        OuterSwitch = "outer_switch",
+    }
+
+    /// Why a destination shim refused a migration REQUEST or COMMIT (the
+    /// REJECT payload of Alg. 4 and of the 2PC built on it).
+    pub enum RejectKind {
+        /// The host no longer has Eqn. 8 capacity for the VM.
+        Capacity = "capacity",
+        /// A dependent VM occupies the host (χ constraint, Eqn. 7).
+        Conflict = "conflict",
+        /// The VM is already on that host — a duplicate of an applied move
+        /// or a stale plan.
+        Noop = "noop",
+        /// The transaction was aborted (lease lapsed or ABORT arrived)
+        /// before this message; the source must replan from scratch.
+        Expired = "expired",
+        /// The message carried an epoch older than the rack's current
+        /// epoch: the sender missed a takeover and is fenced (the `Reject`
+        /// reports the current epoch for the sender to adopt).
+        Stale = "stale_epoch",
+    }
+
+    /// What kind of fault an injector applied to the running cluster.
+    pub enum FaultKind {
+        /// A link went down.
+        LinkDown = "link_down",
+        /// A previously failed link came back.
+        LinkUp = "link_up",
+        /// A host went down (its VMs are stranded until recovery).
+        HostDown = "host_down",
+        /// A previously failed host came back.
+        HostUp = "host_up",
+        /// A shim controller crashed (stops answering the fabric).
+        ShimDown = "shim_down",
+        /// A crashed shim controller recovered.
+        ShimUp = "shim_up",
+        /// A named partition cut the network into disjoint rack sets.
+        Partition = "partition",
+        /// A named partition healed; both sides can talk again.
+        Heal = "heal",
+    }
+}
+
+/// Declares the event enum from one table whose entries give each variant,
+/// its `"ev"` kind and its fields in JSON key order. The literal `enum
+/// Event { … }` tokens stay in the call for sheriff-lint's EVT01 scan;
+/// rustfmt skips the table, so keep it formatted by hand.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $kind:literal {
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty,)*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $($(#[$fmeta])* $field: $ty,)*
+                },
+            )*
+        }
+
+        impl $name {
+            /// Stable snake_case discriminant name, used as the `"ev"`
+            /// field of JSON traces and by
+            /// [`RingRecorder::count_kind`](crate::RingRecorder::count_kind).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Render the event as one JSON object with stable key order
+            /// (`"ev"` first, then payload fields in declaration order).
+            pub fn to_json(&self) -> String {
+                let mut w = JsonObject::new(self.kind());
+                match self {
+                    $($name::$variant { $($field),* } => {
+                        $(Field::put($field, stringify!($field), &mut w);)*
+                    })*
+                }
+                w.finish()
+            }
+        }
+    };
+}
+
+events! {
+    /// One structured observation from the Sheriff control loop.
+    ///
+    /// Identifiers are raw indices (`rack`, `vm`, `host` …) so the event
+    /// vocabulary is independent of the topology crate. Request ids follow
+    /// the wire format of the shim protocol: `rack << 32 | sequence`.
+    ///
+    /// Payloads are fully deterministic — no wall-clock values — so equal
+    /// seeds yield equal event streams (the recorder property tests rely
+    /// on this).
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Event {
+        /// A management round (one `period_secs` tick) began.
+        RoundStart = "round_start" {
+            /// Virtual time (period index) of the round.
+            time: u64,
+        },
+        /// A management round finished.
+        RoundEnd = "round_end" {
+            /// Virtual time (period index) of the round.
+            time: u64,
+            /// VM migrations committed during the round.
+            migrations: u64,
+            /// Flows rerouted during the round.
+            reroutes: u64,
+        },
+        /// One of the three alert sources fired (Sec. III-B).
+        AlertRaised = "alert_raised" {
+            /// Virtual time at which the alert was raised.
+            time: u64,
+            /// Rack whose shim receives the alert.
+            rack: u64,
+            /// Which detector fired.
+            kind: AlertKind,
+            /// Severity score handed to PRIORITY (predicted utilization,
+            /// uplink load or QCN feedback value).
+            severity: f64,
+        },
+        /// PRIORITY (Alg. 2) selected migration victims for a rack.
+        VictimsSelected = "victims_selected" {
+            /// Alerted rack.
+            rack: u64,
+            /// Candidate VMs considered by the knapsack.
+            candidates: u64,
+            /// Victims actually selected for migration.
+            selected: u64,
+        },
+        /// VMMIGRATION (Alg. 3) produced a min-cost assignment for a rack.
+        PlanComputed = "plan_computed" {
+            /// Rack the plan was computed for.
+            rack: u64,
+            /// Proposed (vm, destination) assignments.
+            proposals: u64,
+            /// Victims that could not be assigned a destination.
+            unassigned: u64,
+            /// Size of the searched (vm × destination) space.
+            search_space: u64,
+        },
+        /// A shim sent a migration REQUEST (Alg. 4).
+        RequestSent = "request_sent" {
+            /// Request id (`rack << 32 | seq`).
+            req: u64,
+            /// VM the request wants to move.
+            vm: u64,
+            /// Destination host.
+            dest_host: u64,
+            /// 1-based send attempt (1 = first transmission).
+            attempt: u64,
+        },
+        /// The destination shim ACKed a REQUEST; the move is committed.
+        AckReceived = "ack_received" {
+            /// Request id.
+            req: u64,
+            /// VM that moved.
+            vm: u64,
+        },
+        /// The destination shim REJECTed a REQUEST.
+        RejectReceived = "reject_received" {
+            /// Request id.
+            req: u64,
+            /// VM that failed to move.
+            vm: u64,
+            /// Why the destination refused.
+            reason: RejectKind,
+        },
+        /// A pending REQUEST passed its deadline without a verdict.
+        RequestTimeout = "request_timeout" {
+            /// Request id.
+            req: u64,
+            /// Attempt that timed out.
+            attempt: u64,
+        },
+        /// A timed-out REQUEST was retransmitted after backoff.
+        RequestResent = "request_resent" {
+            /// Request id.
+            req: u64,
+            /// New 1-based attempt number.
+            attempt: u64,
+        },
+        /// A duplicate delivery was absorbed by the receiver's dedup log.
+        DuplicateAbsorbed = "duplicate_absorbed" {
+            /// Request id of the duplicate.
+            req: u64,
+        },
+        /// The k-median local search (Alg. 5) accepted an improving p-swap.
+        SwapAccepted = "swap_accepted" {
+            /// 1-based improving-swap count within the search.
+            iteration: u64,
+            /// Objective value after the swap.
+            cost: f64,
+        },
+        /// A VM migration was committed to the placement.
+        MigrationCommitted = "migration_committed" {
+            /// VM that moved.
+            vm: u64,
+            /// Source host.
+            from_host: u64,
+            /// Destination host.
+            to_host: u64,
+            /// Migration cost `c(v, h)` of the move.
+            cost: f64,
+        },
+        /// A planned VM migration could not be committed.
+        MigrationFailed = "migration_failed" {
+            /// VM that stayed put.
+            vm: u64,
+            /// Rack whose shim had planned the move.
+            rack: u64,
+        },
+        /// Alg. 1 rerouted delay-insensitive flows off a congested uplink.
+        FlowsRerouted = "flows_rerouted" {
+            /// Alerted rack.
+            rack: u64,
+            /// Flows moved to alternate paths.
+            rerouted: u64,
+            /// Flows that had no alternate path.
+            stuck: u64,
+        },
+        /// A fault injector changed the cluster (link/host/shim up or down).
+        FaultInjected = "fault_injected" {
+            /// What changed.
+            kind: FaultKind,
+            /// Index of the affected link, host or rack.
+            id: u64,
+        },
+        /// A shim fell back to degraded local-only operation.
+        ShimDegraded = "shim_degraded" {
+            /// Rack of the degraded shim.
+            rack: u64,
+        },
+        /// A shim was declared dead by the liveness tracker.
+        ShimCrashed = "shim_crashed" {
+            /// Rack of the crashed shim.
+            rack: u64,
+        },
+        /// A crashed shim came back, replayed its journal and rejoined.
+        ShimRecovered = "shim_recovered" {
+            /// Rack of the recovered shim.
+            rack: u64,
+        },
+        /// A destination shim journalled a PREPARE (intent durable).
+        TxnPrepared = "txn_prepared" {
+            /// Request id of the transaction.
+            req: u64,
+            /// VM the transaction wants to move.
+            vm: u64,
+            /// Destination host of the prepared move.
+            dest_host: u64,
+        },
+        /// A prepared transaction committed (COMMIT applied, ACK sent).
+        TxnCommitted = "txn_committed" {
+            /// Request id of the transaction.
+            req: u64,
+            /// VM that moved.
+            vm: u64,
+        },
+        /// A prepared transaction aborted (rolled back or lease-expired).
+        TxnAborted = "txn_aborted" {
+            /// Request id of the transaction.
+            req: u64,
+            /// VM whose move was undone.
+            vm: u64,
+        },
+        /// The failure detector moved a shim from Alive to Suspect: its
+        /// heartbeat silence exceeded the adaptive suspect threshold.
+        ShimSuspected = "shim_suspected" {
+            /// Rack of the suspected shim.
+            rack: u64,
+        },
+        /// The failure detector declared a shim Dead: silence exceeded the
+        /// dead threshold and its racks are eligible for takeover.
+        ShimDeclaredDead = "shim_declared_dead" {
+            /// Rack of the dead shim.
+            rack: u64,
+        },
+        /// A neighbor shim took over a dead shim's rack; the rack's epoch
+        /// was bumped so the old manager's stale messages can be fenced.
+        RegionTakenOver = "region_taken_over" {
+            /// Rack whose management changed hands.
+            rack: u64,
+            /// Rack of the shim that took over.
+            by: u64,
+            /// The rack's epoch after the bump.
+            epoch: u64,
+        },
+        /// A named network partition healed; the cut rack sets rejoined.
+        PartitionHealed = "partition_healed" {
+            /// Index of the healed partition window.
+            partition: u64,
+            /// Racks that were inside the partition set.
+            racks: u64,
+        },
+        /// A 2PC message carrying a pre-takeover epoch was fenced and
+        /// rejected instead of being applied.
+        StaleEpochRejected = "stale_epoch_rejected" {
+            /// Request id of the fenced message.
+            req: u64,
+            /// Rack that fenced the message.
+            rack: u64,
+            /// Epoch the stale message carried.
+            stale: u64,
+            /// The rack's current epoch.
+            current: u64,
+        },
+        /// A committed migration's pre-copy began streaming on the transfer
+        /// scheduler (the 2PC commit finalizes at `TransferCompleted`).
+        TransferStarted = "transfer_started" {
+            /// 2PC request id of the migration.
+            req: u64,
+            /// VM being transferred.
+            vm: u64,
+            /// Pre-copy volume in bytes.
+            bytes: f64,
+            /// Hop count of the chosen route (0 = intra-rack).
+            hops: u64,
+            /// Max-min fair rate granted at admission, bytes per tick.
+            rate: f64,
+            /// Ticks the transfer waited behind the admission cap.
+            waited: u64,
+        },
+        /// QCN congestion steered a pre-copy off its primary k-shortest
+        /// route onto an alternate candidate.
+        TransferRerouted = "transfer_rerouted" {
+            /// 2PC request id of the migration.
+            req: u64,
+            /// VM being transferred.
+            vm: u64,
+            /// Hop count of the alternate route actually taken.
+            hops: u64,
+        },
+        /// A pre-copy streamed its last byte; placement flips now.
+        TransferCompleted = "transfer_completed" {
+            /// 2PC request id of the migration.
+            req: u64,
+            /// VM that finished moving.
+            vm: u64,
+            /// Wall ticks from admission to completion.
+            ticks: u64,
+            /// Achieved bandwidth in bytes per tick.
+            bandwidth: f64,
+        },
+        /// A link failure cut every surviving route for an in-flight
+        /// pre-copy; it holds its checkpoint and waits out the stall budget.
+        TransferStalled = "transfer_stalled" {
+            /// 2PC request id of the migration.
+            req: u64,
+            /// VM whose pre-copy stalled.
+            vm: u64,
+            /// Edge index of the link whose failure caused the stall.
+            link: u64,
+        },
+        /// A stalled pre-copy found a surviving route and resumed from its
+        /// checkpoint (bytes already copied, minus the dirty re-copy penalty).
+        TransferResumed = "transfer_resumed" {
+            /// 2PC request id of the migration.
+            req: u64,
+            /// VM whose pre-copy resumed.
+            vm: u64,
+            /// Bytes the checkpoint saved versus restarting from zero.
+            saved: f64,
+        },
+        /// A stalled pre-copy's backoff timer fired and it re-probed for a
+        /// surviving route (whether or not one was found).
+        TransferRetried = "transfer_retried" {
+            /// 2PC request id of the migration.
+            req: u64,
+            /// VM whose pre-copy retried.
+            vm: u64,
+            /// Retry attempt number (1-based).
+            attempt: u64,
+        },
+        /// A pre-copy exhausted its retry budget (or lost an endpoint) and
+        /// escalated to a clean 2PC abort: lease released, source placement
+        /// kept, `txn_aborted` accounted.
+        TransferFailed = "transfer_failed" {
+            /// 2PC request id of the migration.
+            req: u64,
+            /// VM whose migration aborted.
+            vm: u64,
+            /// Retry attempts consumed before giving up.
+            attempts: u64,
+        },
     }
 }
 
@@ -765,10 +566,71 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_is_in_the_design_event_map() {
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("\n## 7. ").expect("DESIGN.md §7");
+        let section = &design[start + 1..];
+        let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+        let missing: Vec<&str> = samples()
+            .iter()
+            .map(Event::kind)
+            .filter(|kind| !section.contains(&format!("`{kind}`")))
+            .collect();
+        assert!(missing.is_empty(), "DESIGN.md §7 lacks {missing:?}");
+    }
+
+    /// Declares every label of the three label enums as `label_pins()`:
+    /// each variant's `label()`, its `Display` and its pinned label. Each
+    /// enum's `match` has no wildcard arm, so a variant missing from the
+    /// list fails to compile.
+    macro_rules! label_pins {
+        ($($ty:ident { $($variant:ident => $label:literal,)* })*) => {
+            fn label_pins() -> Vec<(&'static str, String, &'static str)> {
+                let mut out = Vec::new();
+                $(
+                    let pinned = |kind: $ty| match kind {
+                        $($ty::$variant => $label,)*
+                    };
+                    out.extend([$($ty::$variant),*].map(|k| (k.label(), k.to_string(), pinned(k))));
+                )*
+                out
+            }
+        };
+    }
+
+    label_pins! {
+        AlertKind {
+            Host => "host",
+            LocalTor => "local_tor",
+            OuterSwitch => "outer_switch",
+        }
+        RejectKind {
+            Capacity => "capacity",
+            Conflict => "conflict",
+            Noop => "noop",
+            Expired => "expired",
+            Stale => "stale_epoch",
+        }
+        FaultKind {
+            LinkDown => "link_down",
+            LinkUp => "link_up",
+            HostDown => "host_down",
+            HostUp => "host_up",
+            ShimDown => "shim_down",
+            ShimUp => "shim_up",
+            Partition => "partition",
+            Heal => "heal",
+        }
+    }
+
+    #[test]
     fn labels_are_stable() {
-        assert_eq!(AlertKind::LocalTor.label(), "local_tor");
-        assert_eq!(RejectKind::Capacity.label(), "capacity");
-        assert_eq!(FaultKind::Heal.label(), "heal");
+        let pins = label_pins();
+        assert_eq!(pins.len(), 3 + 5 + 8);
+        for (label, shown, pinned) in &pins {
+            assert_eq!(label, pinned);
+            assert_eq!(shown, pinned);
+        }
     }
 
     #[test]
