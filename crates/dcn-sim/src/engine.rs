@@ -189,11 +189,13 @@ impl Cluster {
         let mut deps = DependencyGraph::new(n);
         if n >= 2 {
             let p = (ccfg.dependency_degree / (n as f64 - 1.0)).clamp(0.0, 1.0);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    let (va, vb) = (VmId::from_index(a), VmId::from_index(b));
-                    if placement.host_of(va) != placement.host_of(vb) && rng.gen_bool(p) {
-                        deps.add_dependency(va, vb);
+            let hosts: Vec<HostId> = (0..n)
+                .map(|v| placement.host_of(VmId::from_index(v)))
+                .collect();
+            for (a, &ha) in hosts.iter().enumerate() {
+                for (b, &hb) in hosts.iter().enumerate().skip(a + 1) {
+                    if ha != hb && rng.gen_bool(p) {
+                        deps.add_dependency(VmId::from_index(a), VmId::from_index(b));
                     }
                 }
             }

@@ -316,17 +316,17 @@ fn every_bundled_scenario_parses_and_validates_clean() {
 /// refactor that claims identical behaviour must leave every digest
 /// alone; a new scenario file needs its own pin.
 const SCENARIO_DIGESTS: &[(&str, u64)] = &[
-    ("burst_surge.toml", 0x3cc2_3cee_f0e5_19f2),
-    ("cascading_rack_failure.toml", 0xf71f_4494_4b75_6bce),
-    ("congested_core.toml", 0x1c49_8e28_4355_c292),
-    ("fig10_bcube.toml", 0xed1c_b408_3aaf_c405),
-    ("fig9_prealert.toml", 0x4019_2faf_2930_ecc6),
-    ("flaky_spine.toml", 0x013b_266a_d7f1_5eeb),
-    ("lossy_fabric.toml", 0x0f8f_6a0d_b17a_8e7d),
-    ("mid_round_shim_crash.toml", 0x8d64_1f52_8d03_c61d),
-    ("mixed_topology.toml", 0x1913_7dd9_ab18_92fe),
-    ("region_partition.toml", 0x7560_38a8_0627_5a73),
-    ("zombie_shim.toml", 0xb049_9559_a5a1_1130),
+    ("burst_surge.toml", 0xbfdd_dd65_805f_3700),
+    ("cascading_rack_failure.toml", 0x9439_72fd_ee44_b9df),
+    ("congested_core.toml", 0xf268_0e36_74bf_8f99),
+    ("fig10_bcube.toml", 0x78de_1003_ccad_d85f),
+    ("fig9_prealert.toml", 0xbad9_8d2e_51cc_56a3),
+    ("flaky_spine.toml", 0x3f3c_f539_81d4_97bb),
+    ("lossy_fabric.toml", 0xf9c7_5744_dc55_cfee),
+    ("mid_round_shim_crash.toml", 0xa87a_0fdc_be76_3f12),
+    ("mixed_topology.toml", 0xcd3e_0625_5566_43bf),
+    ("region_partition.toml", 0x4d30_f25d_29e3_3442),
+    ("zombie_shim.toml", 0x370e_e69b_5bac_f915),
 ];
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -504,7 +504,7 @@ fn every_fault_action_reproduces_its_pinned_report() {
         (
             "fabric",
             every_fault_action_spec(fabric, true),
-            0xf106_6d9a_a134_3dd5,
+            0xa037_9903_cd93_0cba,
         ),
         (
             "centralized",
