@@ -49,8 +49,6 @@ pub struct RoundOutcome {
     pub plan: MigrationPlan,
     /// Shims (or managers) that participated.
     pub shims: usize,
-    /// Commit attempts rejected and replanned.
-    pub retries: usize,
     /// Messages lost by the channel (fabric only).
     pub drops: usize,
     /// Requests whose reply deadline expired at least once (fabric only).
@@ -197,11 +195,11 @@ impl Runtime for CentralizedRuntime {
 /// shim that stays dark is eventually declared Dead and taken over even
 /// when each individual round is short.
 ///
-/// `step()` is a facade over the [`crate::sim`] event core: the round
-/// runs as a virtual-time event agenda (beacons, crash/heal windows,
-/// deliveries, timeouts, leases, detector transitions) and returns at
-/// the round boundary, so callers keep the familiar one-call-per-round
-/// shape.
+/// `step()` is a facade over the round's own per-tick agenda: the round
+/// runs in virtual time from activated tick to activated tick (beacons,
+/// crash/heal and link windows, deliveries, timeouts, leases, detector
+/// transitions) and returns at the round boundary, so callers keep the
+/// familiar one-call-per-round shape.
 #[derive(Debug, Clone, Default)]
 pub struct FabricRuntime {
     /// Channel fault model, seed, retries, fault windows and transfers.

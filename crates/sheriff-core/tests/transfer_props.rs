@@ -79,7 +79,7 @@ fn digest_of(
     ));
     buf.push_str(&format!(
         "r {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {};",
-        report.retries,
+        report.plan.rejected,
         report.shims,
         report.drops,
         report.timeouts,

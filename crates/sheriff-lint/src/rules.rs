@@ -101,7 +101,6 @@ pub(crate) const ITER_METHODS: &[&str] = &[
 /// path. These are also the taint pass's reachability roots.
 pub(crate) fn is_deterministic_module(path: &str) -> bool {
     path.starts_with("crates/sheriff-core/src/")
-        || path.starts_with("crates/sheriff-sim/src/")
         || path.starts_with("crates/dcn-sim/src/")
         || path.starts_with("crates/sheriff-transfer/src/")
         || path == "crates/sheriff-scenario/src/runner.rs"

@@ -14,12 +14,11 @@
 //!
 //! Findings are reported at the **boundary call site**: a non-test
 //! function in a deterministic module (the reachability roots —
-//! `sheriff-core`, `sheriff-sim`, `sheriff-transfer`, `dcn-sim`, the
-//! scenario runner) calling a tainted function *outside* the
-//! deterministic modules. Sources inside deterministic modules stay the
-//! intraprocedural rules' business, so no site is reported twice; and a
-//! pragma on the boundary line suppresses the interprocedural finding
-//! exactly like any other.
+//! `sheriff-core`, `sheriff-transfer`, `dcn-sim`, the scenario runner)
+//! calling a tainted function *outside* the deterministic modules.
+//! Sources inside deterministic modules stay the intraprocedural rules'
+//! business, so no site is reported twice; and a pragma on the boundary
+//! line suppresses the interprocedural finding exactly like any other.
 
 use crate::callgraph::CallGraph;
 use crate::diagnostics::Diagnostic;

@@ -228,39 +228,6 @@ fn epoch_table_indexing_is_flagged() {
     assert_eq!(codes(FAILURE, src), vec!["PANIC01"]);
 }
 
-// ------------------------------------------------- sheriff-sim scope
-
-const SIM: &str = "crates/sheriff-sim/src/fixture.rs";
-
-#[test]
-fn event_core_is_det_scoped() {
-    // the discrete-event scheduler is the root of the reproducibility
-    // contract: wall clock, hash-ordered iteration and ambient
-    // randomness are all flagged under crates/sheriff-sim/src/
-    let clock = "pub fn now() -> u64 { let t = std::time::Instant::now(); drop(t); 0 }";
-    assert_eq!(codes(SIM, clock), vec!["DET01"]);
-    let hash = "use std::collections::HashMap;\n\
-                pub fn drain(live: HashMap<u64, u32>) { for (id, ev) in &live { fire(*id, *ev); } }";
-    assert_eq!(codes(SIM, hash), vec!["DET02"]);
-    let rng = "pub fn jitter() -> f64 { rand::random() }";
-    assert_eq!(codes(SIM, rng), vec!["DET03"]);
-}
-
-#[test]
-fn event_queue_idiom_lints_clean() {
-    // the blessed tombstone-queue idiom: a BinaryHeap of Reverse keys,
-    // liveness in a BTreeMap keyed by sequence number, lookups via
-    // `.get()`/`.remove()` — no indexing, no hash iteration
-    let src = "use std::collections::BTreeMap;\n\
-        pub fn pop(live: &mut BTreeMap<u64, u32>, seq: u64) -> Option<u32> {\n\
-            live.remove(&seq)\n\
-        }\n\
-        pub fn next_live(live: &BTreeMap<u64, u32>) -> Option<u64> {\n\
-            live.keys().next().copied()\n\
-        }";
-    assert!(codes(SIM, src).is_empty());
-}
-
 // -------------------------------------------- sheriff-transfer scope
 
 const TRANSFER: &str = "crates/sheriff-transfer/src/fixture.rs";

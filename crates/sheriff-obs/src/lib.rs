@@ -18,7 +18,6 @@
 //!   [`JsonLinesSink`] (streams one JSON object per line to any
 //!   `io::Write`, for `results/` traces).
 //! * [`Counters`] — a monotonic `u64` registry keyed by static names.
-//! * [`Histogram`] — fixed-bucket distributions for latencies / sizes.
 //! * [`Timer`] — a scoped timer recording both wall-clock nanoseconds
 //!   and virtual-time ticks.
 //!
@@ -32,7 +31,6 @@
 
 mod counters;
 mod event;
-mod histogram;
 mod json;
 mod recorder;
 mod sink;
@@ -40,7 +38,6 @@ mod timer;
 
 pub use counters::Counters;
 pub use event::{AlertKind, Event, FaultKind, RejectKind};
-pub use histogram::Histogram;
 pub use json::{json_str, JsonLinesSink};
 pub use recorder::{RingRecorder, TimingStat};
 pub use sink::{emit, EventSink, NullSink};

@@ -165,7 +165,10 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
             "evacuated_total".into(),
             sum_rounds(&|s| s.evacuated as f64),
         ),
-        ("retries_total".into(), sum_outcomes(&|o| o.retries as f64)),
+        (
+            "retries_total".into(),
+            sum_outcomes(&|o| o.plan.rejected as f64),
+        ),
         ("drops_total".into(), sum_outcomes(&|o| o.drops as f64)),
         (
             "timeouts_total".into(),

@@ -1,4 +1,4 @@
-//! Network-aware migration transfer scheduling on the event core.
+//! Network-aware migration transfer scheduling in virtual time.
 //!
 //! Sheriff's cost model (Eqn. 1) prices each pre-copy independently, and
 //! the fabric runtime historically settled every committed migration

@@ -12,9 +12,9 @@
 //!   flows, the cluster engine;
 //! * [`sheriff`] — the management algorithms (PRIORITY, VMMIGRATION,
 //!   REQUEST, k-median local search) and both runtimes, including the
-//!   deterministic event core under [`sheriff::sim`](sheriff_core::sim)
-//!   that the fabric runtime's virtual-time rounds are scheduled on;
-//! * [`obs`] — structured events, counters, histograms and timers;
+//!   fabric runtime whose virtual-time rounds run on a per-tick agenda
+//!   of their own;
+//! * [`obs`] — structured events, counters and timers;
 //! * [`scenario`] — declarative experiment files (TOML/JSON), seed
 //!   sweeps with fault schedules, parallel deterministic execution.
 //!
@@ -72,9 +72,6 @@ pub mod prelude {
         SystemBuilder,
     };
 
-    // --- event core: the virtual-time scheduler under the fabric ------
-    pub use sheriff_core::sim::{SimContext, Simulation, VirtualTime};
-
     // --- forecasting: the Sec. III-B predictors ----------------------
     pub use timeseries::{
         ArimaModel, ArimaSpec, DynamicSelector, HoltWinters, HwConfig, Narnet, NarnetConfig,
@@ -86,6 +83,6 @@ pub mod prelude {
 
     // --- observability: structured events, counters, timers ----------
     pub use sheriff_obs::{
-        Counters, Event, EventSink, Histogram, JsonLinesSink, NullSink, RingRecorder, Timer,
+        Counters, Event, EventSink, JsonLinesSink, NullSink, RingRecorder, Timer,
     };
 }
