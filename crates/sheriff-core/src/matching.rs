@@ -139,34 +139,23 @@ pub fn min_cost_assignment_padded(cost: &[Vec<f64>]) -> (Vec<Option<usize>>, f64
 mod tests {
     use super::*;
 
-    /// Brute-force optimum for validation (n ≤ 8).
-    fn brute(cost: &[Vec<f64>]) -> f64 {
+    /// Brute-force optimum for validation (n ≤ 8): the most
+    /// non-[`FORBIDDEN`] pairs, then the least total cost over them.
+    fn brute(cost: &[Vec<f64>]) -> (usize, f64) {
         let n = cost.len();
         let m = cost[0].len();
         let mut cols: Vec<usize> = (0..m).collect();
-        let mut best = f64::INFINITY;
+        let mut best = (0, f64::INFINITY);
         permute(&mut cols, n, &mut |perm| {
-            let total: f64 = perm
-                .iter()
-                .take(n)
-                .enumerate()
-                .map(|(i, &j)| {
-                    let c = cost[i][j];
-                    if c >= FORBIDDEN / 2.0 {
-                        0.0
-                    } else {
-                        c
-                    }
-                })
-                .sum();
-            // only accept permutations with no forbidden pair
-            let ok = perm
-                .iter()
-                .take(n)
-                .enumerate()
-                .all(|(i, &j)| cost[i][j] < FORBIDDEN / 2.0);
-            if ok && total < best {
-                best = total;
+            let (mut count, mut total) = (0, 0.0);
+            for (i, &j) in perm.iter().take(n).enumerate() {
+                if cost[i][j] < FORBIDDEN / 2.0 {
+                    count += 1;
+                    total += cost[i][j];
+                }
+            }
+            if count > best.0 || (count == best.0 && total < best.1) {
+                best = (count, total);
             }
         });
         best
@@ -212,17 +201,44 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
-        for trial in 0..30 {
-            let n = rng.gen_range(2..=5);
-            let m = rng.gen_range(n..=6);
+        for trial in 0..500 {
+            let n = rng.gen_range(1..=7);
+            let m = rng.gen_range(n..=8);
+            let forbidden = rng.gen_range(0.0..0.8);
+            // integer costs on even trials give exact ties
+            let ties = trial % 2 == 0;
             let cost: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..m).map(|_| rng.gen_range(0.0..20.0)).collect())
+                .map(|_| {
+                    (0..m)
+                        .map(|_| {
+                            if rng.gen_bool(forbidden) {
+                                FORBIDDEN
+                            } else if ties {
+                                f64::from(rng.gen_range(0..4u8))
+                            } else {
+                                rng.gen_range(0.0..20.0)
+                            }
+                        })
+                        .collect()
+                })
                 .collect();
-            let (_, total) = min_cost_assignment(&cost);
-            let expect = brute(&cost);
+            let (assign, total) = min_cost_assignment(&cost);
+            let mut seen = std::collections::HashSet::new();
+            let mut sum = 0.0;
+            for (i, &j) in assign.iter().enumerate() {
+                let Some(j) = j else { continue };
+                assert!(seen.insert(j), "trial {trial}: column {j} used twice");
+                assert!(
+                    cost[i][j] < FORBIDDEN / 2.0,
+                    "trial {trial}: ({i}, {j}) forbidden"
+                );
+                sum += cost[i][j];
+            }
+            let (count, expect) = brute(&cost);
+            assert_eq!(seen.len(), count, "trial {trial}: matched pairs");
             assert!(
-                (total - expect).abs() < 1e-9,
-                "trial {trial}: got {total}, optimum {expect}"
+                (total - expect).abs() < 1e-9 && (sum - total).abs() < 1e-9,
+                "trial {trial}: got {total} (pairs sum to {sum}), optimum {expect}"
             );
         }
     }

@@ -9,6 +9,7 @@
 //! paths), strings with escapes, integers, floats, booleans, arrays
 //! (single- or multi-line) and inline tables. JSON is full recursive
 //! descent minus `null` (a scenario field is either present or absent).
+//! Both readers reject a document that nests more than 128 levels deep.
 
 use dcn_sim::SheriffError;
 use std::collections::BTreeMap;
@@ -30,8 +31,24 @@ pub enum Value {
     Table(BTreeMap<String, Value>),
 }
 
+/// The deepest a document may nest: the root is level 1, and each table
+/// or array below adds one, from a bracket or a key-path segment (an
+/// array of tables adds two). Bundled scenarios nest 4 deep; the bound
+/// keeps the recursive readers and the tree's drop within the stack.
+const MAX_DEPTH: usize = 128;
+
 fn invalid(reason: String) -> SheriffError {
     SheriffError::Invalid { reason }
+}
+
+/// The level of a container opened at byte `at` below level `parent`.
+fn nest(parent: usize, at: usize) -> Result<usize, SheriffError> {
+    if parent >= MAX_DEPTH {
+        return Err(invalid(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {at}"
+        )));
+    }
+    Ok(parent + 1)
 }
 
 impl Value {
@@ -120,7 +137,7 @@ impl Value {
     pub fn from_json(src: &str) -> Result<Value, SheriffError> {
         let mut p = Cursor::new(src);
         p.skip_ws();
-        let v = p.json_value()?;
+        let v = p.json_value(0)?;
         p.skip_ws();
         if !p.at_end() {
             return Err(invalid(format!(
@@ -307,11 +324,12 @@ impl<'a> Cursor<'a> {
 
     // ------------------------------------------------------------- JSON
 
-    fn json_value(&mut self) -> Result<Value, SheriffError> {
+    /// A JSON value below level `parent` (0 for the document itself).
+    fn json_value(&mut self, parent: usize) -> Result<Value, SheriffError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.json_object(),
-            Some(b'[') => self.json_array(),
+            Some(b'{') => self.json_object(nest(parent, self.pos)?),
+            Some(b'[') => self.json_array(nest(parent, self.pos)?),
             Some(b'"') => Ok(Value::Str(self.quoted_string()?)),
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
@@ -332,7 +350,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn json_object(&mut self) -> Result<Value, SheriffError> {
+    fn json_object(&mut self, level: usize) -> Result<Value, SheriffError> {
         self.expect_byte(b'{')?;
         let mut table = BTreeMap::new();
         self.skip_ws();
@@ -345,7 +363,7 @@ impl<'a> Cursor<'a> {
             let key = self.quoted_string()?;
             self.skip_ws();
             self.expect_byte(b':')?;
-            let v = self.json_value()?;
+            let v = self.json_value(level)?;
             if table.insert(key.clone(), v).is_some() {
                 return Err(invalid(format!("duplicate key {key:?}")));
             }
@@ -358,7 +376,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn json_array(&mut self) -> Result<Value, SheriffError> {
+    fn json_array(&mut self, level: usize) -> Result<Value, SheriffError> {
         self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -367,7 +385,7 @@ impl<'a> Cursor<'a> {
             return Ok(Value::Array(items));
         }
         loop {
-            items.push(self.json_value()?);
+            items.push(self.json_value(level)?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -379,12 +397,13 @@ impl<'a> Cursor<'a> {
 
     // ------------------------------------------------------------- TOML
 
-    /// A TOML value: string, number, bool, array, or inline table.
-    fn toml_value(&mut self) -> Result<Value, SheriffError> {
+    /// A TOML value (string, number, bool, array, inline table) below `parent`.
+    fn toml_value(&mut self, parent: usize) -> Result<Value, SheriffError> {
         self.skip_ws_and_comments();
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.quoted_string()?)),
             Some(b'[') => {
+                let level = nest(parent, self.pos)?;
                 self.expect_byte(b'[')?;
                 let mut items = Vec::new();
                 loop {
@@ -393,7 +412,7 @@ impl<'a> Cursor<'a> {
                         self.pos += 1;
                         return Ok(Value::Array(items));
                     }
-                    items.push(self.toml_value()?);
+                    items.push(self.toml_value(level)?);
                     self.skip_ws_and_comments();
                     match self.peek() {
                         Some(b',') => {
@@ -408,6 +427,7 @@ impl<'a> Cursor<'a> {
                 }
             }
             Some(b'{') => {
+                let level = nest(parent, self.pos)?;
                 self.expect_byte(b'{')?;
                 let mut table = BTreeMap::new();
                 self.skip_ws();
@@ -420,7 +440,7 @@ impl<'a> Cursor<'a> {
                     let key = self.toml_key()?;
                     self.skip_ws();
                     self.expect_byte(b'=')?;
-                    let v = self.toml_value()?;
+                    let v = self.toml_value(level)?;
                     if table.insert(key.clone(), v).is_some() {
                         return Err(invalid(format!("duplicate key {key:?}")));
                     }
@@ -478,19 +498,27 @@ impl<'a> Cursor<'a> {
 
 /// Walk/create the table at `path` under `root`, descending into the
 /// *last element* of any array-of-tables met on the way (TOML's rule).
+/// Returns the table and its level. A path past [`MAX_DEPTH`] is an error
+/// naming byte `at`, its statement's start; no table past the bound is made.
 fn descend<'t>(
     root: &'t mut BTreeMap<String, Value>,
     path: &[String],
-) -> Result<&'t mut BTreeMap<String, Value>, SheriffError> {
+    at: usize,
+) -> Result<(&'t mut BTreeMap<String, Value>, usize), SheriffError> {
     let mut cur = root;
+    let mut level = 1;
     for seg in path {
+        level = nest(level, at)?;
         let entry = cur
             .entry(seg.clone())
             .or_insert_with(|| Value::Table(BTreeMap::new()));
         cur = match entry {
             Value::Table(t) => t,
             Value::Array(a) => match a.last_mut() {
-                Some(Value::Table(t)) => t,
+                Some(Value::Table(t)) => {
+                    level = nest(level, at)?;
+                    t
+                }
                 _ => return Err(invalid(format!("key {seg:?} is not a table"))),
             },
             other => {
@@ -501,7 +529,7 @@ fn descend<'t>(
             }
         };
     }
-    Ok(cur)
+    Ok((cur, level))
 }
 
 fn toml_parse(src: &str) -> Result<Value, SheriffError> {
@@ -515,6 +543,7 @@ fn toml_parse(src: &str) -> Result<Value, SheriffError> {
         if cursor.at_end() {
             break;
         }
+        let at = cursor.pos;
         if cursor.peek() == Some(b'[') {
             cursor.pos += 1;
             let is_array = cursor.peek() == Some(b'[');
@@ -527,12 +556,11 @@ fn toml_parse(src: &str) -> Result<Value, SheriffError> {
             cursor.expect_byte(b']')?;
             if is_array {
                 cursor.expect_byte(b']')?;
-            }
-            if is_array {
                 let Some((leaf, parents)) = path.split_last() else {
                     return Err(invalid("empty key path".to_string()));
                 };
-                let parent = descend(&mut root, parents)?;
+                let (parent, level) = descend(&mut root, parents, at)?;
+                nest(nest(level, at)?, at)?; // the array and its new table
                 let slot = parent
                     .entry(leaf.clone())
                     .or_insert_with(|| Value::Array(Vec::new()));
@@ -547,7 +575,7 @@ fn toml_parse(src: &str) -> Result<Value, SheriffError> {
                 }
             } else {
                 // materialise the table so empty sections still exist
-                descend(&mut root, &path)?;
+                descend(&mut root, &path, at)?;
             }
             open = path;
             continue;
@@ -556,14 +584,13 @@ fn toml_parse(src: &str) -> Result<Value, SheriffError> {
         let path = cursor.toml_key_path()?;
         cursor.skip_ws();
         cursor.expect_byte(b'=')?;
-        let value = cursor.toml_value()?;
         let Some((leaf, parents)) = path.split_last() else {
             return Err(invalid("empty key path".to_string()));
         };
         let mut full = open.clone();
         full.extend_from_slice(parents);
-        let table = descend(&mut root, &full)?;
-        let leaf = leaf.clone();
+        let (table, level) = descend(&mut root, &full, at)?;
+        let value = cursor.toml_value(level)?;
         if table.insert(leaf.clone(), value).is_some() {
             return Err(invalid(format!("duplicate key {leaf:?}")));
         }
@@ -749,6 +776,36 @@ mod tests {
     fn json_rejects_trailing_garbage() {
         assert!(Value::from_json(r#"{"a": 1} extra"#).is_err());
         assert!(Value::from_json(r#"{"a": }"#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let key_path = vec!["a"; n].join(".");
+        // (document, byte the error names): JSON arrays, TOML arrays,
+        // TOML inline tables, a dotted header and a dotted key
+        let shapes = [
+            (format!("{{\"a\": {}", "[".repeat(n)), 6 + 127),
+            (format!("a = {}", "[".repeat(n)), 4 + 127),
+            (format!("a = {}", "{b = ".repeat(n)), 4 + 127 * 5),
+            (format!("[{key_path}]"), 0),
+            (format!("{key_path} = 1"), 0),
+        ];
+        for (src, at) in &shapes {
+            let want = format!("nesting deeper than {MAX_DEPTH} levels at byte {at}");
+            let err = Value::parse(src).unwrap_err().to_string();
+            assert!(err.contains(&want), "{err}");
+            let err = crate::ScenarioSpec::parse_str(src).unwrap_err().to_string();
+            assert!(err.contains(&want), "{err}");
+        }
+        // the root is level 1, so 127 brackets reach the limit exactly
+        let deepest = format!("a = {}{}", "[".repeat(127), "]".repeat(127));
+        assert!(Value::parse(&deepest).is_ok());
+        let deepest_path = format!("[{}]", vec!["a"; 127].join("."));
+        assert!(Value::parse(&deepest_path).is_ok());
+        // an array of tables takes two levels
+        assert!(Value::parse(&format!("[[{}]]", vec!["a"; 126].join("."))).is_ok());
+        assert!(Value::parse(&format!("[[{}]]", vec!["a"; 127].join("."))).is_err());
     }
 
     #[test]

@@ -87,45 +87,6 @@ pub fn select(y: &[f64], cfg: &SelectionConfig) -> Option<(ArimaSpec, ArimaModel
     best.map(|(_, spec, model)| (spec, model))
 }
 
-/// Seasonal variant of [`select`]: grid over `(p, q, P, Q)` at fixed
-/// season `s`, with seasonal differencing decided by the strength of the
-/// season-lag autocorrelation (≥ 0.6 → difference once). Returns the best
-/// seasonal model by the criterion, or `None` if nothing fits.
-pub fn select_seasonal(
-    y: &[f64],
-    season: usize,
-    cfg: &SelectionConfig,
-) -> Option<(crate::sarima::SarimaSpec, crate::sarima::SarimaModel)> {
-    use crate::sarima::{SarimaModel, SarimaSpec};
-    if y.len() <= season + 2 {
-        return None;
-    }
-    let rho_s = acf(y, season)[season];
-    let sd = usize::from(rho_s >= 0.6);
-    let d = choose_d(y, cfg.max_d.min(1));
-    let mut best: Option<(f64, SarimaSpec, SarimaModel)> = None;
-    for p in 0..=cfg.max_p.min(2) {
-        for q in 0..=cfg.max_q.min(2) {
-            for sp in 0..=1usize {
-                for sq in 0..=1usize {
-                    if p + q + sp + sq == 0 {
-                        continue;
-                    }
-                    let spec = SarimaSpec::new(p, d, q, sp, sd, sq, season);
-                    let Ok(model) = SarimaModel::fit(y, spec) else {
-                        continue;
-                    };
-                    let score = model.aic();
-                    if best.as_ref().is_none_or(|(s, _, _)| score < *s) {
-                        best = Some((score, spec, model));
-                    }
-                }
-            }
-        }
-    }
-    best.map(|(_, spec, model)| (spec, model))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,33 +145,6 @@ mod tests {
             .collect();
         let (spec, _) = select(&y, &SelectionConfig::default()).unwrap();
         assert!(spec.d >= 1, "chose {spec}");
-    }
-
-    #[test]
-    fn seasonal_selection_uses_seasonal_differencing_on_periodic_data() {
-        use crate::generator::{weekly_traffic_trace, TraceConfig};
-        let s = 24;
-        let y = weekly_traffic_trace(&TraceConfig {
-            len: 7 * s,
-            samples_per_day: s,
-            seed: 6,
-        });
-        let (spec, model) = select_seasonal(&y, s, &SelectionConfig::default()).unwrap();
-        assert_eq!(spec.s, s);
-        assert_eq!(
-            spec.sd, 1,
-            "strong daily ACF should trigger seasonal differencing"
-        );
-        assert!(model.sigma2.is_finite());
-    }
-
-    #[test]
-    fn seasonal_selection_skips_differencing_on_aperiodic_data() {
-        let y = ar1(0.5, 2_000, 8);
-        let out = select_seasonal(&y, 24, &SelectionConfig::default());
-        if let Some((spec, _)) = out {
-            assert_eq!(spec.sd, 0, "no season, no seasonal differencing");
-        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! before wiring it into the alert pipeline.
 
 use crate::arima::ArimaModel;
-use crate::sarima::SarimaModel;
 use crate::series::difference;
 use crate::stats::{ljung_box, looks_white, mean, variance};
 use serde::{Deserialize, Serialize};
@@ -46,30 +45,6 @@ pub fn diagnose_arima(model: &ArimaModel, y: &[f64], lags: usize) -> FitReport {
     let (w, _) = difference(y, model.spec.d);
     let resid = model.residuals_differenced(&w);
     let start = model.phi.len().max(model.theta.len());
-    let used = &resid[start..];
-    FitReport {
-        model: model.spec.to_string(),
-        residual_mean: mean(used),
-        residual_variance: variance(used),
-        ljung_box_q: ljung_box(used, lags.min(used.len().saturating_sub(2)).max(1)),
-        lags,
-        residuals_white: looks_white(used, lags.min(used.len().saturating_sub(2)).max(1)),
-        aic: model.aic(),
-        n: used.len(),
-    }
-}
-
-/// Diagnose a fitted seasonal ARIMA model.
-pub fn diagnose_sarima(model: &SarimaModel, y: &[f64], lags: usize) -> FitReport {
-    let (w1, _) = crate::sarima::seasonal_difference(y, model.spec.s, model.spec.sd);
-    let (w, _) = difference(&w1, model.spec.d);
-    let resid = model.residuals_differenced(&w);
-    let start = model
-        .phi
-        .len()
-        .max(model.theta.len())
-        .max(model.sphi.len() * model.spec.s)
-        .max(model.stheta.len() * model.spec.s);
     let used = &resid[start..];
     FitReport {
         model: model.spec.to_string(),
@@ -137,22 +112,5 @@ mod tests {
         let r1 = diagnose_arima(&right, &y, 10);
         let r2 = diagnose_arima(&wrong, &y, 10);
         assert!(r1.aic < r2.aic, "correct model should win on AIC");
-    }
-
-    #[test]
-    fn sarima_diagnostics_on_seasonal_data() {
-        use crate::generator::{weekly_traffic_trace, TraceConfig};
-        use crate::sarima::{SarimaModel, SarimaSpec};
-        let s = 24;
-        let y = weekly_traffic_trace(&TraceConfig {
-            len: 7 * s,
-            samples_per_day: s,
-            seed: 8,
-        });
-        let m = SarimaModel::fit(&y, SarimaSpec::new(1, 0, 1, 1, 1, 0, s)).unwrap();
-        let report = diagnose_sarima(&m, &y, 12);
-        assert!(report.n > 0);
-        assert!(report.residual_variance > 0.0);
-        assert!(report.model.contains("SARIMA"));
     }
 }

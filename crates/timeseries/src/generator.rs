@@ -33,15 +33,6 @@ impl TraceConfig {
             seed,
         }
     }
-
-    /// One week at 2-hour sampling (84 points/week, like Fig. 5's scale).
-    pub fn one_week(seed: u64) -> Self {
-        Self {
-            len: 7 * 12,
-            samples_per_day: 12,
-            seed,
-        }
-    }
 }
 
 /// AR(1) noise process shared by the generators.

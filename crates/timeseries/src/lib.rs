@@ -25,24 +25,20 @@ pub mod arima;
 pub mod boxjenkins;
 pub mod diagnostics;
 pub mod generator;
-pub mod holtwinters;
 pub mod interval;
 pub mod io;
 pub mod linalg;
 pub mod metrics;
 pub mod narnet;
 pub mod normalize;
-pub mod sarima;
 pub mod selector;
 pub mod series;
 pub mod stats;
 
 pub use arima::{ArimaModel, ArimaSpec, FitError};
-pub use boxjenkins::{select, select_seasonal, SelectionConfig};
-pub use diagnostics::{diagnose_arima, diagnose_sarima, FitReport};
-pub use holtwinters::{HoltWinters, HwConfig};
+pub use boxjenkins::{select, SelectionConfig};
+pub use diagnostics::{diagnose_arima, FitReport};
 pub use interval::{first_alert_step, Forecast};
 pub use narnet::{Narnet, NarnetConfig};
 pub use normalize::MinMaxScaler;
-pub use sarima::{SarimaModel, SarimaSpec};
 pub use selector::{DynamicSelector, Predictor};

@@ -59,12 +59,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrow the raw row-major data.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrow one row.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {

@@ -8,9 +8,7 @@
 //! `T_p` observations.
 
 use crate::arima::ArimaModel;
-use crate::holtwinters::{HoltWinters, HwConfig};
 use crate::narnet::Narnet;
-use crate::sarima::SarimaModel;
 use std::collections::VecDeque;
 
 /// A fitted one-step predictor usable in the dynamic pool.
@@ -20,11 +18,6 @@ pub enum Predictor {
     Arima(ArimaModel),
     /// A trained NARNET.
     Narnet(Narnet),
-    /// A fitted seasonal ARIMA model.
-    Sarima(SarimaModel),
-    /// Holt–Winters smoothing, re-smoothed over the full history at each
-    /// prediction (O(n) per call; exact online equivalence).
-    HoltWinters(HwConfig),
 }
 
 impl Predictor {
@@ -33,15 +26,6 @@ impl Predictor {
         match self {
             Predictor::Arima(m) => m.forecast(history, 1)[0],
             Predictor::Narnet(n) => n.predict_next(history),
-            Predictor::Sarima(m) => m.forecast(history, 1)[0],
-            Predictor::HoltWinters(cfg) => {
-                if history.len() >= 2 * cfg.season {
-                    HoltWinters::fit(history, *cfg).predict_next()
-                } else {
-                    // not enough seasons yet: persistence fallback
-                    history.last().copied().unwrap_or(0.0)
-                }
-            }
         }
     }
 
@@ -50,8 +34,6 @@ impl Predictor {
         match self {
             Predictor::Arima(m) => m.spec.to_string(),
             Predictor::Narnet(n) => format!("NARNET({},·)", n.lags()),
-            Predictor::Sarima(m) => m.spec.to_string(),
-            Predictor::HoltWinters(cfg) => format!("HoltWinters(s={})", cfg.season),
         }
     }
 }
@@ -245,45 +227,6 @@ mod tests {
         let sel = DynamicSelector::new(models, 5);
         assert_eq!(sel.best_model(), 0);
         assert_eq!(sel.rolling_mse(0), f64::INFINITY);
-    }
-
-    #[test]
-    fn seasonal_predictors_join_the_pool() {
-        use crate::generator::{weekly_traffic_trace, TraceConfig};
-        let s = 24;
-        let y = weekly_traffic_trace(&TraceConfig {
-            len: 7 * s,
-            samples_per_day: s,
-            seed: 9,
-        });
-        let split = 5 * s;
-        let mut models = vec![Predictor::HoltWinters(
-            crate::holtwinters::HwConfig::with_season(s),
-        )];
-        if let Ok(m) = crate::sarima::SarimaModel::fit(
-            &y[..split],
-            crate::sarima::SarimaSpec::new(1, 0, 0, 1, 1, 0, s),
-        ) {
-            models.push(Predictor::Sarima(m));
-        }
-        assert!(models.len() >= 2);
-        let labels: Vec<String> = models.iter().map(Predictor::label).collect();
-        assert!(labels[0].contains("HoltWinters"));
-        assert!(labels[1].contains("SARIMA"));
-        let mut sel = DynamicSelector::new(models, 12);
-        let (preds, _) = sel.run(&y, split);
-        let m = crate::metrics::mse(&preds, &y[split..]);
-        // seasonal pool must beat predicting the global mean
-        let mean = crate::stats::mean(&y[..split]);
-        let mean_mse = crate::metrics::mse(&vec![mean; y.len() - split], &y[split..]);
-        assert!(m < mean_mse, "pool {m} vs mean {mean_mse}");
-    }
-
-    #[test]
-    fn holtwinters_predictor_falls_back_when_short() {
-        let p = Predictor::HoltWinters(crate::holtwinters::HwConfig::with_season(50));
-        assert_eq!(p.predict_next(&[3.0, 4.0]), 4.0);
-        assert_eq!(p.predict_next(&[]), 0.0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! cargo run --release --example forecast_workflow
 //! ```
 
-use sheriff_dcn::forecast::boxjenkins::{select, select_seasonal, SelectionConfig};
-use sheriff_dcn::forecast::diagnostics::{diagnose_arima, diagnose_sarima};
+use sheriff_dcn::forecast::boxjenkins::{select, SelectionConfig};
+use sheriff_dcn::forecast::diagnostics::diagnose_arima;
 use sheriff_dcn::forecast::generator::{weekly_traffic_trace, TraceConfig};
 use sheriff_dcn::forecast::interval::first_alert_step;
 
@@ -23,11 +23,8 @@ fn main() {
 
     // --- 1. automatic order selection -------------------------------------
     let cfg = SelectionConfig::default();
-    let (spec, model) = select(train, &cfg).expect("non-seasonal selection");
+    let (spec, model) = select(train, &cfg).expect("order selection");
     println!("Box–Jenkins selected {spec} (AIC {:.1})", model.aic());
-
-    let (sspec, smodel) = select_seasonal(train, season, &cfg).expect("seasonal selection");
-    println!("seasonal grid selected {sspec} (AIC {:.1})", smodel.aic());
 
     // --- 2. residual diagnostics -------------------------------------------
     let report = diagnose_arima(&model, train, 12);
@@ -38,11 +35,6 @@ fn main() {
         report.residual_variance,
         report.ljung_box_q,
         report.residuals_white
-    );
-    let sreport = diagnose_sarima(&smodel, train, 12);
-    println!(
-        "{} diagnostics: residual variance {:.3}, white: {}",
-        sreport.model, sreport.residual_variance, sreport.residuals_white
     );
 
     // --- 3. forecast intervals (the paper's "forecast range") --------------

@@ -73,10 +73,7 @@ pub mod prelude {
     };
 
     // --- forecasting: the Sec. III-B predictors ----------------------
-    pub use timeseries::{
-        ArimaModel, ArimaSpec, DynamicSelector, HoltWinters, HwConfig, Narnet, NarnetConfig,
-        Predictor, SarimaModel, SarimaSpec,
-    };
+    pub use timeseries::{ArimaModel, ArimaSpec, DynamicSelector, Narnet, NarnetConfig, Predictor};
 
     // --- scenarios: declarative sweeps over all of the above ---------
     pub use sheriff_scenario::{aggregate, ScenarioReport, ScenarioRunner, ScenarioSpec};
