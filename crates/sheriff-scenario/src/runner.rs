@@ -353,7 +353,7 @@ pub(crate) fn run_job(
                     && spec.channel_phases[phase_cursor].round <= t
                 {
                     let phase = &spec.channel_phases[phase_cursor];
-                    rt.cfg.set_channel(phase.faults.clone());
+                    rt.cfg.faults = phase.faults.clone();
                     phase_cursor += 1;
                 }
                 rt.cfg.crashed = crashed;

@@ -46,7 +46,6 @@ fn main() {
     let cfg = FabricConfig {
         faults: ChannelFaults::lossy(0.05),
         seed: 7,
-        hello_window: 2,
         crashed: vec![CrashWindow::whole_round(crashed)],
         ..FabricConfig::default()
     };
