@@ -32,15 +32,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -261,14 +252,6 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < tol, "{a:?} != {b:?}");
         }
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let i = Matrix::identity(2);
-        assert_eq!(m.matmul(&i), m);
-        assert_eq!(i.matmul(&m), m);
     }
 
     #[test]

@@ -14,11 +14,6 @@ pub fn mse(pred: &[f64], actual: &[f64]) -> f64 {
         / pred.len() as f64
 }
 
-/// Root mean squared error.
-pub fn rmse(pred: &[f64], actual: &[f64]) -> f64 {
-    mse(pred, actual).sqrt()
-}
-
 /// Mean absolute error.
 pub fn mae(pred: &[f64], actual: &[f64]) -> f64 {
     assert_eq!(pred.len(), actual.len(), "length mismatch");
@@ -62,11 +57,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mse_rmse_known() {
+    fn mse_known() {
         let p = [1.0, 2.0, 3.0];
         let a = [1.0, 4.0, 3.0];
         assert!((mse(&p, &a) - 4.0 / 3.0).abs() < 1e-12);
-        assert!((rmse(&p, &a) - (4.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

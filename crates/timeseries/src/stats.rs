@@ -1,6 +1,6 @@
 //! Descriptive statistics for Box–Jenkins identification: autocovariance,
-//! ACF, PACF (Durbin–Levinson), and the Ljung–Box portmanteau test used to
-//! check residual whiteness.
+//! ACF, and the Ljung–Box portmanteau test used to check residual
+//! whiteness.
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(y: &[f64]) -> f64 {
@@ -43,45 +43,6 @@ pub fn acf(y: &[f64], max_lag: usize) -> Vec<f64> {
         return out;
     }
     gamma.iter().map(|g| g / g0).collect()
-}
-
-/// Partial autocorrelation function at lags `1..=max_lag` via the
-/// Durbin–Levinson recursion. `pacf(y, m)[k-1]` is φ_kk.
-pub fn pacf(y: &[f64], max_lag: usize) -> Vec<f64> {
-    let rho = acf(y, max_lag);
-    let mut phi_prev: Vec<f64> = Vec::new();
-    let mut out = Vec::with_capacity(max_lag);
-    for k in 1..=max_lag {
-        let phi_kk = if k == 1 {
-            rho[1]
-        } else {
-            let num = rho[k]
-                - phi_prev
-                    .iter()
-                    .enumerate()
-                    .map(|(j, p)| p * rho[k - 1 - j])
-                    .sum::<f64>();
-            let den = 1.0
-                - phi_prev
-                    .iter()
-                    .enumerate()
-                    .map(|(j, p)| p * rho[j + 1])
-                    .sum::<f64>();
-            if den.abs() < 1e-12 {
-                0.0
-            } else {
-                num / den
-            }
-        };
-        let mut phi_new = Vec::with_capacity(k);
-        for j in 0..k - 1 {
-            phi_new.push(phi_prev[j] - phi_kk * phi_prev[k - 2 - j]);
-        }
-        phi_new.push(phi_kk);
-        out.push(phi_kk);
-        phi_prev = phi_new;
-    }
-    out
 }
 
 /// Ljung–Box Q statistic over residual autocorrelations at lags
@@ -145,22 +106,6 @@ mod tests {
         let r = acf(&y, 3);
         assert!((r[1] - 0.8).abs() < 0.05, "rho1 = {}", r[1]);
         assert!((r[2] - 0.64).abs() < 0.07, "rho2 = {}", r[2]);
-    }
-
-    #[test]
-    fn ar1_pacf_cuts_off_after_lag1() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut y = vec![0.0];
-        for _ in 0..20_000 {
-            let e: f64 = rng.gen_range(-1.0..1.0);
-            let prev = *y.last().expect("non-empty");
-            y.push(0.7 * prev + e);
-        }
-        let p = pacf(&y, 4);
-        assert!((p[0] - 0.7).abs() < 0.05, "phi11 = {}", p[0]);
-        for (k, v) in p[1..].iter().enumerate() {
-            assert!(v.abs() < 0.05, "phi_{}{} = {v}", k + 2, k + 2);
-        }
     }
 
     #[test]
