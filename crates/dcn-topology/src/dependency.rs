@@ -72,17 +72,18 @@ impl DependencyGraph {
     }
 
     /// Conflict check for constraint (7): would moving `vm` onto `host`
-    /// co-locate it with a dependent VM?
+    /// co-locate it with a dependent VM? Walks `N_d(vm)`, not the VMs on
+    /// `host`: a hot host carries many VMs, a VM few dependents.
     pub fn conflicts_on_host(
         &self,
         vm: VmId,
         host: crate::ids::HostId,
         placement: &Placement,
     ) -> bool {
-        placement
-            .vms_on(host)
+        // a dependent the placement does not hold yet is on no host
+        self.neighbors(vm)
             .iter()
-            .any(|&other| other != vm && self.dependent(vm, other))
+            .any(|&other| other.index() < placement.vm_count() && placement.host_of(other) == host)
     }
 
     /// The characteristic function χ of Eqn. 2: 1 when migrating `vm` from

@@ -64,7 +64,7 @@ pub use journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnRecord, TxnSta
 pub use kmedian::{
     exact_optimal, local_search, local_search_from, KMedianInstance, KMedianSolution,
 };
-pub use matching::{min_cost_assignment, min_cost_assignment_padded};
+pub use matching::min_cost_assignment;
 pub use metrics::{RatioPoint, Series, Totals};
 pub use priority::{priority, Budget};
 pub use protocol::{ReqId, ShimMsg, TwoPhaseReply};

@@ -2,7 +2,7 @@
 //! minimum-weight matching, then negotiate each move with the destination
 //! shim (Alg. 4), recalculating for rejected VMs.
 
-use crate::matching::{min_cost_assignment_padded, FORBIDDEN};
+use crate::matching::{min_cost_assignment, FORBIDDEN};
 use crate::request::request_migration;
 use dcn_sim::{RackMetric, SimConfig};
 use dcn_topology::{DependencyGraph, HostId, Placement, RackId, VmId};
@@ -233,7 +233,13 @@ pub fn vmmigration_scoped<S: EventSink + ?Sized>(
 /// minimum-weight matching. Returns each victim's `(host, Eqn. 1 cost)`
 /// in input order (`None` where it got no slot), and the search space
 /// explored — every (victim, slot) pair, forbidden ones included (the
-/// paper's "searching space" of Fig. 12/14).
+/// paper's "searching space" of Fig. 12/14). It counts every priced
+/// pair even when the matching solves on fewer columns.
+///
+/// Eqn. 1 and χ depend on the destination rack, not the host (every host
+/// of a rack costs `C_r + G`), so a victim's price is kept for the last
+/// rack priced; callers list `slots` rack by rack, so it is computed once
+/// per rack. The per-host checks and the tie-break stay per host.
 ///
 /// `banned` hosts are absorbing an in-flight pre-copy: they take no
 /// additional arrivals this window, or the independent-cost assumption
@@ -249,42 +255,62 @@ pub(crate) fn match_victims(
     excluded: &[(VmId, HostId)],
     banned: &BTreeSet<HostId>,
 ) -> (Vec<Option<(HostId, f64)>>, usize) {
-    // `cost` is the literal Eqn. 1 cost (what a plan reports), `adjusted`
-    // adds the tie-break the matching minimises
-    let mut cost = vec![vec![FORBIDDEN; slots.len()]; pending.len()];
-    let mut adjusted = vec![vec![FORBIDDEN; slots.len()]; pending.len()];
-    for (i, &vm) in pending.iter().enumerate() {
-        let spec = placement.spec(vm);
+    let space = pending.len() * slots.len();
+    if slots.is_empty() {
+        return (vec![None; pending.len()], space);
+    }
+    // Eqn. 1's literal cost of moving `vm` to `to_rack` (what a plan
+    // reports); the matching minimises it plus the tie-break
+    let eqn1 = |vm: VmId, to_rack: RackId| {
+        let chi = deps.chi(vm, to_rack, placement);
+        let capacity = placement.spec(vm).capacity;
+        metric.migration_cost(sim, capacity, placement.rack_of(vm), to_rack, chi)
+    };
+    let mut adjusted = vec![FORBIDDEN; space];
+    for (&vm, row) in pending.iter().zip(adjusted.chunks_exact_mut(slots.len())) {
+        let capacity = placement.spec(vm).capacity;
         let from_host = placement.host_of(vm);
         let from_rack = placement.rack_of(vm);
-        for (j, &host) in slots.iter().enumerate() {
+        // the last destination rack and its price (`None`: unreachable)
+        let mut last: Option<(RackId, Option<f64>)> = None;
+        for (cell, &host) in row.iter_mut().zip(slots) {
             if host == from_host
                 || banned.contains(&host)
                 || excluded.contains(&(vm, host))
-                || placement.free_capacity(host) < spec.capacity
+                || placement.free_capacity(host) < capacity
                 || deps.conflicts_on_host(vm, host, placement)
             {
                 continue;
             }
             let to_rack = placement.rack_of_host(host);
-            if !metric.reachable(from_rack, to_rack) {
-                continue;
-            }
-            let chi = deps.chi(vm, to_rack, placement);
-            let c = metric.migration_cost(sim, spec.capacity, from_rack, to_rack, chi);
+            let price = match last {
+                Some((rack, price)) if rack == to_rack => price,
+                _ => {
+                    let price = metric
+                        .reachable(from_rack, to_rack)
+                        .then(|| eqn1(vm, to_rack));
+                    last = Some((to_rack, price));
+                    price
+                }
+            };
+            let Some(c) = price else { continue };
             let post_util =
-                (placement.used_capacity(host) + spec.capacity) / placement.host_capacity(host);
-            cost[i][j] = c;
-            adjusted[i][j] = c + sim.load_balance_weight * post_util;
+                (placement.used_capacity(host) + capacity) / placement.host_capacity(host);
+            *cell = c + sim.load_balance_weight * post_util;
         }
     }
-    let (assignment, _) = min_cost_assignment_padded(&adjusted);
-    let matched = assignment
-        .into_iter()
-        .zip(cost)
-        .map(|(assigned, row)| assigned.and_then(|j| Some((*slots.get(j)?, *row.get(j)?))))
+    let (assignment, _) = min_cost_assignment(&adjusted, slots.len());
+    // Eqn. 1 is pure: recomputing it for the matched pairs gives the
+    // priced bits
+    let matched = pending
+        .iter()
+        .zip(assignment)
+        .map(|(&vm, assigned)| {
+            let host = *slots.get(assigned?)?;
+            Some((host, eqn1(vm, placement.rack_of_host(host))))
+        })
         .collect();
-    (matched, pending.len() * slots.len())
+    (matched, space)
 }
 
 #[cfg(test)]
@@ -500,6 +526,174 @@ mod tests {
         );
         assert_eq!(guarded_space, space, "banned slots are still explored");
         assert_eq!(space, pending.len() * slots.len());
+    }
+
+    /// One (victim, host) pair priced alone, straight from the
+    /// definitions: `None` where a constraint forbids it, else Eqn. 1's
+    /// cost and the adjusted cost the matching minimises. Constraint (7)
+    /// is checked from the host's side, over the VMs on `host`.
+    fn reference_price(
+        c: &Cluster,
+        metric: &RackMetric,
+        vm: VmId,
+        host: HostId,
+        excluded: &[(VmId, HostId)],
+        banned: &BTreeSet<HostId>,
+    ) -> Option<(f64, f64)> {
+        let p = &c.placement;
+        let capacity = p.spec(vm).capacity;
+        let (from, to) = (p.rack_of(vm), p.rack_of_host(host));
+        let conflict = p
+            .vms_on(host)
+            .iter()
+            .any(|&other| other != vm && c.deps.dependent(vm, other));
+        if host == p.host_of(vm)
+            || banned.contains(&host)
+            || excluded.contains(&(vm, host))
+            || p.free_capacity(host) < capacity
+            || conflict
+            || !metric.reachable(from, to)
+        {
+            return None;
+        }
+        let eqn1 = metric.migration_cost(&c.sim, capacity, from, to, c.deps.chi(vm, to, p));
+        let util = (p.used_capacity(host) + capacity) / p.host_capacity(host);
+        Some((eqn1, eqn1 + c.sim.load_balance_weight * util))
+    }
+
+    /// The best (pairs matched, adjusted total) over every injective
+    /// victim → slot map.
+    fn brute_force(prices: &[Vec<Option<(f64, f64)>>]) -> (usize, f64) {
+        fn rec(
+            prices: &[Vec<Option<(f64, f64)>>],
+            taken: &mut Vec<usize>,
+            (count, total): (usize, f64),
+            best: &mut (usize, f64),
+        ) {
+            let Some(row) = prices.get(taken.len()) else {
+                if count > best.0 || (count == best.0 && total < best.1) {
+                    *best = (count, total);
+                }
+                return;
+            };
+            for (j, price) in row.iter().enumerate() {
+                if taken.contains(&j) {
+                    continue;
+                }
+                let next = match price {
+                    Some((_, adjusted)) => (count + 1, total + adjusted),
+                    None => (count, total),
+                };
+                taken.push(j);
+                rec(prices, taken, next, best);
+                taken.pop();
+            }
+        }
+        let mut best = (0, f64::INFINITY);
+        rec(prices, &mut Vec::new(), (0, 0.0), &mut best);
+        best
+    }
+
+    #[test]
+    fn matching_oracle_through_match_victims() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(28);
+        for trial in 0..300 {
+            let dcn = fattree::build(&FatTreeConfig::paper(4));
+            let cfg = ClusterConfig {
+                vms_per_host: rng.gen_range(2.5..6.5),
+                skew: 3.0,
+                seed: rng.gen(),
+                ..ClusterConfig::default()
+            };
+            let c = Cluster::build(dcn, &cfg, SimConfig::paper());
+            let metric = RackMetric::build(&c.dcn, &c.sim);
+            // every host is a slot: m = 16 > n², so the matching prunes
+            let slots: Vec<HostId> = (0..c.placement.host_count())
+                .map(HostId::from_index)
+                .collect();
+            let n = rng.gen_range(1..=3);
+            let mut pending: Vec<VmId> = Vec::new();
+            while pending.len() < n {
+                let vm = VmId::from_index(rng.gen_range(0..c.placement.vm_count()));
+                if !pending.contains(&vm) {
+                    pending.push(vm);
+                }
+            }
+            let excluded: Vec<(VmId, HostId)> = (0..rng.gen_range(0..6))
+                .map(|_| {
+                    (
+                        pending[rng.gen_range(0..n)],
+                        slots[rng.gen_range(0..slots.len())],
+                    )
+                })
+                .collect();
+            // on odd trials a large ban leaves victims competing for a few
+            // slots
+            let bans = if trial % 2 == 0 { 0..4 } else { 12..24 };
+            let banned: BTreeSet<HostId> = (0..rng.gen_range(bans))
+                .map(|_| slots[rng.gen_range(0..slots.len())])
+                .collect();
+            let (matched, space) = match_victims(
+                &c.placement,
+                &c.deps,
+                &metric,
+                &c.sim,
+                &pending,
+                &slots,
+                &excluded,
+                &banned,
+            );
+            assert_eq!(space, n * slots.len(), "trial {trial}");
+            assert_eq!(matched.len(), n, "trial {trial}: one entry per victim");
+            let prices: Vec<Vec<Option<(f64, f64)>>> = pending
+                .iter()
+                .map(|&vm| {
+                    slots
+                        .iter()
+                        .map(|&h| reference_price(&c, &metric, vm, h, &excluded, &banned))
+                        .collect()
+                })
+                .collect();
+            let (mut count, mut total) = (0, 0.0);
+            let mut hosts = BTreeSet::new();
+            for (i, m) in matched.iter().enumerate() {
+                let Some((host, cost)) = *m else { continue };
+                let Some((eqn1, adjusted)) = prices[i][host.index()] else {
+                    panic!("trial {trial}: victim {i} on forbidden host {host}");
+                };
+                assert_eq!(cost.to_bits(), eqn1.to_bits(), "trial {trial}: Eqn. 1 cost");
+                assert!(hosts.insert(host), "trial {trial}: {host} taken twice");
+                count += 1;
+                total += adjusted;
+            }
+            let (best_count, best_total) = brute_force(&prices);
+            assert_eq!(count, best_count, "trial {trial}: matched pairs");
+            assert!(
+                (total - best_total).abs() < 1e-9,
+                "trial {trial}: adjusted total {total}, optimum {best_total}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_slots_leave_every_victim_unmatched() {
+        let c = cluster();
+        let metric = RackMetric::build(&c.dcn, &c.sim);
+        let pending: Vec<VmId> = c.placement.vm_ids().take(3).collect();
+        let (matched, space) = match_victims(
+            &c.placement,
+            &c.deps,
+            &metric,
+            &c.sim,
+            &pending,
+            &[],
+            &[],
+            &BTreeSet::new(),
+        );
+        assert_eq!(matched, vec![None; 3]);
+        assert_eq!(space, 0);
     }
 
     #[test]

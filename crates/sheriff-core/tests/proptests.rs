@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sheriff_core::kmedian::{exact_optimal, local_search, local_search_from, KMedianInstance};
-use sheriff_core::matching::{min_cost_assignment_padded, FORBIDDEN};
+use sheriff_core::matching::{min_cost_assignment, FORBIDDEN};
 use sheriff_obs::NullSink;
 
 fn metric_instance(seed: u64, clients: usize, facilities: usize, k: usize) -> KMedianInstance {
@@ -74,7 +74,7 @@ proptest! {
         prop_assert_eq!(ls.open, ls2.open);
     }
 
-    /// Padded matching: every row assigned at most once, columns unique,
+    /// Matching, tall shapes included: every row assigned at most once, columns unique,
     /// and the assignment cost is minimal versus 200 random permutations
     /// (a cheap lower-confidence optimality check on top of the exact
     /// brute-force test in the unit suite).
@@ -90,7 +90,7 @@ proptest! {
                 if rng.gen_bool(0.15) { FORBIDDEN } else { rng.gen_range(0.0..50.0) }
             }).collect())
             .collect();
-        let (assign, total) = min_cost_assignment_padded(&cost);
+        let (assign, total) = min_cost_assignment(&cost.concat(), cols);
         // validity
         let mut used = std::collections::HashSet::new();
         for (i, a) in assign.iter().enumerate() {

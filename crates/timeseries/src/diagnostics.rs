@@ -6,7 +6,7 @@
 
 use crate::arima::ArimaModel;
 use crate::series::difference;
-use crate::stats::{ljung_box, looks_white, mean, variance};
+use crate::stats::{ljung_box, ljung_box_white, mean, variance};
 use serde::{Deserialize, Serialize};
 
 /// Diagnostic summary of a fitted model's residuals.
@@ -22,8 +22,9 @@ pub struct FitReport {
     pub ljung_box_q: f64,
     /// Lags used for the portmanteau test.
     pub lags: usize,
-    /// True when every residual autocorrelation stays inside the
-    /// ±2/√n band — the "residuals look like white noise" verdict.
+    /// The "residuals look like white noise" verdict: the Ljung–Box Q is
+    /// at most the χ² 95% point with `lags − p − q` degrees of freedom (at
+    /// least 1), so truly white residuals pass 95% of the time.
     pub residuals_white: bool,
     /// Akaike information criterion of the fit.
     pub aic: f64,
@@ -46,13 +47,15 @@ pub fn diagnose_arima(model: &ArimaModel, y: &[f64], lags: usize) -> FitReport {
     let resid = model.residuals_differenced(&w);
     let start = model.phi.len().max(model.theta.len());
     let used = &resid[start..];
+    let h = lags.min(used.len().saturating_sub(2)).max(1);
+    let q = ljung_box(used, h);
     FitReport {
         model: model.spec.to_string(),
         residual_mean: mean(used),
         residual_variance: variance(used),
-        ljung_box_q: ljung_box(used, lags.min(used.len().saturating_sub(2)).max(1)),
+        ljung_box_q: q,
         lags,
-        residuals_white: looks_white(used, lags.min(used.len().saturating_sub(2)).max(1)),
+        residuals_white: ljung_box_white(q, h, model.spec.p + model.spec.q),
         aic: model.aic(),
         n: used.len(),
     }
@@ -102,6 +105,20 @@ mod tests {
         let report = diagnose_arima(&m, &y, 10);
         assert!(!report.residuals_white, "underfit must show in residuals");
         assert!(!report.acceptable());
+    }
+
+    #[test]
+    fn white_residuals_pass_at_the_tests_level() {
+        // white noise fit by an AR(1): a 5% test keeps about 95% of them
+        let mut rng = StdRng::seed_from_u64(28);
+        let white = (0..200)
+            .filter(|_| {
+                let e: Vec<f64> = (0..500).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                let m = ArimaModel::fit(&e, ArimaSpec::new(1, 0, 0)).unwrap();
+                diagnose_arima(&m, &e, 12).residuals_white
+            })
+            .count();
+        assert!(white >= 180, "only {white} of 200 white series pass");
     }
 
     #[test]

@@ -46,8 +46,9 @@ pub fn acf(y: &[f64], max_lag: usize) -> Vec<f64> {
 }
 
 /// Ljung–Box Q statistic over residual autocorrelations at lags
-/// `1..=max_lag`. Large Q ⇒ residuals are not white noise. The caller
-/// compares against a χ² quantile; we also expose a rough whiteness check.
+/// `1..=max_lag`. Large Q ⇒ residuals are not white noise;
+/// [`diagnose_arima`](crate::diagnostics::diagnose_arima) compares it
+/// with the χ² 95% point.
 pub fn ljung_box(residuals: &[f64], max_lag: usize) -> f64 {
     let n = residuals.len() as f64;
     let rho = acf(residuals, max_lag);
@@ -57,11 +58,23 @@ pub fn ljung_box(residuals: &[f64], max_lag: usize) -> f64 {
             .sum::<f64>()
 }
 
-/// Conservative whiteness heuristic: true when all |ρ(k)| for k ≥ 1 stay
-/// within the ±2/√n large-sample band.
-pub fn looks_white(residuals: &[f64], max_lag: usize) -> bool {
-    let band = 2.0 / (residuals.len() as f64).sqrt();
-    acf(residuals, max_lag)[1..].iter().all(|r| r.abs() <= band)
+/// Upper 5% point of the χ² distribution with `dof` degrees of freedom,
+/// by the Wilson–Hilferty cube-root normal approximation (15.49 at 8
+/// degrees of freedom, against the exact 15.51).
+pub(crate) fn chi2_95(dof: usize) -> f64 {
+    // the standard normal's upper 5% point
+    const Z_95: f64 = 1.644_853_626_951_472;
+    let k = dof as f64;
+    let a = 2.0 / (9.0 * k);
+    k * (1.0 - a + Z_95 * a.sqrt()).powi(3)
+}
+
+/// The Ljung–Box test at the 5% level: residuals of a model with `fitted`
+/// ARMA coefficients pass as white noise when their Q over `max_lag` lags
+/// is at most χ²₀.₉₅ with `max_lag − fitted` degrees of freedom, floored
+/// at 1.
+pub(crate) fn ljung_box_white(q: f64, max_lag: usize, fitted: usize) -> bool {
+    q <= chi2_95(max_lag.saturating_sub(fitted).max(1))
 }
 
 #[cfg(test)]
@@ -109,16 +122,31 @@ mod tests {
     }
 
     #[test]
-    fn white_noise_passes_ljung_box_band() {
+    fn white_noise_passes_ljung_box_test() {
         let mut rng = StdRng::seed_from_u64(9);
         let e: Vec<f64> = (0..5_000).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        assert!(looks_white(&e, 10));
-        // an AR(1) series must fail the same band
+        assert!(ljung_box_white(ljung_box(&e, 10), 10, 0));
+        // an AR(1) series must fail the same test
         let mut y = vec![0.0];
         for i in 0..4_999 {
             y.push(0.9 * y[i] + e[i]);
         }
-        assert!(!looks_white(&y, 10));
+        assert!(!ljung_box_white(ljung_box(&y, 10), 10, 0));
         assert!(ljung_box(&y, 10) > ljung_box(&e, 10));
+    }
+
+    #[test]
+    fn chi2_quantile_tracks_the_table() {
+        // exact upper 5% points
+        for (dof, exact) in [(1, 3.841), (8, 15.507), (12, 21.026), (30, 43.773)] {
+            let got = chi2_95(dof);
+            assert!(
+                (got - exact).abs() < 0.03 * exact,
+                "{dof} dof: {got} vs {exact}"
+            );
+        }
+        assert!((chi2_95(8) - 15.49).abs() < 0.005, "{}", chi2_95(8));
+        // degrees of freedom below 1 are floored
+        assert_eq!(ljung_box_white(3.5, 2, 3), 3.5 <= chi2_95(1));
     }
 }

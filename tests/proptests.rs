@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sheriff_dcn::forecast::series::{difference, undifference};
 use sheriff_dcn::forecast::MinMaxScaler;
 use sheriff_dcn::prelude::*;
-use sheriff_dcn::sheriff::matching::{min_cost_assignment_padded, FORBIDDEN};
+use sheriff_dcn::sheriff::matching::{min_cost_assignment, FORBIDDEN};
 use sheriff_dcn::sheriff::{priority, request_migration, Budget};
 use sheriff_dcn::topology::Inventory;
 
@@ -53,7 +53,7 @@ proptest! {
                 if rng.gen_bool(0.2) { FORBIDDEN } else { rng.gen_range(0.0..100.0) }
             }).collect())
             .collect();
-        let (assign, total) = min_cost_assignment_padded(&cost);
+        let (assign, total) = min_cost_assignment(&cost.concat(), cols);
         let mut used = std::collections::HashSet::new();
         let mut expect_total = 0.0;
         for (i, a) in assign.iter().enumerate() {
