@@ -1,13 +1,12 @@
 //! Result containers and pretty-printing for the experiment harness.
 
-use serde::Serialize;
 use sheriff_obs::json_str;
 use std::io::Write;
 use std::path::Path;
 
 /// A generic experiment result: named columns of numbers plus free-form
 /// notes, printable as an aligned table and serializable to JSON.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment id (e.g. "fig11").
     pub id: String,
@@ -80,8 +79,8 @@ impl Table {
         f.write_all(self.to_json_pretty().as_bytes())
     }
 
-    /// Hand-rolled serialization: the offline `serde_json` polyfill cannot
-    /// derive real output, and the shape is simple enough to emit directly.
+    /// Hand-rolled serialization: the workspace depends on no JSON crate,
+    /// and the shape is simple enough to emit directly.
     fn to_json_pretty(&self) -> String {
         fn num(v: f64) -> String {
             if v.is_finite() {

@@ -7,10 +7,9 @@
 
 use crate::workload::Profile;
 use dcn_topology::{HostId, RackId, SwitchId, VmId};
-use serde::{Deserialize, Serialize};
 
 /// Where an alert originated (Alg. 1's three `case` arms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertSource {
     /// A host `h_ij` reported overload — migrate some of its VMs.
     Host(HostId),
@@ -23,7 +22,7 @@ pub enum AlertSource {
 }
 
 /// An alert delivered to a shim.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alert {
     /// Shim that receives and must handle this alert.
     pub rack: RackId,
@@ -48,7 +47,7 @@ pub fn alert_value(profile: &Profile, threshold: f64) -> f64 {
 
 /// Per-VM alert record used when a shim ranks victims (Alg. 2 `case 1`
 /// picks the VM with max ALERT).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmAlert {
     /// The VM whose predicted profile crossed the threshold.
     pub vm: VmId,

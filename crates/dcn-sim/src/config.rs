@@ -1,10 +1,9 @@
 //! Simulation parameters, defaulting to the paper's settings (Sec. VI-B).
 
 use crate::error::{check_probability, SheriffError};
-use serde::{Deserialize, Serialize};
 
 /// Global simulation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// `C_r`: fixed cost of initialization + reservation + commitment +
     /// activation of a live migration (paper: 100).
@@ -28,8 +27,6 @@ pub struct SimConfig {
     /// `β`: portion of ToR capacity released per round when handling an
     /// uplink-congestion alert (Alg. 1 line 10 / Alg. 2).
     pub beta: f64,
-    /// `T`: seconds between controller rounds (alert collection period).
-    pub period_secs: f64,
     /// Weight of the load-aware tie-break added to Eqn. 1 when ranking
     /// destination hosts: `weight × post-move utilisation`. Among
     /// equal-cost destinations (e.g. every host of the same rack costs
@@ -61,7 +58,7 @@ pub const REORDER_HOLD_BACK: u64 = 3;
 /// delegates to a "backup system"). All probabilities are per message and
 /// applied independently; delivery delay is drawn uniformly from
 /// `[delay_min, delay_max]` virtual ticks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelFaults {
     /// Probability a message is silently lost.
     pub drop: f64,
@@ -155,7 +152,6 @@ impl Default for SimConfig {
             alert_threshold: 0.9,
             alpha: 0.2,
             beta: 0.2,
-            period_secs: 60.0,
             load_balance_weight: 200.0,
             region_hops: 2,
             reroute_paths: 4,
@@ -172,7 +168,7 @@ impl SimConfig {
 
     /// Check the configuration is internally consistent: cost weights
     /// finite and non-negative, thresholds and release fractions within
-    /// `[0, 1]`, a positive round period, and a valid channel model.
+    /// `[0, 1]`, at least one reroute path, and a valid channel model.
     pub fn validate(&self) -> Result<(), SheriffError> {
         let nonneg: [(&'static str, f64); 6] = [
             ("c_r", self.c_r),
@@ -199,12 +195,6 @@ impl SimConfig {
         check_probability("alert_threshold", self.alert_threshold)?;
         check_probability("alpha", self.alpha)?;
         check_probability("beta", self.beta)?;
-        if !self.period_secs.is_finite() || self.period_secs <= 0.0 {
-            return Err(SheriffError::InvalidSimConfig {
-                field: "period_secs",
-                reason: format!("must be finite and > 0, got {}", self.period_secs),
-            });
-        }
         if self.reroute_paths == 0 {
             return Err(SheriffError::InvalidSimConfig {
                 field: "reroute_paths",
@@ -262,11 +252,6 @@ mod tests {
         assert!(ChannelFaults::lossy(0.3).validate().is_ok());
         let bad = SimConfig {
             alert_threshold: 1.5,
-            ..SimConfig::paper()
-        };
-        assert!(bad.validate().is_err());
-        let bad = SimConfig {
-            period_secs: 0.0,
             ..SimConfig::paper()
         };
         assert!(bad.validate().is_err());

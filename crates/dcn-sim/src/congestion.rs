@@ -6,10 +6,9 @@
 use crate::flows::FlowNetwork;
 use crate::qcn::{CongestionPoint, CpConfig, QcnFeedback};
 use dcn_topology::{Dcn, SwitchId};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the queue coupling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CongestionConfig {
     /// QCN congestion-point settings per switch.
     pub cp: CpConfig,

@@ -11,10 +11,9 @@ use dcn_topology::dependency::DependencyGraph;
 use dcn_topology::{Dcn, HostId, Placement, RackId, VmId, VmSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for populating a [`Cluster`] with VMs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Average VMs per host.
     pub vms_per_host: f64,

@@ -4,10 +4,9 @@
 
 use dcn_topology::graph::{EdgeIdx, NodeIdx};
 use dcn_topology::{Dcn, Placement, SwitchId, VmId};
-use serde::{Deserialize, Serialize};
 
 /// A unidirectional traffic flow between two VMs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Flow {
     /// Source VM.
     pub src: VmId,
@@ -20,7 +19,7 @@ pub struct Flow {
 }
 
 /// All flows plus their current routes and the induced link loads.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     flows: Vec<Flow>,
     /// `routes[f]` = the edge sequence flow `f` traverses (empty for

@@ -11,7 +11,6 @@
 use crate::config::SimConfig;
 use dcn_topology::path::dijkstra;
 use dcn_topology::{Dcn, RackId};
-use serde::{Deserialize, Serialize};
 
 /// Precomputed rack-to-rack metric: for every ordered rack pair, the
 /// physical distance and the two path-sum terms of Eqn. 1 along the
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// `T(e) = cap / B(e)` is linear in the VM capacity, so storing
 /// `Σ 1/B(e)` and `Σ B(e)/C(e)` lets one precomputation serve every VM
 /// size: `G(v_i, v_p) = δ·cap·inv_bw + η·util`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RackMetric {
     n: usize,
     /// Physical shortest-path distance `D(v_i, v_p)` between racks.
@@ -169,7 +168,7 @@ impl RackMetric {
 /// Durations of the six stages of pre-copy live migration (Fig. 2):
 /// t₁ initialization+reservation, t₂ iterative pre-copy, t₃ stop-and-copy,
 /// t₄ commitment+activation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationTimeline {
     /// Initialization + reservation time.
     pub t1: f64,

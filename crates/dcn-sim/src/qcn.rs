@@ -7,10 +7,8 @@
 //! a *reaction point* (RP) running multiplicative decrease plus
 //! fast-recovery/active-increase.
 
-use serde::{Deserialize, Serialize};
-
 /// Congestion-point parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpConfig {
     /// Equilibrium queue length `Q_eq` (packets).
     pub q_eq: f64,
@@ -31,7 +29,7 @@ impl Default for CpConfig {
 }
 
 /// A switch queue acting as QCN congestion point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CongestionPoint {
     cfg: CpConfig,
     queue: f64,
@@ -40,7 +38,7 @@ pub struct CongestionPoint {
 
 /// Quantized congestion feedback carried back to the sender (negative
 /// means "slow down").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QcnFeedback {
     /// The (negative) feedback value `F_b`.
     pub fb: f64,
@@ -87,7 +85,7 @@ impl CongestionPoint {
 }
 
 /// Reaction-point parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RpConfig {
     /// Multiplicative-decrease gain `G_d` (QCN: 1/128 per feedback unit).
     pub gd: f64,
@@ -111,7 +109,7 @@ impl Default for RpConfig {
 }
 
 /// An end-host rate limiter acting as QCN reaction point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReactionPoint {
     cfg: RpConfig,
     /// Current sending rate.

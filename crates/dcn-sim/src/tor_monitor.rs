@@ -12,10 +12,9 @@
 use crate::alert::{Alert, AlertSource};
 use crate::flows::FlowNetwork;
 use dcn_topology::{Dcn, Placement, RackId};
-use serde::{Deserialize, Serialize};
 
 /// Rolling per-rack uplink utilisation history with prediction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TorMonitor {
     /// history\[rack\] = utilisation series, oldest first.
     history: Vec<Vec<f64>>,

@@ -1,14 +1,13 @@
 //! Per-VM workload profiles `W^k_ij = [CPU, MEM, IO, TRF]` (Sec. IV-A),
 //! each element normalised to [0, 1], backed by synthetic traces.
 
-use serde::{Deserialize, Serialize};
 use timeseries::generator::{
     cpu_trace, disk_io_trace, memory_trace, weekly_traffic_trace, TraceConfig,
 };
 use timeseries::MinMaxScaler;
 
 /// One snapshot of a VM's workload profile, every element in [0, 1].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Profile {
     /// CPU load fraction.
     pub cpu: f64,
@@ -47,7 +46,7 @@ impl Profile {
 }
 
 /// A VM's full workload history: four aligned normalised series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VmWorkload {
     cpu: Vec<f64>,
     mem: Vec<f64>,
@@ -143,7 +142,7 @@ impl VmWorkload {
 }
 
 /// The four workload features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Feature {
     /// CPU utilisation.
     Cpu,

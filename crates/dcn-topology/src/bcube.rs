@@ -17,10 +17,9 @@ use crate::graph::NetGraph;
 use crate::ids::SwitchId;
 use crate::link::{Link, LinkTier};
 use crate::rack::Inventory;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for building a BCube [`Dcn`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BCubeConfig {
     /// Switch port count `n` (servers per BCube₀ group); ≥ 2.
     pub n: usize,

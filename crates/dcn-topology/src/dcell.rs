@@ -16,10 +16,9 @@ use crate::graph::{NetGraph, NodeIdx};
 use crate::ids::SwitchId;
 use crate::link::{Link, LinkTier};
 use crate::rack::Inventory;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for building a DCell [`Dcn`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DCellConfig {
     /// Servers per DCell₀ (mini-switch port count); ≥ 2.
     pub n: usize,

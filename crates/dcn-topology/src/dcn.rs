@@ -3,10 +3,9 @@
 use crate::graph::{NetGraph, NodeIdx};
 use crate::ids::RackId;
 use crate::rack::Inventory;
-use serde::{Deserialize, Serialize};
 
 /// Which topology family a [`Dcn`] was built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// Fat-Tree with `pods` pods (Al-Fares et al., SIGCOMM'08).
     FatTree {
@@ -40,7 +39,7 @@ pub enum TopologyKind {
 
 /// A data center network instance: the wired graph `G_r`, the rack/host
 /// inventory, and the mapping between the two.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dcn {
     /// Topology family and parameters.
     pub kind: TopologyKind,

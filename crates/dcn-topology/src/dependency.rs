@@ -8,10 +8,9 @@
 
 use crate::ids::VmId;
 use crate::placement::Placement;
-use serde::{Deserialize, Serialize};
 
 /// Undirected dependency/conflict graph over VMs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DependencyGraph {
     adjacency: Vec<Vec<VmId>>,
 }

@@ -11,10 +11,9 @@ use crate::graph::NetGraph;
 use crate::ids::SwitchId;
 use crate::link::{Link, LinkTier};
 use crate::rack::Inventory;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for building a Fat-Tree [`Dcn`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FatTreeConfig {
     /// Number of pods `k`; must be even and ≥ 2.
     pub pods: usize,

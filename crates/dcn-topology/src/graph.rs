@@ -7,7 +7,6 @@
 
 use crate::ids::{NodeId, RackId, SwitchId};
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense index of a node inside a [`NetGraph`].
@@ -18,7 +17,7 @@ pub type EdgeIdx = usize;
 /// The wired DCN graph. Undirected; parallel edges are not allowed (the
 /// Floyd–Warshall transformation in Sec. V-A.2 collapses any multigraph
 /// into single best-cost edges anyway).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NetGraph {
     nodes: Vec<NodeId>,
     /// adjacency\[u\] = list of (neighbor node idx, edge idx)

@@ -5,14 +5,13 @@
 //! hosts `h_ij`, and virtual machines `m^k_ij`. Using newtypes instead of
 //! bare `usize` makes it impossible to index a rack table with a VM id.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 
@@ -69,7 +68,7 @@ id_type!(
 
 /// A node of the wired network graph `G_r = (V ∪ S, E_r)`: either a rack
 /// (shim + ToR, the paper's `v_i`) or a non-ToR switch (`s_j`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// Delegation node: rack with its ToR switch and shim layer.
     Rack(RackId),

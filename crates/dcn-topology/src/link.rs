@@ -5,11 +5,9 @@
 //! bandwidth in request on e" and must exceed the threshold `B_t` for the
 //! link to be usable during a migration transfer (Sec. III-C).
 
-use serde::{Deserialize, Serialize};
-
 /// The tier a link belongs to; used to assign the paper's simulation
 /// bandwidths (core–aggregation 10, aggregation–ToR 1, Sec. VI-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkTier {
     /// ToR/rack ↔ aggregation switch (Fat-Tree) or server-level (BCube).
     Edge,
@@ -18,7 +16,7 @@ pub enum LinkTier {
 }
 
 /// An undirected physical link `e ∈ E_r`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Maximum capacity `C(e)` (normalised Gbps units).
     pub capacity: f64,

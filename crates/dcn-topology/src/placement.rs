@@ -3,11 +3,10 @@
 
 use crate::ids::{HostId, RackId, VmId};
 use crate::rack::Inventory;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Static description of a VM `m^k_ij`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VmSpec {
     /// Global VM id.
     pub id: VmId,
@@ -54,7 +53,7 @@ impl fmt::Display for PlacementError {
 impl std::error::Error for PlacementError {}
 
 /// The live VM → host assignment, with per-host usage accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Placement {
     specs: Vec<VmSpec>,
     vm_host: Vec<HostId>,

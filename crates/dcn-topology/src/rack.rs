@@ -6,10 +6,9 @@
 //! builder parameter.
 
 use crate::ids::{HostId, RackId};
-use serde::{Deserialize, Serialize};
 
 /// A physical host/server `h_ij`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Host {
     /// Global host id.
     pub id: HostId,
@@ -21,7 +20,7 @@ pub struct Host {
 }
 
 /// A rack with its shim/ToR delegation node `v_i` and local host set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rack {
     /// Delegation node id.
     pub id: RackId,
@@ -32,7 +31,7 @@ pub struct Rack {
 }
 
 /// Dense tables of all racks and hosts in a DCN.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Inventory {
     racks: Vec<Rack>,
     hosts: Vec<Host>,

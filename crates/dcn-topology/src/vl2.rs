@@ -9,10 +9,9 @@ use crate::graph::NetGraph;
 use crate::ids::SwitchId;
 use crate::link::{Link, LinkTier};
 use crate::rack::Inventory;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for building a VL2 [`Dcn`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vl2Config {
     /// Aggregation-switch port count `D_A` (even, ≥ 4).
     pub d_a: usize,

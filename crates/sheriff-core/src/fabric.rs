@@ -291,7 +291,6 @@ impl FabricShim {
             to_host: o.dest.index() as u64,
             cost: o.cost,
         });
-        sink.counter("migrations.committed", 1);
         self.plan.moves.push(Move {
             vm: o.vm,
             from: o.from,
@@ -422,9 +421,10 @@ pub(crate) fn run_round(
 /// partition cuts with degraded local planning and reconciliation on
 /// heal; and, when enabled, the routed pre-copy transfers behind each
 /// COMMIT. Every message exchange, timeout, degradation step and
-/// transfer transition reaches the sink as a structured event and lands
-/// in `out`. The round is single-threaded in virtual time, so the event
-/// stream is deterministic for a fixed seed.
+/// transfer transition reaches the sink as a structured event, which
+/// bumps its declared counter; `out` keeps the plan, the audit and the
+/// counts listed on [`RoundOutcome`]. The round is single-threaded in
+/// virtual time, so the event stream is deterministic for a fixed seed.
 struct FabricRound<'r> {
     cluster: &'r mut Cluster,
     metric: &'r RackMetric,
@@ -643,8 +643,6 @@ impl<'r> FabricRound<'r> {
                 by: succ.index() as u64,
                 epoch,
             });
-            self.sink.counter("region.takeovers", 1);
-            self.out.takeovers += 1;
         }
     }
 
@@ -771,13 +769,12 @@ impl<'r> FabricRound<'r> {
         // round boundaries, so a crashed shim is eventually declared Dead
         // even when every individual round is short
         self.failover.clock += out.ticks + 1;
-        out.drops = self.net.stats.dropped;
-        out.dedup_hits = self.endpoints.iter().map(ShimEndpoint::dedup_hits).sum();
         out.transfer_p95_completion = p95_ticks(&self.transfer_durations);
         if let Some(ts) = &self.transfers {
             out.bottleneck_serialized = ts.peak_link_sharing() >= 2;
         }
         let stats = &self.net.stats;
+        let dedup_hits: usize = self.endpoints.iter().map(ShimEndpoint::dedup_hits).sum();
         for (name, n) in [
             ("net.sent", stats.sent),
             ("net.delivered", stats.delivered),
@@ -786,7 +783,7 @@ impl<'r> FabricRound<'r> {
             ("net.reordered", stats.reordered),
             ("net.blackholed", stats.blackholed),
             ("net.partitioned", stats.partitioned),
-            ("net.dedup_hits", out.dedup_hits),
+            ("net.dedup_hits", dedup_hits),
         ] {
             self.sink.counter(name, n as u64);
         }
@@ -797,7 +794,6 @@ impl<'r> FabricRound<'r> {
             pending.dedup();
             plan.unplaced.extend(pending);
             out.plan.absorb(plan);
-            out.degraded_shims += usize::from(shim.degraded);
         }
         let c = &*self.cluster;
         out.audit = audit_placement(&c.placement, &c.deps);
@@ -835,7 +831,6 @@ impl<'r> FabricRound<'r> {
                         vm: o.vm.index() as u64,
                         rack: shim.rack.index() as u64,
                     });
-                    self.sink.counter("migrations.failed", 1);
                     shim.pending.push(o.vm);
                 }
             }
@@ -1058,7 +1053,6 @@ impl<'r> FabricRound<'r> {
             partition: partition as u64,
             racks: p.members.len() as u64,
         });
-        self.sink.counter("net.healed", 1);
         let (failover, placement) = (&*self.failover, &self.cluster.placement);
         for shim in &mut self.shims {
             let (rack, before) = (shim.rack, shim.pending.len());
@@ -1115,13 +1109,11 @@ impl<'r> FabricRound<'r> {
                     emit(self.sink, || Event::ShimSuspected {
                         rack: rack.index() as u64,
                     });
-                    self.sink.counter("detector.suspected", 1);
                 }
                 ShimHealth::Dead => {
                     emit(self.sink, || Event::ShimDeclaredDead {
                         rack: rack.index() as u64,
                     });
-                    self.sink.counter("detector.declared_dead", 1);
                     self.reassign(rack);
                 }
                 ShimHealth::Alive => {}
@@ -1221,7 +1213,6 @@ impl<'r> FabricRound<'r> {
                 vm: r.vm,
                 attempt: r.attempt as u64,
             });
-            self.sink.counter("transfer.retried", 1);
         }
         for r in &tick.resumed {
             self.transfer_resumed(r);
@@ -1257,7 +1248,6 @@ impl<'r> FabricRound<'r> {
                 ticks: c.duration,
                 bandwidth: c.achieved_bw,
             });
-            self.sink.counter("transfer.completed", 1);
             self.out.transfers_completed += 1;
             self.transfer_durations.push(c.duration);
         }
@@ -1388,7 +1378,6 @@ impl<'r> FabricRound<'r> {
                 req: req_id.0,
                 attempt: o.attempt as u64 + 1,
             });
-            self.sink.counter("net.timeouts", 1);
             let dest_rack = self.cluster.placement.rack_of_host(o.dest);
             if o.attempt + 1 < MAX_ATTEMPTS {
                 o.attempt += 1;
@@ -1398,7 +1387,6 @@ impl<'r> FabricRound<'r> {
                     req: req_id.0,
                     attempt: o.attempt as u64 + 1,
                 });
-                self.sink.counter("net.resends", 1);
                 let epoch = self.failover.view_of(shim.rack);
                 let msg = match o.phase {
                     TxnPhase::Preparing => ShimMsg::Prepare {
@@ -1669,7 +1657,6 @@ impl<'r> FabricRound<'r> {
             vm: o.vm.index() as u64,
             reason,
         });
-        self.sink.counter("migrations.rejected", 1);
         shim.plan.rejected += 1;
         if zombie || stale {
             shim.gave_up = true;
@@ -1689,14 +1676,12 @@ impl<'r> FabricRound<'r> {
         let Some(current) = self.failover.fence(from, epoch) else {
             return false;
         };
-        self.out.fenced += 1;
         emit(self.sink, || Event::StaleEpochRejected {
             req: req_id.0,
             rack: to.index() as u64,
             stale: epoch,
             current,
         });
-        self.sink.counter("txn.fenced", 1);
         let msg = ShimMsg::Reject {
             req_id,
             reason: RejectKind::Stale,
@@ -1728,13 +1713,11 @@ impl<'r> FabricRound<'r> {
         let c = &mut *self.cluster;
         let reply = ep.handle_prepare(&mut c.placement, &c.deps, req_id, vm, dest, lease, epoch);
         if ep.journal().len() > journalled_before {
-            self.out.txn_prepared += 1;
             emit(self.sink, || Event::TxnPrepared {
                 req: req_id.0,
                 vm: vm.index() as u64,
                 dest_host: dest.index() as u64,
             });
-            self.sink.counter("txn.prepared", 1);
         }
         if ep.dedup_hits() > hits_before {
             emit(self.sink, || Event::DuplicateAbsorbed { req: req_id.0 });
@@ -1781,14 +1764,12 @@ impl<'r> FabricRound<'r> {
         let was_prepared = ep.journal().state(req_id) == Some(TxnState::Prepared);
         let reply = ep.handle_commit(req_id, epoch);
         if was_prepared && reply == TwoPhaseReply::Ack {
-            self.out.txn_committed += 1;
             if let Some(vm) = ep.journal().get(req_id).map(|r| r.vm) {
                 emit(self.sink, || Event::TxnCommitted {
                     req: req_id.0,
                     vm: vm.index() as u64,
                 });
             }
-            self.sink.counter("txn.committed", 1);
         }
         let msg = ShimEndpoint::reply_2pc_msg(req_id, reply, self.failover.view_of(to));
         self.net.send(self.now, to, from, msg);
@@ -1877,12 +1858,10 @@ impl<'r> FabricRound<'r> {
 
     /// A journalled transaction ended aborted.
     fn txn_aborted(&mut self, req: ReqId, vm: VmId) {
-        self.out.txn_aborted += 1;
         emit(self.sink, || Event::TxnAborted {
             req: req.0,
             vm: vm.index() as u64,
         });
-        self.sink.counter("txn.aborted", 1);
     }
 
     /// A pre-copy was admitted: streaming, or stalled from the start when
@@ -1897,7 +1876,6 @@ impl<'r> FabricRound<'r> {
             rate: s.rate,
             waited: s.waited,
         });
-        self.sink.counter("transfer.started", 1);
         if s.rerouted {
             self.transfer_rerouted(s.id, s.vm, s.hops);
         }
@@ -1915,7 +1893,6 @@ impl<'r> FabricRound<'r> {
             vm,
             hops: hops as u64,
         });
-        self.sink.counter("transfer.rerouted", 1);
     }
 
     /// A pre-copy lost every route to the failed `link`.
@@ -1926,7 +1903,6 @@ impl<'r> FabricRound<'r> {
             vm,
             link: link as u64,
         });
-        self.sink.counter("transfer.stalled", 1);
     }
 
     /// A stalled pre-copy found a route again and resumed from its
@@ -1938,7 +1914,6 @@ impl<'r> FabricRound<'r> {
             vm: r.vm,
             saved: r.saved,
         });
-        self.sink.counter("transfer.resumed", 1);
         // a resume at the tick of the stall still counts one tick
         self.sink
             .counter("transfer.stalled_ticks", r.stalled_ticks.max(1));
@@ -1953,7 +1928,6 @@ impl<'r> FabricRound<'r> {
             vm,
             attempts: attempts as u64,
         });
-        self.sink.counter("transfer.failed", 1);
         if let Some(dst) = dst {
             self.abort_prepared(dst, req_id);
         }
@@ -2119,7 +2093,9 @@ mod tests {
             let mut c = cluster(seed);
             let alerts = c.fraction_alerts(pct as f64 / 100.0, 0);
             let mut rt = FabricRuntime::with_config(cfg.clone());
-            let rf = round(&mut rt, &mut c, &alerts, &mut NullSink);
+            let mut rec = RingRecorder::new(1 << 16);
+            let rf = round(&mut rt, &mut c, &alerts, &mut rec);
+            let count = |name: &str| rec.counters().get(name);
 
             assert_eq!(rf.plan.moves.len(), moves, "seed {seed} at {pct}%");
             assert_eq!(
@@ -2128,15 +2104,15 @@ mod tests {
                 "seed {seed} at {pct}%: plan drifted from the threaded runtime's"
             );
             // a perfect channel exercises none of the robustness machinery
-            assert_eq!(rf.drops, 0);
+            assert_eq!(count("net.dropped"), 0);
             assert_eq!(rf.timeouts, 0);
             assert_eq!(rf.resends, 0);
-            assert_eq!(rf.dedup_hits, 0);
-            assert_eq!(rf.degraded_shims, 0);
+            assert_eq!(count("net.dedup_hits"), 0);
+            assert_eq!(rec.count_kind("shim_degraded"), 0);
             // every move travelled the full PREPARE -> COMMIT -> ACK path
             // and nothing was left half-done
-            assert_eq!(rf.txn_committed, rf.plan.moves.len());
-            assert_eq!(rf.txn_aborted, 0);
+            assert_eq!(count("txn.committed"), rf.plan.moves.len() as u64);
+            assert_eq!(count("txn.aborted"), 0);
             assert_eq!(rf.recoveries, 0);
             assert!(rf.audit.is_clean(), "{}", rf.audit);
         }
@@ -2159,7 +2135,8 @@ mod tests {
             ..FabricConfig::default()
         };
         let mut rt = FabricRuntime::with_config(cfg);
-        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
+        let mut rec = RingRecorder::new(1 << 16);
+        let report = round(&mut rt, &mut c, &alerts, &mut rec);
 
         assert!(report.ticks < MAX_TICKS, "round wedged until the tick cap");
         assert!(
@@ -2169,11 +2146,14 @@ mod tests {
         assert_capacity_ok(&c);
         assert_deps_ok(&c);
         assert_eq!(report.crashed_shims, 1);
-        assert!(report.drops > 0, "10% loss must drop something");
+        assert!(
+            rec.counters().get("net.dropped") > 0,
+            "10% loss must drop something"
+        );
         assert!(report.timeouts > 0, "drops must surface as timeouts");
         assert!(report.resends > 0, "timeouts must trigger retransmissions");
         assert!(
-            report.degraded_shims > 0,
+            rec.count_kind("shim_degraded") > 0,
             "crash must degrade someone's region"
         );
     }
@@ -2195,20 +2175,19 @@ mod tests {
             let initial = c.placement.clone();
             let alerts = c.fraction_alerts(pct, 0);
             let reliable = cfg.faults.is_reliable();
+            let mut rec = RingRecorder::new(1);
             let report = round(
                 &mut FabricRuntime::with_config(cfg),
                 &mut c,
                 &alerts,
-                &mut NullSink,
+                &mut rec,
             );
             assert!(!report.plan.moves.is_empty());
+            let dedup_hits = rec.counters().get("net.dedup_hits");
             if reliable {
-                assert_eq!(report.dedup_hits, 0);
+                assert_eq!(dedup_hits, 0);
             } else {
-                assert!(
-                    report.dedup_hits > 0,
-                    "50% duplication must hit the dedup log"
-                );
+                assert!(dedup_hits > 0, "50% duplication must hit the dedup log");
             }
             assert_moves_replay(&initial, &report.plan.moves, &c);
             let sum: f64 = report.plan.moves.iter().map(|m| m.cost).sum();
@@ -2320,13 +2299,16 @@ mod tests {
         // the victim stays dark across rounds: the detector walks it to
         // Dead and exactly one takeover (epoch bump) follows, however
         // many further rounds it stays dead
-        let mut takeovers = 0;
+        let mut rec = RingRecorder::new(1);
         for _ in 0..6 {
-            let r = round(&mut rt, &mut c, &alerts, &mut NullSink);
+            let r = round(&mut rt, &mut c, &alerts, &mut rec);
             assert!(r.audit.is_clean(), "{}", r.audit);
-            takeovers += r.takeovers;
         }
-        assert_eq!(takeovers, 1, "one manager change, one epoch bump");
+        assert_eq!(
+            rec.counters().get("region.takeovers"),
+            1,
+            "one manager change, one epoch bump"
+        );
         assert_eq!(rt.failover.epoch_of(victim), 1);
         assert!(rt.failover.taken_over(victim));
         assert_eq!(
@@ -2338,8 +2320,12 @@ mod tests {
         // the shim returns: its first PREPARE burst still carries epoch
         // 0, gets fenced, and the reject teaches it the current epoch
         rt.cfg = FabricConfig::default();
-        let r = round(&mut rt, &mut c, &alerts, &mut NullSink);
-        assert!(r.fenced > 0, "zombie PREPAREs must be fenced");
+        let mut rec = RingRecorder::new(1);
+        let r = round(&mut rt, &mut c, &alerts, &mut rec);
+        assert!(
+            rec.counters().get("txn.fenced") > 0,
+            "zombie PREPAREs must be fenced"
+        );
         assert_eq!(rt.failover.view_of(victim), 1, "reject taught the epoch");
         assert!(
             !rt.failover.taken_over(victim),
@@ -2368,9 +2354,14 @@ mod tests {
             },
             failover: RegionFailover::new(2, 4),
         };
-        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
+        let mut rec = RingRecorder::new(1);
+        let report = round(&mut rt, &mut c, &alerts, &mut rec);
         assert!(report.ticks < MAX_TICKS, "round wedged");
-        assert_eq!(report.takeovers, 1, "mid-round takeover must fire");
+        assert_eq!(
+            rec.counters().get("region.takeovers"),
+            1,
+            "mid-round takeover must fire"
+        );
         assert_eq!(rt.failover.epoch_of(victim), 1);
         assert_eq!(report.recoveries, 1);
         // the manager audit (merged into report.audit) proves no VM was
@@ -2394,15 +2385,17 @@ mod tests {
             },
             failover: RegionFailover::default(),
         };
-        let report = round(&mut rt, &mut c, &alerts, &mut NullSink);
+        let mut rec = RingRecorder::new(1);
+        let report = round(&mut rt, &mut c, &alerts, &mut rec);
         assert!(
             report.partition_degraded > 0,
             "the cut shim must notice its shrunken region"
         );
         // emission-based detection: a partitioned-but-alive shim keeps
         // beaconing, so the cut never looks like a crash
-        assert_eq!(report.takeovers, 0, "a partition is not a crash");
-        assert_eq!(report.fenced, 0, "no epoch bumped, nothing to fence");
+        let count = |name: &str| rec.counters().get(name);
+        assert_eq!(count("region.takeovers"), 0, "a partition is not a crash");
+        assert_eq!(count("txn.fenced"), 0, "no epoch bumped, nothing to fence");
         assert_eq!(report.crashed_shims, 0);
         for r in 0..c.dcn.rack_count() {
             assert_eq!(rt.failover.epoch_of(RackId::from_index(r)), 0);
@@ -2533,15 +2526,17 @@ mod tests {
             let faults = cfg.faults.clone();
             let mut c = cluster(26);
             let alerts = c.fraction_alerts(0.10, 0);
+            let mut rec = RingRecorder::new(1 << 16);
             let report = round(
                 &mut FabricRuntime::with_config(cfg),
                 &mut c,
                 &alerts,
-                &mut NullSink,
+                &mut rec,
             );
             assert!(report.shims > 0 && !report.plan.moves.is_empty());
             assert_eq!(
-                report.degraded_shims, 0,
+                rec.count_kind("shim_degraded"),
+                0,
                 "{faults:?}: of {} shims",
                 report.shims
             );
@@ -2609,15 +2604,8 @@ mod tests {
         let pair = |name: &'static str, n: usize| (name, n, c.get(name));
         let recovered = rec.count_kind("shim_recovered") as u64;
         vec![
-            pair("txn.prepared", out.txn_prepared),
-            pair("txn.committed", out.txn_committed),
-            pair("txn.aborted", out.txn_aborted),
             pair("net.timeouts", out.timeouts),
             pair("net.resends", out.resends),
-            pair("net.dropped", out.drops),
-            pair("net.dedup_hits", out.dedup_hits),
-            pair("txn.fenced", out.fenced),
-            pair("region.takeovers", out.takeovers),
             pair("region.partition_degraded", out.partition_degraded),
             pair("transfer.started", out.transfers_started),
             pair("transfer.completed", out.transfers_completed),

@@ -10,12 +10,11 @@
 //! validates the ratio empirically.
 
 use dcn_sim::SheriffError;
-use serde::{Deserialize, Serialize};
 use sheriff_obs::{emit, Event, EventSink, NullSink};
 
 /// A k-median instance: `cost[c][f]` is the connection cost of client `c`
 /// to facility `f`; exactly `k` facilities may open.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMedianInstance {
     /// Client × facility connection costs.
     pub cost: Vec<Vec<f64>>,
@@ -80,7 +79,7 @@ impl KMedianInstance {
 }
 
 /// Result of a k-median solve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMedianSolution {
     /// The open facilities.
     pub open: Vec<usize>,
@@ -171,7 +170,6 @@ pub fn local_search_from<S: EventSink + ?Sized>(
             iteration: iterations as u64,
             cost,
         });
-        sink.counter("kmedian.swaps", 1);
     }
     open.sort_unstable();
     KMedianSolution {

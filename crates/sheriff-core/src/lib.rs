@@ -65,7 +65,7 @@ pub use kmedian::{
     exact_optimal, local_search, local_search_from, KMedianInstance, KMedianSolution,
 };
 pub use matching::min_cost_assignment;
-pub use metrics::{RatioPoint, Series, Totals};
+pub use metrics::{RatioPoint, Series};
 pub use priority::{priority, Budget};
 pub use protocol::{ReqId, ShimMsg, TwoPhaseReply};
 pub use request::request_migration;

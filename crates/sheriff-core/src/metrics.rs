@@ -1,13 +1,10 @@
 //! Aggregate evaluation metrics used by the experiment harness
-//! (Fig. 9–14): balance trajectories, cost/search-space accumulation, and
-//! the empirical approximation-ratio record.
-
-use crate::vmmigration::MigrationPlan;
-use serde::{Deserialize, Serialize};
+//! (Fig. 9–14): balance trajectories and the empirical
+//! approximation-ratio record.
 
 /// A labelled experiment series: (x, y) points with axis names, exactly
 /// what each paper figure plots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Series label (e.g. "Sheriff", "Centralized Manager").
     pub label: String,
@@ -42,31 +39,8 @@ impl Series {
     }
 }
 
-/// Cumulative counters across rounds or shims.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Totals {
-    /// Committed migrations.
-    pub moves: usize,
-    /// Total Eqn. 1 cost.
-    pub cost: f64,
-    /// Candidate pairs examined.
-    pub search_space: usize,
-    /// Rejected REQUESTs.
-    pub rejected: usize,
-}
-
-impl Totals {
-    /// Fold a plan into the totals.
-    pub fn add(&mut self, plan: &MigrationPlan) {
-        self.moves += plan.moves.len();
-        self.cost += plan.total_cost;
-        self.search_space += plan.search_space;
-        self.rejected += plan.rejected;
-    }
-}
-
 /// One data point of the approximation-ratio experiment (Sec. VI-C).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RatioPoint {
     /// Swap size `p`.
     pub p: usize,
@@ -99,8 +73,6 @@ impl RatioPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vmmigration::Move;
-    use dcn_topology::{HostId, VmId};
 
     #[test]
     fn series_decrease_detection() {
@@ -110,29 +82,6 @@ mod tests {
         let bumpy = Series::from_points("t", &[(0.0, 10.0), (1.0, 12.0)]);
         assert!(!bumpy.is_decreasing(0.0));
         assert!(bumpy.is_decreasing(3.0));
-    }
-
-    #[test]
-    fn totals_accumulate_plans() {
-        let mut t = Totals::default();
-        let plan = MigrationPlan {
-            moves: vec![Move {
-                vm: VmId(0),
-                from: HostId(0),
-                to: HostId(1),
-                cost: 110.0,
-            }],
-            total_cost: 110.0,
-            search_space: 40,
-            rejected: 2,
-            unplaced: vec![],
-        };
-        t.add(&plan);
-        t.add(&plan);
-        assert_eq!(t.moves, 2);
-        assert_eq!(t.cost, 220.0);
-        assert_eq!(t.search_space, 80);
-        assert_eq!(t.rejected, 4);
     }
 
     #[test]

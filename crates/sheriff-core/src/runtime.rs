@@ -43,39 +43,30 @@ pub struct RunCtx<'a> {
 
 /// What one [`Runtime::step`] did, across both runtimes. Fields a
 /// runtime does not track (e.g. `ticks` outside the fabric) stay zero.
+///
+/// A count that an event already records lives only in the sink: the
+/// event's counter (`net.dropped`, `net.dedup_hits`, `txn.prepared`,
+/// `txn.committed`, `txn.aborted`, `region.takeovers`, `txn.fenced`; see
+/// [`Event::counter`](sheriff_obs::Event::counter)) or its kind tally
+/// (`shim_degraded`, one per degraded shim). The fields here are the
+/// plan, the audit, what no counter carries in the form its readers
+/// need, and the counts `benchmark/` reads.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundOutcome {
     /// Merged migration plan of the round.
     pub plan: MigrationPlan,
     /// Shims (or managers) that participated.
     pub shims: usize,
-    /// Messages lost by the channel (fabric only).
-    pub drops: usize,
     /// Requests whose reply deadline expired at least once (fabric only).
     pub timeouts: usize,
     /// Retransmissions sent after timeouts (fabric only).
     pub resends: usize,
-    /// Duplicate REQUEST deliveries absorbed by dedup logs.
-    pub dedup_hits: usize,
-    /// Shims that ran with part of their region presumed dead.
-    pub degraded_shims: usize,
     /// Alerted shims that were crashed and could not participate.
     pub crashed_shims: usize,
     /// Virtual ticks the round took (fabric only).
     pub ticks: u64,
-    /// Migration transactions that entered PREPARE (fabric only).
-    pub txn_prepared: usize,
-    /// Transactions that finished COMMIT (fabric only).
-    pub txn_committed: usize,
-    /// Transactions aborted — explicit or lease-expired (fabric only).
-    pub txn_aborted: usize,
     /// Shims that crashed mid-round and came back (fabric only).
     pub recoveries: usize,
-    /// Regional takeovers of Dead shims' racks, each bumping an epoch
-    /// (fabric only).
-    pub takeovers: usize,
-    /// 2PC messages fenced for carrying a superseded epoch (fabric only).
-    pub fenced: usize,
     /// Shims that planned in partition-degraded local mode (fabric only).
     pub partition_degraded: usize,
     /// Pending VMs dropped at partition heal because another manager

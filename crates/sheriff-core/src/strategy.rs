@@ -13,10 +13,9 @@ use crate::vmmigration::{vmmigration, MigrationContext, MigrationPlan};
 use dcn_sim::engine::{Cluster, ProfilePredictor};
 use dcn_sim::RackMetric;
 use dcn_topology::{HostId, RackId, VmId};
-use serde::{Deserialize, Serialize};
 
 /// When does a host raise its alert?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertPolicy {
     /// Contingency: alert when the *current* load exceeds the threshold
     /// (the classical react-after-detection scheme, refs \[17\]–\[23\]).
@@ -31,7 +30,7 @@ pub enum AlertPolicy {
 }
 
 /// Outcome of running one policy over a workload timeline.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StrategyOutcome {
     /// Host-steps spent above the overload threshold (lower is better).
     pub overload_steps: usize,

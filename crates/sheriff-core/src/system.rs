@@ -18,11 +18,10 @@ use dcn_sim::flows::FlowNetwork;
 use dcn_sim::tor_monitor::TorMonitor;
 use dcn_sim::{Alert, AlertSource, RackMetric};
 use dcn_topology::RackId;
-use serde::{Deserialize, Serialize};
 use sheriff_obs::{emit, AlertKind, Event, EventSink, NullSink, Timer};
 
 /// What one system step did.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepReport {
     /// Simulation step executed.
     pub time: usize,
@@ -40,8 +39,10 @@ pub struct StepReport {
     pub stddev: f64,
     /// Worst switch queue after the step.
     pub worst_queue: f64,
-    /// Invariant breaches found by the post-step audit (zero unless a
-    /// bug corrupted the placement).
+    /// Invariant breaches found by every audit the fabric round ran
+    /// (placement, managers, moves, journals and in-round transfer
+    /// probes; zero unless a bug corrupted state). A round with no live
+    /// alerted shim moves no VM and audits nothing.
     pub audit_violations: usize,
 }
 
@@ -232,6 +233,9 @@ impl<S: EventSink> System<S> {
             sink: &mut self.sink,
         });
         report.migrations = outcome.plan.moves.len();
+        // the round audited its post-round placement, and the rebase
+        // below moves no VM
+        report.audit_violations = outcome.audit.len();
         // 3. migrated VMs carry their flows with them: rebase any flow
         //    touching a moved VM onto its new rack's paths
         for m in &outcome.plan.moves {
@@ -239,8 +243,6 @@ impl<S: EventSink> System<S> {
                 .rebase_vm(&self.cluster.dcn, &self.cluster.placement, m.vm);
         }
 
-        report.audit_violations =
-            crate::audit::audit_placement(&self.cluster.placement, &self.cluster.deps).len();
         report.stddev = self.cluster.utilization_stddev();
         report.worst_queue = self.qcn.worst_queue();
         self.time += 1;

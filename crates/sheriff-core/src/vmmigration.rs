@@ -6,12 +6,11 @@ use crate::matching::{min_cost_assignment, FORBIDDEN};
 use crate::request::request_migration;
 use dcn_sim::{RackMetric, SimConfig};
 use dcn_topology::{DependencyGraph, HostId, Placement, RackId, VmId};
-use serde::{Deserialize, Serialize};
 use sheriff_obs::{emit, Event, EventSink, NullSink};
 use std::collections::{BTreeSet, HashSet};
 
 /// One committed migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Move {
     /// The migrated VM.
     pub vm: VmId,
@@ -24,7 +23,7 @@ pub struct Move {
 }
 
 /// Outcome of a VMMIGRATION invocation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationPlan {
     /// Committed moves, in commit order.
     pub moves: Vec<Move>,
@@ -184,7 +183,6 @@ pub fn vmmigration_scoped<S: EventSink + ?Sized>(
                         to_host: host.index() as u64,
                         cost: move_cost,
                     });
-                    sink.counter("migrations.committed", 1);
                     plan.moves.push(Move {
                         vm,
                         from,
@@ -200,7 +198,6 @@ pub fn vmmigration_scoped<S: EventSink + ?Sized>(
                         vm: vm.index() as u64,
                         reason,
                     });
-                    sink.counter("migrations.rejected", 1);
                     plan.rejected += 1;
                     excluded.push((vm, host));
                     next_pending.push(vm);

@@ -11,7 +11,7 @@ use dcn_topology::HostId;
 use proptest::prelude::*;
 use sheriff_core::fabric::MAX_TICKS;
 use sheriff_core::{CrashWindow, FabricConfig, FabricRuntime, RunCtx, Runtime};
-use sheriff_obs::NullSink;
+use sheriff_obs::RingRecorder;
 
 fn small_cluster(seed: u64) -> Cluster {
     let dcn = fattree::build(&FatTreeConfig::paper(4));
@@ -82,12 +82,13 @@ proptest! {
             crashed,
             ..FabricConfig::default()
         };
+        let mut rec = RingRecorder::new(1);
         let report = FabricRuntime::with_config(cfg).step(&mut RunCtx {
             cluster: &mut c,
             metric: &metric,
             alerts: &alerts,
             alert_values: &vals,
-            sink: &mut NullSink,
+            sink: &mut rec,
         });
 
         // termination: bounded rounds x bounded retries x bounded backoff
@@ -134,7 +135,8 @@ proptest! {
         // the always-on auditor agrees: nothing lost, duplicated, over
         // capacity, co-located, landed offline, or left half-committed
         prop_assert!(report.audit.is_clean(), "{}", report.audit);
-        prop_assert_eq!(report.txn_committed + report.txn_aborted, report.txn_prepared,
+        let count = |name: &str| rec.counters().get(name);
+        prop_assert_eq!(count("txn.committed") + count("txn.aborted"), count("txn.prepared"),
             "a prepared transaction neither committed nor aborted");
     }
 }

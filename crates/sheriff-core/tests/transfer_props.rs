@@ -63,7 +63,9 @@ fn digest_of(
     }
     // the report fields of the pre-transfer fabric, spelled out so adding
     // *new* fields to RoundOutcome (a schema change, not a behavior
-    // change) does not move the digest
+    // change) does not move the digest; the counts an event or `close`
+    // records come from the recorder, in the slots the fields had
+    let count = |name: &str| rec.counters().get(name);
     for m in &report.plan.moves {
         buf.push_str(&format!(
             "mv {:?} {:?} {:?} {};",
@@ -81,19 +83,19 @@ fn digest_of(
         "r {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {};",
         report.plan.rejected,
         report.shims,
-        report.drops,
+        count("net.dropped"),
         report.timeouts,
         report.resends,
-        report.dedup_hits,
-        report.degraded_shims,
+        count("net.dedup_hits"),
+        rec.count_kind("shim_degraded"),
         report.crashed_shims,
         report.ticks,
-        report.txn_prepared,
-        report.txn_committed,
-        report.txn_aborted,
+        count("txn.prepared"),
+        count("txn.committed"),
+        count("txn.aborted"),
         report.recoveries,
-        report.takeovers,
-        report.fenced,
+        count("region.takeovers"),
+        count("txn.fenced"),
         report.partition_degraded,
         report.reconciliations,
         report.audit,
@@ -289,6 +291,7 @@ fn permanent_link_failure_exhausts_retries_and_aborts_cleanly() {
         ..sheriff_transfer::TransferConfig::default()
     });
     let (report, rec, _) = faulted_round(26, &cfg);
+    let count = |name: &str| rec.counters().get(name) as usize;
     assert!(report.transfer_stalls >= 1, "no transfer ever stalled");
     assert!(
         report.transfer_failures >= 1,
@@ -301,12 +304,12 @@ fn permanent_link_failure_exhausts_retries_and_aborts_cleanly() {
     );
     assert!(report.transfer_retries >= 1);
     assert!(
-        report.txn_aborted >= report.transfer_failures,
+        count("txn.aborted") >= report.transfer_failures,
         "each exhausted transfer escalates to a journal abort"
     );
     assert_eq!(
-        report.txn_prepared,
-        report.txn_committed + report.txn_aborted,
+        count("txn.prepared"),
+        count("txn.committed") + count("txn.aborted"),
         "2PC conservation: every prepare settles exactly once"
     );
     assert!(report.audit.is_clean(), "{}", report.audit);
@@ -338,15 +341,16 @@ fn rack_crash_without_recovery_fails_transfers_and_accounts_aborts() {
             continue;
         }
         found = true;
+        let count = |name: &str| rec.counters().get(name) as usize;
         assert!(
-            report.txn_aborted >= failed,
+            count("txn.aborted") >= failed,
             "each failed transfer must abort its journalled prepare: \
              {failed} failures, {} aborts",
-            report.txn_aborted
+            count("txn.aborted")
         );
         assert_eq!(
-            report.txn_prepared,
-            report.txn_committed + report.txn_aborted,
+            count("txn.prepared"),
+            count("txn.committed") + count("txn.aborted"),
             "2PC conservation under rack crash"
         );
         assert!(report.audit.is_clean(), "{}", report.audit);
@@ -384,7 +388,10 @@ fn enabled_transfers_stream_commit_and_audit_clean() {
     );
     assert!(durations.iter().all(|&d| d >= 1));
     assert!(!report.plan.moves.is_empty());
-    assert_eq!(report.txn_committed, report.plan.moves.len());
+    assert_eq!(
+        rec.counters().get("txn.committed") as usize,
+        report.plan.moves.len()
+    );
     assert_eq!(rec.count_kind("transfer_started"), report.transfers_started);
     assert_eq!(
         rec.count_kind("transfer_completed"),
@@ -581,22 +588,23 @@ proptest! {
         });
         let (report, rec, c) = faulted_round(cluster_seed, &cfg);
         let first = digest_of(&report, &rec, &c, true);
+        let count = |name: &str| rec.counters().get(name) as usize;
         prop_assert!(report.audit.is_clean(), "{}", report.audit);
         prop_assert_eq!(
-            report.txn_prepared,
-            report.txn_committed + report.txn_aborted,
+            count("txn.prepared"),
+            count("txn.committed") + count("txn.aborted"),
             "2PC conservation: every prepare settles exactly once"
         );
         prop_assert!(
-            report.txn_aborted >= report.transfer_failures,
+            count("txn.aborted") >= report.transfer_failures,
             "each exhausted transfer escalates to a journal abort: \
              links={:?} crashes={:?} failures={} aborted={} prepared={} committed={}",
             link_schedule,
             crash_schedule,
             report.transfer_failures,
-            report.txn_aborted,
-            report.txn_prepared,
-            report.txn_committed
+            count("txn.aborted"),
+            count("txn.prepared"),
+            count("txn.committed")
         );
         for rep in 1..5 {
             let (r, re, cl) = faulted_round(cluster_seed, &cfg);

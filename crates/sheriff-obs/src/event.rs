@@ -121,16 +121,19 @@ labels! {
 }
 
 /// Declares the event enum from one table whose entries give each variant,
-/// its `"ev"` kind and its fields in JSON key order. The literal `enum
+/// its `"ev"` kind, the sink counter one occurrence adds 1 to (`=>
+/// "name"`, optional) and its fields in JSON key order. The literal `enum
 /// Event { … }` tokens stay in the call for sheriff-lint's EVT01 scan;
 /// rustfmt skips the table, so keep it formatted by hand.
 macro_rules! events {
+    (@counter) => { None };
+    (@counter $counter:literal) => { Some($counter) };
     (
         $(#[$meta:meta])*
         pub enum $name:ident {
             $(
                 $(#[$vmeta:meta])*
-                $variant:ident = $kind:literal {
+                $variant:ident = $kind:literal $(=> $counter:literal)? {
                     $($(#[$fmeta:meta])* $field:ident: $ty:ty,)*
                 },
             )*
@@ -147,12 +150,25 @@ macro_rules! events {
         }
 
         impl $name {
+            /// Every kind in table order, with the counter its events add
+            /// 1 to, if it declares one.
+            pub const KIND_COUNTERS: &'static [(&'static str, Option<&'static str>)] =
+                &[$(($kind, events!(@counter $($counter)?)),)*];
+
             /// Stable snake_case discriminant name, used as the `"ev"`
             /// field of JSON traces and by
             /// [`RingRecorder::count_kind`](crate::RingRecorder::count_kind).
             pub fn kind(&self) -> &'static str {
                 match self {
                     $($name::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// The sink counter one occurrence of this event adds 1 to:
+            /// [`emit`](crate::emit) bumps it, so no call site names it.
+            pub fn counter(&self) -> Option<&'static str> {
+                match self {
+                    $($name::$variant { .. } => events!(@counter $($counter)?),)*
                 }
             }
 
@@ -183,7 +199,7 @@ events! {
     /// on this).
     #[derive(Clone, Debug, PartialEq)]
     pub enum Event {
-        /// A management round (one `period_secs` tick) began.
+        /// A management round began.
         RoundStart = "round_start" {
             /// Virtual time (period index) of the round.
             time: u64,
@@ -248,7 +264,7 @@ events! {
             vm: u64,
         },
         /// The destination shim REJECTed a REQUEST.
-        RejectReceived = "reject_received" {
+        RejectReceived = "reject_received" => "migrations.rejected" {
             /// Request id.
             req: u64,
             /// VM that failed to move.
@@ -257,14 +273,14 @@ events! {
             reason: RejectKind,
         },
         /// A pending REQUEST passed its deadline without a verdict.
-        RequestTimeout = "request_timeout" {
+        RequestTimeout = "request_timeout" => "net.timeouts" {
             /// Request id.
             req: u64,
             /// Attempt that timed out.
             attempt: u64,
         },
         /// A timed-out REQUEST was retransmitted after backoff.
-        RequestResent = "request_resent" {
+        RequestResent = "request_resent" => "net.resends" {
             /// Request id.
             req: u64,
             /// New 1-based attempt number.
@@ -276,14 +292,14 @@ events! {
             req: u64,
         },
         /// The k-median local search (Alg. 5) accepted an improving p-swap.
-        SwapAccepted = "swap_accepted" {
+        SwapAccepted = "swap_accepted" => "kmedian.swaps" {
             /// 1-based improving-swap count within the search.
             iteration: u64,
             /// Objective value after the swap.
             cost: f64,
         },
         /// A VM migration was committed to the placement.
-        MigrationCommitted = "migration_committed" {
+        MigrationCommitted = "migration_committed" => "migrations.committed" {
             /// VM that moved.
             vm: u64,
             /// Source host.
@@ -294,7 +310,7 @@ events! {
             cost: f64,
         },
         /// A planned VM migration could not be committed.
-        MigrationFailed = "migration_failed" {
+        MigrationFailed = "migration_failed" => "migrations.failed" {
             /// VM that stayed put.
             vm: u64,
             /// Rack whose shim had planned the move.
@@ -332,7 +348,7 @@ events! {
             rack: u64,
         },
         /// A destination shim journalled a PREPARE (intent durable).
-        TxnPrepared = "txn_prepared" {
+        TxnPrepared = "txn_prepared" => "txn.prepared" {
             /// Request id of the transaction.
             req: u64,
             /// VM the transaction wants to move.
@@ -341,14 +357,14 @@ events! {
             dest_host: u64,
         },
         /// A prepared transaction committed (COMMIT applied, ACK sent).
-        TxnCommitted = "txn_committed" {
+        TxnCommitted = "txn_committed" => "txn.committed" {
             /// Request id of the transaction.
             req: u64,
             /// VM that moved.
             vm: u64,
         },
         /// A prepared transaction aborted (rolled back or lease-expired).
-        TxnAborted = "txn_aborted" {
+        TxnAborted = "txn_aborted" => "txn.aborted" {
             /// Request id of the transaction.
             req: u64,
             /// VM whose move was undone.
@@ -356,19 +372,19 @@ events! {
         },
         /// The failure detector moved a shim from Alive to Suspect: its
         /// heartbeat silence exceeded the adaptive suspect threshold.
-        ShimSuspected = "shim_suspected" {
+        ShimSuspected = "shim_suspected" => "detector.suspected" {
             /// Rack of the suspected shim.
             rack: u64,
         },
         /// The failure detector declared a shim Dead: silence exceeded the
         /// dead threshold and its racks are eligible for takeover.
-        ShimDeclaredDead = "shim_declared_dead" {
+        ShimDeclaredDead = "shim_declared_dead" => "detector.declared_dead" {
             /// Rack of the dead shim.
             rack: u64,
         },
         /// A neighbor shim took over a dead shim's rack; the rack's epoch
         /// was bumped so the old manager's stale messages can be fenced.
-        RegionTakenOver = "region_taken_over" {
+        RegionTakenOver = "region_taken_over" => "region.takeovers" {
             /// Rack whose management changed hands.
             rack: u64,
             /// Rack of the shim that took over.
@@ -377,7 +393,7 @@ events! {
             epoch: u64,
         },
         /// A named network partition healed; the cut rack sets rejoined.
-        PartitionHealed = "partition_healed" {
+        PartitionHealed = "partition_healed" => "net.healed" {
             /// Index of the healed partition window.
             partition: u64,
             /// Racks that were inside the partition set.
@@ -385,7 +401,7 @@ events! {
         },
         /// A 2PC message carrying a pre-takeover epoch was fenced and
         /// rejected instead of being applied.
-        StaleEpochRejected = "stale_epoch_rejected" {
+        StaleEpochRejected = "stale_epoch_rejected" => "txn.fenced" {
             /// Request id of the fenced message.
             req: u64,
             /// Rack that fenced the message.
@@ -397,7 +413,7 @@ events! {
         },
         /// A committed migration's pre-copy began streaming on the transfer
         /// scheduler (the 2PC commit finalizes at `TransferCompleted`).
-        TransferStarted = "transfer_started" {
+        TransferStarted = "transfer_started" => "transfer.started" {
             /// 2PC request id of the migration.
             req: u64,
             /// VM being transferred.
@@ -413,7 +429,7 @@ events! {
         },
         /// QCN congestion steered a pre-copy off its primary k-shortest
         /// route onto an alternate candidate.
-        TransferRerouted = "transfer_rerouted" {
+        TransferRerouted = "transfer_rerouted" => "transfer.rerouted" {
             /// 2PC request id of the migration.
             req: u64,
             /// VM being transferred.
@@ -422,7 +438,7 @@ events! {
             hops: u64,
         },
         /// A pre-copy streamed its last byte; placement flips now.
-        TransferCompleted = "transfer_completed" {
+        TransferCompleted = "transfer_completed" => "transfer.completed" {
             /// 2PC request id of the migration.
             req: u64,
             /// VM that finished moving.
@@ -434,7 +450,7 @@ events! {
         },
         /// A link failure cut every surviving route for an in-flight
         /// pre-copy; it holds its checkpoint and waits out the stall budget.
-        TransferStalled = "transfer_stalled" {
+        TransferStalled = "transfer_stalled" => "transfer.stalled" {
             /// 2PC request id of the migration.
             req: u64,
             /// VM whose pre-copy stalled.
@@ -444,7 +460,7 @@ events! {
         },
         /// A stalled pre-copy found a surviving route and resumed from its
         /// checkpoint (bytes already copied, minus the dirty re-copy penalty).
-        TransferResumed = "transfer_resumed" {
+        TransferResumed = "transfer_resumed" => "transfer.resumed" {
             /// 2PC request id of the migration.
             req: u64,
             /// VM whose pre-copy resumed.
@@ -454,7 +470,7 @@ events! {
         },
         /// A stalled pre-copy's backoff timer fired and it re-probed for a
         /// surviving route (whether or not one was found).
-        TransferRetried = "transfer_retried" {
+        TransferRetried = "transfer_retried" => "transfer.retried" {
             /// 2PC request id of the migration.
             req: u64,
             /// VM whose pre-copy retried.
@@ -465,7 +481,7 @@ events! {
         /// A pre-copy exhausted its retry budget (or lost an endpoint) and
         /// escalated to a clean 2PC abort: lease released, source placement
         /// kept, `txn_aborted` accounted.
-        TransferFailed = "transfer_failed" {
+        TransferFailed = "transfer_failed" => "transfer.failed" {
             /// 2PC request id of the migration.
             req: u64,
             /// VM whose migration aborted.
@@ -481,79 +497,130 @@ mod tests {
     use super::*;
 
     /// Declares one sample of every `Event` variant with its exact JSON
-    /// line, as `samples()` and `pinned(&Event)`. `pinned` is a `match`
-    /// without a wildcard arm, so a variant missing from the list fails
-    /// to compile, and every listed variant has a sample to render.
+    /// line and its counter, as `samples()` and `pinned(&Event)`.
+    /// `pinned` is a `match` without a wildcard arm, so a variant missing
+    /// from the list fails to compile, and every listed variant has a
+    /// sample to render.
     macro_rules! pins {
-        ($($variant:ident { $($field:ident: $value:expr),* $(,)? } => $json:literal,)*) => {
+        ($(
+            $variant:ident { $($field:ident: $value:expr),* $(,)? }
+                => $json:literal, $counter:expr,
+        )*) => {
             fn samples() -> Vec<Event> {
                 vec![$(Event::$variant { $($field: $value),* }),*]
             }
 
-            fn pinned(ev: &Event) -> &'static str {
+            fn pinned(ev: &Event) -> (&'static str, Option<&'static str>) {
                 match ev {
-                    $(Event::$variant { .. } => $json,)*
+                    $(Event::$variant { .. } => ($json, $counter),)*
                 }
             }
         };
     }
 
     pins! {
-        RoundStart { time: 3 } => r#"{"ev":"round_start","time":3}"#,
+        RoundStart { time: 3 }
+            => r#"{"ev":"round_start","time":3}"#,
+            None,
         RoundEnd { time: 3, migrations: 12, reroutes: 2 }
             => r#"{"ev":"round_end","time":3,"migrations":12,"reroutes":2}"#,
+            None,
         AlertRaised { time: 7, rack: 2, kind: AlertKind::OuterSwitch, severity: 0.5 }
             => r#"{"ev":"alert_raised","time":7,"rack":2,"kind":"outer_switch","severity":0.5}"#,
+            None,
         VictimsSelected { rack: 2, candidates: 9, selected: 3 }
             => r#"{"ev":"victims_selected","rack":2,"candidates":9,"selected":3}"#,
+            None,
         PlanComputed { rack: 2, proposals: 3, unassigned: 1, search_space: 48 }
             => r#"{"ev":"plan_computed","rack":2,"proposals":3,"unassigned":1,"search_space":48}"#,
+            None,
         RequestSent { req: 9, vm: 4, dest_host: 17, attempt: 1 }
             => r#"{"ev":"request_sent","req":9,"vm":4,"dest_host":17,"attempt":1}"#,
-        AckReceived { req: 9, vm: 4 } => r#"{"ev":"ack_received","req":9,"vm":4}"#,
+            None,
+        AckReceived { req: 9, vm: 4 }
+            => r#"{"ev":"ack_received","req":9,"vm":4}"#,
+            None,
         RejectReceived { req: 1, vm: 2, reason: RejectKind::Stale }
             => r#"{"ev":"reject_received","req":1,"vm":2,"reason":"stale_epoch"}"#,
-        RequestTimeout { req: 9, attempt: 2 } => r#"{"ev":"request_timeout","req":9,"attempt":2}"#,
-        RequestResent { req: 9, attempt: 3 } => r#"{"ev":"request_resent","req":9,"attempt":3}"#,
-        DuplicateAbsorbed { req: 9 } => r#"{"ev":"duplicate_absorbed","req":9}"#,
+            Some("migrations.rejected"),
+        RequestTimeout { req: 9, attempt: 2 }
+            => r#"{"ev":"request_timeout","req":9,"attempt":2}"#,
+            Some("net.timeouts"),
+        RequestResent { req: 9, attempt: 3 }
+            => r#"{"ev":"request_resent","req":9,"attempt":3}"#,
+            Some("net.resends"),
+        DuplicateAbsorbed { req: 9 }
+            => r#"{"ev":"duplicate_absorbed","req":9}"#,
+            None,
         SwapAccepted { iteration: 4, cost: 12.25 }
             => r#"{"ev":"swap_accepted","iteration":4,"cost":12.25}"#,
+            Some("kmedian.swaps"),
         MigrationCommitted { vm: 4, from_host: 1, to_host: 17, cost: 101.5 }
             => r#"{"ev":"migration_committed","vm":4,"from_host":1,"to_host":17,"cost":101.5}"#,
-        MigrationFailed { vm: 4, rack: 2 } => r#"{"ev":"migration_failed","vm":4,"rack":2}"#,
+            Some("migrations.committed"),
+        MigrationFailed { vm: 4, rack: 2 }
+            => r#"{"ev":"migration_failed","vm":4,"rack":2}"#,
+            Some("migrations.failed"),
         FlowsRerouted { rack: 2, rerouted: 5, stuck: 1 }
             => r#"{"ev":"flows_rerouted","rack":2,"rerouted":5,"stuck":1}"#,
+            None,
         FaultInjected { kind: FaultKind::Partition, id: 3 }
             => r#"{"ev":"fault_injected","kind":"partition","id":3}"#,
-        ShimDegraded { rack: 2 } => r#"{"ev":"shim_degraded","rack":2}"#,
-        ShimCrashed { rack: 2 } => r#"{"ev":"shim_crashed","rack":2}"#,
-        ShimRecovered { rack: 2 } => r#"{"ev":"shim_recovered","rack":2}"#,
+            None,
+        ShimDegraded { rack: 2 }
+            => r#"{"ev":"shim_degraded","rack":2}"#,
+            None,
+        ShimCrashed { rack: 2 }
+            => r#"{"ev":"shim_crashed","rack":2}"#,
+            None,
+        ShimRecovered { rack: 2 }
+            => r#"{"ev":"shim_recovered","rack":2}"#,
+            None,
         TxnPrepared { req: 9, vm: 4, dest_host: 17 }
             => r#"{"ev":"txn_prepared","req":9,"vm":4,"dest_host":17}"#,
-        TxnCommitted { req: 9, vm: 4 } => r#"{"ev":"txn_committed","req":9,"vm":4}"#,
-        TxnAborted { req: 9, vm: 4 } => r#"{"ev":"txn_aborted","req":9,"vm":4}"#,
-        ShimSuspected { rack: 1 } => r#"{"ev":"shim_suspected","rack":1}"#,
-        ShimDeclaredDead { rack: 1 } => r#"{"ev":"shim_declared_dead","rack":1}"#,
+            Some("txn.prepared"),
+        TxnCommitted { req: 9, vm: 4 }
+            => r#"{"ev":"txn_committed","req":9,"vm":4}"#,
+            Some("txn.committed"),
+        TxnAborted { req: 9, vm: 4 }
+            => r#"{"ev":"txn_aborted","req":9,"vm":4}"#,
+            Some("txn.aborted"),
+        ShimSuspected { rack: 1 }
+            => r#"{"ev":"shim_suspected","rack":1}"#,
+            Some("detector.suspected"),
+        ShimDeclaredDead { rack: 1 }
+            => r#"{"ev":"shim_declared_dead","rack":1}"#,
+            Some("detector.declared_dead"),
         RegionTakenOver { rack: 3, by: 1, epoch: 2 }
             => r#"{"ev":"region_taken_over","rack":3,"by":1,"epoch":2}"#,
+            Some("region.takeovers"),
         PartitionHealed { partition: 0, racks: 4 }
             => r#"{"ev":"partition_healed","partition":0,"racks":4}"#,
+            Some("net.healed"),
         StaleEpochRejected { req: 9, rack: 3, stale: 0, current: 2 }
             => r#"{"ev":"stale_epoch_rejected","req":9,"rack":3,"stale":0,"current":2}"#,
+            Some("txn.fenced"),
         TransferStarted { req: 5, vm: 7, bytes: 8.0, hops: 4, rate: 2.0, waited: 0 }
             => r#"{"ev":"transfer_started","req":5,"vm":7,"bytes":8,"hops":4,"rate":2,"waited":0}"#,
+            Some("transfer.started"),
         TransferRerouted { req: 5, vm: 7, hops: 6 }
             => r#"{"ev":"transfer_rerouted","req":5,"vm":7,"hops":6}"#,
+            Some("transfer.rerouted"),
         TransferCompleted { req: 5, vm: 7, ticks: 4, bandwidth: 2.5 }
             => r#"{"ev":"transfer_completed","req":5,"vm":7,"ticks":4,"bandwidth":2.5}"#,
+            Some("transfer.completed"),
         TransferStalled { req: 5, vm: 7, link: 12 }
             => r#"{"ev":"transfer_stalled","req":5,"vm":7,"link":12}"#,
+            Some("transfer.stalled"),
         TransferResumed { req: 5, vm: 7, saved: 3.5 }
             => r#"{"ev":"transfer_resumed","req":5,"vm":7,"saved":3.5}"#,
+            Some("transfer.resumed"),
         TransferRetried { req: 5, vm: 7, attempt: 2 }
             => r#"{"ev":"transfer_retried","req":5,"vm":7,"attempt":2}"#,
+            Some("transfer.retried"),
         TransferFailed { req: 5, vm: 7, attempts: 4 }
             => r#"{"ev":"transfer_failed","req":5,"vm":7,"attempts":4}"#,
+            Some("transfer.failed"),
     }
 
     #[test]
@@ -561,8 +628,14 @@ mod tests {
         let samples = samples();
         assert_eq!(samples.len(), 34);
         for ev in &samples {
-            assert_eq!(ev.to_json(), pinned(ev), "{}", ev.kind());
+            let (json, counter) = pinned(ev);
+            assert_eq!(ev.to_json(), json, "{}", ev.kind());
+            assert_eq!(ev.counter(), counter, "{}", ev.kind());
         }
+        let declared = samples.iter().filter_map(Event::counter).count();
+        assert_eq!(declared, 21);
+        let listed: Vec<_> = samples.iter().map(|ev| (ev.kind(), ev.counter())).collect();
+        assert_eq!(listed, Event::KIND_COUNTERS);
     }
 
     #[test]

@@ -16,7 +16,9 @@ use crate::event::Event;
 pub trait EventSink {
     /// Whether this sink wants events at all. Instrumented code checks
     /// this before building event payloads; `NullSink` returns a
-    /// constant `false` so the branch folds away.
+    /// constant `false` so the branch folds away. [`emit`] builds an
+    /// event, and bumps the counter it declares, only when this is
+    /// `true`: a sink that keeps counters must be enabled.
     #[inline]
     fn enabled(&self) -> bool {
         true
@@ -41,14 +43,20 @@ pub trait EventSink {
     }
 }
 
-/// Build and record an event only if the sink is enabled.
+/// Build and record an event only if the sink is enabled, then add 1 to
+/// the counter the event declares ([`Event::counter`]).
 ///
 /// The closure runs lazily, so payload computation (cost sums, lookups)
 /// costs nothing when tracing is off.
 #[inline]
 pub fn emit<S: EventSink + ?Sized>(sink: &mut S, build: impl FnOnce() -> Event) {
     if sink.enabled() {
-        sink.record(build());
+        let event = build();
+        let counter = event.counter();
+        sink.record(event);
+        if let Some(name) = counter {
+            sink.counter(name, 1);
+        }
     }
 }
 
@@ -110,9 +118,20 @@ mod tests {
         let mut built = false;
         emit(&mut sink, || {
             built = true;
-            Event::RoundStart { time: 0 }
+            Event::TxnCommitted { req: 9, vm: 4 }
         });
         assert!(!built, "emit must not build payloads for NullSink");
+    }
+
+    #[test]
+    fn emit_counts_each_event_once_into_its_declared_counter() {
+        let mut rec = RingRecorder::new(4);
+        emit(&mut rec, || Event::TxnCommitted { req: 9, vm: 4 });
+        emit(&mut rec, || Event::TxnCommitted { req: 10, vm: 5 });
+        emit(&mut rec, || Event::AckReceived { req: 9, vm: 4 });
+        assert_eq!(rec.count_kind("txn_committed"), 2);
+        let counted: Vec<_> = rec.counters().iter().collect();
+        assert_eq!(counted, vec![("txn.committed", 2)]);
     }
 
     #[test]

@@ -126,6 +126,9 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
     let sum_outcomes = |f: &dyn Fn(&RoundOutcome) -> f64| {
         sum_rounds(&|s: &crate::runner::RoundStat| f(&s.outcome))
     };
+    // a count an event or the fabric's `close` records is read from the
+    // run's counters, never re-summed from the rounds
+    let count = |name: &str| stat(&|run: &SeedRun| run.counters.get(name) as f64);
     let metrics: Vec<(String, Stat)> = vec![
         ("initial_stddev_pct".into(), stat(&|r| r.initial_stddev_pct)),
         (
@@ -149,10 +152,7 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
                 }
             }),
         ),
-        (
-            "migrations_total".into(),
-            sum_outcomes(&|o| o.plan.moves.len() as f64),
-        ),
+        ("migrations_total".into(), count("migrations.committed")),
         (
             "migration_cost_total".into(),
             sum_outcomes(&|o| o.plan.total_cost),
@@ -165,24 +165,12 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
             "evacuated_total".into(),
             sum_rounds(&|s| s.evacuated as f64),
         ),
-        (
-            "retries_total".into(),
-            sum_outcomes(&|o| o.plan.rejected as f64),
-        ),
-        ("drops_total".into(), sum_outcomes(&|o| o.drops as f64)),
-        (
-            "timeouts_total".into(),
-            sum_outcomes(&|o| o.timeouts as f64),
-        ),
-        ("resends_total".into(), sum_outcomes(&|o| o.resends as f64)),
-        (
-            "dedup_hits_total".into(),
-            sum_outcomes(&|o| o.dedup_hits as f64),
-        ),
-        (
-            "degraded_shim_rounds".into(),
-            sum_outcomes(&|o| o.degraded_shims as f64),
-        ),
+        ("retries_total".into(), count("migrations.rejected")),
+        ("drops_total".into(), count("net.dropped")),
+        ("timeouts_total".into(), count("net.timeouts")),
+        ("resends_total".into(), count("net.resends")),
+        ("dedup_hits_total".into(), count("net.dedup_hits")),
+        ("degraded_shim_rounds".into(), count("shim_degraded")),
         (
             "crashed_shim_rounds".into(),
             sum_outcomes(&|o| o.crashed_shims as f64),
@@ -196,26 +184,11 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
             "audit_violations_total".into(),
             sum_outcomes(&|o| o.audit.len() as f64),
         ),
-        (
-            "txn_committed_total".into(),
-            sum_outcomes(&|o| o.txn_committed as f64),
-        ),
-        (
-            "txn_aborted_total".into(),
-            sum_outcomes(&|o| o.txn_aborted as f64),
-        ),
-        (
-            "shim_recoveries_total".into(),
-            sum_outcomes(&|o| o.recoveries as f64),
-        ),
-        (
-            "takeovers_total".into(),
-            sum_outcomes(&|o| o.takeovers as f64),
-        ),
-        (
-            "fenced_messages_total".into(),
-            sum_outcomes(&|o| o.fenced as f64),
-        ),
+        ("txn_committed_total".into(), count("txn.committed")),
+        ("txn_aborted_total".into(), count("txn.aborted")),
+        ("shim_recoveries_total".into(), count("shim_recovered")),
+        ("takeovers_total".into(), count("region.takeovers")),
+        ("fenced_messages_total".into(), count("txn.fenced")),
         (
             "partition_degraded_rounds".into(),
             stat(&|r| {
@@ -229,18 +202,12 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
             "reconciliation_conflicts_total".into(),
             sum_outcomes(&|o| o.reconciliations as f64),
         ),
-        (
-            "transfers_started_total".into(),
-            sum_outcomes(&|o| o.transfers_started as f64),
-        ),
+        ("transfers_started_total".into(), count("transfer.started")),
         (
             "transfers_completed_total".into(),
-            sum_outcomes(&|o| o.transfers_completed as f64),
+            count("transfer.completed"),
         ),
-        (
-            "transfer_reroutes_total".into(),
-            sum_outcomes(&|o| o.transfer_reroutes as f64),
-        ),
+        ("transfer_reroutes_total".into(), count("transfer.rerouted")),
         (
             // worst per-round p95 across the run: the round where
             // bottleneck sharing hurt transfer latency the most
@@ -261,18 +228,9 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
                     .count() as f64
             }),
         ),
-        (
-            "transfer_stalls_total".into(),
-            sum_outcomes(&|o| o.transfer_stalls as f64),
-        ),
-        (
-            "transfer_retries_total".into(),
-            sum_outcomes(&|o| o.transfer_retries as f64),
-        ),
-        (
-            "transfer_failures_total".into(),
-            sum_outcomes(&|o| o.transfer_failures as f64),
-        ),
+        ("transfer_stalls_total".into(), count("transfer.stalled")),
+        ("transfer_retries_total".into(), count("transfer.retried")),
+        ("transfer_failures_total".into(), count("transfer.failed")),
         (
             "resumed_bytes_saved_total".into(),
             sum_outcomes(&|o| o.resumed_bytes_saved),

@@ -24,6 +24,10 @@ fn invalid(reason: String) -> SheriffError {
     SheriffError::Invalid { reason }
 }
 
+/// Most hosts a scenario topology may have. A Fat-Tree with k = 128
+/// (524,288 hosts) fits; a mutated size cannot ask for billions.
+const MAX_HOSTS: usize = 1 << 20;
+
 /// Which DCN substrate a scenario variant runs on, plus its size knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
@@ -66,7 +70,40 @@ impl TopologySpec {
         }
     }
 
-    /// Check the size constraints the builders assert on.
+    /// Hosts the built network would have, or `None` when the count
+    /// overflows `usize`; computed from the size knobs, building nothing.
+    fn host_count(&self) -> Option<usize> {
+        match *self {
+            TopologySpec::FatTree {
+                pods,
+                hosts_per_rack,
+            } => {
+                let per_rack = hosts_per_rack.unwrap_or(FatTreeConfig::paper(pods).hosts_per_rack);
+                (pods.checked_mul(pods)? / 2).checked_mul(per_rack)
+            }
+            TopologySpec::BCube { n } => {
+                let cfg = BCubeConfig::paper(n);
+                let racks = n.checked_pow(cfg.k as u32 + 1)?;
+                racks.checked_mul(cfg.hosts_per_rack)
+            }
+            TopologySpec::DCell { n, k } => {
+                // t_k = t_{k-1} (t_{k-1} + 1) overflows within a few
+                // levels for any n >= 2, so the loop stops early
+                let mut racks = n;
+                for _ in 0..k {
+                    racks = racks.checked_mul(racks.checked_add(1)?)?;
+                }
+                racks.checked_mul(DCellConfig::paper(n, k).hosts_per_rack)
+            }
+            TopologySpec::Vl2 { d_a, d_i } => {
+                (d_a.checked_mul(d_i)? / 4).checked_mul(Vl2Config::paper(d_a, d_i).hosts_per_rack)
+            }
+        }
+    }
+
+    /// Check the size constraints the builders assert on, and that the
+    /// network has at most 2²⁰ hosts (a Fat-Tree with k = 128 has
+    /// 524,288), so no size knob can ask a build for billions.
     pub fn validate(&self) -> Result<(), SheriffError> {
         match *self {
             TopologySpec::FatTree {
@@ -101,7 +138,17 @@ impl TopologySpec {
                 }
             }
         }
-        Ok(())
+        match self.host_count() {
+            Some(hosts) if hosts <= MAX_HOSTS => Ok(()),
+            Some(hosts) => Err(invalid(format!(
+                "topology {} has {hosts} hosts, more than the {MAX_HOSTS} supported",
+                self.label()
+            ))),
+            None => Err(invalid(format!(
+                "topology {} has more hosts than a usize can count",
+                self.label()
+            ))),
+        }
     }
 
     /// Build the network.
@@ -806,7 +853,6 @@ fn parse_sim(v: &Value) -> Result<SimConfig, SheriffError> {
             "alert_threshold",
             "alpha",
             "beta",
-            "period_secs",
             "load_balance_weight",
             "region_hops",
             "reroute_paths",
@@ -816,7 +862,7 @@ fn parse_sim(v: &Value) -> Result<SimConfig, SheriffError> {
     )?;
     let mut cfg = SimConfig::paper();
     {
-        let fields: [(&str, &mut f64); 11] = [
+        let fields: [(&str, &mut f64); 10] = [
             ("c_r", &mut cfg.c_r),
             ("delta", &mut cfg.delta),
             ("eta", &mut cfg.eta),
@@ -826,7 +872,6 @@ fn parse_sim(v: &Value) -> Result<SimConfig, SheriffError> {
             ("alert_threshold", &mut cfg.alert_threshold),
             ("alpha", &mut cfg.alpha),
             ("beta", &mut cfg.beta),
-            ("period_secs", &mut cfg.period_secs),
             ("load_balance_weight", &mut cfg.load_balance_weight),
         ];
         for (key, slot) in fields {
@@ -1579,6 +1624,48 @@ mod tests {
         .unwrap();
         let err = spec.validate().unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn oversized_topologies_are_rejected_before_any_build() {
+        let mut spec = ScenarioSpec::parse_str(
+            r#"
+            name = "x"
+            rounds = 1
+            [topology]
+            kind = "fat_tree"
+            pods = 4
+            [[fault]]
+            round = 0
+            action = "fail_host"
+            host = 0
+            "#,
+        )
+        .unwrap();
+        for (topology, expected) in [
+            (
+                TopologySpec::FatTree {
+                    pods: 1_000_000,
+                    hosts_per_rack: None,
+                },
+                "fat_tree_1000000 has 250000000000000000 hosts",
+            ),
+            (
+                TopologySpec::DCell { n: 2, k: 9 },
+                "dcell_2_9 has more hosts than a usize can count",
+            ),
+        ] {
+            spec.topologies = vec![topology];
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(expected), "{err}");
+        }
+        // the bound admits a Fat-Tree with k = 128
+        let k128 = TopologySpec::FatTree {
+            pods: 128,
+            hosts_per_rack: None,
+        };
+        assert_eq!(k128.host_count(), Some(524_288));
+        assert!(k128.validate().is_ok());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! A minimal self-describing value tree with hand-rolled TOML and JSON
 //! readers.
 //!
-//! The workspace builds offline against vendored stand-ins, and the
-//! vendored `serde_json` is a stub — so the scenario engine parses its
-//! own input. Only the subset of TOML that scenario files need is
+//! The workspace builds offline and depends on no parsing crate, so the
+//! scenario engine parses its own input. Only the subset of TOML that scenario files need is
 //! supported: comments, `[table]` / `[[array-of-tables]]` headers with
 //! dotted paths, `key = value` pairs (bare or quoted keys, dotted
 //! paths), strings with escapes, integers, floats, booleans, arrays

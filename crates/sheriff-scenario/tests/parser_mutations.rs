@@ -2,9 +2,9 @@
 //! `scenarios/*.toml` must parse to `Ok` or `Err`, never panic. Mutants
 //! come from byte deletions, truncations, random bytes, spliced copies
 //! and inserted tokens, drawn from a seeded SplitMix64, and are read
-//! through both `Value::parse` and `ScenarioSpec::parse_str`.
-//! `validate()` stays out: it builds the topology, and a mutated `pods`
-//! can ask for billions of hosts.
+//! through both `Value::parse` and `ScenarioSpec::parse_str`; every
+//! mutant that parses also goes through `validate()`, which bounds a
+//! topology's host count before it builds one.
 
 use sheriff_scenario::{ScenarioSpec, Value};
 use std::panic::catch_unwind;
@@ -112,11 +112,13 @@ fn mutated_scenarios_never_panic_the_parser() {
             let src = String::from_utf8_lossy(&mutant);
             let outcome = catch_unwind(|| {
                 let _ = Value::parse(&src);
-                let _ = ScenarioSpec::parse_str(&src);
+                if let Ok(spec) = ScenarioSpec::parse_str(&src) {
+                    let _ = spec.validate();
+                }
             });
             assert!(
                 outcome.is_ok(),
-                "mutant {i} of {name} panicked the parser; input: {src:?}"
+                "mutant {i} of {name} panicked the parser or the validator; input: {src:?}"
             );
         }
     }

@@ -53,7 +53,6 @@
 use dcn_sim::qcn::{CongestionPoint, CpConfig};
 use dcn_topology::graph::{EdgeIdx, NetGraph, NodeIdx};
 use dcn_topology::ksp::k_shortest_paths;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -65,7 +64,7 @@ const MIN_RATE: f64 = 1e-6;
 /// Knobs for the transfer scheduler. `None` on
 /// `FabricConfig::transfer` disables the model entirely (instantaneous
 /// settlement, byte-identical to the pre-transfer fabric).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferConfig {
     /// Migration-lane capacity of every link, in bytes per virtual tick.
     pub link_bandwidth: f64,
@@ -83,29 +82,14 @@ pub struct TransferConfig {
     /// re-routed or resumed after a link failure re-copies
     /// `dirty_rate × copied` bytes on top of its checkpoint (iterative
     /// pre-copy semantics). `0.0` = perfect checkpoint, `1.0` = restart.
-    #[serde(default = "default_dirty_rate")]
     pub dirty_rate: f64,
     /// Base of the stalled-stream retry backoff in ticks: retry `n`
     /// fires after `stall_budget · 2ⁿ` ticks (capped at 8× the budget)
     /// plus a deterministic jitter in `[0, stall_budget)`.
-    #[serde(default = "default_stall_budget")]
     pub stall_budget: u64,
     /// Retry attempts a stalled stream gets before it fails for good
     /// and the caller must abort its transaction.
-    #[serde(default = "default_max_attempts")]
     pub max_attempts: u32,
-}
-
-fn default_dirty_rate() -> f64 {
-    0.25
-}
-
-fn default_stall_budget() -> u64 {
-    16
-}
-
-fn default_max_attempts() -> u32 {
-    4
 }
 
 impl Default for TransferConfig {
@@ -116,9 +100,9 @@ impl Default for TransferConfig {
             max_concurrent: 0,
             k_paths: 4,
             reroute_threshold: 0.25,
-            dirty_rate: default_dirty_rate(),
-            stall_budget: default_stall_budget(),
-            max_attempts: default_max_attempts(),
+            dirty_rate: 0.25,
+            stall_budget: 16,
+            max_attempts: 4,
         }
     }
 }

@@ -15,11 +15,10 @@ use crate::ar::fit_ar;
 use crate::linalg::{least_squares, Matrix};
 use crate::series::{difference, undifference};
 use crate::stats::mean;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Model orders (p, d, q).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArimaSpec {
     /// Autoregressive order.
     pub p: usize,
@@ -75,7 +74,7 @@ impl fmt::Display for FitError {
 impl std::error::Error for FitError {}
 
 /// A fitted ARIMA model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArimaModel {
     /// The (p, d, q) orders.
     pub spec: ArimaSpec,

@@ -6,10 +6,9 @@
 use crate::arima::{ArimaModel, ArimaSpec};
 use crate::series::difference_once;
 use crate::stats::acf;
-use serde::{Deserialize, Serialize};
 
 /// Which information criterion drives the (p, q) choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Criterion {
     /// Akaike.
     Aic,
@@ -18,7 +17,7 @@ pub enum Criterion {
 }
 
 /// Grid-search bounds for [`select`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SelectionConfig {
     /// Maximum AR order.
     pub max_p: usize,

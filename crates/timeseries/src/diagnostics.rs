@@ -7,10 +7,9 @@
 use crate::arima::ArimaModel;
 use crate::series::difference;
 use crate::stats::{ljung_box, ljung_box_white, mean, variance};
-use serde::{Deserialize, Serialize};
 
 /// Diagnostic summary of a fitted model's residuals.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FitReport {
     /// Human-readable model name.
     pub model: String,

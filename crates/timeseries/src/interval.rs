@@ -10,10 +10,9 @@
 //! weights.
 
 use crate::arima::ArimaModel;
-use serde::{Deserialize, Serialize};
 
 /// A point forecast with a symmetric confidence band.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Forecast {
     /// MMSE point estimate.
     pub mean: f64,

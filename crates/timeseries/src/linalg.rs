@@ -6,10 +6,8 @@
 //! network. Implementing these ~200 lines keeps the reproduction free of
 //! external math crates (see DESIGN.md §5).
 
-use serde::{Deserialize, Serialize};
-
 /// Row-major dense matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

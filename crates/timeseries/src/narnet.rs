@@ -9,10 +9,9 @@
 use crate::series::lag_matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NarnetConfig {
     /// Number of lag inputs `ni`.
     pub lags: usize,
@@ -48,7 +47,7 @@ impl Default for NarnetConfig {
 }
 
 /// A trained NARNET model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Narnet {
     cfg: NarnetConfig,
     /// hidden weights, row h = [w_{h,1..ni}, bias_h]

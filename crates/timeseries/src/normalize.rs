@@ -1,10 +1,8 @@
 //! Normalisation helpers. Sec. IV-A requires "each element of the
 //! workload profile should be normalized to [0, 1]".
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted min-max scaler mapping the training range onto [0, 1].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinMaxScaler {
     lo: f64,
     hi: f64,

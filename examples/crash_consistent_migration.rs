@@ -101,13 +101,14 @@ fn main() {
         sink: &mut rec,
     });
 
+    let count = |name: &str| rec.counters().get(name);
     println!("fabric round finished in {} virtual ticks:", report.ticks);
-    println!("  transactions PREPAREd   {:>5}", report.txn_prepared);
-    println!("  transactions COMMITted  {:>5}", report.txn_committed);
-    println!("  transactions ABORTed    {:>5}", report.txn_aborted);
+    println!("  transactions PREPAREd   {:>5}", count("txn.prepared"));
+    println!("  transactions COMMITted  {:>5}", count("txn.committed"));
+    println!("  transactions ABORTed    {:>5}", count("txn.aborted"));
     println!("  shims recovered         {:>5}", report.recoveries);
     println!("  migrations recorded     {:>5}", report.plan.moves.len());
-    println!("  messages dropped        {:>5}", report.drops);
+    println!("  messages dropped        {:>5}", count("net.dropped"));
     println!("  retransmissions         {:>5}", report.resends);
 
     println!("\ncrash/recovery trace (from the event stream):");
@@ -118,9 +119,9 @@ fn main() {
     println!("  txn_aborted     {:>5}", rec.count_kind("txn_aborted"));
     println!(
         "  journal entries replayed on recovery: {} (re-ACKs {}, commit-forwards {})",
-        rec.counters().get("journal.replayed"),
-        rec.counters().get("journal.reacked"),
-        rec.counters().get("journal.forwarded"),
+        count("journal.replayed"),
+        count("journal.reacked"),
+        count("journal.forwarded"),
     );
 
     // the verdict: every invariant held despite the mid-2PC crash
@@ -132,7 +133,7 @@ fn main() {
     );
     assert!(report.audit.is_clean(), "auditor found violations");
     assert!(
-        rec.counters().get("journal.replayed") > 0,
+        count("journal.replayed") > 0,
         "the crash caught no journalled transaction"
     );
 }

@@ -49,27 +49,32 @@ fn main() {
         crashed: vec![CrashWindow::whole_round(crashed)],
         ..FabricConfig::default()
     };
+    let mut rec = RingRecorder::new(1 << 14);
     let report = FabricRuntime::with_config(cfg).step(&mut RunCtx {
         cluster: &mut cluster,
         metric: &metric,
         alerts: &alerts,
         alert_values: &alert_values,
-        sink: &mut NullSink,
+        sink: &mut rec,
     });
+    let count = |name: &str| rec.counters().get(name);
 
     println!("fabric round finished in {} virtual ticks:", report.ticks);
     println!("  shims participating   {:>5}", report.shims);
     println!("  shims crashed         {:>5}", report.crashed_shims);
-    println!("  shims degraded        {:>5}", report.degraded_shims);
+    println!(
+        "  shims degraded        {:>5}",
+        rec.count_kind("shim_degraded")
+    );
     println!("  migrations committed  {:>5}", report.plan.moves.len());
     println!("  REQUESTs rejected     {:>5}", report.plan.rejected);
     println!("  VMs left unplaced     {:>5}", report.plan.unplaced.len());
-    println!("  messages dropped      {:>5}", report.drops);
+    println!("  messages dropped      {:>5}", count("net.dropped"));
     println!("  reply timeouts        {:>5}", report.timeouts);
     println!("  retransmissions       {:>5}", report.resends);
     println!(
         "  duplicate commits absorbed {:>2} (req-id dedup)",
-        report.dedup_hits
+        count("net.dedup_hits")
     );
     println!(
         "\nstd-dev after the round {:.1}%, total migration cost {:.1}",

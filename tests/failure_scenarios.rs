@@ -274,19 +274,21 @@ proptest! {
             crashed,
             ..FabricConfig::default()
         };
+        let mut rec = RingRecorder::new(1);
         let report = FabricRuntime::with_config(cfg).step(&mut RunCtx {
             cluster: &mut c,
             metric: &metric,
             alerts: &alerts,
             alert_values: &vals,
-            sink: &mut NullSink,
+            sink: &mut rec,
         });
+        let count = |name: &str| rec.counters().get(name);
 
         prop_assert!(report.ticks <= MAX_TICKS, "round wedged");
         prop_assert!(report.audit.is_clean(), "{}", report.audit);
         prop_assert_eq!(
-            report.txn_committed + report.txn_aborted,
-            report.txn_prepared,
+            count("txn.committed") + count("txn.aborted"),
+            count("txn.prepared"),
             "a prepared transaction neither committed nor aborted"
         );
 
@@ -363,23 +365,25 @@ proptest! {
                 .vm_ids()
                 .map(|vm| c.placement.utilization(c.placement.host_of(vm)))
                 .collect();
+            let mut rec = RingRecorder::new(1);
             let report = FabricRuntime::with_config(cfg.clone()).step(&mut RunCtx {
                 cluster: &mut c,
                 metric: &metric,
                 alerts: &alerts,
                 alert_values: &vals,
-                sink: &mut NullSink,
+                sink: &mut rec,
             });
+            let count = |name: &str| rec.counters().get(name);
 
             prop_assert!(report.ticks <= MAX_TICKS, "round wedged");
             prop_assert!(report.audit.is_clean(), "{}", report.audit);
             prop_assert_eq!(
-                report.txn_committed + report.txn_aborted,
-                report.txn_prepared,
+                count("txn.committed") + count("txn.aborted"),
+                count("txn.prepared"),
                 "a prepared transaction neither committed nor aborted"
             );
-            prop_assert_eq!(report.takeovers, 0, "a partition is not a crash");
-            prop_assert_eq!(report.fenced, 0, "no epoch bumped, nothing to fence");
+            prop_assert_eq!(count("region.takeovers"), 0, "a partition is not a crash");
+            prop_assert_eq!(count("txn.fenced"), 0, "no epoch bumped, nothing to fence");
 
             // exactly-once under the cut: the recorded moves replayed
             // from the initial placement land on the final one
@@ -409,10 +413,10 @@ proptest! {
                     .map(|vm| c.placement.host_of(vm))
                     .collect::<Vec<_>>(),
                 report.ticks,
-                report.drops,
+                count("net.dropped"),
                 report.partition_degraded,
                 report.reconciliations,
-                report.txn_committed,
+                count("txn.committed"),
             );
             match &reference {
                 None => reference = Some(digest),

@@ -3,7 +3,7 @@
 //! reproduces the same canonical report.
 
 use proptest::prelude::*;
-use sheriff_dcn::prelude::{aggregate, ScenarioRunner, ScenarioSpec};
+use sheriff_dcn::prelude::{aggregate, Event, ScenarioRunner, ScenarioSpec};
 
 fn canonical(spec: &ScenarioSpec, parallel: bool, threads: usize) -> String {
     let mut runner = ScenarioRunner::new(spec.clone());
@@ -113,11 +113,7 @@ fn mid_round_crash_scenario_is_deterministic_with_clean_audit() {
             );
         }
         assert!(
-            run.rounds
-                .iter()
-                .map(|s| s.outcome.txn_committed)
-                .sum::<usize>()
-                > 0,
+            run.counters.get("txn.committed") > 0,
             "seed {}: no transaction ever committed",
             run.seed
         );
@@ -210,11 +206,7 @@ fn zombie_shim_scenario_takes_over_and_fences_the_returner() {
             run.seed
         );
         assert!(
-            run.rounds
-                .iter()
-                .map(|s| s.outcome.takeovers)
-                .sum::<usize>()
-                >= 1,
+            run.counters.get("region.takeovers") >= 1,
             "seed {}: nobody took the dead region over",
             run.seed
         );
@@ -258,10 +250,7 @@ fn region_partition_scenario_degrades_and_heals_clean() {
         // a partition is not a crash: emission-based detection must not
         // let the cut trigger a takeover or any fencing
         assert_eq!(
-            run.rounds
-                .iter()
-                .map(|s| s.outcome.takeovers)
-                .sum::<usize>(),
+            run.counters.get("region.takeovers"),
             0,
             "seed {}: a partition masqueraded as a crash",
             run.seed
@@ -354,6 +343,45 @@ fn every_bundled_scenario_reproduces_its_pinned_report() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn every_declared_counter_equals_its_event_tally() {
+    // `TallySink` tallies each event kind and each named counter, so a
+    // counter bumped by hand beside the emit of its event counts twice
+    let declared: Vec<(&str, &str)> = Event::KIND_COUNTERS
+        .iter()
+        .filter_map(|&(kind, counter)| Some((kind, counter?)))
+        .collect();
+    assert_eq!(declared.len(), 21);
+    let mut specs: Vec<(String, ScenarioSpec)> = bundled_scenarios()
+        .into_iter()
+        .map(|path| {
+            let spec = ScenarioSpec::load(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            (path.display().to_string(), spec)
+        })
+        .collect();
+    let every_action = every_fault_action_spec(FABRIC_WITH_TRANSFERS, true);
+    specs.push(("every fault action".into(), every_action));
+    let mut exercised = std::collections::BTreeSet::new();
+    for (name, spec) in specs {
+        for run in ScenarioRunner::new(spec).run().expect("scenario runs") {
+            for &(kind, counter) in &declared {
+                let (events, count) = (run.counters.get(kind), run.counters.get(counter));
+                assert_eq!(count, events, "{name} seed {}: {counter}", run.seed);
+                if events > 0 {
+                    exercised.insert(kind);
+                }
+            }
+        }
+    }
+    // Alg. 5's k-median search runs in no scenario
+    let unexercised: Vec<&str> = declared
+        .iter()
+        .map(|&(kind, _)| kind)
+        .filter(|kind| !exercised.contains(kind))
+        .collect();
+    assert_eq!(unexercised, ["swap_accepted"]);
 }
 
 /// A k=4 Fat-Tree spec whose `[[fault]]` schedule fires every action
@@ -491,19 +519,21 @@ rack = 3
     spec
 }
 
+/// The fabric runtime with the transfer model on, as a `[runtime]` body.
+const FABRIC_WITH_TRANSFERS: &str = "kind = \"fabric\"\nmax_retry = 3\ntransfer_bandwidth = 1.0\n\
+    transfer_max_concurrent = 3\ntransfer_bytes_per_capacity = 16.0\n\
+    transfer_k_paths = 2\ntransfer_stall_budget = 8\ntransfer_max_attempts = 3";
+
 #[test]
 fn every_fault_action_reproduces_its_pinned_report() {
     // FNV-1a-64 of each canonical report; a change that claims identical
     // behaviour must leave both alone. No bundled scenario uses
     // `restore_link`, `fail_host`, `restore_host` or the centralized
     // runtime, so SCENARIO_DIGESTS alone does not guard those paths
-    let fabric = "kind = \"fabric\"\nmax_retry = 3\ntransfer_bandwidth = 1.0\n\
-                  transfer_max_concurrent = 3\ntransfer_bytes_per_capacity = 16.0\n\
-                  transfer_k_paths = 2\ntransfer_stall_budget = 8\ntransfer_max_attempts = 3";
     let cases = [
         (
             "fabric",
-            every_fault_action_spec(fabric, true),
+            every_fault_action_spec(FABRIC_WITH_TRANSFERS, true),
             0x917f_b3dc_6603_b4f7,
         ),
         (
