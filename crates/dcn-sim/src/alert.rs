@@ -6,7 +6,7 @@
 //! (uplink congestion), and from outer switches (flow congestion).
 
 use crate::workload::Profile;
-use dcn_topology::{HostId, RackId, SwitchId, VmId};
+use dcn_topology::{HostId, RackId, SwitchId};
 
 /// Where an alert originated (Alg. 1's three `case` arms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,27 +45,6 @@ pub fn alert_value(profile: &Profile, threshold: f64) -> f64 {
     }
 }
 
-/// Per-VM alert record used when a shim ranks victims (Alg. 2 `case 1`
-/// picks the VM with max ALERT).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VmAlert {
-    /// The VM whose predicted profile crossed the threshold.
-    pub vm: VmId,
-    /// Its `ALERT` value.
-    pub value: f64,
-}
-
-/// Collect the per-VM alerts on one host given each VM's (predicted)
-/// profile at the current step.
-pub fn host_vm_alerts(vms: &[(VmId, Profile)], threshold: f64) -> Vec<VmAlert> {
-    vms.iter()
-        .filter_map(|(vm, p)| {
-            let v = alert_value(p, threshold);
-            (v > 0.0).then_some(VmAlert { vm: *vm, value: v })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,20 +76,6 @@ mod tests {
         };
         // io is the max even though mem also exceeds
         assert_eq!(alert_value(&p, 0.9), 0.99);
-    }
-
-    #[test]
-    fn host_vm_alerts_filters_quiet_vms() {
-        let vms = vec![
-            (VmId(0), profile(0.95)),
-            (VmId(1), profile(0.2)),
-            (VmId(2), profile(0.92)),
-        ];
-        let alerts = host_vm_alerts(&vms, 0.9);
-        assert_eq!(alerts.len(), 2);
-        assert_eq!(alerts[0].vm, VmId(0));
-        assert_eq!(alerts[1].vm, VmId(2));
-        assert!(alerts.iter().all(|a| a.value > 0.9));
     }
 
     #[test]

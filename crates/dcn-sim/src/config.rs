@@ -38,14 +38,6 @@ pub struct SimConfig {
     /// migration destinations (paper: one-hop wired neighbours; two graph
     /// hops = rack → switch → rack).
     pub region_hops: usize,
-    /// Candidate paths considered per FLOWREROUTE (Yen's k-shortest);
-    /// 1 recovers the paper's single-alternative reroute, larger values
-    /// spread detours across the fabric's parallel paths.
-    pub reroute_paths: usize,
-    /// Fault model of the shim-to-shim control channel. The default is
-    /// reliable and in-order, under which the message-passing runtime
-    /// reproduces the shared-lock runtime move for move.
-    pub channel: ChannelFaults,
 }
 
 /// The most extra ticks the reorder fault holds a message back: a
@@ -154,8 +146,6 @@ impl Default for SimConfig {
             beta: 0.2,
             load_balance_weight: 200.0,
             region_hops: 2,
-            reroute_paths: 4,
-            channel: ChannelFaults::reliable(),
         }
     }
 }
@@ -168,7 +158,7 @@ impl SimConfig {
 
     /// Check the configuration is internally consistent: cost weights
     /// finite and non-negative, thresholds and release fractions within
-    /// `[0, 1]`, at least one reroute path, and a valid channel model.
+    /// `[0, 1]`.
     pub fn validate(&self) -> Result<(), SheriffError> {
         let nonneg: [(&'static str, f64); 6] = [
             ("c_r", self.c_r),
@@ -194,14 +184,7 @@ impl SimConfig {
         }
         check_probability("alert_threshold", self.alert_threshold)?;
         check_probability("alpha", self.alpha)?;
-        check_probability("beta", self.beta)?;
-        if self.reroute_paths == 0 {
-            return Err(SheriffError::InvalidSimConfig {
-                field: "reroute_paths",
-                reason: "at least one candidate path is required".into(),
-            });
-        }
-        self.channel.validate()
+        check_probability("beta", self.beta)
     }
 }
 
@@ -221,8 +204,7 @@ mod tests {
 
     #[test]
     fn default_channel_is_reliable() {
-        let c = SimConfig::paper();
-        assert!(c.channel.is_reliable());
+        assert!(ChannelFaults::default().is_reliable());
         assert!(!ChannelFaults::lossy(0.1).is_reliable());
         assert!(
             !ChannelFaults {

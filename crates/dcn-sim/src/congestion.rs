@@ -184,7 +184,17 @@ mod tests {
             .graph
             .node_idx(dcn_topology::NodeId::Switch(sw))
             .unwrap();
-        let route = crate::flows::shortest_route(&dcn, src, dst, &[hot_node]).unwrap();
+        let route = dcn_topology::ksp::k_shortest_paths(
+            &dcn.graph,
+            src,
+            dst,
+            4,
+            dcn_topology::path::distance_cost,
+        )
+        .into_iter()
+        .find(|path| !path.nodes.contains(&hot_node))
+        .unwrap()
+        .edges(&dcn.graph);
         flows.reroute(ids[0], route);
         for _ in 0..40 {
             sim.step(&dcn, &flows);

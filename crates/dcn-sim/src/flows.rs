@@ -44,7 +44,7 @@ impl FlowNetwork {
             let route = if src_rack == dst_rack {
                 Vec::new()
             } else {
-                shortest_route(dcn, dcn.rack_node(src_rack), dcn.rack_node(dst_rack), &[])
+                shortest_route(dcn, dcn.rack_node(src_rack), dcn.rack_node(dst_rack))
                     .unwrap_or_default()
             };
             for &e in &route {
@@ -61,6 +61,7 @@ impl FlowNetwork {
     }
 
     /// A flow's current route.
+    // sheriff-lint: allow(DEAD01, "the reroute tests in dcn-sim and sheriff-core")
     pub fn route_of(&self, flow: usize) -> &[EdgeIdx] {
         self.routes.get(flow).map_or(&[], Vec::as_slice)
     }
@@ -137,11 +138,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Total network throughput currently offered (sum of flow rates).
-    pub fn total_rate(&self) -> f64 {
-        self.flows.iter().map(|f| f.rate).sum()
-    }
-
     /// Re-route every flow touching `vm` from its *current* placement —
     /// required after a migration moves the VM to another rack, or its
     /// old routes keep carrying phantom load. Returns how many flows were
@@ -159,7 +155,7 @@ impl FlowNetwork {
             let new_route = if src_rack == dst_rack {
                 Vec::new()
             } else {
-                shortest_route(dcn, dcn.rack_node(src_rack), dcn.rack_node(dst_rack), &[])
+                shortest_route(dcn, dcn.rack_node(src_rack), dcn.rack_node(dst_rack))
                     .unwrap_or_default()
             };
             if self.routes.get(f) != Some(&new_route) {
@@ -192,31 +188,9 @@ fn bump(load: &mut [f64], e: usize, delta: f64) {
 }
 
 /// Shortest route (by physical distance) between two graph nodes as an
-/// edge list, optionally avoiding a set of nodes (the "hot switches" a
-/// reroute must dodge). `None` when no path avoids them.
-pub fn shortest_route(
-    dcn: &Dcn,
-    src: NodeIdx,
-    dst: NodeIdx,
-    avoid: &[NodeIdx],
-) -> Option<Vec<EdgeIdx>> {
+/// edge list. `None` when `dst` is unreachable from `src`.
+fn shortest_route(dcn: &Dcn, src: NodeIdx, dst: NodeIdx) -> Option<Vec<EdgeIdx>> {
     let g = &dcn.graph;
-    if avoid.contains(&src) || avoid.contains(&dst) {
-        return None;
-    }
-    // Node avoidance is encoded as an edge penalty: any edge touching an
-    // avoided node costs more than every clean path combined.
-    let avoid_set: std::collections::HashSet<NodeIdx> = avoid.iter().copied().collect();
-    let penalties: Vec<f64> = (0..g.edge_count())
-        .map(|e| {
-            let (a, b) = g.endpoints(e);
-            if avoid_set.contains(&a) || avoid_set.contains(&b) {
-                1e12
-            } else {
-                0.0
-            }
-        })
-        .collect();
     let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut prev_edge = vec![usize::MAX; n];
@@ -227,7 +201,7 @@ pub fn shortest_route(
     impl Eq for E {}
     impl Ord for E {
         fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            // costs are finite sums of distances and penalties, never NaN
+            // costs are finite sums of distances, never NaN
             o.0.partial_cmp(&self.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
         }
@@ -249,8 +223,7 @@ pub fn shortest_route(
             break;
         }
         for &(v, e) in g.neighbors(u) {
-            let c = g.link(e).distance + penalties.get(e).copied().unwrap_or(0.0);
-            let nd = d + c;
+            let nd = d + g.link(e).distance;
             let Some(dv) = dist.get_mut(v) else { continue };
             if nd < *dv {
                 *dv = nd;
@@ -264,8 +237,7 @@ pub fn shortest_route(
             }
         }
     }
-    let reached = dist.get(dst).copied().unwrap_or(f64::INFINITY);
-    if !reached.is_finite() || reached >= 1e12 {
+    if !dist.get(dst).is_some_and(|d| d.is_finite()) {
         return None;
     }
     let mut route = Vec::new();
@@ -282,6 +254,8 @@ pub fn shortest_route(
 mod tests {
     use super::*;
     use dcn_topology::fattree::{self, FatTreeConfig};
+    use dcn_topology::ksp::k_shortest_paths;
+    use dcn_topology::path::distance_cost;
     use dcn_topology::{HostId, VmSpec};
 
     fn setup() -> (Dcn, Placement) {
@@ -315,7 +289,6 @@ mod tests {
         for &e in route {
             assert_eq!(net.load(e), 0.5);
         }
-        assert_eq!(net.total_rate(), 0.5);
     }
 
     #[test]
@@ -387,7 +360,11 @@ mod tests {
         let avoid = if dcn.graph.node_id(a).is_rack() { b } else { a };
         let src = dcn.rack_node(p.rack_of(VmId(0)));
         let dst = dcn.rack_node(p.rack_of(VmId(1)));
-        let new_route = shortest_route(&dcn, src, dst, &[avoid]).expect("alternate path exists");
+        let new_route = k_shortest_paths(&dcn.graph, src, dst, 4, distance_cost)
+            .into_iter()
+            .find(|path| !path.nodes.contains(&avoid))
+            .expect("alternate path exists")
+            .edges(&dcn.graph);
         assert_ne!(new_route, old_route);
         net.reroute(0, new_route.clone());
         for &e in &old_route {
@@ -396,16 +373,6 @@ mod tests {
         for &e in &new_route {
             assert_eq!(net.load(e), 0.8);
         }
-    }
-
-    #[test]
-    fn avoiding_all_paths_returns_none() {
-        let (dcn, p) = setup();
-        let src = dcn.rack_node(p.rack_of(VmId(0)));
-        let dst = dcn.rack_node(p.rack_of(VmId(1)));
-        // block both aggregation switches of pod 0: no route remains
-        let avoid: Vec<_> = dcn.graph.neighbors(src).iter().map(|&(n, _)| n).collect();
-        assert!(shortest_route(&dcn, src, dst, &avoid).is_none());
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod qcn;
 pub mod tor_monitor;
 pub mod workload;
 
-pub use alert::{Alert, AlertSource, VmAlert};
+pub use alert::{Alert, AlertSource};
 pub use config::{ChannelFaults, SimConfig, REORDER_HOLD_BACK};
 pub use congestion::{CongestionConfig, CongestionSim};
 pub use engine::{Cluster, ClusterConfig, HoltPredictor, LastValue, ProfilePredictor};

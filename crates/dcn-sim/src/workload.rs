@@ -40,6 +40,7 @@ impl Profile {
     }
 
     /// Validate every feature lies in [0, 1].
+    #[cfg(test)]
     pub fn is_normalized(&self) -> bool {
         self.as_array().iter().all(|&v| (0.0..=1.0).contains(&v))
     }
@@ -152,11 +153,6 @@ pub enum Feature {
     Io,
     /// Network traffic.
     Trf,
-}
-
-impl Feature {
-    /// All four features in profile order.
-    pub const ALL: [Feature; 4] = [Feature::Cpu, Feature::Mem, Feature::Io, Feature::Trf];
 }
 
 #[cfg(test)]

@@ -61,6 +61,7 @@ impl BCubeConfig {
     }
 
     /// Number of switches: `(k+1) · n^k`.
+    #[cfg(test)]
     pub fn switch_count(&self) -> usize {
         (self.k + 1) * self.n.pow(self.k as u32)
     }

@@ -59,6 +59,7 @@ impl DCellConfig {
     }
 
     /// Number of mini-switches (one per DCell₀).
+    #[cfg(test)]
     pub fn switch_count(&self) -> usize {
         self.server_count() / self.n
     }

@@ -102,37 +102,12 @@ impl DependencyGraph {
     }
 }
 
-/// Generate a random dependency graph where each VM depends on
-/// `avg_degree` others on average (Erdős–Rényi over the VM set). Used by
-/// the simulator's workload bootstrap.
-pub fn random_dependencies<R: rand::Rng>(
-    rng: &mut R,
-    vm_count: usize,
-    avg_degree: f64,
-) -> DependencyGraph {
-    let mut g = DependencyGraph::new(vm_count);
-    if vm_count < 2 {
-        return g;
-    }
-    let p = (avg_degree / (vm_count as f64 - 1.0)).clamp(0.0, 1.0);
-    for a in 0..vm_count {
-        for b in (a + 1)..vm_count {
-            if rng.gen_bool(p) {
-                g.add_dependency(VmId::from_index(a), VmId::from_index(b));
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{HostId, RackId};
     use crate::placement::VmSpec;
     use crate::rack::Inventory;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn add_and_query() {
@@ -204,19 +179,5 @@ mod tests {
         // A VM with no dependencies never pays dependency cost.
         let lone = DependencyGraph::new(3);
         assert_eq!(lone.chi(VmId(1), RackId(1), &p), 0.0);
-    }
-
-    #[test]
-    fn random_graph_degree_in_range() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = random_dependencies(&mut rng, 200, 3.0);
-        let avg = 2.0 * g.edge_count() as f64 / 200.0;
-        assert!((avg - 3.0).abs() < 1.0, "avg degree {avg}");
-        // symmetric
-        for a in 0..200 {
-            for &b in g.neighbors(VmId::from_index(a)) {
-                assert!(g.dependent(b, VmId::from_index(a)));
-            }
-        }
     }
 }

@@ -55,6 +55,7 @@ impl FatTreeConfig {
     }
 
     /// Expected number of non-ToR switches: `k²/4` core + `k²/2` agg.
+    #[cfg(test)]
     pub fn switch_count(&self) -> usize {
         self.pods * self.pods / 4 + self.pods * self.pods / 2
     }

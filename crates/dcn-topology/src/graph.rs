@@ -96,14 +96,6 @@ impl NetGraph {
         self.index.get(&id).copied()
     }
 
-    /// Dense index for a rack node; panics if absent (rack ids are always
-    /// inserted by the builders).
-    #[inline]
-    pub fn rack_idx(&self, rack: RackId) -> NodeIdx {
-        self.node_idx(NodeId::Rack(rack))
-            .unwrap_or_else(|| panic!("rack {rack} not in graph"))
-    }
-
     /// Neighbors of a node as (neighbor index, edge index).
     #[inline]
     pub fn neighbors(&self, idx: NodeIdx) -> &[(NodeIdx, EdgeIdx)] {
@@ -112,6 +104,7 @@ impl NetGraph {
 
     /// Degree of a node.
     #[inline]
+    // sheriff-lint: allow(DEAD01, "the fat-tree and BCube degree proptests in tests/proptests.rs")
     pub fn degree(&self, idx: NodeIdx) -> usize {
         self.adjacency[idx].len()
     }
@@ -153,13 +146,6 @@ impl NetGraph {
         self.edges.iter().map(|(a, b, l)| (*a, *b, l))
     }
 
-    /// All rack node indices (the delegation set `V`).
-    pub fn rack_indices(&self) -> Vec<NodeIdx> {
-        self.node_indices()
-            .filter(|&i| self.nodes[i].is_rack())
-            .collect()
-    }
-
     /// All switch node indices (the set `S`).
     pub fn switch_indices(&self) -> Vec<NodeIdx> {
         self.node_indices()
@@ -168,6 +154,7 @@ impl NetGraph {
     }
 
     /// True when every node can reach every other node (BFS from node 0).
+    // sheriff-lint: allow(DEAD01, "the topology structure proptests in tests/proptests.rs")
     pub fn is_connected(&self) -> bool {
         if self.nodes.is_empty() {
             return true;
@@ -210,7 +197,7 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.node_idx(NodeId::Rack(RackId(1))), Some(1));
-        assert_eq!(g.rack_idx(RackId(0)), 0);
+        assert_eq!(g.node_idx(NodeId::Rack(RackId(0))), Some(0));
         assert_eq!(g.node_id(2), NodeId::Switch(SwitchId(0)));
     }
 
@@ -237,7 +224,11 @@ mod tests {
     #[test]
     fn rack_and_switch_partition() {
         let g = triangle();
-        assert_eq!(g.rack_indices(), vec![0, 1]);
+        let racks: Vec<NodeIdx> = g
+            .node_indices()
+            .filter(|&i| g.node_id(i).is_rack())
+            .collect();
+        assert_eq!(racks, vec![0, 1]);
         assert_eq!(g.switch_indices(), vec![2]);
     }
 

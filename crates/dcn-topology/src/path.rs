@@ -28,6 +28,7 @@ impl PathCosts {
     ///
     /// `edge_cost` maps a link to a non-negative traversal cost; the paper
     /// uses the per-edge transmission cost `δ·T(e) + η·P(e)`.
+    // sheriff-lint: allow(DEAD01, "the all-pairs oracle of the dijkstra_all agreement proptest")
     pub fn floyd_warshall(g: &NetGraph, edge_cost: impl Fn(&Link) -> f64) -> Self {
         let n = g.node_count();
         let mut dist = vec![f64::INFINITY; n * n];
@@ -67,6 +68,7 @@ impl PathCosts {
 
     /// Repeated Dijkstra from every node, O(n · m log n). Identical result
     /// to [`PathCosts::floyd_warshall`] but much faster on sparse DCNs.
+    // sheriff-lint: allow(DEAD01, "the all-pairs oracle of the shortest-path proptests")
     pub fn dijkstra_all(g: &NetGraph, edge_cost: impl Fn(&Link) -> f64) -> Self {
         let n = g.node_count();
         let mut dist = vec![f64::INFINITY; n * n];

@@ -56,6 +56,7 @@ impl Vl2Config {
     }
 
     /// Number of non-ToR switches: `D_A/2` intermediate + `D_I` aggregation.
+    #[cfg(test)]
     pub fn switch_count(&self) -> usize {
         self.d_a / 2 + self.d_i
     }

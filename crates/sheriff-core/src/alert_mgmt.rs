@@ -15,7 +15,7 @@
 //! both with a sequential VMMIGRATION for one shim.
 
 use crate::priority::{priority, Budget};
-use crate::reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
+use crate::reroute::{flow_reroute, RerouteReport};
 use crate::vmmigration::{vmmigration, MigrationContext, MigrationPlan};
 use dcn_sim::flows::FlowNetwork;
 use dcn_sim::{Alert, AlertSource, SimConfig};
@@ -160,18 +160,7 @@ pub fn reroute_switch_alerts<S: EventSink + ?Sized>(
             .into_iter()
             .filter(|&f| chosen.contains(&flows.flows()[f].src))
             .collect();
-        let r = if sim.reroute_paths > 1 {
-            flow_reroute_balanced(
-                dcn,
-                placement,
-                flows,
-                sw,
-                &chosen_flow_ids,
-                sim.reroute_paths,
-            )
-        } else {
-            flow_reroute(dcn, placement, flows, sw, &chosen_flow_ids)
-        };
+        let r = flow_reroute(dcn, placement, flows, sw, &chosen_flow_ids);
         emit(sink, || Event::FlowsRerouted {
             rack: rack.index() as u64,
             rerouted: r.rerouted as u64,

@@ -4,7 +4,9 @@
 //! on out-of-range configuration. [`SystemBuilder`] names every knob,
 //! validates through [`Cluster::try_build`], and returns a typed
 //! [`SheriffError`] instead of panicking — so binaries and experiments
-//! can surface configuration mistakes as errors.
+//! can surface configuration mistakes as errors. The builder runs the
+//! paper's [`SimConfig::paper`] parameters; a custom [`SimConfig`] goes
+//! through [`Cluster::try_build`] and [`System::with_sink`].
 //!
 //! ```
 //! use dcn_topology::fattree::{self, FatTreeConfig};
@@ -29,7 +31,6 @@ use sheriff_obs::EventSink;
 pub struct SystemBuilder {
     dcn: Dcn,
     cluster: ClusterConfig,
-    sim: SimConfig,
     flows: Vec<Flow>,
 }
 
@@ -41,7 +42,6 @@ impl SystemBuilder {
         Self {
             dcn,
             cluster: ClusterConfig::default(),
-            sim: SimConfig::paper(),
             flows: Vec::new(),
         }
     }
@@ -49,12 +49,6 @@ impl SystemBuilder {
     /// Replace the whole cluster-population config.
     pub fn cluster_config(mut self, cfg: ClusterConfig) -> Self {
         self.cluster = cfg;
-        self
-    }
-
-    /// Replace the whole simulation config.
-    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
-        self.sim = cfg;
         self
     }
 
@@ -97,7 +91,7 @@ impl SystemBuilder {
 
     /// Validate and assemble a `System<S>` observed by `sink`.
     pub fn build_with_sink<S: EventSink>(self, sink: S) -> Result<System<S>, SheriffError> {
-        let cluster = Cluster::try_build(self.dcn, &self.cluster, self.sim)?;
+        let cluster = Cluster::try_build(self.dcn, &self.cluster, SimConfig::paper())?;
         let flows = FlowNetwork::route(&cluster.dcn, &cluster.placement, self.flows);
         Ok(System::with_sink(cluster, flows, sink))
     }
@@ -137,7 +131,7 @@ mod tests {
             alpha: 7.0,
             ..SimConfig::paper()
         };
-        let Err(err) = SystemBuilder::new(dcn).sim_config(bad_sim).build() else {
+        let Err(err) = Cluster::try_build(dcn, &ClusterConfig::default(), bad_sim) else {
             panic!("alpha outside [0, 1] must be rejected");
         };
         assert!(matches!(err, SheriffError::InvalidProbability { .. }));

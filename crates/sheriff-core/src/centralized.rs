@@ -6,12 +6,7 @@
 //! considers *every* host as a destination — one global minimum-weight
 //! matching over the same Eqn. 1 costs. Its search space is |F| × |all
 //! hosts|, against Sheriff's |F_i| × |region_i hosts| per shim.
-//!
-//! It also exposes the Sec. V-A k-median pipeline: choose `k` destination
-//! ToRs for the alerting source ToRs by local search (Alg. 5) over the
-//! collapsed metric `Cost(v_i, v_p)`.
 
-use crate::kmedian::{greedy_init, local_search_from, KMedianInstance, KMedianSolution};
 use crate::vmmigration::{vmmigration_scoped, MigrationContext, MigrationPlan};
 use dcn_topology::{RackId, VmId};
 use sheriff_obs::{EventSink, NullSink};
@@ -52,83 +47,6 @@ pub fn centralized_migration_chunked(
         plan.absorb(centralized_migration(ctx, part, max_rounds, &mut NullSink));
     }
     plan
-}
-
-/// The Sec. V-A transformation: given alerting source racks and the full
-/// rack-to-rack cost matrix, pick `k` destination ToRs minimising total
-/// connection cost with the `p`-swap local search. `sink` observes the
-/// Alg. 5 descent: each accepted swap emits a `swap_accepted` event.
-///
-/// `rack_cost[i][j]` must be `Cost(v_i, v_j)` per Eqn. 18 (e.g. from
-/// [`dcn_sim::RackMetric::migration_cost`] with a reference VM size).
-pub fn destination_tors<S: EventSink + ?Sized>(
-    rack_cost: &[Vec<f64>],
-    sources: &[RackId],
-    k: usize,
-    p: usize,
-    sink: &mut S,
-) -> KMedianSolution {
-    assert!(!sources.is_empty(), "need at least one alerting rack");
-    let cost: Vec<Vec<f64>> = sources
-        .iter()
-        .map(|s| rack_cost[s.index()].clone())
-        .collect();
-    let inst = KMedianInstance::new(cost, k);
-    local_search_from(&inst, greedy_init(&inst), p, 10_000, sink)
-}
-
-/// The full Sec. V-A pipeline: collapse rack-to-rack costs (done once in
-/// the [`dcn_sim::RackMetric`]), choose `k` destination ToRs for the
-/// alerting source racks with the p-swap local search (Alg. 5), then run
-/// VMMIGRATION restricted to those racks. Compared to matching against
-/// every rack, this caps the candidate-slot set at `k` racks — the
-/// centralized manager's scalable variant. `sink` observes both stages:
-/// the Alg. 5 swap descent and the scoped VMMIGRATION's request traffic.
-pub fn kmedian_migration<S: EventSink + ?Sized>(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    k: usize,
-    p: usize,
-    max_rounds: usize,
-    sink: &mut S,
-) -> (MigrationPlan, KMedianSolution) {
-    assert!(!candidates.is_empty(), "need candidates");
-    let n = ctx.inventory.rack_count();
-    assert!(k >= 1 && k <= n, "k in 1..=racks");
-
-    // source racks of the alerting VMs
-    let mut sources: Vec<RackId> = candidates
-        .iter()
-        .map(|&vm| ctx.placement.rack_of(vm))
-        .collect();
-    sources.sort_unstable();
-    sources.dedup();
-
-    // rack-to-rack Cost(v_i, v_j) at the reference VM size (Eqn. 18)
-    let ref_cap = ctx.sim.vm_capacity_max;
-    let rack_cost: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| {
-                    let (a, b) = (RackId::from_index(i), RackId::from_index(j));
-                    if ctx.metric.reachable(a, b) {
-                        ctx.metric.migration_cost(ctx.sim, ref_cap, a, b, 1.0)
-                    } else {
-                        1e12
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    let solution = destination_tors(&rack_cost, &sources, k, p, sink);
-    let dest_racks: Vec<RackId> = solution
-        .open
-        .iter()
-        .map(|&f| RackId::from_index(f))
-        .collect();
-    let plan = vmmigration_scoped(ctx, candidates, &dest_racks, max_rounds, false, sink);
-    (plan, solution)
 }
 
 #[cfg(test)]
@@ -244,99 +162,5 @@ mod tests {
             central.search_space,
             regional.search_space
         );
-    }
-
-    #[test]
-    fn kmedian_pipeline_places_candidates_in_k_racks() {
-        let mut c = cluster(8);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
-        let cands = alerting_vms(&c, 0.15);
-        assert!(!cands.is_empty());
-        let k = 3;
-        let mut ctx = MigrationContext {
-            placement: &mut c.placement,
-            inventory: &c.dcn.inventory,
-            deps: &c.deps,
-            metric: &metric,
-            sim: &c.sim,
-        };
-        let (plan, solution) = kmedian_migration(&mut ctx, &cands, k, 2, 5, &mut NullSink);
-        assert_eq!(solution.open.len(), k);
-        // every committed move landed in one of the k chosen racks
-        let dest: std::collections::HashSet<RackId> = solution
-            .open
-            .iter()
-            .map(|&f| RackId::from_index(f))
-            .collect();
-        for m in &plan.moves {
-            assert!(dest.contains(&c.placement.rack_of_host(m.to)));
-        }
-        assert!(!plan.moves.is_empty());
-    }
-
-    #[test]
-    fn kmedian_pipeline_search_space_below_full_central() {
-        let mut c1 = cluster(9);
-        let mut c2 = cluster(9);
-        let metric = RackMetric::build(&c1.dcn, &c1.sim);
-        let cands = alerting_vms(&c1, 0.15);
-        let (km_plan, _) = {
-            let mut ctx = MigrationContext {
-                placement: &mut c1.placement,
-                inventory: &c1.dcn.inventory,
-                deps: &c1.deps,
-                metric: &metric,
-                sim: &c1.sim,
-            };
-            kmedian_migration(&mut ctx, &cands, 2, 2, 1, &mut NullSink)
-        };
-        let full = {
-            let mut ctx = MigrationContext {
-                placement: &mut c2.placement,
-                inventory: &c2.dcn.inventory,
-                deps: &c2.deps,
-                metric: &metric,
-                sim: &c2.sim,
-            };
-            centralized_migration(&mut ctx, &cands, 1, &mut NullSink)
-        };
-        assert!(
-            km_plan.search_space < full.search_space,
-            "k-median restriction must shrink the matching: {} !< {}",
-            km_plan.search_space,
-            full.search_space
-        );
-    }
-
-    #[test]
-    fn destination_tors_picks_k_cheap_racks() {
-        let c = cluster(7);
-        let metric = RackMetric::build(&c.dcn, &c.sim);
-        let n = c.dcn.rack_count();
-        let ref_cap = c.sim.vm_capacity_max;
-        let rack_cost: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| {
-                        metric.migration_cost(
-                            &c.sim,
-                            ref_cap,
-                            RackId::from_index(i),
-                            RackId::from_index(j),
-                            1.0,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let sources = vec![RackId(0), RackId(1)];
-        let sol = destination_tors(&rack_cost, &sources, 2, 2, &mut NullSink);
-        assert_eq!(sol.open.len(), 2);
-        assert!(sol.cost.is_finite());
-        // with k = sources and same-pod racks available, the chosen ToRs
-        // should be pod-local (cheap)
-        let max_cost_per_source = sol.cost / sources.len() as f64;
-        let cross_pod = rack_cost[0][4];
-        assert!(max_cost_per_source <= cross_pod);
     }
 }

@@ -26,11 +26,15 @@ fn check_region(ctx: &MigrationContext<'_>, region: &[RackId]) -> Result<(), She
     Ok(())
 }
 
-/// Fallible [`evacuate_host`]: validates the host and region rack ids
-/// against the inventory and returns a typed [`SheriffError`] instead of
-/// panicking on an out-of-range index. An *empty* host is not an error —
-/// the evacuation is simply a no-op plan, as before.
-pub fn try_evacuate_host(
+/// Evacuate every VM from `host`, preferring the shim's own region and
+/// widening to the whole network when the region lacks capacity.
+///
+/// Unlike Alg. 3's alert path, an evacuation must not leave VMs behind:
+/// when `plan.unplaced` is non-empty after the regional pass, a global
+/// pass retries against all racks. An out-of-range host or region rack
+/// id is a typed [`SheriffError`]; an *empty* host is not an error — the
+/// evacuation is simply a no-op plan.
+pub fn evacuate_host(
     ctx: &mut MigrationContext<'_>,
     host: HostId,
     region: &[RackId],
@@ -46,11 +50,26 @@ pub fn try_evacuate_host(
         });
     }
     check_region(ctx, region)?;
-    Ok(evacuate_host(ctx, host, region, max_rounds))
+    let victims: Vec<VmId> = ctx.placement.vms_on(host).to_vec();
+    if victims.is_empty() {
+        return Ok(MigrationPlan::default());
+    }
+    let mut plan = vmmigration(ctx, &victims, region, max_rounds);
+    if !plan.unplaced.is_empty() {
+        let leftover = std::mem::take(&mut plan.unplaced);
+        let all_racks: Vec<RackId> = (0..ctx.inventory.rack_count())
+            .map(RackId::from_index)
+            .collect();
+        let global = vmmigration(ctx, &leftover, &all_racks, max_rounds);
+        plan.absorb(global);
+    }
+    Ok(plan)
 }
 
-/// Fallible [`drain_rack`]; see [`try_evacuate_host`].
-pub fn try_drain_rack(
+/// Drain an entire rack (ToR failure, rack maintenance): evacuate each of
+/// its hosts. Destination racks exclude the draining rack itself. Ids are
+/// checked as in [`evacuate_host`].
+pub fn drain_rack(
     ctx: &mut MigrationContext<'_>,
     rack: RackId,
     region: &[RackId],
@@ -66,45 +85,6 @@ pub fn try_drain_rack(
         });
     }
     check_region(ctx, region)?;
-    Ok(drain_rack(ctx, rack, region, max_rounds))
-}
-
-/// Evacuate every VM from `host`, preferring the shim's own region and
-/// widening to the whole network when the region lacks capacity.
-///
-/// Unlike Alg. 3's alert path, an evacuation must not leave VMs behind:
-/// when `plan.unplaced` is non-empty after the regional pass, a global
-/// pass retries against all racks.
-pub fn evacuate_host(
-    ctx: &mut MigrationContext<'_>,
-    host: HostId,
-    region: &[RackId],
-    max_rounds: usize,
-) -> MigrationPlan {
-    let victims: Vec<VmId> = ctx.placement.vms_on(host).to_vec();
-    if victims.is_empty() {
-        return MigrationPlan::default();
-    }
-    let mut plan = vmmigration(ctx, &victims, region, max_rounds);
-    if !plan.unplaced.is_empty() {
-        let leftover = std::mem::take(&mut plan.unplaced);
-        let all_racks: Vec<RackId> = (0..ctx.inventory.rack_count())
-            .map(RackId::from_index)
-            .collect();
-        let global = vmmigration(ctx, &leftover, &all_racks, max_rounds);
-        plan.absorb(global);
-    }
-    plan
-}
-
-/// Drain an entire rack (ToR failure, rack maintenance): evacuate each of
-/// its hosts. Destination racks exclude the draining rack itself.
-pub fn drain_rack(
-    ctx: &mut MigrationContext<'_>,
-    rack: RackId,
-    region: &[RackId],
-    max_rounds: usize,
-) -> MigrationPlan {
     let mut plan = MigrationPlan::default();
     let region_without: Vec<RackId> = region.iter().copied().filter(|&r| r != rack).collect();
     let hosts: Vec<HostId> = ctx.inventory.hosts_in(rack).to_vec();
@@ -131,7 +111,7 @@ pub fn drain_rack(
         }
         plan.absorb(p);
     }
-    plan
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -178,7 +158,7 @@ mod tests {
             metric: &metric,
             sim: &c.sim,
         };
-        let plan = evacuate_host(&mut ctx, host, &region, 5);
+        let plan = evacuate_host(&mut ctx, host, &region, 5).unwrap();
         assert!(c.placement.vms_on(host).is_empty(), "host not emptied");
         assert_eq!(plan.moves.len(), vm_count);
         assert!(plan.unplaced.is_empty());
@@ -209,7 +189,7 @@ mod tests {
             metric: &metric,
             sim: &c.sim,
         };
-        evacuate_host(&mut ctx, host, &region, 5);
+        evacuate_host(&mut ctx, host, &region, 5).unwrap();
         assert!(c.placement.vms_on(host).is_empty());
     }
 
@@ -234,7 +214,7 @@ mod tests {
             metric: &metric,
             sim: &c.sim,
         };
-        let plan = drain_rack(&mut ctx, rack, &region, 5);
+        let plan = drain_rack(&mut ctx, rack, &region, 5).unwrap();
         assert_eq!(plan.moves.len(), total_vms);
         for &h in c.dcn.inventory.hosts_in(rack) {
             assert!(c.placement.vms_on(h).is_empty(), "host {h} not drained");
@@ -246,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn try_variants_reject_out_of_range_ids() {
+    fn out_of_range_ids_are_rejected() {
         let mut c = cluster(35);
         let metric = RackMetric::build(&c.dcn, &c.sim);
         let host_count = c.placement.host_count();
@@ -258,17 +238,17 @@ mod tests {
             metric: &metric,
             sim: &c.sim,
         };
-        let err = try_evacuate_host(&mut ctx, HostId::from_index(host_count), &[RackId(0)], 3)
-            .unwrap_err();
+        let err =
+            evacuate_host(&mut ctx, HostId::from_index(host_count), &[RackId(0)], 3).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
         let err =
-            try_drain_rack(&mut ctx, RackId::from_index(rack_count), &[RackId(0)], 3).unwrap_err();
+            drain_rack(&mut ctx, RackId::from_index(rack_count), &[RackId(0)], 3).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
-        let err = try_evacuate_host(&mut ctx, HostId(0), &[RackId::from_index(rack_count)], 3)
-            .unwrap_err();
+        let err =
+            evacuate_host(&mut ctx, HostId(0), &[RackId::from_index(rack_count)], 3).unwrap_err();
         assert!(err.to_string().contains("region rack"), "{err}");
-        // in-range ids behave exactly like the panicking entry point
-        let plan = try_evacuate_host(&mut ctx, HostId(0), &[RackId(1)], 3).unwrap();
+        // in-range ids plan as before
+        let plan = evacuate_host(&mut ctx, HostId(0), &[RackId(1)], 3).unwrap();
         assert!(plan.unplaced.is_empty());
     }
 
@@ -287,7 +267,7 @@ mod tests {
             metric: &metric,
             sim: &c.sim,
         };
-        let plan = evacuate_host(&mut ctx, host, &[RackId(1)], 5);
+        let plan = evacuate_host(&mut ctx, host, &[RackId(1)], 5).unwrap();
         assert!(plan.moves.is_empty());
         assert_eq!(plan.search_space, 0);
     }

@@ -206,23 +206,13 @@ impl IntentJournal {
 
     /// Replay the journal after a crash: re-ACK committed transfers,
     /// abort prepares whose lease lapsed while the shim was down, and
-    /// keep in-lease prepares alive for the retransmitted COMMIT.
-    pub fn recover(
-        &mut self,
-        placement: &mut Placement,
-        deps: &DependencyGraph,
-        now: u64,
-    ) -> RecoveryReport {
-        self.recover_with_epochs(placement, deps, now, &BTreeMap::new())
-    }
-
-    /// Epoch-aware [`IntentJournal::recover`]: in addition to the lease
-    /// sweep, every prepare journalled under an epoch older than its
-    /// source rack's current epoch (per `epochs`; racks absent from the
-    /// map are at epoch 0) is aborted even while its lease is live — the
-    /// source shim was taken over, so the COMMIT it owed will never
-    /// legitimately arrive. Rollback when possible, commit-forward when
-    /// not: the re-integration choice is made per entry, never losing or
+    /// keep in-lease prepares alive for the retransmitted COMMIT. Every
+    /// prepare journalled under an epoch older than its source rack's
+    /// current epoch (per `epochs`; racks absent from the map are at
+    /// epoch 0) is aborted even while its lease is live — the source shim
+    /// was taken over, so the COMMIT it owed will never legitimately
+    /// arrive. Rollback when possible, commit-forward when not: the
+    /// re-integration choice is made per entry, never losing or
     /// duplicating a VM.
     pub fn recover_with_epochs(
         &mut self,
@@ -291,14 +281,6 @@ impl IntentJournal {
         self.entries
             .values()
             .filter(|e| e.state == TxnState::Committed)
-            .count()
-    }
-
-    /// Transactions that finished in `Aborted`.
-    pub fn aborted(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| e.state == TxnState::Aborted)
             .count()
     }
 
@@ -390,7 +372,7 @@ mod tests {
         // orphaned prepare: lease 8 lapsed while the shim was down
         p.migrate(VmId(0), HostId(2)).unwrap();
         j.prepare(id(1), VmId(0), HostId(1), HostId(2), 8, 0);
-        let rep = j.recover(&mut p, &deps, 20);
+        let rep = j.recover_with_epochs(&mut p, &deps, 20, &BTreeMap::new());
         assert_eq!(rep.replayed, 2);
         assert_eq!(rep.reacks, vec![id(0)]);
         assert_eq!(rep.lease_aborts, vec![(id(1), VmId(0))]);
@@ -426,7 +408,7 @@ mod tests {
         p.migrate(VmId(0), HostId(1)).unwrap();
         let mut j = IntentJournal::new();
         j.prepare(id(0), VmId(0), HostId(0), HostId(1), 100, 0);
-        let rep = j.recover(&mut p, &deps, 20);
+        let rep = j.recover_with_epochs(&mut p, &deps, 20, &BTreeMap::new());
         assert!(rep.lease_aborts.is_empty());
         assert_eq!(j.state(id(0)), Some(TxnState::Prepared));
         assert_eq!(p.host_of(VmId(0)), HostId(1));

@@ -1,5 +1,5 @@
-//! Alg. 5 — the Local Search k-median algorithm, and the VMMIGRATION →
-//! k-median transformation of Sec. V-A.
+//! Alg. 5 — the Local Search k-median algorithm, for the instances the
+//! VMMIGRATION → k-median transformation of Sec. V-A produces.
 //!
 //! The transformation: after Floyd–Warshall collapses rack-to-rack routing
 //! into a complete metric, `Cost(v_i, v_p) = C_r + f(v_i, v_p) + G(v_i, v_p)`

@@ -11,7 +11,7 @@
 //!   negotiation,
 //! * Alg. 4 [`request_migration`] — FCFS ACK/REJECT at the destination,
 //! * Alg. 5 [`kmedian::local_search`] — the p-swap local search with
-//!   ratio 3 + 2/p, plus the VMMIGRATION → k-median transformation,
+//!   ratio 3 + 2/p,
 //!
 //! together with FLOWREROUTE, the centralized-manager baseline
 //! ([`CentralizedRuntime`]) and the shim runtime, which negotiates every
@@ -53,11 +53,9 @@ pub use audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
 };
 pub use builder::SystemBuilder;
-pub use centralized::{
-    centralized_migration, centralized_migration_chunked, destination_tors, kmedian_migration,
-};
+pub use centralized::{centralized_migration, centralized_migration_chunked};
 pub use channel::{CrashWindow, LinkFaultWindow, PartitionWindow};
-pub use evacuation::{drain_rack, evacuate_host, try_drain_rack, try_evacuate_host};
+pub use evacuation::{drain_rack, evacuate_host};
 pub use fabric::FabricConfig;
 pub use failure::{FailureDetector, RegionFailover, ShimHealth};
 pub use journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnRecord, TxnState};
@@ -69,7 +67,7 @@ pub use metrics::{RatioPoint, Series};
 pub use priority::{priority, Budget};
 pub use protocol::{ReqId, ShimMsg, TwoPhaseReply};
 pub use request::request_migration;
-pub use reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
+pub use reroute::{flow_reroute, RerouteReport};
 pub use runtime::{
     balance_trajectory, CentralizedRuntime, FabricRuntime, RoundOutcome, RunCtx, Runtime,
 };

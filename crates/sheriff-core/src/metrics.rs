@@ -16,6 +16,7 @@ pub struct Series {
 
 impl Series {
     /// Build a series from integer x values.
+    #[cfg(test)]
     pub fn from_points(label: impl Into<String>, points: &[(f64, f64)]) -> Self {
         Self {
             label: label.into(),
@@ -26,11 +27,13 @@ impl Series {
 
     /// True when the series is (weakly) decreasing within tolerance `tol`
     /// — used to verify the Fig. 9/10 "keeps going down" claim.
+    // sheriff-lint: allow(DEAD01, "the Fig. 9/10 shape test in crates/bench/src/balance.rs")
     pub fn is_decreasing(&self, tol: f64) -> bool {
         self.y.windows(2).all(|w| w[1] <= w[0] + tol)
     }
 
     /// Relative drop from first to last point.
+    // sheriff-lint: allow(DEAD01, "the Fig. 9/10 shape test in crates/bench/src/balance.rs")
     pub fn total_drop(&self) -> f64 {
         match (self.y.first(), self.y.last()) {
             (Some(&a), Some(&b)) if a != 0.0 => (a - b) / a,

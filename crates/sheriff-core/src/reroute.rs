@@ -6,7 +6,7 @@
 //! switches." Rerouting is cheaper and faster than live migration, so
 //! shims apply it before VMMIGRATION.
 
-use dcn_sim::flows::{shortest_route, FlowNetwork};
+use dcn_sim::flows::FlowNetwork;
 use dcn_topology::{Dcn, NodeId, Placement, SwitchId};
 
 /// Outcome of a FLOWREROUTE invocation.
@@ -20,9 +20,16 @@ pub struct RerouteReport {
     pub skipped_delay_sensitive: usize,
 }
 
-/// Reroute the given flows (indices into `flows`) away from `hot`.
-/// Delay-sensitive flows are never disturbed (Alg. 2 line 1 applies to
-/// reroute victims too). Returns per-category counts.
+/// Candidate paths FLOWREROUTE weighs per flow (Yen's k-shortest).
+pub const REROUTE_PATHS: usize = 4;
+
+/// Reroute the given flows (indices into `flows`) away from `hot`: among
+/// up to [`REROUTE_PATHS`] loopless shortest paths (Yen's algorithm) that
+/// avoid the hot switch, each flow takes the one that minimises the worst
+/// post-reroute link utilisation. On ECMP fabrics like Fat-Tree this
+/// spreads detours instead of stacking every rerouted flow onto the same
+/// alternative. Delay-sensitive flows are never disturbed (Alg. 2 line 1
+/// applies to reroute victims too). Returns per-category counts.
 pub fn flow_reroute(
     dcn: &Dcn,
     placement: &Placement,
@@ -40,56 +47,17 @@ pub fn flow_reroute(
             report.skipped_delay_sensitive += 1;
             continue;
         }
+        let rate = flow.rate;
         let src = dcn.rack_node(placement.rack_of(flow.src));
         let dst = dcn.rack_node(placement.rack_of(flow.dst));
         if src == dst {
             continue; // intra-rack flow never touches a switch
         }
-        match shortest_route(dcn, src, dst, &[hot_node]) {
-            Some(route) => {
-                flows.reroute(f, route);
-                report.rerouted += 1;
-            }
-            None => report.stuck += 1,
-        }
-    }
-    report
-}
-
-/// Multipath-aware FLOWREROUTE: among up to `k` loopless shortest paths
-/// (Yen's algorithm) that avoid the hot switch, choose the one that
-/// minimises the worst post-reroute link utilisation. On ECMP fabrics
-/// like Fat-Tree this spreads detours instead of stacking every rerouted
-/// flow onto the same alternative.
-pub fn flow_reroute_balanced(
-    dcn: &Dcn,
-    placement: &Placement,
-    flows: &mut FlowNetwork,
-    hot: SwitchId,
-    flow_ids: &[usize],
-    k: usize,
-) -> RerouteReport {
-    let mut report = RerouteReport::default();
-    let Some(hot_node) = dcn.graph.node_idx(NodeId::Switch(hot)) else {
-        return report;
-    };
-    for &f in flow_ids {
-        let flow = &flows.flows()[f];
-        if flow.delay_sensitive {
-            report.skipped_delay_sensitive += 1;
-            continue;
-        }
-        let rate = flow.rate;
-        let src = dcn.rack_node(placement.rack_of(flow.src));
-        let dst = dcn.rack_node(placement.rack_of(flow.dst));
-        if src == dst {
-            continue;
-        }
         let candidates = dcn_topology::ksp::k_shortest_paths(
             &dcn.graph,
             src,
             dst,
-            k,
+            REROUTE_PATHS,
             dcn_topology::path::distance_cost,
         );
         // pick the candidate avoiding the hot switch with the lowest
@@ -219,7 +187,7 @@ mod tests {
             let node = if dcn.graph.node_id(a).is_rack() { b } else { a };
             dcn.graph.node_id(node).as_switch().unwrap()
         };
-        let report = flow_reroute_balanced(&dcn, &p, &mut flows, hot_sw, &[0, 1], 6);
+        let report = flow_reroute(&dcn, &p, &mut flows, hot_sw, &[0, 1]);
         assert_eq!(report.rerouted, 2);
         // after balancing, the two flows take different first hops
         assert_ne!(flows.route_of(0)[0], flows.route_of(1)[0]);
@@ -236,7 +204,7 @@ mod tests {
         let worst_before: f64 = (0..dcn.graph.edge_count())
             .map(|e| flows.load(e) / dcn.graph.link(e).capacity)
             .fold(0.0, f64::max);
-        let report = flow_reroute_balanced(&dcn, &p, &mut flows, sw, &ids, 4);
+        let report = flow_reroute(&dcn, &p, &mut flows, sw, &ids);
         assert_eq!(report.rerouted, ids.len());
         let worst_after: f64 = (0..dcn.graph.edge_count())
             .map(|e| flows.load(e) / dcn.graph.link(e).capacity)

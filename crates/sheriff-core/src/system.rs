@@ -107,11 +107,6 @@ impl<S: EventSink> System<S> {
         &self.sink
     }
 
-    /// Mutably borrow the event sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
     /// Tear the system down and hand back the sink (e.g. to call
     /// [`JsonLinesSink::finish`](sheriff_obs::JsonLinesSink::finish)).
     pub fn into_sink(self) -> S {

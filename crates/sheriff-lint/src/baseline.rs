@@ -5,7 +5,8 @@
 //! catch-all debt, and — since the DET rules went interprocedural —
 //! DET01–DET03 findings flushed out of legacy `bench`/`dcn-sim` call
 //! paths may be carried as tracked debt. Unsafety (UNSAFE01), dead
-//! telemetry (EVT01), and malformed pragmas (LINT00) must be zero. The baseline stores a *count per file*, not
+//! telemetry (EVT01), unused public API (DEAD01), and malformed pragmas
+//! (LINT00) must be zero. The baseline stores a *count per file*, not
 //! positions, so it is robust to unrelated line shifts:
 //!
 //! * count > baseline → new violations, the check fails;
@@ -387,11 +388,13 @@ mod tests {
         let b = Baseline::from_diagnostics(&[
             d("UNSAFE01", "src/lib.rs", 1),
             d("EVT01", "crates/sheriff-obs/src/event.rs", 3),
+            d("DEAD01", "crates/dcn-sim/src/flows.rs", 7),
             d("LINT00", "src/lib.rs", 9),
         ]);
         assert_eq!(b.entry_count(), 0);
         assert!(Baseline::parse("{\"UNSAFE01\": {\"src/lib.rs\": 1}}").is_err());
         assert!(Baseline::parse("{\"EVT01\": {\"crates/sheriff-obs/src/event.rs\": 1}}").is_err());
+        assert!(Baseline::parse("{\"DEAD01\": {\"crates/dcn-sim/src/flows.rs\": 1}}").is_err());
     }
 
     #[test]

@@ -2,16 +2,6 @@
 
 use std::fmt;
 
-/// Severity of a finding. Everything the rule engine emits today is an
-/// error (warnings would rot); the distinction exists for the renderer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the check.
-    Error,
-    /// Informational (baseline summaries).
-    Note,
-}
-
 /// One finding: a rule violated at a position, with a suggestion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {

@@ -96,13 +96,7 @@ fn run(opts: &Options) -> Result<i32, String> {
     // feed the per-file rules and the whole-program symbol/call-graph/taint
     // passes
     let sources = walk_sources(&root)?;
-    let mut files = Vec::with_capacity(sources.len());
-    for (rel, abs) in &sources {
-        let src = std::fs::read_to_string(abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        files.push(SourceFile::parse(rel, &src));
-    }
-    let (diags, stats) = lint_workspace(files);
+    let (diags, stats) = lint_workspace(parse_all(&sources.lint)?, &parse_all(&sources.readers)?);
 
     if opts.update_baseline {
         let fresh = Baseline::from_diagnostics(&diags);
@@ -133,6 +127,18 @@ fn run(opts: &Options) -> Result<i32, String> {
     };
     let (outstanding, issues) = committed.apply(&diags);
     report(&outstanding, &issues, &stats, opts)
+}
+
+/// Read and lex each file exactly once.
+fn parse_all(sources: &[(String, PathBuf)]) -> Result<Vec<SourceFile>, String> {
+    sources
+        .iter()
+        .map(|(rel, abs)| {
+            let src = std::fs::read_to_string(abs)
+                .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
+            Ok(SourceFile::parse(rel, &src))
+        })
+        .collect()
 }
 
 /// Print findings (and write the SARIF file, when requested) and decide

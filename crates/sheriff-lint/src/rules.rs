@@ -12,6 +12,8 @@
 //! | PANIC01  | no `unwrap`/`expect`/indexing in non-test library code       |
 //! | UNSAFE01 | every crate root carries `#![forbid(unsafe_code)]`           |
 //! | EVT01    | every `sheriff-obs::Event` variant has a non-test emit site  |
+//! | DEAD01   | every non-test `pub` item of a library crate is named by     |
+//! |          | some non-test code outside its definition                    |
 //! | PROTO01  | protocol `match`es in deterministic modules take a position  |
 //! |          | on every variant — no `_` catch-all                          |
 //! | LINT00   | (meta) malformed `sheriff-lint:` pragmas never silently      |
@@ -27,11 +29,11 @@ use crate::diagnostics::Diagnostic;
 use crate::lexer::{Token, TokenKind};
 use crate::symbols::{SourceFile, SymbolIndex};
 use crate::taint;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Rule codes, in report order.
 pub const RULES: &[&str] = &[
-    "DET01", "DET02", "DET03", "PANIC01", "UNSAFE01", "EVT01", "PROTO01", "LINT00",
+    "DET01", "DET02", "DET03", "PANIC01", "UNSAFE01", "EVT01", "DEAD01", "PROTO01", "LINT00",
 ];
 
 const HELP_DET01: &str = "route timing through sheriff_obs::Timer (wall clock is excluded from \
@@ -40,8 +42,8 @@ const HELP_DET02: &str = "iterate a BTreeMap/BTreeSet, sort the items in this st
      `// sheriff-lint: allow(DET02, \"why the order cannot leak\")`";
 const HELP_DET03: &str = "construct a seeded RNG (e.g. `StdRng::seed_from_u64`) and thread it \
      through, or add `// sheriff-lint: allow(DET03, \"why\")`";
-const HELP_PANIC01: &str = "return the module's typed error instead (SheriffError / FitError / \
-     TraceIoError patterns), use `.get(..)`, or add `// sheriff-lint: allow(PANIC01, \"why this \
+const HELP_PANIC01: &str = "return the module's typed error instead (SheriffError / FitError \
+     patterns), use `.get(..)`, or add `// sheriff-lint: allow(PANIC01, \"why this \
      cannot panic\")`";
 const HELP_UNSAFE01: &str = "add `#![forbid(unsafe_code)]` next to the crate's other inner \
      attributes";
@@ -49,6 +51,9 @@ pub(crate) const HELP_LINT00: &str = "write `// sheriff-lint: allow(RULE, \"reas
      typo'd pragma must not silently suppress nothing";
 const HELP_EVT01: &str = "emit the variant from the runtime path it documents (see DESIGN.md \
      §7's event-to-paper map), or delete it — dead telemetry rots the map";
+const HELP_DEAD01: &str = "call it from the code it was written for, or delete it with the tests \
+     that exercise only it; test support moves under `#[cfg(test)]` or carries \
+     `// sheriff-lint: allow(DEAD01, \"the test that needs it\")`";
 const HELP_PROTO01: &str = "name every variant (or-patterns are fine) so the next protocol \
      extension forces this handler to take a position, or add \
      `// sheriff-lint: allow(PROTO01, \"why\")` on the match";
@@ -832,6 +837,105 @@ fn enum_variants<'a>(tokens: &'a [Token], name: &str) -> Vec<(String, &'a Token)
     out
 }
 
+// ---------------------------------------------------- DEAD01 (unused API)
+
+/// The item kinds whose `pub` definitions DEAD01 checks.
+const PUB_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// Library code: a source file that is neither a binary's `main.rs` nor
+/// under `src/bin/`.
+fn is_library_source(path: &str) -> bool {
+    !(path.ends_with("src/main.rs") || path.starts_with("src/bin/") || path.contains("/src/bin/"))
+}
+
+/// The non-test `pub` items one file defines: (kind, name, name token)
+/// for each `pub [const|async|unsafe] fn NAME`, `pub struct NAME`, … A
+/// restricted `pub(crate)` is rustc's `dead_code` business, and a macro
+/// metavariable (`pub enum $name`) names no item of its own.
+fn pub_items(file: &SourceFile) -> Vec<(&str, &str, &Token)> {
+    let tokens = &file.tokens;
+    let mut out = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if !t.is_ident("pub") || file.flag(i).test {
+            continue;
+        }
+        let qualified_fn = tokens
+            .get(i + 1)
+            .is_some_and(|q| q.is_ident("const") || q.is_ident("async") || q.is_ident("unsafe"))
+            && tokens.get(i + 2).is_some_and(|k| k.is_ident("fn"));
+        let mut k = if qualified_fn { i + 2 } else { i + 1 };
+        let Some(kind) = tokens
+            .get(k)
+            .and_then(Token::ident)
+            .filter(|s| PUB_ITEM_KINDS.contains(s))
+        else {
+            continue;
+        };
+        if kind == "static" && tokens.get(k + 1).is_some_and(|m| m.is_ident("mut")) {
+            k += 1;
+        }
+        if let Some(tok) = tokens.get(k + 1) {
+            if let Some(name) = tok.ident() {
+                out.push((kind, name, tok));
+            }
+        }
+    }
+    out
+}
+
+/// How often each identifier occurs in the non-test code of `files`,
+/// outside `use` items: an import, or a `pub use` re-export, calls
+/// nothing.
+fn mentions<'a>(files: impl Iterator<Item = &'a SourceFile>) -> BTreeMap<&'a str, usize> {
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for file in files {
+        let mut in_use = false;
+        for (i, t) in file.tokens.iter().enumerate() {
+            if file.flag(i).test {
+                continue;
+            }
+            match &t.kind {
+                TokenKind::Ident(s) if s == "use" => in_use = true,
+                TokenKind::Punct(';') => in_use = false,
+                TokenKind::Ident(s) if !in_use => *counts.entry(s.as_str()).or_insert(0) += 1,
+                _ => {}
+            }
+        }
+    }
+    counts
+}
+
+/// DEAD01: a non-test `pub` item of a library crate that no non-test
+/// code names outside its definition. The check is by name, as the call
+/// graph cannot resolve every call: an item is dead when its name occurs
+/// no more often than it is defined. `readers` (examples, the benchmark)
+/// count as users but are never linted.
+fn dead01(index: &SymbolIndex, readers: &[SourceFile], out: &mut Vec<Diagnostic>) {
+    let mut defs = Vec::new();
+    let mut defined: BTreeMap<&str, usize> = BTreeMap::new();
+    for file in index.files.iter().filter(|f| is_library_source(&f.path)) {
+        for (kind, name, tok) in pub_items(file) {
+            *defined.entry(name).or_insert(0) += 1;
+            defs.push((file.path.as_str(), kind, name, tok));
+        }
+    }
+    let used = mentions(index.files.iter().chain(readers));
+    for (path, kind, name, tok) in defs {
+        if used.get(name) <= defined.get(name) {
+            out.push(diag(
+                "DEAD01",
+                path,
+                tok,
+                format!(
+                    "`pub {kind} {name}` is named by no non-test code outside its definition: \
+                     unused API"
+                ),
+                HELP_DEAD01,
+            ));
+        }
+    }
+}
+
 // ---------------------------------------------------------- entry points
 
 /// Run the per-file rules over one already-parsed file. Suppressions are
@@ -854,6 +958,7 @@ fn lint_file(file: &SourceFile) -> Vec<Diagnostic> {
 /// Lint one source file. `path` must be repo-relative with `/`
 /// separators — it selects which rules apply. (The whole-program rules
 /// need the full workspace: see [`lint_workspace`].)
+// sheriff-lint: allow(DEAD01, "the per-rule fixtures in tests/rule_fixtures.rs")
 pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let file = SourceFile::parse(path, src);
     let mut out = lint_file(&file);
@@ -898,9 +1003,13 @@ impl EngineStats {
 }
 
 /// Lint the whole workspace: the per-file rules plus the symbol-index,
-/// call-graph, taint, EVT01, and PROTO01 passes — all off the memoized
-/// per-file token streams (each file is lexed exactly once).
-pub fn lint_workspace(files: Vec<SourceFile>) -> (Vec<Diagnostic>, EngineStats) {
+/// call-graph, taint, EVT01, DEAD01, and PROTO01 passes — all off the
+/// memoized per-file token streams (each file is lexed exactly once).
+/// `readers` are read only for DEAD01's mentions, never linted.
+pub fn lint_workspace(
+    files: Vec<SourceFile>,
+    readers: &[SourceFile],
+) -> (Vec<Diagnostic>, EngineStats) {
     let mut out = Vec::new();
     for f in &files {
         out.extend(lint_file(f));
@@ -912,6 +1021,7 @@ pub fn lint_workspace(files: Vec<SourceFile>) -> (Vec<Diagnostic>, EngineStats) 
 
     let mut global = taint::interprocedural_diagnostics(&index, &graph, &taint_map);
     evt01(&index, &mut global);
+    dead01(&index, readers, &mut global);
     global.retain(|d| {
         let suppressed = index
             .files

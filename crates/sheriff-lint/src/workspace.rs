@@ -1,6 +1,7 @@
 //! Workspace discovery and the file walk: every `src/**/*.rs` under the
-//! root package and under `crates/*`, visited in sorted order so runs
-//! are byte-for-byte reproducible.
+//! root package and under `crates/*`, plus the examples and the
+//! benchmark that DEAD01 reads for mentions, visited in sorted order so
+//! runs are byte-for-byte reproducible.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -21,9 +22,19 @@ pub fn discover_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// All lintable sources, as (repo-relative `/`-separated path, absolute
-/// path), sorted by relative path.
-pub fn walk_sources(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+/// The files a check reads, each as (repo-relative `/`-separated path,
+/// absolute path), sorted by relative path.
+#[derive(Debug)]
+pub struct Sources {
+    /// The workspace members' `src/**/*.rs`: linted.
+    pub lint: Vec<(String, PathBuf)>,
+    /// `examples/*.rs` and `benchmark/src/**/*.rs`: read only for the
+    /// names they mention (DEAD01), never linted.
+    pub readers: Vec<(String, PathBuf)>,
+}
+
+/// All lintable sources, plus the files read only for mentions.
+pub fn walk_sources(root: &Path) -> Result<Sources, String> {
     let mut src_dirs: Vec<PathBuf> = vec![root.join("src")];
     let crates = root.join("crates");
     if crates.is_dir() {
@@ -36,11 +47,17 @@ pub fn walk_sources(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
             }
         }
     }
+    Ok(Sources {
+        lint: collect_dirs(root, &src_dirs)?,
+        readers: collect_dirs(root, &[root.join("examples"), root.join("benchmark/src")])?,
+    })
+}
 
+fn collect_dirs(root: &Path, dirs: &[PathBuf]) -> Result<Vec<(String, PathBuf)>, String> {
     let mut files: BTreeSet<(String, PathBuf)> = BTreeSet::new();
-    for dir in src_dirs {
+    for dir in dirs {
         if dir.is_dir() {
-            collect_rs(root, &dir, &mut files)?;
+            collect_rs(root, dir, &mut files)?;
         }
     }
     Ok(files.into_iter().collect())
@@ -84,14 +101,22 @@ mod tests {
         let sources = walk_sources(&root).expect("walk");
         assert!(
             sources
+                .lint
                 .iter()
                 .any(|(rel, _)| rel == "crates/sheriff-lint/src/lexer.rs"),
             "walk must see this crate's own sources"
         );
         // sorted by relative path
-        let rels: Vec<_> = sources.iter().map(|(r, _)| r.clone()).collect();
+        let rels: Vec<_> = sources.lint.iter().map(|(r, _)| r.clone()).collect();
         let mut sorted = rels.clone();
         sorted.sort();
         assert_eq!(rels, sorted);
+        // the examples and the benchmark are read, never linted
+        let readers: Vec<&str> = sources.readers.iter().map(|(r, _)| r.as_str()).collect();
+        assert!(readers.contains(&"examples/quickstart.rs"), "{readers:?}");
+        assert!(readers.contains(&"benchmark/src/main.rs"), "{readers:?}");
+        assert!(!rels
+            .iter()
+            .any(|r| r.starts_with("examples/") || r.starts_with("benchmark/")));
     }
 }

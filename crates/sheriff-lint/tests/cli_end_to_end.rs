@@ -31,10 +31,10 @@ fn write_lib(root: &Path, body: &str) {
 }
 
 const CLEAN_LIB: &str = "#![forbid(unsafe_code)]\n\
-    pub fn safe(v: &[u32]) -> Option<u32> { v.first().copied() }\n";
+    fn safe(v: &[u32]) -> Option<u32> { v.first().copied() }\n";
 
 const DIRTY_LIB: &str = "#![forbid(unsafe_code)]\n\
-    pub fn risky(v: &[u32]) -> u32 { v.first().copied().unwrap() }\n";
+    fn risky(v: &[u32]) -> u32 { v.first().copied().unwrap() }\n";
 
 #[test]
 fn clean_tree_exits_zero() {
@@ -97,8 +97,8 @@ fn baseline_ratchet_admits_old_debt_and_rejects_new() {
     write_lib(
         &root,
         "#![forbid(unsafe_code)]\n\
-         pub fn risky(v: &[u32]) -> u32 { v.first().copied().unwrap() }\n\
-         pub fn worse(v: &[u32]) -> u32 { v.last().copied().unwrap() }\n",
+         fn risky(v: &[u32]) -> u32 { v.first().copied().unwrap() }\n\
+         fn worse(v: &[u32]) -> u32 { v.last().copied().unwrap() }\n",
     );
     let out = check(&root, &["--deny-new"]);
     assert_eq!(out.status.code(), Some(1));
@@ -153,7 +153,7 @@ fn write_taint_fixture(root: &Path, pragma: Pragma) {
     };
     std::fs::write(
         root.join("crates/sheriff-core/src/lib.rs"),
-        format!("#![forbid(unsafe_code)]\npub fn step() {{\n{call}}}\n"),
+        format!("#![forbid(unsafe_code)]\nfn step() {{\n{call}}}\n"),
     )
     .expect("write core");
     let source = if matches!(pragma, Pragma::Source) {

@@ -2,7 +2,8 @@
 //! snippet, and one pragma-suppressed snippet each, linted through the
 //! public `lint_source` entry point exactly as the CLI does.
 
-use sheriff_lint::rules::lint_source;
+use sheriff_lint::rules::{lint_source, lint_workspace};
+use sheriff_lint::symbols::SourceFile;
 
 const CORE: &str = "crates/sheriff-core/src/fixture.rs";
 
@@ -11,6 +12,16 @@ fn codes(path: &str, src: &str) -> Vec<String> {
         .into_iter()
         .map(|d| d.rule.to_string())
         .collect()
+}
+
+/// Lint a whole tree of `(path, source)` files, with `readers` read only
+/// for mentions, as the CLI does; returns `(rule, message)` pairs.
+fn lint_tree(files: &[(&str, &str)], readers: &[(&str, &str)]) -> Vec<(&'static str, String)> {
+    let parse = |set: &[(&str, &str)]| -> Vec<SourceFile> {
+        set.iter().map(|(p, s)| SourceFile::parse(p, s)).collect()
+    };
+    let (diags, _) = lint_workspace(parse(files), &parse(readers));
+    diags.into_iter().map(|d| (d.rule, d.message)).collect()
 }
 
 // ------------------------------------------------------------- DET01
@@ -391,16 +402,9 @@ fn proto01_pragma_suppresses_with_reason() {
 
 #[test]
 fn evt01_flags_dead_event_variant_across_the_workspace() {
-    use sheriff_lint::rules::lint_workspace;
-    use sheriff_lint::symbols::SourceFile;
-
     let event_enum = "pub enum Event {\n    Alive { rack: u64 },\n    Dead { rack: u64 },\n}";
-    let emitter = "pub fn fire() { emit(|| Event::Alive { rack: 0 }); }";
-    let run = |files: &[(&str, &str)]| -> Vec<(&'static str, String)> {
-        let parsed: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
-        let (diags, _) = lint_workspace(parsed);
-        diags.into_iter().map(|d| (d.rule, d.message)).collect()
-    };
+    let emitter = "fn fire() { emit(|| Event::Alive { rack: 0 }); }";
+    let run = |files: &[(&str, &str)]| lint_tree(files, &[]);
     let only_dead = |found: &[(&str, String)]| {
         found.len() == 1 && found[0].0 == "EVT01" && found[0].1.contains("`Event::Dead`")
     };
@@ -412,7 +416,7 @@ fn evt01_flags_dead_event_variant_across_the_workspace() {
     assert!(only_dead(&dead), "Dead has no emit site: {dead:?}");
 
     // a consume site (matching on the variant) keeps it live too
-    let consumer = "pub fn fold(e: Event) -> u64 {\n\
+    let consumer = "fn fold(e: Event) -> u64 {\n\
                         match e {\n\
                             Event::Alive { rack } => rack,\n\
                             Event::Dead { rack } => rack,\n\
@@ -453,4 +457,68 @@ fn evt01_flags_dead_event_variant_across_the_workspace() {
         ("crates/sheriff-core/src/fixture.rs", emitter),
     ]);
     assert!(only_dead(&found), "{found:?}");
+}
+
+// ------------------------------------------------------------- DEAD01
+
+const LIB: &str = "crates/dcn-sim/src/fixture.rs";
+
+/// The names DEAD01 reports, in report order.
+fn dead(found: &[(&str, String)]) -> Vec<String> {
+    assert!(found.iter().all(|(rule, _)| *rule == "DEAD01"), "{found:?}");
+    found.iter().map(|(_, message)| message.clone()).collect()
+}
+
+#[test]
+fn dead01_flags_pub_items_no_non_test_code_names() {
+    // called only from a #[cfg(test)] region
+    let test_only = "pub fn helper() -> u32 { 7 }\n\
+                     #[cfg(test)]\n\
+                     mod tests {\n    #[test]\n    fn t() { assert_eq!(super::helper(), 7); }\n}";
+    let found = dead(&lint_tree(&[(LIB, test_only)], &[]));
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("`pub fn helper`"), "{found:?}");
+
+    // reached only through a `pub use` re-export: an import calls nothing
+    let root = "#![forbid(unsafe_code)]\npub mod fixture;\npub use fixture::helper;";
+    let lib = "pub fn helper() -> u32 { 7 }";
+    let found = dead(&lint_tree(
+        &[("crates/dcn-sim/src/lib.rs", root), (LIB, lib)],
+        &[],
+    ));
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("`pub fn helper`"), "{found:?}");
+
+    // a type nothing names
+    let found = dead(&lint_tree(
+        &[(LIB, "pub struct Unnamed { pub rack: u64 }")],
+        &[],
+    ));
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("`pub struct Unnamed`"), "{found:?}");
+}
+
+#[test]
+fn dead01_clean_for_pragma_same_name_calls_and_readers() {
+    // test support kept with a pragma naming its test
+    let kept = "// sheriff-lint: allow(DEAD01, \"the oracle of tests/props.rs\")\n\
+                pub fn oracle() -> u32 { 7 }";
+    assert!(lint_tree(&[(LIB, kept)], &[]).is_empty());
+
+    // the check is by name: a same-named method call anywhere keeps the
+    // fn alive, whatever its receiver
+    let free = "pub fn settle() {}";
+    let caller = "fn drain(queue: &mut Vec<u32>) { queue.settle(); }";
+    assert!(lint_tree(&[(LIB, free), (CORE, caller)], &[]).is_empty());
+
+    // the examples and the benchmark are users, never linted themselves
+    let lib = "pub fn helper() -> u32 { 7 }";
+    let example = "fn main() { let v: Vec<u32> = vec![dcn_sim::fixture::helper()]; v[0]; }";
+    assert!(lint_tree(&[(LIB, lib)], &[("examples/demo.rs", example)]).is_empty());
+    let bench = "fn main() { let _ = helper(); None::<u32>.unwrap(); }";
+    assert!(lint_tree(&[(LIB, lib)], &[("benchmark/src/main.rs", bench)]).is_empty());
+
+    // a binary's own `pub fn` defines nothing a library exports
+    let bin = "pub fn main() { let _ = dcn_sim::fixture::helper(); }";
+    assert!(lint_tree(&[(LIB, lib), ("crates/bench/src/bin/tool.rs", bin)], &[]).is_empty());
 }

@@ -18,11 +18,6 @@ impl Counters {
         Self::default()
     }
 
-    /// Increment `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
     /// Add `delta` to `name`, creating it at zero first if absent.
     pub fn add(&mut self, name: &'static str, delta: u64) {
         *self.map.entry(name).or_insert(0) += delta;
@@ -64,11 +59,11 @@ mod tests {
     #[test]
     fn counts_and_merges() {
         let mut a = Counters::new();
-        a.inc("x");
+        a.add("x", 1);
         a.add("y", 3);
         let mut b = Counters::new();
         b.add("y", 2);
-        b.inc("z");
+        b.add("z", 1);
         a.merge(&b);
         assert_eq!(a.get("x"), 1);
         assert_eq!(a.get("y"), 5);

@@ -152,6 +152,7 @@ macro_rules! events {
         impl $name {
             /// Every kind in table order, with the counter its events add
             /// 1 to, if it declares one.
+            // sheriff-lint: allow(DEAD01, "every_declared_counter_equals_its_event_tally in tests/scenario_determinism.rs")
             pub const KIND_COUNTERS: &'static [(&'static str, Option<&'static str>)] =
                 &[$(($kind, events!(@counter $($counter)?)),)*];
 

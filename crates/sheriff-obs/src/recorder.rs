@@ -76,11 +76,6 @@ impl RingRecorder {
         self.events.iter().filter(|e| e.kind() == kind).count()
     }
 
-    /// First retained event of the given kind, if any.
-    pub fn first_of(&self, kind: &str) -> Option<&Event> {
-        self.events.iter().find(|e| e.kind() == kind)
-    }
-
     /// Counter totals accumulated so far.
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -146,11 +141,6 @@ mod tests {
         rec.record(Event::AckReceived { req: 1, vm: 2 });
         rec.record(Event::AckReceived { req: 3, vm: 4 });
         assert_eq!(rec.count_kind("ack_received"), 2);
-        assert_eq!(
-            rec.first_of("ack_received"),
-            Some(&Event::AckReceived { req: 1, vm: 2 })
-        );
-        assert_eq!(rec.first_of("round_end"), None);
     }
 
     #[test]

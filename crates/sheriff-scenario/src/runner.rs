@@ -15,13 +15,13 @@ use crate::faults::Faults;
 use crate::spec::{PredictorKind, RuntimeSpec, ScenarioSpec, SurgeSpec, TopologySpec};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{
-    alert::alert_value, Alert, AlertSource, HoltPredictor, LastValue, ProfilePredictor, RackMetric,
-    SheriffError,
+    alert::alert_value, Alert, AlertSource, ChannelFaults, HoltPredictor, LastValue,
+    ProfilePredictor, RackMetric, SheriffError,
 };
 use dcn_topology::{HostId, RackId};
 use sheriff_core::{
-    try_drain_rack, try_evacuate_host, CentralizedRuntime, FabricConfig, FabricRuntime,
-    MigrationContext, MigrationPlan, RoundOutcome, RunCtx, Runtime,
+    drain_rack, evacuate_host, CentralizedRuntime, FabricConfig, FabricRuntime, MigrationContext,
+    MigrationPlan, RoundOutcome, RunCtx, Runtime,
 };
 use sheriff_obs::{Counters, Event, EventSink};
 
@@ -168,7 +168,7 @@ enum Loop {
 }
 
 impl Loop {
-    fn build(spec: &RuntimeSpec, sim: &dcn_sim::SimConfig, seed: u64) -> Self {
+    fn build(spec: &RuntimeSpec, channel: &ChannelFaults, seed: u64) -> Self {
         match *spec {
             RuntimeSpec::Centralized { max_rounds } => {
                 Loop::Centralized(CentralizedRuntime { max_rounds })
@@ -177,7 +177,7 @@ impl Loop {
                 max_retry,
                 transfer,
             } => {
-                let mut cfg = FabricConfig::for_channel(sim.channel.clone(), seed);
+                let mut cfg = FabricConfig::for_channel(channel.clone(), seed);
                 cfg.max_retry = max_retry;
                 if let Some(ts) = transfer {
                     cfg = cfg.with_transfer(ts);
@@ -266,7 +266,7 @@ fn evacuate(
             metric,
             sim: &cluster.sim,
         };
-        plan.absorb(try_drain_rack(&mut ctx, rack, &region, 3)?);
+        plan.absorb(drain_rack(&mut ctx, rack, &region, 3)?);
     }
     for &host in stranded {
         let rack = cluster.placement.rack_of_host(host);
@@ -282,7 +282,7 @@ fn evacuate(
             metric,
             sim: &cluster.sim,
         };
-        plan.absorb(try_evacuate_host(&mut ctx, host, &region, 3)?);
+        plan.absorb(evacuate_host(&mut ctx, host, &region, 3)?);
     }
     Ok(plan)
 }
@@ -312,7 +312,7 @@ pub(crate) fn run_job(
 
     let mut faults = Faults::default();
     let mut metric = RackMetric::build(&cluster.dcn, &cluster.sim);
-    let mut runtime = Loop::build(&spec.runtime, &cluster.sim, seed);
+    let mut runtime = Loop::build(&spec.runtime, &spec.channel, seed);
     let mut sink = TallySink::default();
     let mut phase_cursor = 0usize;
 

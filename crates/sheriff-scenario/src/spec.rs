@@ -394,8 +394,11 @@ pub struct ScenarioSpec {
     pub workload: WorkloadSpec,
     /// Management loop choice.
     pub runtime: RuntimeSpec,
-    /// Simulation parameters (thresholds, cost weights, channel).
+    /// Simulation parameters (thresholds, cost weights).
     pub sim: SimConfig,
+    /// The fabric's control-channel fault model (`[sim.channel]`); the
+    /// centralized runtime sends no messages.
+    pub channel: ChannelFaults,
     /// Scheduled faults, sorted by round.
     pub faults: Vec<FaultEvent>,
     /// Channel fault phases, sorted by round.
@@ -839,7 +842,9 @@ fn parse_channel(
     Ok(ch)
 }
 
-fn parse_sim(v: &Value) -> Result<SimConfig, SheriffError> {
+/// The `[sim]` table: the simulation parameters and the control
+/// channel's fault model.
+fn parse_sim(v: &Value) -> Result<(SimConfig, ChannelFaults), SheriffError> {
     let t = want_table(v, "sim")?;
     check_keys(
         t,
@@ -855,7 +860,6 @@ fn parse_sim(v: &Value) -> Result<SimConfig, SheriffError> {
             "beta",
             "load_balance_weight",
             "region_hops",
-            "reroute_paths",
             "channel",
         ],
         "sim",
@@ -883,13 +887,11 @@ fn parse_sim(v: &Value) -> Result<SimConfig, SheriffError> {
     if let Some(x) = get_usize(t, "region_hops", "sim")? {
         cfg.region_hops = x;
     }
-    if let Some(x) = get_usize(t, "reroute_paths", "sim")? {
-        cfg.reroute_paths = x;
-    }
-    if let Some(ch) = t.get("channel") {
-        cfg.channel = parse_channel(want_table(ch, "sim.channel")?, "sim.channel")?;
-    }
-    Ok(cfg)
+    let channel = match t.get("channel") {
+        Some(ch) => parse_channel(want_table(ch, "sim.channel")?, "sim.channel")?,
+        None => ChannelFaults::reliable(),
+    };
+    Ok((cfg, channel))
 }
 
 fn parse_fault(v: &Value) -> Result<FaultEvent, SheriffError> {
@@ -1112,9 +1114,9 @@ impl ScenarioSpec {
             Some(v) => parse_runtime(v)?,
             None => RuntimeSpec::default(),
         };
-        let sim = match t.get("sim") {
+        let (sim, channel) = match t.get("sim") {
             Some(v) => parse_sim(v)?,
-            None => SimConfig::paper(),
+            None => (SimConfig::paper(), ChannelFaults::reliable()),
         };
         let mut faults: Vec<FaultEvent> = match t.get("fault") {
             Some(v) => v
@@ -1156,6 +1158,7 @@ impl ScenarioSpec {
             workload,
             runtime,
             sim,
+            channel,
             faults,
             channel_phases,
         })
@@ -1364,7 +1367,7 @@ impl ScenarioSpec {
                     self.runtime.name()
                 ));
             }
-            if !self.sim.channel.is_reliable() {
+            if !self.channel.is_reliable() {
                 warnings.push(format!(
                     "sim.channel faults are ignored by the {} runtime (only fabric uses the channel)",
                     self.runtime.name()
@@ -1508,7 +1511,7 @@ mod tests {
             }
         );
         assert_eq!(spec.sim.alert_threshold, 0.85);
-        assert_eq!(spec.sim.channel.drop, 0.05);
+        assert_eq!(spec.channel.drop, 0.05);
         assert_eq!(spec.faults.len(), 2);
         assert_eq!(spec.channel_phases[0].faults.drop, 0.2);
         let warnings = spec.validate().unwrap();

@@ -88,14 +88,6 @@ impl Value {
         }
     }
 
-    /// Borrow as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Borrow as an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -620,7 +612,7 @@ mod tests {
         assert_eq!(v.get("name").unwrap().as_str(), Some("fig9"));
         assert_eq!(v.get("rounds").unwrap().as_i64(), Some(24));
         assert_eq!(v.get("fraction").unwrap().as_f64(), Some(0.05));
-        assert_eq!(v.get("enabled").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("enabled"), Some(&Value::Bool(true)));
         let cluster = v.get("cluster").unwrap();
         assert_eq!(cluster.get("vms_per_host").unwrap().as_f64(), Some(2.5));
         assert_eq!(cluster.get("seed-less").unwrap().as_str(), Some("yes"));

@@ -25,6 +25,7 @@ pub struct TraceConfig {
 
 impl TraceConfig {
     /// One day at 10-minute sampling.
+    #[cfg(test)]
     pub fn one_day(seed: u64) -> Self {
         Self {
             len: 144,

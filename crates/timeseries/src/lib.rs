@@ -26,7 +26,6 @@ pub mod boxjenkins;
 pub mod diagnostics;
 pub mod generator;
 pub mod interval;
-pub mod io;
 pub mod linalg;
 pub mod metrics;
 pub mod narnet;

@@ -32,6 +32,7 @@ impl MinMaxScaler {
     }
 
     /// Map a normalised value back to the original scale.
+    // sheriff-lint: allow(DEAD01, "the scaler round-trip proptest in tests/proptests.rs")
     pub fn inverse(&self, v: f64) -> f64 {
         self.lo + v * (self.hi - self.lo)
     }

@@ -70,7 +70,7 @@ fn main() {
             metric: &metric,
             sim: &cluster.sim,
         };
-        evacuate_host(&mut ctx, host, &region, 5)
+        evacuate_host(&mut ctx, host, &region, 5).expect("host and region come from the cluster")
     };
     println!(
         "evacuated {} VMs at cost {:.0}; host now holds {} VMs",
@@ -98,7 +98,7 @@ fn main() {
             metric: &metric,
             sim: &cluster.sim,
         };
-        drain_rack(&mut ctx, drain, &region, 5)
+        drain_rack(&mut ctx, drain, &region, 5).expect("rack and region come from the cluster")
     };
     let landed_home = plan
         .moves

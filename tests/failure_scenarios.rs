@@ -77,7 +77,7 @@ fn migrations_avoid_dead_links() {
         metric: &metric,
         sim: &c.sim,
     };
-    let plan = evacuate_host(&mut ctx, host, &region, 5);
+    let plan = evacuate_host(&mut ctx, host, &region, 5).unwrap();
     assert!(c.placement.vms_on(host).is_empty());
     assert!(plan.unplaced.is_empty());
 }
@@ -102,7 +102,7 @@ fn cascading_host_failures_are_absorbed() {
             metric: &metric,
             sim: &c.sim,
         };
-        let plan = evacuate_host(&mut ctx, host, &region, 5);
+        let plan = evacuate_host(&mut ctx, host, &region, 5).unwrap();
         assert!(plan.unplaced.is_empty(), "evacuation left VMs stranded");
         assert!(c.placement.vms_on(host).is_empty());
     }
@@ -131,7 +131,7 @@ fn rack_drain_then_balance_round_trip() {
             metric: &metric,
             sim: &c.sim,
         };
-        let plan = drain_rack(&mut ctx, rack, &region, 5);
+        let plan = drain_rack(&mut ctx, rack, &region, 5).unwrap();
         assert!(plan.unplaced.is_empty());
     }
     for &h in c.dcn.inventory.hosts_in(rack) {
@@ -191,7 +191,7 @@ fn partitioned_rack_reports_unplaced_instead_of_panicking() {
         metric: &metric,
         sim: &c.sim,
     };
-    let plan = evacuate_host(&mut ctx, host, &region, 3);
+    let plan = evacuate_host(&mut ctx, host, &region, 3).unwrap();
     // VMs that cannot cross the partition are reported, not lost
     for vm in &plan.unplaced {
         assert_eq!(c.placement.host_of(*vm), host);
