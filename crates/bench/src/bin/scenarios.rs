@@ -1,11 +1,11 @@
 //! Scenario driver: validate and run declarative scenario files.
 //!
 //! ```text
-//! scenarios [--check] [--serial] [--threads N] [--out DIR] <file.toml>...
+//! scenarios [--check] [--threads N] [--out DIR] <file.toml>...
 //!   --check      validate only (warnings are errors), then a truncated
 //!                1-seed, <= 3-round smoke run per file — the CI job
-//!   --serial     run jobs on one thread (bit-identical to parallel)
-//!   --threads N  worker threads for the parallel path (default: auto)
+//!   --threads N  worker threads (default: auto; 1 runs the jobs in
+//!                order on one thread, bit-identical to more)
 //!   --out DIR    where report JSON lands (default: results/scenarios)
 //! ```
 //!
@@ -16,15 +16,16 @@
 use sheriff_scenario::{aggregate, ScenarioRunner, ScenarioSpec};
 use std::path::{Path, PathBuf};
 
+const USAGE: &str = "usage: scenarios [--check] [--threads N] [--out DIR] <file>...";
+
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: scenarios [--check] [--serial] [--threads N] [--out DIR] <file>...");
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
 fn main() {
     let mut check = false;
-    let mut serial = false;
     let mut threads = 0usize;
     let mut out = PathBuf::from("results/scenarios");
     let mut files: Vec<PathBuf> = Vec::new();
@@ -32,7 +33,6 @@ fn main() {
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--check" => check = true,
-            "--serial" => serial = true,
             "--threads" => {
                 threads = argv
                     .next()
@@ -44,22 +44,20 @@ fn main() {
             }
             other if other.starts_with('-') => {
                 eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: scenarios [--check] [--serial] [--threads N] [--out DIR] <file>..."
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
             file => files.push(PathBuf::from(file)),
         }
     }
     if files.is_empty() {
-        eprintln!("usage: scenarios [--check] [--serial] [--threads N] [--out DIR] <file>...");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
 
     let mut failed = false;
     for file in &files {
-        match run_one(file, check, serial, threads, &out) {
+        match run_one(file, check, threads, &out) {
             Ok(summary) => println!("{}: {summary}", file.display()),
             Err(err) => {
                 eprintln!("{}: ERROR: {err}", file.display());
@@ -72,13 +70,7 @@ fn main() {
     }
 }
 
-fn run_one(
-    file: &Path,
-    check: bool,
-    serial: bool,
-    threads: usize,
-    out: &Path,
-) -> Result<String, String> {
+fn run_one(file: &Path, check: bool, threads: usize, out: &Path) -> Result<String, String> {
     let mut spec = ScenarioSpec::load(file).map_err(|e| e.to_string())?;
     let warnings = spec.validate().map_err(|e| e.to_string())?;
     if check {
@@ -96,7 +88,6 @@ fn run_one(
     }
 
     let mut runner = ScenarioRunner::new(spec.clone());
-    runner.parallel = !serial;
     runner.threads = threads;
     let runs = runner.run().map_err(|e| e.to_string())?;
     let report = aggregate(&spec, &runs);

@@ -5,7 +5,7 @@
 //! narrates.
 
 use crate::report::Table;
-use dcn_sim::congestion::{CongestionConfig, CongestionSim};
+use dcn_sim::congestion::CongestionSim;
 use dcn_sim::engine::{Cluster, ClusterConfig};
 use dcn_sim::flows::{Flow, FlowNetwork};
 use dcn_sim::{Alert, AlertSource, SimConfig};
@@ -82,7 +82,7 @@ pub fn qcn_experiment(steps: usize, seed: u64) -> Table {
         }
     }
     let mut flows = FlowNetwork::route(&cluster.dcn, &cluster.placement, flow_list);
-    let mut qcn = CongestionSim::new(&cluster.dcn, CongestionConfig::default());
+    let mut qcn = CongestionSim::new(&cluster.dcn);
 
     let mut t = Table::new(
         "qcn",

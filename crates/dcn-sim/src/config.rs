@@ -14,8 +14,6 @@ pub struct SimConfig {
     pub eta: f64,
     /// `C_d`: unit dependency cost per distance in `G_d` (paper: 1).
     pub c_d: f64,
-    /// Maximum VM capacity (paper: 20).
-    pub vm_capacity_max: f64,
     /// `B_t`: minimum available bandwidth for a link to carry a migration.
     pub bandwidth_threshold: f64,
     /// `THRESHOLD` on the normalised workload profile that triggers an
@@ -139,7 +137,6 @@ impl Default for SimConfig {
             delta: 1.0,
             eta: 1.0,
             c_d: 1.0,
-            vm_capacity_max: 20.0,
             bandwidth_threshold: 0.05,
             alert_threshold: 0.9,
             alpha: 0.2,
@@ -176,12 +173,6 @@ impl SimConfig {
                 });
             }
         }
-        if !self.vm_capacity_max.is_finite() || self.vm_capacity_max <= 0.0 {
-            return Err(SheriffError::InvalidSimConfig {
-                field: "vm_capacity_max",
-                reason: format!("must be finite and > 0, got {}", self.vm_capacity_max),
-            });
-        }
         check_probability("alert_threshold", self.alert_threshold)?;
         check_probability("alpha", self.alpha)?;
         check_probability("beta", self.beta)
@@ -199,7 +190,8 @@ mod tests {
         assert_eq!(c.delta, 1.0);
         assert_eq!(c.eta, 1.0);
         assert_eq!(c.c_d, 1.0);
-        assert_eq!(c.vm_capacity_max, 20.0);
+        // the paper's largest VM (20) bounds the sampled VM sizes
+        assert_eq!(crate::ClusterConfig::default().vm_capacity_range.1, 20.0);
     }
 
     #[test]

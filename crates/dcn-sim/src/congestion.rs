@@ -4,57 +4,35 @@
 //! the shims' FLOWREROUTE drains the hotspot.
 
 use crate::flows::FlowNetwork;
-use crate::qcn::{CongestionPoint, CpConfig, QcnFeedback};
+use crate::qcn::{CongestionPoint, QcnFeedback};
 use dcn_topology::{Dcn, SwitchId};
 
-/// Parameters of the queue coupling.
-#[derive(Debug, Clone)]
-pub struct CongestionConfig {
-    /// QCN congestion-point settings per switch.
-    pub cp: CpConfig,
-    /// Packets that arrive per step at 100 % worst-link utilisation.
-    pub arrival_scale: f64,
-    /// Utilisation the switch can service per step (queues build above
-    /// this, drain below).
-    pub service_utilization: f64,
-}
+/// Packets that arrive at a switch per step at 100 % worst-link
+/// utilisation.
+const ARRIVAL_SCALE: f64 = 40.0;
 
-impl Default for CongestionConfig {
-    fn default() -> Self {
-        Self {
-            cp: CpConfig::default(),
-            arrival_scale: 40.0,
-            service_utilization: 0.85,
-        }
-    }
-}
+/// Utilisation a switch can service per step (queues build above this,
+/// drain below).
+const SERVICE_UTILIZATION: f64 = 0.85;
 
 /// One congestion point per switch, stepped from the flow network state.
 #[derive(Debug, Clone)]
 pub struct CongestionSim {
-    cfg: CongestionConfig,
     switches: Vec<SwitchId>,
     points: Vec<CongestionPoint>,
 }
 
 impl CongestionSim {
     /// A congestion point for every switch of the topology.
-    pub fn new(dcn: &Dcn, cfg: CongestionConfig) -> Self {
+    pub fn new(dcn: &Dcn) -> Self {
         let switches: Vec<SwitchId> = dcn
             .graph
             .switch_indices()
             .into_iter()
             .filter_map(|i| dcn.graph.node_id(i).as_switch())
             .collect();
-        let points = switches
-            .iter()
-            .map(|_| CongestionPoint::new(cfg.cp.clone()))
-            .collect();
-        Self {
-            cfg,
-            switches,
-            points,
-        }
+        let points = vec![CongestionPoint::default(); switches.len()];
+        Self { switches, points }
     }
 
     /// Worst utilisation over a switch's incident links.
@@ -75,8 +53,8 @@ impl CongestionSim {
         let mut out = Vec::new();
         for (i, &sw) in self.switches.iter().enumerate() {
             let u = self.switch_utilization(dcn, flows, sw);
-            let arrived = self.cfg.arrival_scale * u;
-            let serviced = self.cfg.arrival_scale * self.cfg.service_utilization;
+            let arrived = ARRIVAL_SCALE * u;
+            let serviced = ARRIVAL_SCALE * SERVICE_UTILIZATION;
             if let Some(fb) = self.points[i].sample(arrived, serviced) {
                 out.push((sw, fb));
             }
@@ -146,7 +124,7 @@ mod tests {
     #[test]
     fn saturated_link_builds_queue_and_signals() {
         let (dcn, _, flows) = setup(0.98);
-        let mut sim = CongestionSim::new(&dcn, CongestionConfig::default());
+        let mut sim = CongestionSim::new(&dcn);
         let mut signalled = false;
         for _ in 0..20 {
             signalled |= !sim.step(&dcn, &flows).is_empty();
@@ -158,7 +136,7 @@ mod tests {
     #[test]
     fn light_load_never_signals() {
         let (dcn, _, flows) = setup(0.3);
-        let mut sim = CongestionSim::new(&dcn, CongestionConfig::default());
+        let mut sim = CongestionSim::new(&dcn);
         for _ in 0..20 {
             assert!(sim.step(&dcn, &flows).is_empty());
         }
@@ -168,7 +146,7 @@ mod tests {
     #[test]
     fn queue_drains_after_reroute() {
         let (dcn, p, mut flows) = setup(0.98);
-        let mut sim = CongestionSim::new(&dcn, CongestionConfig::default());
+        let mut sim = CongestionSim::new(&dcn);
         for _ in 0..15 {
             sim.step(&dcn, &flows);
         }
@@ -194,7 +172,7 @@ mod tests {
         .into_iter()
         .find(|path| !path.nodes.contains(&hot_node))
         .unwrap()
-        .edges(&dcn.graph);
+        .edges;
         flows.reroute(ids[0], route);
         for _ in 0..40 {
             sim.step(&dcn, &flows);
@@ -209,7 +187,7 @@ mod tests {
     #[test]
     fn severity_tracks_queue() {
         let (dcn, _, flows) = setup(0.98);
-        let mut sim = CongestionSim::new(&dcn, CongestionConfig::default());
+        let mut sim = CongestionSim::new(&dcn);
         for _ in 0..30 {
             sim.step(&dcn, &flows);
         }

@@ -291,8 +291,9 @@ impl Cluster {
         self.placement.utilization_stddev()
     }
 
-    /// Racks within the shim's dominating region of `rack` (cached lookup
-    /// on the topology with the configured hop radius).
+    /// Racks within the shim's dominating region of `rack`: a fresh
+    /// breadth-first search of the topology out to the configured hop
+    /// radius on every call.
     pub fn region_of(&self, rack: RackId) -> Vec<RackId> {
         self.dcn.neighbor_racks(rack, self.sim.region_hops)
     }
@@ -344,7 +345,8 @@ impl Default for HoltPredictor {
 }
 
 impl HoltPredictor {
-    fn smooth(&self, h: &[f64]) -> (f64, f64) {
+    /// Holt's level and trend after the whole series; `(0, 0)` when empty.
+    pub(crate) fn smooth(&self, h: &[f64]) -> (f64, f64) {
         if h.is_empty() {
             return (0.0, 0.0);
         }

@@ -2,8 +2,9 @@
 //! graph, per-link load accounting, and congestion detection that feeds
 //! the outer-switch alerts of Alg. 1 (Sec. III-B case 3).
 
-use dcn_topology::graph::{EdgeIdx, NodeIdx};
-use dcn_topology::{Dcn, Placement, SwitchId, VmId};
+use dcn_topology::graph::EdgeIdx;
+use dcn_topology::path::{dijkstra, walk_back};
+use dcn_topology::{Dcn, Placement, RackId, SwitchId, VmId};
 
 /// A unidirectional traffic flow between two VMs.
 #[derive(Debug, Clone)]
@@ -40,13 +41,7 @@ impl FlowNetwork {
             flows,
         };
         for f in &net.flows {
-            let (src_rack, dst_rack) = (placement.rack_of(f.src), placement.rack_of(f.dst));
-            let route = if src_rack == dst_rack {
-                Vec::new()
-            } else {
-                shortest_route(dcn, dcn.rack_node(src_rack), dcn.rack_node(dst_rack))
-                    .unwrap_or_default()
-            };
+            let route = rack_route(dcn, placement.rack_of(f.src), placement.rack_of(f.dst));
             for &e in &route {
                 bump(&mut net.link_load, e, f.rate);
             }
@@ -152,12 +147,7 @@ impl FlowNetwork {
             .map(|(f, flow)| (f, placement.rack_of(flow.src), placement.rack_of(flow.dst)))
             .collect();
         for (f, src_rack, dst_rack) in racks {
-            let new_route = if src_rack == dst_rack {
-                Vec::new()
-            } else {
-                shortest_route(dcn, dcn.rack_node(src_rack), dcn.rack_node(dst_rack))
-                    .unwrap_or_default()
-            };
+            let new_route = rack_route(dcn, src_rack, dst_rack);
             if self.routes.get(f) != Some(&new_route) {
                 self.reroute(f, new_route);
                 rebased += 1;
@@ -187,67 +177,20 @@ fn bump(load: &mut [f64], e: usize, delta: f64) {
     }
 }
 
-/// Shortest route (by physical distance) between two graph nodes as an
-/// edge list. `None` when `dst` is unreachable from `src`.
-fn shortest_route(dcn: &Dcn, src: NodeIdx, dst: NodeIdx) -> Option<Vec<EdgeIdx>> {
-    let g = &dcn.graph;
-    let n = g.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev_edge = vec![usize::MAX; n];
-    let mut prev_node = vec![usize::MAX; n];
-    let mut heap = std::collections::BinaryHeap::new();
-    #[derive(PartialEq)]
-    struct E(f64, NodeIdx);
-    impl Eq for E {}
-    impl Ord for E {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            // costs are finite sums of distances, never NaN
-            o.0.partial_cmp(&self.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        }
+/// The shortest route (by physical distance) between two racks as an
+/// edge list: empty within a rack, which never leaves the ToR, and when
+/// `dst` is unreachable.
+fn rack_route(dcn: &Dcn, src: RackId, dst: RackId) -> Vec<EdgeIdx> {
+    if src == dst {
+        return Vec::new();
     }
-    impl PartialOrd for E {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    if let Some(d0) = dist.get_mut(src) {
-        *d0 = 0.0;
-    }
-    heap.push(E(0.0, src));
-    while let Some(E(d, u)) = heap.pop() {
-        if dist.get(u).is_none_or(|&du| d > du) {
-            continue;
-        }
-        if u == dst {
-            break;
-        }
-        for &(v, e) in g.neighbors(u) {
-            let nd = d + g.link(e).distance;
-            let Some(dv) = dist.get_mut(v) else { continue };
-            if nd < *dv {
-                *dv = nd;
-                if let Some(pe) = prev_edge.get_mut(v) {
-                    *pe = e;
-                }
-                if let Some(pn) = prev_node.get_mut(v) {
-                    *pn = u;
-                }
-                heap.push(E(nd, v));
-            }
-        }
-    }
-    if !dist.get(dst).is_some_and(|d| d.is_finite()) {
-        return None;
-    }
-    let mut route = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        route.push(*prev_edge.get(cur)?);
-        cur = *prev_node.get(cur)?;
-    }
+    let dst = dcn.rack_node(dst);
+    let (_, prev) = dijkstra(&dcn.graph, dcn.rack_node(src), Some(dst), |_, l| {
+        Some(l.distance)
+    });
+    let mut route: Vec<EdgeIdx> = walk_back(&dcn.graph, &prev, dst).map(|(e, _)| e).collect();
     route.reverse();
-    Some(route)
+    route
 }
 
 #[cfg(test)]
@@ -364,7 +307,7 @@ mod tests {
             .into_iter()
             .find(|path| !path.nodes.contains(&avoid))
             .expect("alternate path exists")
-            .edges(&dcn.graph);
+            .edges;
         assert_ne!(new_route, old_route);
         net.reroute(0, new_route.clone());
         for &e in &old_route {

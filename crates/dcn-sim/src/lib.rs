@@ -35,7 +35,7 @@ pub mod workload;
 
 pub use alert::{Alert, AlertSource};
 pub use config::{ChannelFaults, SimConfig, REORDER_HOLD_BACK};
-pub use congestion::{CongestionConfig, CongestionSim};
+pub use congestion::CongestionSim;
 pub use engine::{Cluster, ClusterConfig, HoltPredictor, LastValue, ProfilePredictor};
 pub use error::SheriffError;
 pub use flows::{Flow, FlowNetwork};
@@ -43,3 +43,18 @@ pub use forecaster::ArimaProfilePredictor;
 pub use migration::{precopy_timeline, MigrationTimeline, RackMetric};
 pub use tor_monitor::TorMonitor;
 pub use workload::{Feature, Profile, VmWorkload};
+
+/// SplitMix64's increment, `⌊2⁶⁴/φ⌋` (Steele, Lea & Flood, "Fast
+/// splittable pseudorandom number generators", OOPSLA 2014).
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output mix: a bijection on `u64` in which every output
+/// bit depends on every input bit. `mix64(x.wrapping_add(GOLDEN_GAMMA))`
+/// is the generator's first draw from seed `x`. Every deterministic
+/// per-key coin of the workspace (message fates, retry jitter, surge
+/// membership) is this mix.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -9,7 +9,7 @@
 //! (Floyd–Warshall); [`RackMetric`] precomputes exactly that.
 
 use crate::config::SimConfig;
-use dcn_topology::path::dijkstra;
+use dcn_topology::path::{dijkstra, walk_back};
 use dcn_topology::{Dcn, RackId};
 
 /// Precomputed rack-to-rack metric: for every ordered rack pair, the
@@ -28,8 +28,6 @@ pub struct RackMetric {
     inv_bw: Vec<f64>,
     /// `Σ B(e)/C(e)` along the chosen path.
     util: Vec<f64>,
-    /// Hop count of the chosen path (search-space statistics).
-    hops: Vec<u32>,
 }
 
 impl RackMetric {
@@ -40,31 +38,23 @@ impl RackMetric {
     pub fn build(dcn: &Dcn, cfg: &SimConfig) -> Self {
         let g = &dcn.graph;
         let n_racks = dcn.rack_count();
-        let n_nodes = g.node_count();
         let mut distance = vec![f64::INFINITY; n_racks * n_racks];
         let mut inv_bw = vec![f64::INFINITY; n_racks * n_racks];
         let mut util = vec![0.0; n_racks * n_racks];
-        let mut hops = vec![0u32; n_racks * n_racks];
 
         let bt = cfg.bandwidth_threshold;
-        let edge_cost = |l: &dcn_topology::Link| {
-            if l.usable(bt) {
+        let edge_cost = |_, l: &dcn_topology::Link| {
+            Some(if l.usable(bt) {
                 cfg.delta / l.available_bw + cfg.eta * l.utility_rate()
             } else {
                 // unusable link: effectively removed from the path search
                 1e15
-            }
+            })
         };
-
-        // node -> rack reverse map
-        let mut node_rack = vec![usize::MAX; n_nodes];
-        for (r, &node) in dcn.rack_nodes.iter().enumerate() {
-            node_rack[node] = r;
-        }
 
         for src_rack in 0..n_racks {
             let src_node = dcn.rack_nodes[src_rack];
-            let (dist, prev) = dijkstra(g, src_node, &edge_cost);
+            let (dist, prev) = dijkstra(g, src_node, None, edge_cost);
             for (dst_rack, &dst_node) in dcn.rack_nodes.iter().enumerate() {
                 let idx = src_rack * n_racks + dst_rack;
                 if src_rack == dst_rack {
@@ -79,22 +69,15 @@ impl RackMetric {
                 let mut d = 0.0;
                 let mut ib = 0.0;
                 let mut ut = 0.0;
-                let mut h = 0u32;
-                let mut cur = dst_node;
-                while cur != src_node {
-                    let p = prev[cur] as usize;
-                    let e = g.edge_between(p, cur).expect("path edge exists");
+                for (e, _) in walk_back(g, &prev, dst_node) {
                     let l = g.link(e);
                     d += l.distance;
                     ib += 1.0 / l.available_bw;
                     ut += l.utility_rate();
-                    h += 1;
-                    cur = p;
                 }
                 distance[idx] = d;
                 inv_bw[idx] = ib;
                 util[idx] = ut;
-                hops[idx] = h;
             }
         }
         Self {
@@ -102,26 +85,13 @@ impl RackMetric {
             distance,
             inv_bw,
             util,
-            hops,
         }
-    }
-
-    /// Number of racks covered.
-    #[inline]
-    pub fn rack_count(&self) -> usize {
-        self.n
     }
 
     /// Physical distance `D(v_i, v_p)` along the chosen path.
     #[inline]
     pub fn distance(&self, from: RackId, to: RackId) -> f64 {
         self.distance[from.index() * self.n + to.index()]
-    }
-
-    /// Hop count of the chosen path.
-    #[inline]
-    pub fn hops(&self, from: RackId, to: RackId) -> u32 {
-        self.hops[from.index() * self.n + to.index()]
     }
 
     /// The transmission term `G(v_i, v_p) = Σ (δ·T(e) + η·P(e))` for a VM
@@ -317,10 +287,11 @@ mod tests {
     #[test]
     fn hop_counts_match_fattree_structure() {
         let (_, _, m) = setup();
-        // same pod: rack -> agg -> rack = 2 hops
-        assert_eq!(m.hops(RackId(0), RackId(1)), 2);
-        // cross pod: rack -> agg -> core -> agg -> rack = 4 hops
-        assert_eq!(m.hops(RackId(0), RackId(2)), 4);
+        // same pod: rack -> agg -> rack = 2 edge links of distance 1
+        assert_eq!(m.distance(RackId(0), RackId(1)), 2.0);
+        // cross pod: rack -> agg -> core -> agg -> rack = 2 edge links
+        // of distance 1 and 2 core links of distance 2
+        assert_eq!(m.distance(RackId(0), RackId(2)), 6.0);
     }
 
     #[test]

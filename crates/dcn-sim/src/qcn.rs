@@ -7,31 +7,27 @@
 //! a *reaction point* (RP) running multiplicative decrease plus
 //! fast-recovery/active-increase.
 
-/// Congestion-point parameters.
-#[derive(Debug, Clone)]
-pub struct CpConfig {
-    /// Equilibrium queue length `Q_eq` (packets).
-    pub q_eq: f64,
-    /// Derivative weight `w` in `F_b = −(Q_off + w·Q_delta)`.
-    pub w: f64,
-    /// Feedback quantisation: |F_b| is clamped to this maximum.
-    pub fb_max: f64,
-}
+/// Equilibrium queue length `Q_eq` of a congestion point (packets).
+const Q_EQ: f64 = 33.0;
+/// Derivative weight `w` in `F_b = −(Q_off + w·Q_delta)`.
+const W: f64 = 2.0;
+/// Feedback quantisation: |F_b| is clamped to this maximum.
+const FB_MAX: f64 = 64.0;
 
-impl Default for CpConfig {
-    fn default() -> Self {
-        Self {
-            q_eq: 33.0,
-            w: 2.0,
-            fb_max: 64.0,
-        }
-    }
-}
+/// Multiplicative-decrease gain `G_d` of a reaction point (QCN: 1/128
+/// per feedback unit).
+const GD: f64 = 1.0 / 128.0;
+/// Rate increase per active-increase cycle (fraction of target rate).
+const R_AI: f64 = 0.05;
+/// Cycles of fast recovery before active increase.
+const FR_CYCLES: u32 = 5;
+/// Minimum rate floor of a reaction point.
+const MIN_RATE: f64 = 0.01;
 
-/// A switch queue acting as QCN congestion point.
-#[derive(Debug, Clone)]
+/// A switch queue acting as QCN congestion point; `default()` is an
+/// empty queue.
+#[derive(Debug, Clone, Default)]
 pub struct CongestionPoint {
-    cfg: CpConfig,
     queue: f64,
     prev_queue: f64,
 }
@@ -45,15 +41,6 @@ pub struct QcnFeedback {
 }
 
 impl CongestionPoint {
-    /// New CP with an empty queue.
-    pub fn new(cfg: CpConfig) -> Self {
-        Self {
-            cfg,
-            queue: 0.0,
-            prev_queue: 0.0,
-        }
-    }
-
     /// Current queue length.
     pub fn queue_len(&self) -> f64 {
         self.queue
@@ -65,12 +52,12 @@ impl CongestionPoint {
     pub fn sample(&mut self, arrived: f64, serviced: f64) -> Option<QcnFeedback> {
         self.prev_queue = self.queue;
         self.queue = (self.queue + arrived - serviced).max(0.0);
-        let q_off = self.queue - self.cfg.q_eq;
+        let q_off = self.queue - Q_EQ;
         let q_delta = self.queue - self.prev_queue;
-        let fb = -(q_off + self.cfg.w * q_delta);
+        let fb = -(q_off + W * q_delta);
         if fb < 0.0 {
             Some(QcnFeedback {
-                fb: fb.max(-self.cfg.fb_max),
+                fb: fb.max(-FB_MAX),
             })
         } else {
             None
@@ -80,38 +67,13 @@ impl CongestionPoint {
     /// Congestion severity in [0, 1] for alert generation: queue occupancy
     /// relative to 2·Q_eq, clamped.
     pub fn severity(&self) -> f64 {
-        (self.queue / (2.0 * self.cfg.q_eq)).clamp(0.0, 1.0)
-    }
-}
-
-/// Reaction-point parameters.
-#[derive(Debug, Clone)]
-pub struct RpConfig {
-    /// Multiplicative-decrease gain `G_d` (QCN: 1/128 per feedback unit).
-    pub gd: f64,
-    /// Rate increase per fast-recovery cycle (fraction of target rate).
-    pub r_ai: f64,
-    /// Cycles of fast recovery before active increase.
-    pub fr_cycles: u32,
-    /// Minimum rate floor.
-    pub min_rate: f64,
-}
-
-impl Default for RpConfig {
-    fn default() -> Self {
-        Self {
-            gd: 1.0 / 128.0,
-            r_ai: 0.05,
-            fr_cycles: 5,
-            min_rate: 0.01,
-        }
+        (self.queue / (2.0 * Q_EQ)).clamp(0.0, 1.0)
     }
 }
 
 /// An end-host rate limiter acting as QCN reaction point.
 #[derive(Debug, Clone)]
 pub struct ReactionPoint {
-    cfg: RpConfig,
     /// Current sending rate.
     rate: f64,
     /// Target rate remembered from before the last decrease.
@@ -121,9 +83,8 @@ pub struct ReactionPoint {
 
 impl ReactionPoint {
     /// New RP sending at `rate`.
-    pub fn new(rate: f64, cfg: RpConfig) -> Self {
+    pub fn new(rate: f64) -> Self {
         Self {
-            cfg,
             rate,
             target: rate,
             cycles_since_decrease: 0,
@@ -141,20 +102,20 @@ impl ReactionPoint {
     pub fn on_feedback(&mut self, fb: QcnFeedback) {
         debug_assert!(fb.fb <= 0.0);
         self.target = self.rate;
-        let dec = (self.cfg.gd * fb.fb.abs()).min(0.5);
-        self.rate = (self.rate * (1.0 - dec)).max(self.cfg.min_rate);
+        let dec = (GD * fb.fb.abs()).min(0.5);
+        self.rate = (self.rate * (1.0 - dec)).max(MIN_RATE);
         self.cycles_since_decrease = 0;
     }
 
     /// One recovery cycle with no congestion feedback: fast recovery moves
-    /// the rate halfway back to target; after `fr_cycles`, active increase
+    /// the rate halfway back to target; after `FR_CYCLES`, active increase
     /// probes above the target.
     pub fn on_quiet_cycle(&mut self) {
         self.cycles_since_decrease += 1;
-        if self.cycles_since_decrease <= self.cfg.fr_cycles {
+        if self.cycles_since_decrease <= FR_CYCLES {
             self.rate = (self.rate + self.target) / 2.0;
         } else {
-            self.target += self.cfg.r_ai * self.target;
+            self.target += R_AI * self.target;
             self.rate = (self.rate + self.target) / 2.0;
         }
     }
@@ -166,42 +127,42 @@ mod tests {
 
     #[test]
     fn quiet_queue_gives_no_feedback() {
-        let mut cp = CongestionPoint::new(CpConfig::default());
+        let mut cp = CongestionPoint::default();
         assert!(cp.sample(10.0, 10.0).is_none());
         assert_eq!(cp.queue_len(), 0.0);
     }
 
     #[test]
     fn overloaded_queue_raises_negative_feedback() {
-        let mut cp = CongestionPoint::new(CpConfig::default());
+        let mut cp = CongestionPoint::default();
         let mut fb = None;
         for _ in 0..20 {
             fb = cp.sample(20.0, 10.0); // net +10 per cycle
         }
         let fb = fb.expect("queue above Q_eq must signal");
         assert!(fb.fb < 0.0);
-        assert!(fb.fb >= -CpConfig::default().fb_max);
+        assert!(fb.fb >= -FB_MAX);
         assert!(cp.severity() > 0.5);
     }
 
     #[test]
     fn growing_queue_signals_before_reaching_q_eq() {
         // derivative term fires on rapid growth even below equilibrium
-        let mut cp = CongestionPoint::new(CpConfig::default());
+        let mut cp = CongestionPoint::default();
         let fb = cp.sample(30.0, 0.0); // queue 0 -> 30 in one cycle
         assert!(fb.is_some(), "w-weighted growth must trigger feedback");
     }
 
     #[test]
     fn feedback_is_clamped() {
-        let mut cp = CongestionPoint::new(CpConfig::default());
+        let mut cp = CongestionPoint::default();
         let fb = cp.sample(10_000.0, 0.0).unwrap();
-        assert_eq!(fb.fb, -CpConfig::default().fb_max);
+        assert_eq!(fb.fb, -FB_MAX);
     }
 
     #[test]
     fn rp_decreases_then_recovers() {
-        let mut rp = ReactionPoint::new(10.0, RpConfig::default());
+        let mut rp = ReactionPoint::new(10.0);
         rp.on_feedback(QcnFeedback { fb: -64.0 });
         let dropped = rp.rate();
         assert!(dropped < 10.0);
@@ -214,16 +175,16 @@ mod tests {
 
     #[test]
     fn rp_never_drops_below_floor() {
-        let mut rp = ReactionPoint::new(1.0, RpConfig::default());
+        let mut rp = ReactionPoint::new(1.0);
         for _ in 0..200 {
             rp.on_feedback(QcnFeedback { fb: -64.0 });
         }
-        assert!(rp.rate() >= RpConfig::default().min_rate);
+        assert!(rp.rate() >= MIN_RATE);
     }
 
     #[test]
     fn active_increase_probes_above_target() {
-        let mut rp = ReactionPoint::new(10.0, RpConfig::default());
+        let mut rp = ReactionPoint::new(10.0);
         rp.on_feedback(QcnFeedback { fb: -10.0 });
         for _ in 0..50 {
             rp.on_quiet_cycle();

@@ -10,8 +10,22 @@
 //! saturates.
 
 use crate::alert::{Alert, AlertSource};
+use crate::engine::HoltPredictor;
 use crate::flows::FlowNetwork;
 use dcn_topology::{Dcn, Placement, RackId};
+
+/// Samples of uplink utilisation kept per rack.
+const TOR_WINDOW: usize = 32;
+
+/// Steps ahead the LocalTor pre-alert forecasts.
+const TOR_HORIZON: usize = 3;
+
+/// The Holt smoother of the uplink forecast: level gain 0.4, trend gain
+/// 0.1.
+const TOR_HOLT: HoltPredictor = HoltPredictor {
+    alpha: 0.4,
+    beta: 0.1,
+};
 
 /// Rolling per-rack uplink utilisation history with prediction.
 #[derive(Debug, Clone)]
@@ -20,18 +34,12 @@ pub struct TorMonitor {
     history: Vec<Vec<f64>>,
     /// Aggregate uplink capacity per rack (Σ edge-link capacities).
     uplink_capacity: Vec<f64>,
-    /// Keep at most this many samples per rack.
-    window: usize,
-    /// Holt smoothing parameters (level, trend).
-    pub alpha: f64,
-    /// Trend gain.
-    pub beta: f64,
 }
 
 impl TorMonitor {
-    /// Monitor over every rack of the topology.
-    pub fn new(dcn: &Dcn, window: usize) -> Self {
-        assert!(window >= 4, "need a few samples to predict");
+    /// Monitor over every rack of the topology, keeping the last
+    /// `TOR_WINDOW` (32) samples of each.
+    pub fn new(dcn: &Dcn) -> Self {
         let uplink_capacity = (0..dcn.rack_count())
             .map(|r| {
                 let node = dcn.rack_node(RackId::from_index(r));
@@ -45,9 +53,6 @@ impl TorMonitor {
         Self {
             history: vec![Vec::new(); dcn.rack_count()],
             uplink_capacity,
-            window,
-            alpha: 0.4,
-            beta: 0.1,
         }
     }
 
@@ -62,7 +67,7 @@ impl TorMonitor {
             };
             let h = &mut self.history[r];
             h.push(u);
-            if h.len() > self.window {
+            if h.len() > TOR_WINDOW {
                 h.remove(0);
             }
         }
@@ -73,31 +78,23 @@ impl TorMonitor {
         &self.history[rack.index()]
     }
 
-    /// Holt forecast of a rack's utilisation `horizon` steps out.
-    pub fn predict(&self, rack: RackId, horizon: usize) -> f64 {
-        let h = &self.history[rack.index()];
-        if h.is_empty() {
-            return 0.0;
-        }
-        let mut level = h[0];
-        let mut trend = 0.0;
-        for &y in &h[1..] {
-            let prev = level;
-            level = self.alpha * y + (1.0 - self.alpha) * (level + trend);
-            trend = self.beta * (level - prev) + (1.0 - self.beta) * trend;
-        }
-        (level + horizon as f64 * trend).max(0.0)
+    /// Holt forecast of a rack's utilisation `TOR_HORIZON` (3) steps out.
+    /// Unlike a VM profile forecast it is not capped at 1: an uplink can
+    /// be asked to carry more than its capacity.
+    fn predict(&self, rack: RackId) -> f64 {
+        let (level, trend) = TOR_HOLT.smooth(&self.history[rack.index()]);
+        (level + TOR_HORIZON as f64 * trend).max(0.0)
     }
 
     /// LocalTor pre-alerts: racks whose *predicted* uplink utilisation
-    /// crosses `threshold` within `horizon` steps (requires at least 4
-    /// samples so the trend is meaningful).
-    pub fn predicted_alerts(&self, threshold: f64, horizon: usize, t: usize) -> Vec<Alert> {
+    /// crosses `threshold` within `TOR_HORIZON` steps (requires at least
+    /// 4 samples so the trend is meaningful).
+    pub fn predicted_alerts(&self, threshold: f64, t: usize) -> Vec<Alert> {
         (0..self.history.len())
             .filter(|&r| self.history[r].len() >= 4)
             .filter_map(|r| {
                 let rack = RackId::from_index(r);
-                let predicted = self.predict(rack, horizon);
+                let predicted = self.predict(rack);
                 (predicted > threshold).then(|| Alert {
                     rack,
                     source: AlertSource::LocalTor(rack),
@@ -144,7 +141,7 @@ mod tests {
     #[test]
     fn records_utilization_for_source_rack_only() {
         let (dcn, p, flows) = setup(1.0);
-        let mut mon = TorMonitor::new(&dcn, 16);
+        let mut mon = TorMonitor::new(&dcn);
         mon.record(&flows, &p);
         // rack 0's uplinks: 2 × capacity 1.0 -> utilisation 0.5
         assert!((mon.history(RackId(0))[0] - 0.5).abs() < 1e-12);
@@ -154,8 +151,8 @@ mod tests {
     #[test]
     fn rising_uplink_predicts_over_threshold_before_it_happens() {
         let (dcn, mut p, _) = setup(0.2);
-        let mut mon = TorMonitor::new(&dcn, 16);
-        // ramp the uplink: re-route with increasing rates
+        let mut mon = TorMonitor::new(&dcn);
+        // ramp the uplink from 0.19 to 0.89: re-route with increasing rates
         for step in 1..=8 {
             let flows = FlowNetwork::route(
                 &dcn,
@@ -163,17 +160,17 @@ mod tests {
                 vec![Flow {
                     src: VmId(0),
                     dst: VmId(1),
-                    rate: 0.2 * step as f64,
+                    rate: 0.18 + 0.2 * step as f64,
                     delay_sensitive: false,
                 }],
             );
             mon.record(&flows, &p);
         }
-        // current utilisation 0.8 (1.6/2.0); the 5-step trend
+        // current utilisation 0.89 (1.78/2.0); the 3-step trend
         // extrapolation must cross 0.9 before the actual does
         let current = *mon.history(RackId(0)).last().unwrap();
         assert!(current < 0.9, "premise: not yet saturated ({current})");
-        let alerts = mon.predicted_alerts(0.9, 5, 8);
+        let alerts = mon.predicted_alerts(0.9, 8);
         assert!(
             alerts.iter().any(|a| a.rack == RackId(0)),
             "rising trend should pre-alert rack 0"
@@ -185,30 +182,30 @@ mod tests {
     #[test]
     fn flat_low_uplink_never_alerts() {
         let (dcn, p, flows) = setup(0.3);
-        let mut mon = TorMonitor::new(&dcn, 16);
+        let mut mon = TorMonitor::new(&dcn);
         for _ in 0..10 {
             mon.record(&flows, &p);
         }
-        assert!(mon.predicted_alerts(0.9, 5, 10).is_empty());
+        assert!(mon.predicted_alerts(0.9, 10).is_empty());
     }
 
     #[test]
     fn window_bounds_history() {
         let (dcn, p, flows) = setup(0.5);
-        let mut mon = TorMonitor::new(&dcn, 6);
-        for _ in 0..20 {
+        let mut mon = TorMonitor::new(&dcn);
+        for _ in 0..TOR_WINDOW + 8 {
             mon.record(&flows, &p);
         }
-        assert_eq!(mon.history(RackId(0)).len(), 6);
+        assert_eq!(mon.history(RackId(0)).len(), TOR_WINDOW);
     }
 
     #[test]
     fn too_few_samples_stay_silent() {
         let (dcn, p, flows) = setup(5.0); // saturating immediately
-        let mut mon = TorMonitor::new(&dcn, 8);
+        let mut mon = TorMonitor::new(&dcn);
         mon.record(&flows, &p);
         mon.record(&flows, &p);
         // only 2 samples: no alert yet even though utilisation is extreme
-        assert!(mon.predicted_alerts(0.9, 2, 2).is_empty());
+        assert!(mon.predicted_alerts(0.9, 2).is_empty());
     }
 }

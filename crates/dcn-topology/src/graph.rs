@@ -129,6 +129,7 @@ impl NetGraph {
     }
 
     /// Find the edge between two nodes, if any.
+    // sheriff-lint: allow(DEAD01, "the path-edge checks of crates/dcn-topology/tests/proptests.rs")
     pub fn edge_between(&self, a: NodeIdx, b: NodeIdx) -> Option<EdgeIdx> {
         self.adjacency[a]
             .iter()
@@ -238,6 +239,38 @@ mod tests {
         assert!(g.is_connected());
         g.add_rack(RackId(2));
         assert!(!g.is_connected());
+    }
+
+    #[test]
+    fn every_topology_builder_yields_a_simple_graph() {
+        // the sizes the experiments, scenarios and benchmark build: a
+        // shortest-path search's predecessor edge stands for its node
+        // pair only while no pair has two edges
+        use crate::{bcube, dcell, fattree, vl2};
+        let mut graphs = Vec::new();
+        for k in [4, 8, 16, 24, 32, 40, 48] {
+            let dcn = fattree::build(&fattree::FatTreeConfig::paper(k));
+            graphs.push((format!("Fat-Tree k={k}"), dcn.graph));
+        }
+        for n in [4, 8, 16, 24, 32, 40, 48] {
+            let dcn = bcube::build(&bcube::BCubeConfig::paper(n));
+            graphs.push((format!("BCube n={n}"), dcn.graph));
+        }
+        let dcn = dcell::build(&dcell::DCellConfig::paper(4, 1));
+        graphs.push(("DCell(4, 1)".into(), dcn.graph));
+        for (d_a, d_i) in [(4, 2), (8, 8)] {
+            let dcn = vl2::build(&vl2::Vl2Config::paper(d_a, d_i));
+            graphs.push((format!("VL2({d_a}, {d_i})"), dcn.graph));
+        }
+        for (name, g) in graphs {
+            for u in g.node_indices() {
+                let mut peers: Vec<NodeIdx> = g.neighbors(u).iter().map(|&(v, _)| v).collect();
+                let degree = peers.len();
+                peers.sort_unstable();
+                peers.dedup();
+                assert_eq!(peers.len(), degree, "{name}: two edges at node {u}");
+            }
+        }
     }
 
     #[test]

@@ -5,93 +5,40 @@
 
 use crate::graph::{EdgeIdx, NetGraph, NodeIdx};
 use crate::link::Link;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::path::{dijkstra, walk_back};
 
-/// A path as node sequence plus its cost.
+/// A path as node sequence, the edges its search crossed, and its cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Path {
     /// Node sequence, inclusive of both endpoints.
     pub nodes: Vec<NodeIdx>,
+    /// The edge indices along the path, in path order.
+    pub edges: Vec<EdgeIdx>,
     /// Total edge cost.
     pub cost: f64,
 }
 
-impl Path {
-    /// The edge indices along the path.
-    pub fn edges(&self, g: &NetGraph) -> Vec<EdgeIdx> {
-        self.nodes
-            .windows(2)
-            .map(|w| g.edge_between(w[0], w[1]).expect("path edge exists"))
-            .collect()
-    }
-}
-
-/// Dijkstra variant honouring banned nodes/edges; returns the shortest
-/// path or `None`.
-fn shortest_with_bans(
+/// The cheapest `src` → `dst` path over the edges not `banned`, or
+/// `None` when `dst` is unreachable.
+fn shortest(
     g: &NetGraph,
     src: NodeIdx,
     dst: NodeIdx,
     edge_cost: &impl Fn(&Link) -> f64,
-    banned_nodes: &[bool],
-    banned_edges: &[bool],
+    banned: &[bool],
 ) -> Option<Path> {
-    #[derive(PartialEq)]
-    struct E(f64, NodeIdx);
-    impl Eq for E {}
-    impl Ord for E {
-        fn cmp(&self, o: &Self) -> Ordering {
-            o.0.partial_cmp(&self.0).expect("no NaN costs")
-        }
-    }
-    impl PartialOrd for E {
-        fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    if banned_nodes[src] || banned_nodes[dst] {
+    let (dist, prev) = dijkstra(g, src, Some(dst), |e, l| {
+        (banned.get(e) == Some(&false)).then(|| edge_cost(l))
+    });
+    let cost = *dist.get(dst)?;
+    if !cost.is_finite() {
         return None;
     }
-    let n = g.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![usize::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0.0;
-    heap.push(E(0.0, src));
-    while let Some(E(d, u)) = heap.pop() {
-        if d > dist[u] {
-            continue;
-        }
-        if u == dst {
-            break;
-        }
-        for &(v, e) in g.neighbors(u) {
-            if banned_nodes[v] || banned_edges[e] {
-                continue;
-            }
-            let nd = d + edge_cost(g.link(e));
-            if nd < dist[v] {
-                dist[v] = nd;
-                prev[v] = u;
-                heap.push(E(nd, v));
-            }
-        }
-    }
-    if !dist[dst].is_finite() {
-        return None;
-    }
-    let mut nodes = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[cur];
-        nodes.push(cur);
-    }
+    let (mut edges, mut nodes): (Vec<EdgeIdx>, Vec<NodeIdx>) = walk_back(g, &prev, dst).unzip();
+    edges.reverse();
     nodes.reverse();
-    Some(Path {
-        nodes,
-        cost: dist[dst],
-    })
+    nodes.push(dst);
+    Some(Path { nodes, edges, cost })
 }
 
 /// Yen's algorithm: up to `k` loopless shortest paths from `src` to
@@ -105,11 +52,9 @@ pub fn k_shortest_paths(
     edge_cost: impl Fn(&Link) -> f64,
 ) -> Vec<Path> {
     assert!(k >= 1, "k must be positive");
-    let mut banned_nodes = vec![false; g.node_count()];
-    let mut banned_edges = vec![false; g.edge_count()];
+    let mut banned = vec![false; g.edge_count()];
 
-    let Some(first) = shortest_with_bans(g, src, dst, &edge_cost, &banned_nodes, &banned_edges)
-    else {
+    let Some(first) = shortest(g, src, dst, &edge_cost, &banned) else {
         return Vec::new();
     };
     let mut found = vec![first];
@@ -118,35 +63,35 @@ pub fn k_shortest_paths(
     for _ in 1..k {
         let last = found.last().expect("at least the first path").clone();
         // branch at every spur node of the previous path
-        for spur_idx in 0..last.nodes.len() - 1 {
-            let spur_node = last.nodes[spur_idx];
+        for (spur_idx, &spur_node) in last.nodes.iter().enumerate().take(last.edges.len()) {
             let root = &last.nodes[..=spur_idx];
-
-            banned_edges.iter_mut().for_each(|b| *b = false);
-            banned_nodes.iter_mut().for_each(|b| *b = false);
+            banned.fill(false);
+            let mut ban = |e: EdgeIdx| {
+                if let Some(b) = banned.get_mut(e) {
+                    *b = true;
+                }
+            };
             // ban edges used by previous paths that share this root
             for p in &found {
-                if p.nodes.len() > spur_idx && p.nodes[..=spur_idx] == *root {
-                    if let Some(e) = g.edge_between(p.nodes[spur_idx], p.nodes[spur_idx + 1]) {
-                        banned_edges[e] = true;
+                if p.nodes.get(..=spur_idx) == Some(root) {
+                    if let Some(&e) = p.edges.get(spur_idx) {
+                        ban(e);
                     }
                 }
             }
-            // ban root nodes (except the spur) to keep paths loopless
+            // ban root nodes (except the spur) to keep paths loopless:
+            // refusing every edge at a node keeps the search out of it
             for &n in &root[..spur_idx] {
-                banned_nodes[n] = true;
+                g.neighbors(n).iter().for_each(|&(_, e)| ban(e));
             }
 
-            if let Some(spur) =
-                shortest_with_bans(g, spur_node, dst, &edge_cost, &banned_nodes, &banned_edges)
-            {
+            if let Some(spur) = shortest(g, spur_node, dst, &edge_cost, &banned) {
                 let mut nodes = root[..spur_idx].to_vec();
                 nodes.extend(spur.nodes);
-                let cost: f64 = nodes
-                    .windows(2)
-                    .map(|w| edge_cost(g.link(g.edge_between(w[0], w[1]).expect("edge"))))
-                    .sum();
-                let cand = Path { nodes, cost };
+                let mut edges = last.edges[..spur_idx].to_vec();
+                edges.extend(spur.edges);
+                let cost: f64 = edges.iter().map(|&e| edge_cost(g.link(e))).sum();
+                let cand = Path { nodes, edges, cost };
                 if !found.contains(&cand) && !candidates.contains(&cand) {
                     candidates.push(cand);
                 }
@@ -212,11 +157,7 @@ mod tests {
         let src = dcn.rack_node(RackId(0));
         let dst = dcn.rack_node(RackId(2));
         for p in k_shortest_paths(&dcn.graph, src, dst, 3, distance_cost) {
-            let sum: f64 = p
-                .edges(&dcn.graph)
-                .iter()
-                .map(|&e| dcn.graph.link(e).distance)
-                .sum();
+            let sum: f64 = p.edges.iter().map(|&e| dcn.graph.link(e).distance).sum();
             assert!((sum - p.cost).abs() < 1e-9);
         }
     }

@@ -3,11 +3,13 @@
 //! Sec. V-A.2 of the paper collapses the rack-to-rack multigraph into a
 //! complete metric with Floyd–Warshall so that the transmission cost
 //! `g(v_i, v_p, e_ip)` becomes a function `G(v_i, v_p)` of the endpoints
-//! only. We provide Floyd–Warshall (faithful to the paper, good for small
-//! and medium graphs) and repeated Dijkstra (asymptotically better on the
-//! sparse Fat-Tree/BCube graphs) — both produce the same [`PathCosts`].
+//! only. [`dijkstra`] is the one search behind that metric
+//! (`dcn_sim::RackMetric`), the flow routes and Yen's k-shortest paths;
+//! [`PathCosts`] (Floyd–Warshall, faithful to the paper, or repeated
+//! Dijkstra; both give the same answer) is the all-pairs oracle the tests
+//! check against.
 
-use crate::graph::{NetGraph, NodeIdx};
+use crate::graph::{EdgeIdx, NetGraph, NodeIdx};
 use crate::link::Link;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -74,18 +76,18 @@ impl PathCosts {
         let mut dist = vec![f64::INFINITY; n * n];
         let mut next = vec![NO_NEXT; n * n];
         for src in 0..n {
-            let (d, prev) = dijkstra(g, src, &edge_cost);
+            let (d, prev) = dijkstra(g, src, None, |_, l| Some(edge_cost(l)));
             for t in 0..n {
                 dist[src * n + t] = d[t];
-                if t == src {
-                    next[src * n + t] = src as u32;
-                } else if d[t].is_finite() {
-                    // walk back from t to the node whose predecessor is src
-                    let mut cur = t;
-                    while prev[cur] != src as u32 {
-                        cur = prev[cur] as usize;
-                    }
-                    next[src * n + t] = cur as u32;
+                if d[t].is_finite() {
+                    // the first hop is the last node before src on the
+                    // walk back from t (t itself when src precedes it)
+                    let hop = walk_back(g, &prev, t)
+                        .map(|(_, p)| p)
+                        .take_while(|&p| p != src)
+                        .last()
+                        .unwrap_or(t);
+                    next[src * n + t] = hop as u32;
                 }
             }
         }
@@ -128,51 +130,89 @@ impl PathCosts {
     }
 }
 
-/// Single-source Dijkstra. Returns (distances, predecessor array); the
-/// predecessor of the source is itself, unreachable nodes keep `u32::MAX`.
+/// A heap entry: a node keyed by its tentative distance, popped
+/// cheapest first.
+#[derive(PartialEq)]
+struct Entry(f64, NodeIdx);
+
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // min-heap on cost; costs are sums of non-negative edge costs,
+        // never NaN
+        other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal)
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Single-source Dijkstra, the workspace's one shortest-path search.
+///
+/// `edge_cost` prices each edge it is offered, or refuses it with `None`.
+/// With a `target` the search stops once that node is settled: its
+/// distance and path are final, other nodes' may not be. Returns every
+/// node's distance (infinite when unreached) and the edge it was reached
+/// by (`None` for the source and for unreached nodes); [`walk_back`]
+/// reads a path out of the latter.
 pub fn dijkstra(
     g: &NetGraph,
     src: NodeIdx,
-    edge_cost: &impl Fn(&Link) -> f64,
-) -> (Vec<f64>, Vec<u32>) {
-    #[derive(PartialEq)]
-    struct Entry(f64, NodeIdx);
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // min-heap on cost; costs are finite and non-NaN by construction
-            other.0.partial_cmp(&self.0).unwrap()
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
+    target: Option<NodeIdx>,
+    edge_cost: impl Fn(EdgeIdx, &Link) -> Option<f64>,
+) -> (Vec<f64>, Vec<Option<EdgeIdx>>) {
     let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![NO_NEXT; n];
+    let mut prev = vec![None; n];
     let mut heap = BinaryHeap::new();
-    dist[src] = 0.0;
-    prev[src] = src as u32;
-    heap.push(Entry(0.0, src));
+    if let Some(d) = dist.get_mut(src) {
+        *d = 0.0;
+        heap.push(Entry(0.0, src));
+    }
     while let Some(Entry(d, u)) = heap.pop() {
-        if d > dist[u] {
+        if dist.get(u).is_none_or(|&du| d > du) {
             continue;
         }
+        if Some(u) == target {
+            break;
+        }
         for &(v, e) in g.neighbors(u) {
-            let c = edge_cost(g.link(e));
-            debug_assert!(c >= 0.0);
+            let Some(c) = edge_cost(e, g.link(e)) else {
+                continue;
+            };
+            debug_assert!(c >= 0.0, "edge costs must be non-negative");
             let nd = d + c;
-            if nd < dist[v] {
-                dist[v] = nd;
-                prev[v] = u as u32;
-                heap.push(Entry(nd, v));
+            if let (Some(dv), Some(pv)) = (dist.get_mut(v), prev.get_mut(v)) {
+                if nd < *dv {
+                    *dv = nd;
+                    *pv = Some(e);
+                    heap.push(Entry(nd, v));
+                }
             }
         }
     }
     (dist, prev)
+}
+
+/// Walk a [`dijkstra`] search tree from `t` back to its source: each
+/// predecessor edge, with the node it leads back to. Empty for the
+/// source and for a node the search did not reach.
+pub fn walk_back<'a>(
+    g: &'a NetGraph,
+    prev: &'a [Option<EdgeIdx>],
+    t: NodeIdx,
+) -> impl Iterator<Item = (EdgeIdx, NodeIdx)> + 'a {
+    let mut cur = t;
+    std::iter::from_fn(move || {
+        let e = (*prev.get(cur)?)?;
+        let (a, b) = g.endpoints(e);
+        cur = if a == cur { b } else { a };
+        Some((e, cur))
+    })
 }
 
 /// Convenience edge-cost: physical distance `D(e)`.

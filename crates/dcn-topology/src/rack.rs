@@ -84,7 +84,7 @@ impl Inventory {
     }
 
     /// Host by id.
-    #[inline]
+    #[cfg(test)]
     pub fn host(&self, id: HostId) -> &Host {
         &self.hosts[id.index()]
     }

@@ -17,7 +17,7 @@
 //! 3", SC'11, describe such counter-based generators.)
 
 use crate::protocol::ShimMsg;
-use dcn_sim::{ChannelFaults, SheriffError, REORDER_HOLD_BACK};
+use dcn_sim::{mix64, ChannelFaults, SheriffError, GOLDEN_GAMMA, REORDER_HOLD_BACK};
 use dcn_topology::RackId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -289,7 +289,9 @@ impl SimNet {
             id,
         ]
         .into_iter()
-        .fold(self.seed, |h, field| splitmix64(h ^ field));
+        .fold(self.seed, |h, field| {
+            mix64((h ^ field).wrapping_add(GOLDEN_GAMMA))
+        });
         let rng = &mut StdRng::seed_from_u64(key);
         if self.faults.drop > 0.0 && rng.gen_bool(self.faults.drop) {
             self.stats.dropped += 1;
@@ -361,14 +363,6 @@ impl SimNet {
     pub fn next_delivery(&self) -> Option<u64> {
         self.queue.peek().map(|Reverse(m)| m.deliver_at)
     }
-}
-
-/// One SplitMix64 step: the mix that keys each message's fate.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A message's kind and the id it carries: its request, or for a beacon

@@ -2342,18 +2342,15 @@ mod tests {
         let initial = c.placement.clone();
         let alerts = c.fraction_alerts(0.10, 0);
         let victim = alerts[0].rack;
-        // an aggressive detector (dead after ~6 ticks of silence)
-        // declares the crashed shim Dead mid-round; its unplanned work
-        // moves to a successor under a bumped epoch, and the shim then
-        // recovers into the takeover — the regression this guards is two
-        // shims both claiming the victim's VMs
-        let mut rt = FabricRuntime {
-            cfg: FabricConfig {
-                crashed: vec![CrashWindow::during(victim, 1, 20)],
-                ..FabricConfig::default()
-            },
-            failover: RegionFailover::new(2, 4),
-        };
+        // a crash that outlasts the detector's dead threshold (Dead at
+        // t = 25) is declared mid-round; its unplanned work moves to a
+        // successor under a bumped epoch, and the shim then recovers into
+        // the takeover — the regression this guards is two shims both
+        // claiming the victim's VMs
+        let mut rt = FabricRuntime::with_config(FabricConfig {
+            crashed: vec![CrashWindow::during(victim, 1, 40)],
+            ..FabricConfig::default()
+        });
         let mut rec = RingRecorder::new(1);
         let report = round(&mut rt, &mut c, &alerts, &mut rec);
         assert!(report.ticks < MAX_TICKS, "round wedged");
@@ -2462,10 +2459,10 @@ mod tests {
         // t = 0 and then once per HEARTBEAT_PERIOD, so the adaptive
         // detector declares a silent shim Dead at an exact tick.
         //
-        // The victim crashes mid-negotiation at t = 5 under a detector
-        // with a dead floor of 6 ticks. Only its t = 0 beacon lands
-        // before the crash, the mean interval stays at the 8-tick hint,
-        // and Dead needs max(6, 3·8) + 1 = 25 ticks of silence (t = 25).
+        // The victim crashes mid-negotiation at t = 5. Only its t = 0
+        // beacon lands before the crash, the mean interval stays at the
+        // 8-tick hint, and Dead needs max(LIVENESS_DEADLINE, 3·8) + 1 =
+        // 25 ticks of silence (t = 25).
         // Back at t = 24, the victim beacons on that period tick and
         // resets the clock first, so no death is ever declared; back at
         // t = 26, it is declared Dead at t = 25, before it recovers.
@@ -2473,13 +2470,10 @@ mod tests {
             let mut c = cluster(26);
             let alerts = c.fraction_alerts(0.10, 0);
             let victim = alerts[0].rack;
-            let mut rt = FabricRuntime {
-                cfg: FabricConfig {
-                    crashed: vec![CrashWindow::during(victim, 5, recover_at)],
-                    ..FabricConfig::default()
-                },
-                failover: RegionFailover::new(HEARTBEAT_PERIOD, 6),
-            };
+            let mut rt = FabricRuntime::with_config(FabricConfig {
+                crashed: vec![CrashWindow::during(victim, 5, recover_at)],
+                ..FabricConfig::default()
+            });
             let mut rec = RingRecorder::new(65536);
             let report = round(&mut rt, &mut c, &alerts, &mut rec);
             assert!(report.audit.is_clean(), "{}", report.audit);

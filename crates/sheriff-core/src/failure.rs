@@ -40,36 +40,21 @@ pub enum ShimHealth {
 }
 
 /// Deterministic phi-accrual-style failure detector over virtual-time
-/// heartbeat emissions.
+/// heartbeat emissions. It assumes the fabric's cadence: a mean interval
+/// of [`HEARTBEAT_PERIOD`] ticks before any samples arrive, and no death
+/// before [`LIVENESS_DEADLINE`] ticks of silence, however fast the shim
+/// was heartbeating.
 ///
 /// All state lives in `BTreeMap`s so iteration (and therefore event
 /// emission order) is rack order, never hash order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FailureDetector {
     last_emit: BTreeMap<RackId, u64>,
     intervals: BTreeMap<RackId, Vec<u64>>,
     health: BTreeMap<RackId, ShimHealth>,
-    /// Assumed mean interval before any samples arrive (the configured
-    /// heartbeat period).
-    pub default_interval: u64,
-    /// Silence is never fatal below this floor, however fast the shim
-    /// was heartbeating (mirrors the liveness deadline).
-    pub dead_floor: u64,
 }
 
 impl FailureDetector {
-    /// Detector expecting beacons roughly every `default_interval` ticks
-    /// and never declaring death before `dead_floor` ticks of silence.
-    pub fn new(default_interval: u64, dead_floor: u64) -> Self {
-        Self {
-            last_emit: BTreeMap::new(),
-            intervals: BTreeMap::new(),
-            health: BTreeMap::new(),
-            default_interval: default_interval.max(1),
-            dead_floor: dead_floor.max(1),
-        }
-    }
-
     /// Start (or refresh) the silence clock for a shim that is expected
     /// to beacon from `t` on, without counting an emission. Used at round
     /// start so a shim that is down from tick 0 still accrues silence.
@@ -102,7 +87,7 @@ impl FailureDetector {
     pub fn mean_interval(&self, rack: RackId) -> u64 {
         match self.intervals.get(&rack) {
             Some(w) if !w.is_empty() => (w.iter().sum::<u64>() / w.len() as u64).max(1),
-            _ => self.default_interval,
+            _ => HEARTBEAT_PERIOD,
         }
     }
 
@@ -113,7 +98,7 @@ impl FailureDetector {
         };
         let silence = now.saturating_sub(last);
         let mean = self.mean_interval(rack);
-        if silence > self.dead_floor.max(3 * mean) {
+        if silence > LIVENESS_DEADLINE.max(3 * mean) {
             ShimHealth::Dead
         } else if silence > 2 * mean {
             ShimHealth::Suspect
@@ -149,7 +134,7 @@ impl FailureDetector {
     /// when no amount of further silence changes any verdict.
     ///
     /// Silence-driven transitions happen exactly at `last + 2·mean + 1`
-    /// (Alive→Suspect) and `last + max(dead_floor, 3·mean) + 1`
+    /// (Alive→Suspect) and `last + max(LIVENESS_DEADLINE, 3·mean) + 1`
     /// (→Dead) — [`classify`](Self::classify) uses strict inequalities —
     /// and nothing else moves between emissions, so an event loop that
     /// wakes the detector at this tick observes the same transitions as
@@ -161,7 +146,7 @@ impl FailureDetector {
             let cur = self.health(rack);
             let candidates = [
                 last.saturating_add(2 * mean + 1),
-                last.saturating_add(self.dead_floor.max(3 * mean) + 1),
+                last.saturating_add(LIVENESS_DEADLINE.max(3 * mean) + 1),
             ];
             for c in candidates {
                 let at = c.max(now + 1);
@@ -177,14 +162,15 @@ impl FailureDetector {
 
 /// Persistent cross-round failover state of the fabric: the failure
 /// detector, the authoritative per-rack epochs, each shim's view of its
-/// own epoch, and the current manager of every rack.
+/// own epoch, and the current manager of every rack. `default()` is the
+/// state before any round.
 ///
 /// Epochs only ever move forward ([`RegionFailover::take_over`] is the
 /// sole writer and it increments): fault-injector restore paths cannot
 /// resurrect a shim into an old epoch, they merely let the shim start
 /// talking again — and its first 2PC message is fenced until it adopts
 /// the current epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegionFailover {
     /// The heartbeat-emission failure detector.
     pub detector: FailureDetector,
@@ -197,17 +183,6 @@ pub struct RegionFailover {
 }
 
 impl RegionFailover {
-    /// Fresh failover state with the given detector parameters.
-    pub fn new(default_interval: u64, dead_floor: u64) -> Self {
-        Self {
-            detector: FailureDetector::new(default_interval, dead_floor),
-            epochs: BTreeMap::new(),
-            views: BTreeMap::new(),
-            managers: BTreeMap::new(),
-            clock: 0,
-        }
-    }
-
     /// The authoritative epoch of `rack` (0 until its first takeover).
     pub fn epoch_of(&self, rack: RackId) -> u64 {
         self.epochs.get(&rack).copied().unwrap_or(0)
@@ -272,21 +247,13 @@ impl RegionFailover {
     }
 }
 
-impl Default for RegionFailover {
-    /// The fabric's own cadence: beacons every [`HEARTBEAT_PERIOD`]
-    /// ticks, never Dead before [`LIVENESS_DEADLINE`] ticks of silence.
-    fn default() -> Self {
-        Self::new(HEARTBEAT_PERIOD, LIVENESS_DEADLINE)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn silence_walks_alive_suspect_dead() {
-        let mut d = FailureDetector::new(8, 24);
+        let mut d = FailureDetector::default();
         d.observe_emission(RackId(0), 0);
         d.observe_emission(RackId(0), 8);
         d.observe_emission(RackId(0), 16);
@@ -312,7 +279,7 @@ mod tests {
 
     #[test]
     fn detector_adapts_to_slow_heartbeaters() {
-        let mut d = FailureDetector::new(8, 24);
+        let mut d = FailureDetector::default();
         for t in [0u64, 20, 40, 60] {
             d.observe_emission(RackId(1), t);
         }
@@ -324,7 +291,7 @@ mod tests {
 
     #[test]
     fn expected_but_never_heard_shim_accrues_silence() {
-        let mut d = FailureDetector::new(8, 24);
+        let mut d = FailureDetector::default();
         d.track(RackId(2), 0);
         assert_eq!(d.classify(RackId(2), 10), ShimHealth::Alive);
         assert_eq!(d.classify(RackId(2), 25), ShimHealth::Dead);
@@ -335,7 +302,7 @@ mod tests {
 
     #[test]
     fn next_transition_predicts_tick_exactly() {
-        let mut d = FailureDetector::new(8, 24);
+        let mut d = FailureDetector::default();
         d.observe_emission(RackId(0), 0);
         d.observe_emission(RackId(0), 8);
         d.observe_emission(RackId(0), 16);

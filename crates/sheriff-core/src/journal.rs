@@ -269,6 +269,7 @@ impl IntentJournal {
     }
 
     /// Transactions still in `Prepared` — zero once a round settles.
+    #[cfg(test)]
     pub fn pending(&self) -> usize {
         self.entries
             .values()
@@ -277,6 +278,7 @@ impl IntentJournal {
     }
 
     /// Transactions that finished in `Committed`.
+    #[cfg(test)]
     pub fn committed(&self) -> usize {
         self.entries
             .values()
@@ -285,6 +287,7 @@ impl IntentJournal {
     }
 
     /// Lease-aborts that committed forward because rollback failed.
+    #[cfg(test)]
     pub fn forwarded(&self) -> usize {
         self.forwarded
     }

@@ -13,6 +13,7 @@
 use crate::fabric::LIVENESS_DEADLINE;
 use crate::journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnState};
 use crate::request::request_migration;
+use dcn_sim::{mix64, GOLDEN_GAMMA};
 use dcn_topology::{DependencyGraph, HostId, Placement, RackId, VmId};
 use sheriff_obs::RejectKind;
 use std::collections::HashMap;
@@ -161,10 +162,8 @@ pub(crate) fn backoff_delay(attempt: u32, req_id: ReqId) -> u64 {
         .min(BACKOFF_CAP);
     // SplitMix64 over (req_id, attempt): stable, but different requests
     // back off on different schedules
-    let mut z = req_id.0 ^ ((attempt as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    exp + (z ^ (z >> 31)) % BACKOFF_BASE
+    let z = mix64(req_id.0 ^ (attempt as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
+    exp + z % BACKOFF_BASE
 }
 
 /// Replay log for refused transactions: the first refusal of a

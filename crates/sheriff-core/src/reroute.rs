@@ -62,23 +62,23 @@ pub fn flow_reroute(
         );
         // pick the candidate avoiding the hot switch with the lowest
         // worst-link utilisation after carrying this flow
-        let mut best: Option<(Vec<dcn_topology::EdgeIdx>, f64)> = None;
+        let mut best: Option<(&[dcn_topology::EdgeIdx], f64)> = None;
         for cand in &candidates {
             if cand.nodes.contains(&hot_node) {
                 continue;
             }
-            let edges = cand.edges(&dcn.graph);
-            let worst = edges
+            let worst = cand
+                .edges
                 .iter()
                 .map(|&e| (flows.load(e) + rate) / dcn.graph.link(e).capacity)
                 .fold(0.0f64, f64::max);
-            if best.as_ref().is_none_or(|(_, b)| worst < *b) {
-                best = Some((edges, worst));
+            if best.is_none_or(|(_, b)| worst < b) {
+                best = Some((&cand.edges, worst));
             }
         }
         match best {
             Some((route, _)) => {
-                flows.reroute(f, route);
+                flows.reroute(f, route.to_vec());
                 report.rerouted += 1;
             }
             None => report.stuck += 1,

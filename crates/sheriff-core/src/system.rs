@@ -12,7 +12,7 @@
 
 use crate::alert_mgmt::reroute_switch_alerts;
 use crate::runtime::{FabricRuntime, RunCtx, Runtime};
-use dcn_sim::congestion::{CongestionConfig, CongestionSim};
+use dcn_sim::congestion::CongestionSim;
 use dcn_sim::engine::{Cluster, ProfilePredictor};
 use dcn_sim::flows::FlowNetwork;
 use dcn_sim::tor_monitor::TorMonitor;
@@ -82,8 +82,8 @@ impl<S: EventSink> System<S> {
     /// trace of the management loop.
     pub fn with_sink(cluster: Cluster, flows: FlowNetwork, sink: S) -> Self {
         let metric = RackMetric::build(&cluster.dcn, &cluster.sim);
-        let qcn = CongestionSim::new(&cluster.dcn, CongestionConfig::default());
-        let tor = TorMonitor::new(&cluster.dcn, 32);
+        let qcn = CongestionSim::new(&cluster.dcn);
+        let tor = TorMonitor::new(&cluster.dcn);
         Self {
             cluster,
             flows,
@@ -145,7 +145,7 @@ impl<S: EventSink> System<S> {
         self.tor.record(&self.flows, &self.cluster.placement);
         let tor_alerts = self
             .tor
-            .predicted_alerts(self.cluster.sim.alert_threshold, 3, t);
+            .predicted_alerts(self.cluster.sim.alert_threshold, t);
         report.tor_alerts = tor_alerts.len();
         for a in &tor_alerts {
             emit(&mut self.sink, || Event::AlertRaised {

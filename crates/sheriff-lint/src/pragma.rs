@@ -43,9 +43,10 @@ impl std::fmt::Display for PragmaError {
     }
 }
 
-/// Render a pragma as the comment body that [`parse`] accepts — the
-/// round-trip partner used by the property tests and by `--fix`-style
-/// tooling. The result excludes the leading `//`.
+/// Render a pragma as the comment body that [`parse`] accepts, the
+/// round-trip partner of the property tests. The result excludes the
+/// leading `//`.
+// sheriff-lint: allow(DEAD01, "the round-trip proptest in tests/pragma_roundtrip.rs")
 pub fn format(rule: &str, reason: &str) -> String {
     let mut escaped = String::with_capacity(reason.len());
     for c in reason.chars() {

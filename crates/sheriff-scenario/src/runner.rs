@@ -15,8 +15,8 @@ use crate::faults::Faults;
 use crate::spec::{PredictorKind, RuntimeSpec, ScenarioSpec, SurgeSpec, TopologySpec};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{
-    alert::alert_value, Alert, AlertSource, ChannelFaults, HoltPredictor, LastValue,
-    ProfilePredictor, RackMetric, SheriffError,
+    alert::alert_value, mix64, Alert, AlertSource, ChannelFaults, HoltPredictor, LastValue,
+    ProfilePredictor, RackMetric, SheriffError, GOLDEN_GAMMA,
 };
 use dcn_topology::{HostId, RackId};
 use sheriff_core::{
@@ -91,36 +91,23 @@ pub struct SeedRun {
 pub struct ScenarioRunner {
     /// The validated scenario.
     pub spec: ScenarioSpec,
-    /// Fan jobs out over scoped threads (default) or run them in order
-    /// on the calling thread.
-    pub parallel: bool,
-    /// Worker threads for the parallel path (0 = one per available CPU,
-    /// capped at the job count).
+    /// Worker threads (0 = one per available CPU), capped at the job
+    /// count. One worker runs the jobs in order on the calling thread.
     pub threads: usize,
 }
 
 impl ScenarioRunner {
-    /// Runner with the default execution policy (parallel, auto threads).
+    /// Runner with one worker per available CPU.
     pub fn new(spec: ScenarioSpec) -> Self {
-        Self {
-            spec,
-            parallel: true,
-            threads: 0,
-        }
+        Self { spec, threads: 0 }
     }
 
     /// Run every (topology, seed) job and return the runs in job order
-    /// (topology-major, then seed) — identical regardless of `parallel`.
+    /// (topology-major, then seed) — identical for every `threads`.
     pub fn run(&self) -> Result<Vec<SeedRun>, SheriffError> {
         let jobs: Vec<(usize, usize)> = (0..self.spec.topologies.len())
             .flat_map(|ti| (0..self.spec.seeds.len()).map(move |si| (ti, si)))
             .collect();
-        if !self.parallel || jobs.len() <= 1 {
-            return jobs
-                .iter()
-                .map(|&(ti, si)| run_job(&self.spec, ti, si))
-                .collect();
-        }
         let workers = if self.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -128,7 +115,13 @@ impl ScenarioRunner {
         } else {
             self.threads
         }
-        .clamp(1, jobs.len());
+        .min(jobs.len());
+        if workers <= 1 {
+            return jobs
+                .iter()
+                .map(|&(ti, si)| run_job(&self.spec, ti, si))
+                .collect();
+        }
         // contiguous chunks keep the re-assembly a plain concatenation
         let chunk = jobs.len().div_ceil(workers);
         let spec = &self.spec;
@@ -195,18 +188,10 @@ impl Loop {
     }
 }
 
-/// splitmix64 — the deterministic per-VM coin for surge membership.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Whether `vm` is in the surge's deterministic `fraction`-sized subset.
 fn surge_hits(seed: u64, surge_index: usize, vm: usize, fraction: f64) -> bool {
-    let h = splitmix64(seed ^ (surge_index as u64).rotate_left(32) ^ (vm as u64));
+    let key = seed ^ (surge_index as u64).rotate_left(32) ^ (vm as u64);
+    let h = mix64(key.wrapping_add(GOLDEN_GAMMA));
     // top 53 bits → uniform in [0, 1)
     let u = (h >> 11) as f64 / (1u64 << 53) as f64;
     u < fraction
@@ -469,7 +454,7 @@ skew = 3.0
     fn serial_and_parallel_runs_are_identical() {
         let spec = small_spec("");
         let mut serial = ScenarioRunner::new(spec.clone());
-        serial.parallel = false;
+        serial.threads = 1;
         let mut parallel = ScenarioRunner::new(spec);
         parallel.threads = 2;
         let a = serial.run().unwrap();

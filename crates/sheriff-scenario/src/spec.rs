@@ -16,7 +16,7 @@ use dcn_topology::dcell::{self, DCellConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
 use dcn_topology::vl2::{self, Vl2Config};
 use dcn_topology::Dcn;
-use sheriff_transfer::TransferConfig;
+use sheriff_core::TransferConfig;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -806,22 +806,15 @@ fn parse_transfer_model(
     Ok(Some(spec))
 }
 
+/// A channel fault table; `extra` names the keys the section adds
+/// (`[[channel_phase]]`'s `round`).
 fn parse_channel(
     t: &BTreeMap<String, Value>,
     section: &str,
+    extra: &[&str],
 ) -> Result<ChannelFaults, SheriffError> {
-    check_keys(
-        t,
-        &[
-            "round",
-            "drop",
-            "duplicate",
-            "reorder",
-            "delay_min",
-            "delay_max",
-        ],
-        section,
-    )?;
+    let keys = ["drop", "duplicate", "reorder", "delay_min", "delay_max"];
+    check_keys(t, &[extra, &keys].concat(), section)?;
     let mut ch = ChannelFaults::reliable();
     if let Some(x) = get_f64(t, "drop", section)? {
         ch.drop = x;
@@ -853,7 +846,6 @@ fn parse_sim(v: &Value) -> Result<(SimConfig, ChannelFaults), SheriffError> {
             "delta",
             "eta",
             "c_d",
-            "vm_capacity_max",
             "bandwidth_threshold",
             "alert_threshold",
             "alpha",
@@ -866,12 +858,11 @@ fn parse_sim(v: &Value) -> Result<(SimConfig, ChannelFaults), SheriffError> {
     )?;
     let mut cfg = SimConfig::paper();
     {
-        let fields: [(&str, &mut f64); 10] = [
+        let fields: [(&str, &mut f64); 9] = [
             ("c_r", &mut cfg.c_r),
             ("delta", &mut cfg.delta),
             ("eta", &mut cfg.eta),
             ("c_d", &mut cfg.c_d),
-            ("vm_capacity_max", &mut cfg.vm_capacity_max),
             ("bandwidth_threshold", &mut cfg.bandwidth_threshold),
             ("alert_threshold", &mut cfg.alert_threshold),
             ("alpha", &mut cfg.alpha),
@@ -888,7 +879,7 @@ fn parse_sim(v: &Value) -> Result<(SimConfig, ChannelFaults), SheriffError> {
         cfg.region_hops = x;
     }
     let channel = match t.get("channel") {
-        Some(ch) => parse_channel(want_table(ch, "sim.channel")?, "sim.channel")?,
+        Some(ch) => parse_channel(want_table(ch, "sim.channel")?, "sim.channel", &[])?,
         None => ChannelFaults::reliable(),
     };
     Ok((cfg, channel))
@@ -1141,7 +1132,7 @@ impl ScenarioSpec {
                         .ok_or_else(|| invalid("channel_phase.round is required".into()))?;
                     Ok(ChannelPhase {
                         round,
-                        faults: parse_channel(pt, "channel_phase")?,
+                        faults: parse_channel(pt, "channel_phase", &["round"])?,
                     })
                 })
                 .collect::<Result<_, SheriffError>>()?,
@@ -1578,6 +1569,29 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("extra"), "{err}");
+        let err = ScenarioSpec::parse_str(&format!("{MINIMAL}\n[sim]\nvm_capacity_max = 20.0\n"))
+            .unwrap_err();
+        assert!(err.to_string().contains("vm_capacity_max"), "{err}");
+    }
+
+    #[test]
+    fn round_is_a_channel_phase_key_only() {
+        // only a phase has a round to start at; [sim.channel] holds from
+        // round 0 and must not swallow the key
+        let err = ScenarioSpec::parse_str(&format!(
+            "{MINIMAL}\n[sim.channel]\nround = 7\ndrop = 0.1\n"
+        ))
+        .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unknown key \"round\" in sim.channel"),
+            "{err}"
+        );
+        let spec = ScenarioSpec::parse_str(&format!(
+            "{MINIMAL}\n[[channel_phase]]\nround = 1\ndrop = 0.1\n"
+        ))
+        .unwrap();
+        assert_eq!(spec.channel_phases[0].round, 1);
     }
 
     #[test]

@@ -50,7 +50,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dcn_sim::qcn::{CongestionPoint, CpConfig};
+use dcn_sim::qcn::CongestionPoint;
+use dcn_sim::{mix64, GOLDEN_GAMMA};
 use dcn_topology::graph::{EdgeIdx, NetGraph, NodeIdx};
 use dcn_topology::ksp::k_shortest_paths;
 use std::cmp::Ordering;
@@ -139,7 +140,7 @@ pub fn route_candidates(g: &NetGraph, src: NodeIdx, dst: NodeIdx, k: usize) -> V
     paths
         .into_iter()
         .map(|p| RouteCandidate {
-            links: p.edges(g),
+            links: p.edges,
             nodes: p.nodes,
         })
         .collect()
@@ -472,10 +473,7 @@ impl TransferScheduler {
             .saturating_mul(1u64 << attempt.min(16))
             .min(base.saturating_mul(8));
         let jitter = if base > 1 {
-            let mut z = id ^ ((attempt as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            (z ^ (z >> 31)) % base
+            mix64(id ^ (attempt as u64 + 1).wrapping_mul(GOLDEN_GAMMA)) % base
         } else {
             0
         };
@@ -738,10 +736,7 @@ impl TransferScheduler {
             .collect();
         for l in sampled {
             let n = self.link_users.get(&l).copied().unwrap_or(0);
-            let cp = self
-                .cps
-                .entry(l)
-                .or_insert_with(|| CongestionPoint::new(CpConfig::default()));
+            let cp = self.cps.entry(l).or_default();
             let _ = cp.sample(n as f64 * cap * dt, cap * dt);
         }
         self.completes_at.clear();

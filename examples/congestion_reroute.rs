@@ -10,7 +10,7 @@
 use sheriff_dcn::prelude::*;
 use sheriff_dcn::sheriff::{flow_reroute, pre_alert_management, MigrationContext};
 use sheriff_dcn::sim::flows::{Flow, FlowNetwork};
-use sheriff_dcn::sim::qcn::{CongestionPoint, CpConfig, ReactionPoint, RpConfig};
+use sheriff_dcn::sim::qcn::{CongestionPoint, ReactionPoint};
 
 fn main() {
     let dcn = fattree::build(&FatTreeConfig::paper(4));
@@ -57,8 +57,8 @@ fn main() {
     println!("flow {src}->{dst} at 0.95 over edge links of capacity 1.0");
 
     // --- QCN at the congested switch --------------------------------------
-    let mut cp = CongestionPoint::new(CpConfig::default());
-    let mut rp = ReactionPoint::new(0.95, RpConfig::default());
+    let mut cp = CongestionPoint::default();
+    let mut rp = ReactionPoint::new(0.95);
     for step in 0..8 {
         // arrivals above service rate build the queue
         if let Some(fb) = cp.sample(rp.rate() * 40.0, 30.0) {

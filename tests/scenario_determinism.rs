@@ -5,9 +5,10 @@
 use proptest::prelude::*;
 use sheriff_dcn::prelude::{aggregate, Event, ScenarioRunner, ScenarioSpec};
 
-fn canonical(spec: &ScenarioSpec, parallel: bool, threads: usize) -> String {
+/// The canonical report of `spec` run on `threads` workers (0 = auto,
+/// 1 = the serial path).
+fn canonical(spec: &ScenarioSpec, threads: usize) -> String {
     let mut runner = ScenarioRunner::new(spec.clone());
-    runner.parallel = parallel;
     runner.threads = threads;
     let runs = runner.run().expect("scenario runs");
     aggregate(spec, &runs).canonical_json()
@@ -24,7 +25,7 @@ proptest! {
         base_seed in 1u64..1000,
         rounds in 1usize..4,
         runtime in 0usize..3,
-        threads in 1usize..5,
+        threads in 2usize..5,
         with_fault in any::<bool>(),
     ) {
         // "distributed" is a parse-time alias of "fabric"
@@ -55,8 +56,8 @@ kind = "{runtime}"
         );
         let spec = ScenarioSpec::parse_str(&src).expect("generated spec parses");
         spec.validate().expect("generated spec is valid");
-        let serial = canonical(&spec, false, 0);
-        let parallel = canonical(&spec, true, threads);
+        let serial = canonical(&spec, 1);
+        let parallel = canonical(&spec, threads);
         prop_assert_eq!(serial, parallel);
     }
 }
@@ -69,9 +70,9 @@ fn rerunning_a_shipped_spec_file_reproduces_the_report() {
         .expect("bundled scenario parses");
     spec.rounds = 4;
     spec.seeds.truncate(2);
-    let first = canonical(&spec, true, 0);
-    let second = canonical(&spec, true, 2);
-    let third = canonical(&spec, false, 0);
+    let first = canonical(&spec, 0);
+    let second = canonical(&spec, 2);
+    let third = canonical(&spec, 1);
     assert_eq!(first, second, "parallel re-run diverged");
     assert_eq!(first, third, "serial run diverged from parallel");
     assert!(first.contains("\"columns\": [\"round\", \"stddev_pct\"]"));
@@ -86,8 +87,8 @@ fn mid_round_crash_scenario_is_deterministic_with_clean_audit() {
     let mut spec = ScenarioSpec::load(std::path::Path::new("scenarios/mid_round_shim_crash.toml"))
         .expect("bundled scenario parses");
     spec.seeds.truncate(2);
-    let serial = canonical(&spec, false, 0);
-    let parallel = canonical(&spec, true, 2);
+    let serial = canonical(&spec, 1);
+    let parallel = canonical(&spec, 2);
     assert_eq!(serial, parallel, "mid-round crashes broke determinism");
     for metric in [
         "audit_violations_total",
@@ -101,7 +102,7 @@ fn mid_round_crash_scenario_is_deterministic_with_clean_audit() {
     // per-round ground truth: the auditor never fires, transactions
     // commit, and the round-3 mid-round crash recovers in-round
     let mut runner = ScenarioRunner::new(spec.clone());
-    runner.parallel = false;
+    runner.threads = 1;
     let runs = runner.run().expect("scenario runs");
     for run in &runs {
         for s in &run.rounds {
@@ -178,9 +179,10 @@ crash_at = 5
 "#;
     let spec = ScenarioSpec::parse_str(src).expect("spec parses");
     spec.validate().expect("spec is valid");
-    let reference = canonical(&spec, false, 0);
+    let reference = canonical(&spec, 1);
     for attempt in 1..5 {
-        let again = canonical(&spec, attempt % 2 == 0, 2);
+        // odd attempts serial, even ones on two workers
+        let again = canonical(&spec, 2 - attempt % 2);
         assert_eq!(
             reference, again,
             "run {attempt}: shim fate settlement leaked hash iteration order"
@@ -197,7 +199,7 @@ fn zombie_shim_scenario_takes_over_and_fences_the_returner() {
     let spec = ScenarioSpec::load(std::path::Path::new("scenarios/zombie_shim.toml"))
         .expect("bundled scenario parses");
     let mut runner = ScenarioRunner::new(spec.clone());
-    runner.parallel = false;
+    runner.threads = 1;
     let runs = runner.run().expect("scenario runs");
     for run in &runs {
         assert!(
@@ -225,8 +227,8 @@ fn zombie_shim_scenario_takes_over_and_fences_the_returner() {
         }
     }
     // determinism holds with the failover machinery engaged
-    let serial = canonical(&spec, false, 0);
-    let parallel = canonical(&spec, true, 2);
+    let serial = canonical(&spec, 1);
+    let parallel = canonical(&spec, 2);
     assert_eq!(serial, parallel, "takeover/fencing broke determinism");
 }
 
@@ -235,7 +237,7 @@ fn region_partition_scenario_degrades_and_heals_clean() {
     let spec = ScenarioSpec::load(std::path::Path::new("scenarios/region_partition.toml"))
         .expect("bundled scenario parses");
     let mut runner = ScenarioRunner::new(spec.clone());
-    runner.parallel = false;
+    runner.threads = 1;
     let runs = runner.run().expect("scenario runs");
     for run in &runs {
         assert!(
@@ -264,8 +266,8 @@ fn region_partition_scenario_degrades_and_heals_clean() {
             );
         }
     }
-    let serial = canonical(&spec, false, 0);
-    let parallel = canonical(&spec, true, 2);
+    let serial = canonical(&spec, 1);
+    let parallel = canonical(&spec, 2);
     assert_eq!(serial, parallel, "partitions broke determinism");
 }
 
@@ -333,7 +335,7 @@ fn every_bundled_scenario_reproduces_its_pinned_report() {
             .and_then(|n| n.to_str())
             .expect("utf-8 file name");
         let spec = ScenarioSpec::load(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let digest = fnv1a64(canonical(&spec, true, 0).as_bytes());
+        let digest = fnv1a64(canonical(&spec, 0).as_bytes());
         match SCENARIO_DIGESTS.iter().find(|(n, _)| *n == name) {
             Some(&(_, pinned)) if pinned == digest => {}
             Some(&(_, pinned)) => failures.push(format!(
@@ -544,7 +546,7 @@ fn every_fault_action_reproduces_its_pinned_report() {
     ];
     let mut failures = Vec::new();
     for (name, spec, pinned) in cases {
-        let digest = fnv1a64(canonical(&spec, true, 0).as_bytes());
+        let digest = fnv1a64(canonical(&spec, 0).as_bytes());
         if digest != pinned {
             failures.push(format!(
                 "{name}: digest {digest:#018x}, pinned {pinned:#018x}"
@@ -594,8 +596,8 @@ fn fail_at_zero_link_fault_matches_the_untimed_form() {
     // action, so the planner's metric must drop the link in both
     for runtime in ["fabric", "centralized"] {
         for links in [&[0][..], &[0, 1], &[2, 3, 4, 5]] {
-            let untimed = canonical(&link_fault_spec(runtime, links, ""), false, 0);
-            let timed = canonical(&link_fault_spec(runtime, links, "fail_at = 0\n"), false, 0);
+            let untimed = canonical(&link_fault_spec(runtime, links, ""), 1);
+            let timed = canonical(&link_fault_spec(runtime, links, "fail_at = 0\n"), 1);
             assert_eq!(untimed, timed, "{runtime}: links {links:?}");
         }
     }
