@@ -40,7 +40,7 @@ pub fn ablation_priority(trials: usize, seed: u64) -> Table {
     for trial in 0..trials {
         // one big host of VMs
         let mut inv = Inventory::new();
-        inv.add_rack(1, 100_000.0, 100_000.0);
+        inv.add_rack(1, 100_000.0);
         let mut p = Placement::new(&inv);
         let n = rng.gen_range(8..20);
         let mut ids = Vec::new();
@@ -258,7 +258,7 @@ pub fn ablation_selector(seed: u64) -> Table {
             continue;
         }
         let size = sub.len();
-        let mut sel = DynamicSelector::new(sub, 20);
+        let mut sel = DynamicSelector::new(sub);
         let (preds, _) = sel.run(&y, split);
         let m = mse(&preds, &y[split..]);
         t.push(vec![size as f64, m]);

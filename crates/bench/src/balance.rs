@@ -76,10 +76,7 @@ pub fn fig10(seed: u64) -> Table {
 /// regenerates the Fig. 9/10 protocol on a third, recursively-defined
 /// topology.
 pub fn dcell_balance(seed: u64) -> Table {
-    let dcn = dcell::build(&DCellConfig {
-        hosts_per_rack: 2,
-        ..DCellConfig::paper(4, 1)
-    });
+    let dcn = dcell::build(&DCellConfig::paper(4, 1));
     let mut cluster = Cluster::build(dcn, &balance_cluster_config(seed), SimConfig::paper());
     run_balance(
         "dcell",
@@ -105,20 +102,18 @@ pub fn vl2_balance(seed: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sheriff_core::Series;
 
     #[test]
     fn fig9_stddev_declines_substantially() {
         let t = fig9(1);
         assert_eq!(t.rows.len(), 25);
         let y: Vec<f64> = t.rows.iter().map(|r| r[1]).collect();
-        let s = Series {
-            label: "fig9".into(),
-            x: vec![],
-            y,
-        };
-        assert!(s.total_drop() > 0.35, "drop = {}", s.total_drop());
-        assert!(s.is_decreasing(1.0), "should be near-monotone");
+        let drop = (y[0] - y[24]) / y[0];
+        assert!(drop > 0.35, "drop = {drop}");
+        assert!(
+            y.windows(2).all(|w| w[1] <= w[0] + 1.0),
+            "should be near-monotone"
+        );
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub fn paper_narnet(seed: u64) -> NarnetConfig {
         epochs: 300,
         patience: 25,
         seed,
-        ..NarnetConfig::default()
     }
 }
 
@@ -125,7 +124,6 @@ pub fn paper_pool(train: &[f64], seed: u64) -> Vec<Predictor> {
                 epochs: 250,
                 patience: 25,
                 seed: seed ^ (lags as u64),
-                ..NarnetConfig::default()
             },
         )));
     }
@@ -164,7 +162,7 @@ pub fn fig8(seed: u64) -> Table {
         })
         .collect();
 
-    let mut sel = DynamicSelector::new(pool, 20);
+    let mut sel = DynamicSelector::new(pool);
     let (preds, used) = sel.run(&y, split);
     let combined = mse(&preds, &y[split..]);
 

@@ -88,7 +88,7 @@ pub fn prealert_experiment(trials: usize, seed: u64) -> Table {
             3,
         );
         // the full per-VM ARIMA background service (Sec. III-B.1)
-        let arima_pred = ArimaProfilePredictor::new(50);
+        let arima_pred = ArimaProfilePredictor::default();
         let ar = run_policy(
             &mut arima,
             &metric,

@@ -51,10 +51,7 @@ fn build_dcn(topo: Topo, k: usize) -> Dcn {
             hosts_per_rack: 2,
             ..FatTreeConfig::paper(k)
         }),
-        Topo::BCube => bcube::build(&BCubeConfig {
-            hosts_per_rack: 2,
-            ..BCubeConfig::paper(k)
-        }),
+        Topo::BCube => bcube::build(&BCubeConfig::paper(k)),
     }
 }
 

@@ -5,7 +5,7 @@
 //! background service)".
 //!
 //! [`ArimaProfilePredictor`] implements [`ProfilePredictor`] with real
-//! ARIMA models per feature, refit every `refit_interval` steps and
+//! ARIMA models per feature, refit every `REFIT_INTERVAL` (50) steps and
 //! cached between refits — the cost profile of an actual background
 //! daemon (cheap steady-state prediction, periodic heavier re-estimation).
 
@@ -14,30 +14,21 @@ use crate::workload::{Feature, Profile, VmWorkload};
 use refit_cache::RefitCache;
 use timeseries::arima::{ArimaModel, ArimaSpec};
 
-/// A `ProfilePredictor` backed by per-feature ARIMA models with periodic
-/// refitting. Falls back to last-value persistence for features whose
-/// history is too short or degenerate (e.g. a constant memory series).
-#[derive(Debug)]
+/// The model order of every feature: the paper's ARIMA(1,1,1).
+const SPEC: ArimaSpec = ArimaSpec { p: 1, d: 1, q: 1 };
+/// Steps between refits.
+const REFIT_INTERVAL: usize = 50;
+
+/// A `ProfilePredictor` backed by per-feature ARIMA(1,1,1) models with
+/// periodic refitting. Falls back to last-value persistence for features
+/// whose history is too short or degenerate (e.g. a constant memory
+/// series).
+#[derive(Debug, Default)]
 pub struct ArimaProfilePredictor {
-    /// Model orders used for every feature.
-    pub spec: ArimaSpec,
-    /// Steps between refits.
-    pub refit_interval: usize,
     cache: RefitCache,
 }
 
 impl ArimaProfilePredictor {
-    /// Predictor with the paper's ARIMA(1,1,1) default and the given
-    /// refit interval.
-    pub fn new(refit_interval: usize) -> Self {
-        assert!(refit_interval >= 1);
-        Self {
-            spec: ArimaSpec::new(1, 1, 1),
-            refit_interval,
-            cache: RefitCache::default(),
-        }
-    }
-
     fn predict_feature(&self, w: &VmWorkload, feature: Feature, t: usize, h: usize) -> f64 {
         let history = w.feature_history(feature, t);
         if history.len() < 30 {
@@ -47,7 +38,7 @@ impl ArimaProfilePredictor {
         // The cache key identifies the series by a content fingerprint of
         // its (stable) early samples rather than by address, so moved or
         // cloned workloads still hit the right model.
-        let epoch = t / self.refit_interval;
+        let epoch = t / REFIT_INTERVAL;
         let fp = {
             let a = history[0].to_bits();
             let b = history[history.len().min(21) - 1].to_bits();
@@ -56,7 +47,7 @@ impl ArimaProfilePredictor {
         let key = (fp, feature_idx(feature), epoch);
         let model = self
             .cache
-            .get_or_fit(key, || ArimaModel::fit(history, self.spec).ok());
+            .get_or_fit(key, || ArimaModel::fit(history, SPEC).ok());
         match model {
             Some(m) => {
                 let fc = m.forecast(history, h.max(1));
@@ -131,7 +122,7 @@ mod tests {
     #[test]
     fn predicts_all_four_features_in_range() {
         let w = VmWorkload::synthetic(200, 3);
-        let p = ArimaProfilePredictor::new(50);
+        let p = ArimaProfilePredictor::default();
         let profile = p.predict(&w, 150);
         assert!(profile.is_normalized(), "{profile:?}");
     }
@@ -139,7 +130,7 @@ mod tests {
     #[test]
     fn short_history_falls_back_to_persistence() {
         let w = VmWorkload::synthetic(40, 4);
-        let p = ArimaProfilePredictor::new(10);
+        let p = ArimaProfilePredictor::default();
         let got = p.predict(&w, 10);
         let naive = LastValue.predict(&w, 10);
         assert_eq!(got, naive);
@@ -148,7 +139,7 @@ mod tests {
     #[test]
     fn arima_beats_last_value_on_cpu() {
         let w = VmWorkload::synthetic(400, 24);
-        let arima = ArimaProfilePredictor::new(50);
+        let arima = ArimaProfilePredictor::default();
         let mut arima_preds = Vec::new();
         let mut naive_preds = Vec::new();
         let mut actual = Vec::new();
@@ -168,7 +159,7 @@ mod tests {
     #[test]
     fn refit_cache_reuses_models_within_epoch() {
         let w = VmWorkload::synthetic(300, 9);
-        let p = ArimaProfilePredictor::new(100);
+        let p = ArimaProfilePredictor::default();
         // same epoch twice: second call hits the cache (same output, and
         // the cache holds exactly 4 feature models)
         let a = p.predict(&w, 150);
@@ -179,7 +170,7 @@ mod tests {
     #[test]
     fn k_step_prediction_differs_from_one_step() {
         let w = VmWorkload::synthetic(400, 11);
-        let p = ArimaProfilePredictor::new(100);
+        let p = ArimaProfilePredictor::default();
         let one = p.predict_ahead(&w, 350, 1);
         let twenty = p.predict_ahead(&w, 350, 20);
         // a 20-step forecast of a diurnal series should generally move

@@ -8,15 +8,15 @@
 //!
 //! Sheriff's delegation unit is the rack/ToR; in a server-centric BCube
 //! each *server* plays that role, so every BCube server becomes one rack
-//! whose `hosts_per_rack` hosts model the VMs' physical machines. The
+//! whose [`HOSTS_PER_RACK`] hosts model the VMs' physical machines. The
 //! paper sweeps "the number of the switches each level of Bcube ... from 8
 //! to 48", i.e. BCube(n, 1) with n = 8..48.
 
-use crate::dcn::{Dcn, TopologyKind};
+use crate::dcn::Dcn;
 use crate::graph::NetGraph;
 use crate::ids::SwitchId;
-use crate::link::{Link, LinkTier};
-use crate::rack::Inventory;
+use crate::link::{Link, EDGE_BANDWIDTH, EDGE_DISTANCE, LEVEL_DISTANCE};
+use crate::rack::{Inventory, HOSTS_PER_RACK, HOST_CAPACITY};
 
 /// Parameters for building a BCube [`Dcn`].
 #[derive(Debug, Clone)]
@@ -25,34 +25,12 @@ pub struct BCubeConfig {
     pub n: usize,
     /// Highest level `k` (BCube(n, 1) has two switch levels).
     pub k: usize,
-    /// Hosts per server-rack.
-    pub hosts_per_rack: usize,
-    /// Per-host resource capacity.
-    pub host_capacity: f64,
-    /// Server uplink capacity (β threshold base in Alg. 1/2).
-    pub tor_capacity: f64,
-    /// Bandwidth of every server ↔ switch link (paper: same settings as
-    /// Fat-Tree's edge level, 1).
-    pub bandwidth: f64,
-    /// Physical distance of level-0 links.
-    pub level0_distance: f64,
-    /// Extra distance per level above 0 (higher levels span farther).
-    pub per_level_distance: f64,
 }
 
 impl BCubeConfig {
     /// The paper's simulation settings for BCube(n, 1).
     pub fn paper(n: usize) -> Self {
-        Self {
-            n,
-            k: 1,
-            hosts_per_rack: 2,
-            host_capacity: 100.0,
-            tor_capacity: 1000.0,
-            bandwidth: 1.0,
-            level0_distance: 1.0,
-            per_level_distance: 1.0,
-        }
+        Self { n, k: 1 }
     }
 
     /// Number of servers (= racks in our mapping): `n^(k+1)`.
@@ -81,14 +59,14 @@ pub fn build(cfg: &BCubeConfig) -> Dcn {
 
     // server-racks first: server s has digits base-n
     for _ in 0..servers {
-        let rack = inventory.add_rack(cfg.hosts_per_rack, cfg.host_capacity, cfg.tor_capacity);
+        let rack = inventory.add_rack(HOSTS_PER_RACK, HOST_CAPACITY);
         rack_nodes.push(graph.add_rack(rack));
     }
 
     // switches: level l, group g (g = server label with digit l removed)
     let mut next_switch = 0u32;
     for level in 0..levels {
-        let distance = cfg.level0_distance + cfg.per_level_distance * level as f64;
+        let distance = EDGE_DISTANCE + LEVEL_DISTANCE * level as f64;
         for group in 0..per_level {
             let sw = graph.add_switch(SwitchId(next_switch));
             next_switch += 1;
@@ -98,17 +76,12 @@ pub fn build(cfg: &BCubeConfig) -> Dcn {
             let high = group / low_base;
             for digit in 0..n {
                 let server = high * low_base * n + digit * low_base + low;
-                graph.add_edge(
-                    rack_nodes[server],
-                    sw,
-                    Link::new(cfg.bandwidth, distance, LinkTier::Edge),
-                );
+                graph.add_edge(rack_nodes[server], sw, Link::new(EDGE_BANDWIDTH, distance));
             }
         }
     }
 
     Dcn {
-        kind: TopologyKind::BCube { n, k: cfg.k },
         graph,
         inventory,
         rack_nodes,

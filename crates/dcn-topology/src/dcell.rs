@@ -11,11 +11,11 @@
 //! to server `i` of sub-cell `j + 1` for `i ≤ j` (the classical
 //! construction pairing each server with exactly one level-k link).
 
-use crate::dcn::{Dcn, TopologyKind};
+use crate::dcn::Dcn;
 use crate::graph::{NetGraph, NodeIdx};
 use crate::ids::SwitchId;
-use crate::link::{Link, LinkTier};
-use crate::rack::Inventory;
+use crate::link::{Link, EDGE_BANDWIDTH, EDGE_DISTANCE, LEVEL_DISTANCE};
+use crate::rack::{Inventory, HOSTS_PER_RACK, HOST_CAPACITY};
 
 /// Parameters for building a DCell [`Dcn`].
 #[derive(Debug, Clone)]
@@ -24,33 +24,12 @@ pub struct DCellConfig {
     pub n: usize,
     /// Recursion level `k` (0 = just a DCell₀).
     pub k: usize,
-    /// Hosts per server-rack.
-    pub hosts_per_rack: usize,
-    /// Per-host resource capacity.
-    pub host_capacity: f64,
-    /// Server uplink capacity.
-    pub tor_capacity: f64,
-    /// Bandwidth of every link.
-    pub bandwidth: f64,
-    /// Physical distance of intra-cell (level-0) links.
-    pub level0_distance: f64,
-    /// Extra distance per recursion level.
-    pub per_level_distance: f64,
 }
 
 impl DCellConfig {
     /// Settings aligned with the other topologies' paper settings.
     pub fn paper(n: usize, k: usize) -> Self {
-        Self {
-            n,
-            k,
-            hosts_per_rack: 2,
-            host_capacity: 100.0,
-            tor_capacity: 1000.0,
-            bandwidth: 1.0,
-            level0_distance: 1.0,
-            per_level_distance: 1.0,
-        }
+        Self { n, k }
     }
 
     /// Number of servers `t_k` in a DCell of level `k`.
@@ -87,7 +66,7 @@ pub fn build(cfg: &DCellConfig) -> Dcn {
     let mut inventory = Inventory::new();
     let mut rack_nodes: Vec<NodeIdx> = Vec::with_capacity(servers);
     for _ in 0..servers {
-        let rack = inventory.add_rack(cfg.hosts_per_rack, cfg.host_capacity, cfg.tor_capacity);
+        let rack = inventory.add_rack(HOSTS_PER_RACK, HOST_CAPACITY);
         rack_nodes.push(graph.add_rack(rack));
     }
 
@@ -102,7 +81,7 @@ pub fn build(cfg: &DCellConfig) -> Dcn {
             graph.add_edge(
                 rack_nodes[cell0 * cfg.n + j],
                 sw,
-                Link::new(cfg.bandwidth, cfg.level0_distance, LinkTier::Edge),
+                Link::new(EDGE_BANDWIDTH, EDGE_DISTANCE),
             );
         }
     }
@@ -112,7 +91,7 @@ pub fn build(cfg: &DCellConfig) -> Dcn {
     for level in 1..=cfg.k {
         let t_prev = t_k(cfg.n, level - 1);
         let t_cur = t_k(cfg.n, level);
-        let distance = cfg.level0_distance + cfg.per_level_distance * level as f64;
+        let distance = EDGE_DISTANCE + LEVEL_DISTANCE * level as f64;
         for block in 0..servers / t_cur {
             let base = block * t_cur;
             // sub-cell i, server j ↔ sub-cell j+1, server i (i <= j)
@@ -124,7 +103,7 @@ pub fn build(cfg: &DCellConfig) -> Dcn {
                     graph.add_edge(
                         rack_nodes[a],
                         rack_nodes[b],
-                        Link::new(cfg.bandwidth, distance, LinkTier::Edge),
+                        Link::new(EDGE_BANDWIDTH, distance),
                     );
                 }
             }
@@ -132,7 +111,6 @@ pub fn build(cfg: &DCellConfig) -> Dcn {
     }
 
     Dcn {
-        kind: TopologyKind::DCell { n: cfg.n, k: cfg.k },
         graph,
         inventory,
         rack_nodes,

@@ -4,45 +4,10 @@ use crate::graph::{NetGraph, NodeIdx};
 use crate::ids::RackId;
 use crate::rack::Inventory;
 
-/// Which topology family a [`Dcn`] was built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyKind {
-    /// Fat-Tree with `pods` pods (Al-Fares et al., SIGCOMM'08).
-    FatTree {
-        /// Number of pods `k` (even).
-        pods: usize,
-    },
-    /// BCube(n, k): `levels = k + 1` switch levels of `n^k` switches each,
-    /// `n^(k+1)` servers (Guo et al., SIGCOMM'09).
-    BCube {
-        /// Switch port count / servers per BCube₀ group.
-        n: usize,
-        /// Highest level index `k` (BCube₀ has k = 0).
-        k: usize,
-    },
-    /// DCell(n, k): recursively-defined server-centric topology with
-    /// direct server-to-server links (Guo et al., SIGCOMM'08).
-    DCell {
-        /// Servers per DCell₀.
-        n: usize,
-        /// Recursion level.
-        k: usize,
-    },
-    /// VL2 Clos network (Greenberg et al., SIGCOMM'09 — the paper's \[3\]).
-    Vl2 {
-        /// Aggregation-switch port count.
-        d_a: usize,
-        /// Intermediate-switch port count.
-        d_i: usize,
-    },
-}
-
 /// A data center network instance: the wired graph `G_r`, the rack/host
 /// inventory, and the mapping between the two.
 #[derive(Debug, Clone)]
 pub struct Dcn {
-    /// Topology family and parameters.
-    pub kind: TopologyKind,
     /// Wired graph `G_r = (V ∪ S, E_r)`.
     pub graph: NetGraph,
     /// Racks and hosts.

@@ -139,8 +139,8 @@ mod tests {
 
     fn setup() -> (Placement, DependencyGraph) {
         let mut inv = Inventory::new();
-        inv.add_rack(2, 10.0, 100.0); // rack 0: hosts 0,1
-        inv.add_rack(2, 10.0, 100.0); // rack 1: hosts 2,3
+        inv.add_rack(2, 10.0); // rack 0: hosts 0,1
+        inv.add_rack(2, 10.0); // rack 1: hosts 2,3
         let mut p = Placement::new(&inv);
         for h in [0usize, 0, 2] {
             let s = VmSpec {

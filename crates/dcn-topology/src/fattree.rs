@@ -6,11 +6,11 @@
 //! `k/2`). Edge switch ↔ every aggregation switch of its pod; aggregation
 //! switch `j` of every pod ↔ core switches `j·k/2 … (j+1)·k/2 − 1`.
 
-use crate::dcn::{Dcn, TopologyKind};
+use crate::dcn::Dcn;
 use crate::graph::NetGraph;
 use crate::ids::SwitchId;
-use crate::link::{Link, LinkTier};
-use crate::rack::Inventory;
+use crate::link::{Link, CORE_BANDWIDTH, CORE_DISTANCE, EDGE_BANDWIDTH, EDGE_DISTANCE};
+use crate::rack::{Inventory, HOST_CAPACITY};
 
 /// Parameters for building a Fat-Tree [`Dcn`].
 #[derive(Debug, Clone)]
@@ -22,16 +22,6 @@ pub struct FatTreeConfig {
     pub hosts_per_rack: usize,
     /// Per-host resource capacity (normalised units).
     pub host_capacity: f64,
-    /// ToR uplink capacity (used by the β threshold in Alg. 1/2).
-    pub tor_capacity: f64,
-    /// Bandwidth of ToR ↔ aggregation links (paper Sec. VI-B: 1).
-    pub edge_bandwidth: f64,
-    /// Bandwidth of aggregation ↔ core links (paper Sec. VI-B: 10).
-    pub core_bandwidth: f64,
-    /// Physical distance of intra-pod links (racks are adjacent in a row).
-    pub edge_distance: f64,
-    /// Physical distance of pod ↔ core links (across rows).
-    pub core_distance: f64,
 }
 
 impl FatTreeConfig {
@@ -40,12 +30,7 @@ impl FatTreeConfig {
         Self {
             pods,
             hosts_per_rack: pods / 2,
-            host_capacity: 100.0,
-            tor_capacity: 1000.0,
-            edge_bandwidth: 1.0,
-            core_bandwidth: 10.0,
-            edge_distance: 1.0,
-            core_distance: 2.0,
+            host_capacity: HOST_CAPACITY,
         }
     }
 
@@ -96,15 +81,11 @@ pub fn build(cfg: &FatTreeConfig) -> Dcn {
         let aggs: Vec<_> = (0..half).map(|_| switch(&mut graph)).collect();
         // ToR/rack nodes of this pod
         for _ in 0..half {
-            let rack = inventory.add_rack(cfg.hosts_per_rack, cfg.host_capacity, cfg.tor_capacity);
+            let rack = inventory.add_rack(cfg.hosts_per_rack, cfg.host_capacity);
             let node = graph.add_rack(rack);
             rack_nodes.push(node);
             for &agg in &aggs {
-                graph.add_edge(
-                    node,
-                    agg,
-                    Link::new(cfg.edge_bandwidth, cfg.edge_distance, LinkTier::Edge),
-                );
+                graph.add_edge(node, agg, Link::new(EDGE_BANDWIDTH, EDGE_DISTANCE));
             }
         }
         // agg j connects to core group j
@@ -113,14 +94,13 @@ pub fn build(cfg: &FatTreeConfig) -> Dcn {
                 graph.add_edge(
                     agg,
                     cores[j * half + i],
-                    Link::new(cfg.core_bandwidth, cfg.core_distance, LinkTier::CoreAgg),
+                    Link::new(CORE_BANDWIDTH, CORE_DISTANCE),
                 );
             }
         }
     }
 
     Dcn {
-        kind: TopologyKind::FatTree { pods: k },
         graph,
         inventory,
         rack_nodes,

@@ -180,15 +180,14 @@ impl NetGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkTier;
 
     fn triangle() -> NetGraph {
         let mut g = NetGraph::new();
         let a = g.add_rack(RackId(0));
         let b = g.add_rack(RackId(1));
         let s = g.add_switch(SwitchId(0));
-        g.add_edge(a, s, Link::new(1.0, 1.0, LinkTier::Edge));
-        g.add_edge(b, s, Link::new(1.0, 1.0, LinkTier::Edge));
+        g.add_edge(a, s, Link::new(1.0, 1.0));
+        g.add_edge(b, s, Link::new(1.0, 1.0));
         g
     }
 
@@ -274,6 +273,60 @@ mod tests {
     }
 
     #[test]
+    fn every_topology_builder_wires_the_section_vi_b_links() {
+        // no link records its tier, so count links by (touches a rack,
+        // capacity, distance): Sec. VI-B's bandwidth 1 below the
+        // aggregation layer and 10 above it, distance 1 + level in the
+        // server-centric topologies
+        use crate::{bcube, dcell, fattree, vl2};
+        fn tally(dcn: &crate::Dcn) -> Vec<((bool, f64, f64), usize)> {
+            let mut out: Vec<((bool, f64, f64), usize)> = Vec::new();
+            for (a, b, link) in dcn.graph.edges() {
+                let rack = dcn.graph.node_id(a).is_rack() || dcn.graph.node_id(b).is_rack();
+                let key = (rack, link.capacity, link.distance);
+                match out.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, n)) => *n += 1,
+                    None => out.push((key, 1)),
+                }
+            }
+            out.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+            out
+        }
+        let tiers = vec![((false, 10.0, 2.0), 16), ((true, 1.0, 1.0), 16)];
+        assert_eq!(
+            tally(&fattree::build(&fattree::FatTreeConfig::paper(4))),
+            tiers
+        );
+        assert_eq!(tally(&vl2::build(&vl2::Vl2Config::paper(8, 4))), tiers);
+        let bcube = |n, k| bcube::build(&bcube::BCubeConfig { n, k });
+        assert_eq!(
+            tally(&bcube(4, 1)),
+            vec![((true, 1.0, 1.0), 16), ((true, 1.0, 2.0), 16)]
+        );
+        assert_eq!(
+            tally(&bcube(3, 2)),
+            vec![
+                ((true, 1.0, 1.0), 27),
+                ((true, 1.0, 2.0), 27),
+                ((true, 1.0, 3.0), 27)
+            ]
+        );
+        let dcell = |n, k| dcell::build(&dcell::DCellConfig::paper(n, k));
+        assert_eq!(
+            tally(&dcell(4, 1)),
+            vec![((true, 1.0, 1.0), 20), ((true, 1.0, 2.0), 10)]
+        );
+        assert_eq!(
+            tally(&dcell(2, 2)),
+            vec![
+                ((true, 1.0, 1.0), 42),
+                ((true, 1.0, 2.0), 21),
+                ((true, 1.0, 3.0), 21)
+            ]
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "inserted twice")]
     fn duplicate_node_panics() {
         let mut g = NetGraph::new();
@@ -286,6 +339,6 @@ mod tests {
     fn self_loop_panics() {
         let mut g = NetGraph::new();
         let a = g.add_rack(RackId(0));
-        g.add_edge(a, a, Link::new(1.0, 1.0, LinkTier::Edge));
+        g.add_edge(a, a, Link::new(1.0, 1.0));
     }
 }

@@ -1,11 +1,16 @@
 //! # dcn-topology
 //!
 //! Data center network substrates for the Sheriff reproduction (ICPP'15):
-//! Fat-Tree and BCube topology builders, the wired graph
+//! Fat-Tree, BCube, DCell and VL2 topology builders, the wired graph
 //! `G_r = (V ∪ S, E_r)` with per-link capacity/distance/bandwidth state,
-//! all-pairs shortest paths (Floyd–Warshall and repeated Dijkstra),
-//! rack/host inventories, the VM placement map, and the VM dependency
-//! (conflict) graph `G_d`.
+//! shortest paths (one Dijkstra, Yen's k-shortest paths, and an all-pairs
+//! oracle), rack/host inventories, the VM placement map, and the VM
+//! dependency (conflict) graph `G_d`.
+//!
+//! Every builder wires the paper's one physical configuration
+//! (Sec. VI-B): bandwidth 1 below the aggregation layer and 10 above
+//! it, host capacity 100 and ToR capacity 1000, each a constant of
+//! [`link`] or [`rack`]. Builder configs hold only what callers vary.
 //!
 //! ```
 //! use dcn_topology::fattree::{self, FatTreeConfig};
@@ -34,11 +39,11 @@ pub mod placement;
 pub mod rack;
 pub mod vl2;
 
-pub use dcn::{Dcn, TopologyKind};
+pub use dcn::Dcn;
 pub use dependency::DependencyGraph;
 pub use graph::{EdgeIdx, NetGraph, NodeIdx};
 pub use ids::{HostId, NodeId, RackId, SwitchId, VmId};
-pub use link::{Link, LinkTier};
+pub use link::Link;
 pub use path::PathCosts;
 pub use placement::{Placement, PlacementError, VmSpec};
-pub use rack::{Host, Inventory, Rack};
+pub use rack::{Host, Inventory};

@@ -4,16 +4,23 @@
 //! `B(e)` is defined as "the smaller one of current available bandwidth and
 //! bandwidth in request on e" and must exceed the threshold `B_t` for the
 //! link to be usable during a migration transfer (Sec. III-C).
+//!
+//! Every builder wires its links from the paper's one physical
+//! configuration (Sec. VI-B): the constants below.
 
-/// The tier a link belongs to; used to assign the paper's simulation
-/// bandwidths (core–aggregation 10, aggregation–ToR 1, Sec. VI-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LinkTier {
-    /// ToR/rack ↔ aggregation switch (Fat-Tree) or server-level (BCube).
-    Edge,
-    /// Aggregation ↔ core switch.
-    CoreAgg,
-}
+/// Bandwidth of a rack ↔ aggregation link, and of every BCube and DCell
+/// link (paper Sec. VI-B: 1).
+pub(crate) const EDGE_BANDWIDTH: f64 = 1.0;
+/// Bandwidth of an aggregation ↔ core link (paper Sec. VI-B: 10).
+pub(crate) const CORE_BANDWIDTH: f64 = 10.0;
+/// Physical distance of a rack ↔ aggregation link and of a level-0 BCube
+/// or DCell link (racks are adjacent in a row).
+pub(crate) const EDGE_DISTANCE: f64 = 1.0;
+/// Physical distance of an aggregation ↔ core link (across rows).
+pub(crate) const CORE_DISTANCE: f64 = 2.0;
+/// Extra distance per BCube or DCell level above 0 (higher levels span
+/// farther).
+pub(crate) const LEVEL_DISTANCE: f64 = 1.0;
 
 /// An undirected physical link `e ∈ E_r`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,20 +32,17 @@ pub struct Link {
     pub distance: f64,
     /// Available bandwidth `B(e)`: min(free bandwidth, requested bandwidth).
     pub available_bw: f64,
-    /// Which tier the link belongs to.
-    pub tier: LinkTier,
 }
 
 impl Link {
     /// Create a link with full capacity available.
-    pub fn new(capacity: f64, distance: f64, tier: LinkTier) -> Self {
+    pub fn new(capacity: f64, distance: f64) -> Self {
         assert!(capacity > 0.0, "link capacity must be positive");
         assert!(distance >= 0.0, "link distance must be non-negative");
         Self {
             capacity,
             distance,
             available_bw: capacity,
-            tier,
         }
     }
 
@@ -80,7 +84,7 @@ mod tests {
     use super::*;
 
     fn link() -> Link {
-        Link::new(10.0, 2.0, LinkTier::CoreAgg)
+        Link::new(10.0, 2.0)
     }
 
     #[test]
@@ -123,6 +127,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = Link::new(0.0, 1.0, LinkTier::Edge);
+        let _ = Link::new(0.0, 1.0);
     }
 }

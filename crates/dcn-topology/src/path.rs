@@ -18,6 +18,7 @@ const NO_NEXT: u32 = u32::MAX;
 
 /// All-pairs shortest path distances with next-hop path reconstruction.
 #[derive(Debug, Clone)]
+// sheriff-lint: allow(DEAD01, "the all-pairs oracle of crates/dcn-topology/tests/proptests.rs")
 pub struct PathCosts {
     n: usize,
     dist: Vec<f64>,
@@ -230,7 +231,6 @@ pub fn transmission_cost(vm_capacity: f64, delta: f64, eta: f64) -> impl Fn(&Lin
 mod tests {
     use super::*;
     use crate::ids::{RackId, SwitchId};
-    use crate::link::LinkTier;
 
     /// racks v0,v1,v2 in a line through switches: v0-s0-v1-s1-v2, plus a
     /// shortcut s0-s1 making v0→v2 cheaper through switches only.
@@ -241,7 +241,7 @@ mod tests {
         let v2 = g.add_rack(RackId(2));
         let s0 = g.add_switch(SwitchId(0));
         let s1 = g.add_switch(SwitchId(1));
-        let l = |d| Link::new(1.0, d, LinkTier::Edge);
+        let l = |d| Link::new(1.0, d);
         g.add_edge(v0, s0, l(1.0));
         g.add_edge(s0, v1, l(1.0));
         g.add_edge(v1, s1, l(1.0));
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn transmission_cost_formula() {
-        let mut l = Link::new(10.0, 1.0, LinkTier::CoreAgg);
+        let mut l = Link::new(10.0, 1.0);
         l.consume(5.0); // B(e) = 5
         let f = transmission_cost(20.0, 1.0, 1.0);
         // T = 20/5 = 4, P = 5/10 = 0.5

@@ -235,8 +235,8 @@ mod tests {
 
     fn inv() -> Inventory {
         let mut inv = Inventory::new();
-        inv.add_rack(2, 10.0, 100.0); // hosts 0, 1
-        inv.add_rack(1, 10.0, 100.0); // host 2
+        inv.add_rack(2, 10.0); // hosts 0, 1
+        inv.add_rack(1, 10.0); // host 2
         inv
     }
 

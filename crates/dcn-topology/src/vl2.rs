@@ -4,11 +4,11 @@
 //! (complete bipartite between the two layers), and `D_A·D_I/4` ToRs,
 //! each dual-homed to two aggregation switches.
 
-use crate::dcn::{Dcn, TopologyKind};
+use crate::dcn::Dcn;
 use crate::graph::NetGraph;
 use crate::ids::SwitchId;
-use crate::link::{Link, LinkTier};
-use crate::rack::Inventory;
+use crate::link::{Link, CORE_BANDWIDTH, CORE_DISTANCE, EDGE_BANDWIDTH, EDGE_DISTANCE};
+use crate::rack::{Inventory, HOSTS_PER_RACK, HOST_CAPACITY};
 
 /// Parameters for building a VL2 [`Dcn`].
 #[derive(Debug, Clone)]
@@ -17,37 +17,12 @@ pub struct Vl2Config {
     pub d_a: usize,
     /// Intermediate-switch port count `D_I` (even, ≥ 2).
     pub d_i: usize,
-    /// Servers per ToR (VL2 deploys 20 per rack).
-    pub hosts_per_rack: usize,
-    /// Per-host resource capacity.
-    pub host_capacity: f64,
-    /// ToR uplink capacity.
-    pub tor_capacity: f64,
-    /// ToR ↔ aggregation bandwidth (10G in VL2; 1.0 in the paper's
-    /// normalised units).
-    pub edge_bandwidth: f64,
-    /// Aggregation ↔ intermediate bandwidth.
-    pub core_bandwidth: f64,
-    /// Physical distance of ToR ↔ aggregation links.
-    pub edge_distance: f64,
-    /// Physical distance of aggregation ↔ intermediate links.
-    pub core_distance: f64,
 }
 
 impl Vl2Config {
     /// Settings aligned with the other builders' paper settings.
     pub fn paper(d_a: usize, d_i: usize) -> Self {
-        Self {
-            d_a,
-            d_i,
-            hosts_per_rack: 2,
-            host_capacity: 100.0,
-            tor_capacity: 1000.0,
-            edge_bandwidth: 1.0,
-            core_bandwidth: 10.0,
-            edge_distance: 1.0,
-            core_distance: 2.0,
-        }
+        Self { d_a, d_i }
     }
 
     /// Number of ToRs/racks: `D_A · D_I / 4`.
@@ -88,11 +63,7 @@ pub fn build(cfg: &Vl2Config) -> Dcn {
     let aggs: Vec<_> = (0..cfg.d_i).map(|_| switch(&mut graph)).collect();
     for &agg in &aggs {
         for &int in &ints {
-            graph.add_edge(
-                agg,
-                int,
-                Link::new(cfg.core_bandwidth, cfg.core_distance, LinkTier::CoreAgg),
-            );
+            graph.add_edge(agg, int, Link::new(CORE_BANDWIDTH, CORE_DISTANCE));
         }
     }
 
@@ -102,25 +73,17 @@ pub fn build(cfg: &Vl2Config) -> Dcn {
     let racks = cfg.rack_count();
     let mut rack_nodes = Vec::with_capacity(racks);
     for i in 0..racks {
-        let rack = inventory.add_rack(cfg.hosts_per_rack, cfg.host_capacity, cfg.tor_capacity);
+        let rack = inventory.add_rack(HOSTS_PER_RACK, HOST_CAPACITY);
         let node = graph.add_rack(rack);
         rack_nodes.push(node);
         let a1 = aggs[i % cfg.d_i];
         let a2 = aggs[(i + 1) % cfg.d_i];
         for agg in [a1, a2] {
-            graph.add_edge(
-                node,
-                agg,
-                Link::new(cfg.edge_bandwidth, cfg.edge_distance, LinkTier::Edge),
-            );
+            graph.add_edge(node, agg, Link::new(EDGE_BANDWIDTH, EDGE_DISTANCE));
         }
     }
 
     Dcn {
-        kind: TopologyKind::Vl2 {
-            d_a: cfg.d_a,
-            d_i: cfg.d_i,
-        },
         graph,
         inventory,
         rack_nodes,

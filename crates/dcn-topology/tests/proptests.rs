@@ -6,7 +6,7 @@ use dcn_topology::fattree::{self, FatTreeConfig};
 use dcn_topology::graph::NetGraph;
 use dcn_topology::ids::{RackId, SwitchId};
 use dcn_topology::ksp::k_shortest_paths;
-use dcn_topology::link::{Link, LinkTier};
+use dcn_topology::link::Link;
 use dcn_topology::path::{distance_cost, PathCosts};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,14 +29,14 @@ fn random_graph(seed: u64, racks: usize, switches: usize, extra: usize) -> NetGr
     for i in 1..n {
         let j = rng.gen_range(0..i);
         let d = rng.gen_range(0.5..5.0);
-        g.add_edge(i, j, Link::new(1.0, d, LinkTier::Edge));
+        g.add_edge(i, j, Link::new(1.0, d));
     }
     for _ in 0..extra {
         let a = rng.gen_range(0..n);
         let b = rng.gen_range(0..n);
         if a != b && g.edge_between(a, b).is_none() {
             let d = rng.gen_range(0.5..5.0);
-            g.add_edge(a, b, Link::new(1.0, d, LinkTier::Edge));
+            g.add_edge(a, b, Link::new(1.0, d));
         }
     }
     g

@@ -19,6 +19,7 @@ use crate::reroute::{flow_reroute, RerouteReport};
 use crate::vmmigration::{vmmigration, MigrationContext, MigrationPlan};
 use dcn_sim::flows::FlowNetwork;
 use dcn_sim::{Alert, AlertSource, SimConfig};
+use dcn_topology::rack::TOR_CAPACITY;
 use dcn_topology::{Dcn, Inventory, NodeId, Placement, RackId, VmId};
 use sheriff_obs::{emit, Event, EventSink, NullSink};
 
@@ -210,7 +211,7 @@ pub(crate) fn select_victims(
             f.extend_from_slice(placement.vms_on(host));
         }
         candidates += f.len();
-        let budget = sim.beta * inventory.rack(rack).tor_capacity;
+        let budget = sim.beta * TOR_CAPACITY;
         set.extend(priority(&f, placement, &alert_of, Budget::Capacity(budget)));
     }
     set.sort_unstable();
@@ -316,7 +317,7 @@ mod tests {
             severity: 0.95,
             time: 0,
         }];
-        let beta_budget = c.sim.beta * c.dcn.inventory.rack(rack).tor_capacity;
+        let beta_budget = c.sim.beta * TOR_CAPACITY;
         let mut ctx = MigrationContext {
             placement: &mut c.placement,
             inventory: &c.dcn.inventory,

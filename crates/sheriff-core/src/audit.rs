@@ -340,7 +340,7 @@ mod tests {
 
     fn cluster() -> (Placement, DependencyGraph) {
         let mut inv = Inventory::new();
-        inv.add_rack(3, 10.0, 100.0);
+        inv.add_rack(3, 10.0);
         let mut p = Placement::new(&inv);
         for _ in 0..2 {
             let s = VmSpec {

@@ -126,7 +126,7 @@ mod tests {
     /// delay_sensitive) specs, all on one big host.
     fn placement_with(specs: &[(f64, f64, bool)]) -> (Placement, Vec<VmId>) {
         let mut inv = Inventory::new();
-        inv.add_rack(1, 10_000.0, 10_000.0);
+        inv.add_rack(1, 10_000.0);
         let mut p = Placement::new(&inv);
         let mut ids = Vec::new();
         for &(cap, value, ds) in specs {

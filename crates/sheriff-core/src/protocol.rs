@@ -428,7 +428,7 @@ mod tests {
 
     fn small() -> (Placement, DependencyGraph) {
         let mut inv = Inventory::new();
-        inv.add_rack(2, 10.0, 100.0);
+        inv.add_rack(2, 10.0);
         let mut p = Placement::new(&inv);
         let s = VmSpec {
             id: p.next_vm_id(),

@@ -36,7 +36,7 @@ mod tests {
 
     fn setup() -> (Placement, DependencyGraph) {
         let mut inv = Inventory::new();
-        inv.add_rack(2, 10.0, 100.0); // hosts 0, 1
+        inv.add_rack(2, 10.0); // hosts 0, 1
         let mut p = Placement::new(&inv);
         for _ in 0..2 {
             let s = VmSpec {
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn successful_request_is_fcfs_first_wins() {
         let mut inv = Inventory::new();
-        inv.add_rack(3, 10.0, 100.0);
+        inv.add_rack(3, 10.0);
         let mut p = Placement::new(&inv);
         for h in [0usize, 1] {
             let s = VmSpec {

@@ -13,7 +13,7 @@
 //! | UNSAFE01 | every crate root carries `#![forbid(unsafe_code)]`           |
 //! | EVT01    | every `sheriff-obs::Event` variant has a non-test emit site  |
 //! | DEAD01   | every non-test `pub` item of a library crate is named by     |
-//! |          | some non-test code outside its definition                    |
+//! |          | some non-test code outside its definition and its `impl`s    |
 //! | PROTO01  | protocol `match`es in deterministic modules take a position  |
 //! |          | on every variant — no `_` catch-all                          |
 //! | LINT00   | (meta) malformed `sheriff-lint:` pragmas never silently      |
@@ -883,21 +883,43 @@ fn pub_items(file: &SourceFile) -> Vec<(&str, &str, &Token)> {
     out
 }
 
+/// Whether the `impl` at token `i` opens an item (`impl Type {`, `impl
+/// Trait for Type {`) rather than naming a type in an argument or return
+/// position (`x: impl Trait`, `-> impl Trait`): an item starts the file
+/// or follows the end of another item, a block's `{`, an attribute's `]`
+/// or `unsafe`.
+fn is_impl_item(tokens: &[Token], i: usize) -> bool {
+    match i.checked_sub(1).and_then(|j| tokens.get(j)) {
+        None => true,
+        Some(prev) => {
+            matches!(prev.kind, TokenKind::Punct('}' | ';' | '{' | ']')) || prev.is_ident("unsafe")
+        }
+    }
+}
+
 /// How often each identifier occurs in the non-test code of `files`,
-/// outside `use` items: an import, or a `pub use` re-export, calls
-/// nothing.
+/// outside `use` items and item-level `impl … {` headers: an import, a
+/// `pub use` re-export, or a type's own `impl` (inherent or of a trait)
+/// calls nothing.
 fn mentions<'a>(files: impl Iterator<Item = &'a SourceFile>) -> BTreeMap<&'a str, usize> {
     let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
     for file in files {
         let mut in_use = false;
+        let mut in_impl_header = false;
         for (i, t) in file.tokens.iter().enumerate() {
             if file.flag(i).test {
                 continue;
             }
             match &t.kind {
                 TokenKind::Ident(s) if s == "use" => in_use = true,
+                TokenKind::Ident(s) if s == "impl" && is_impl_item(&file.tokens, i) => {
+                    in_impl_header = true;
+                }
                 TokenKind::Punct(';') => in_use = false,
-                TokenKind::Ident(s) if !in_use => *counts.entry(s.as_str()).or_insert(0) += 1,
+                TokenKind::Punct('{') => in_impl_header = false,
+                TokenKind::Ident(s) if !in_use && !in_impl_header => {
+                    *counts.entry(s.as_str()).or_insert(0) += 1;
+                }
                 _ => {}
             }
         }
@@ -906,10 +928,10 @@ fn mentions<'a>(files: impl Iterator<Item = &'a SourceFile>) -> BTreeMap<&'a str
 }
 
 /// DEAD01: a non-test `pub` item of a library crate that no non-test
-/// code names outside its definition. The check is by name, as the call
-/// graph cannot resolve every call: an item is dead when its name occurs
-/// no more often than it is defined. `readers` (examples, the benchmark)
-/// count as users but are never linted.
+/// code names outside its definition and its `impl` headers. The check is
+/// by name, as the call graph cannot resolve every call: an item is dead
+/// when its name occurs no more often than it is defined. `readers`
+/// (examples, the benchmark) count as users but are never linted.
 fn dead01(index: &SymbolIndex, readers: &[SourceFile], out: &mut Vec<Diagnostic>) {
     let mut defs = Vec::new();
     let mut defined: BTreeMap<&str, usize> = BTreeMap::new();

@@ -499,6 +499,30 @@ fn dead01_flags_pub_items_no_non_test_code_names() {
 }
 
 #[test]
+fn dead01_does_not_count_a_types_own_impl_headers_as_uses() {
+    // named only by its inherent impl and a trait impl: nothing uses it
+    let impls_only = "pub struct Series { pub y: u64 }\n\
+                      impl Series { fn total(&self) -> u64 { self.y } }\n\
+                      impl Default for Series { fn default() -> Self { Self { y: 0 } } }";
+    let found = dead(&lint_tree(&[(LIB, impls_only)], &[]));
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("`pub struct Series`"), "{found:?}");
+
+    // also named in a fn signature: used
+    let signature = "pub struct Series { pub y: u64 }\n\
+                     impl Default for Series { fn default() -> Self { Self { y: 0 } } }\n\
+                     pub fn drop_of(s: &Series) -> u64 { s.y }\n\
+                     fn caller() -> u64 { drop_of(&Series::default()) }";
+    assert!(lint_tree(&[(LIB, signature)], &[]).is_empty());
+
+    // `impl Trait` in argument position names the trait
+    let arg = "pub trait Sink { fn put(&mut self); }\n\
+               pub fn feed(s: &mut impl Sink) { s.put(); }\n\
+               fn caller(s: &mut impl Sink) { feed(s) }";
+    assert!(lint_tree(&[(LIB, arg)], &[]).is_empty());
+}
+
+#[test]
 fn dead01_clean_for_pragma_same_name_calls_and_readers() {
     // test support kept with a pragma naming its test
     let kept = "// sheriff-lint: allow(DEAD01, \"the oracle of tests/props.rs\")\n\

@@ -14,6 +14,7 @@ use dcn_sim::{ChannelFaults, SheriffError, SimConfig};
 use dcn_topology::bcube::{self, BCubeConfig};
 use dcn_topology::dcell::{self, DCellConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
+use dcn_topology::rack::HOSTS_PER_RACK;
 use dcn_topology::vl2::{self, Vl2Config};
 use dcn_topology::Dcn;
 use sheriff_core::TransferConfig;
@@ -82,9 +83,8 @@ impl TopologySpec {
                 (pods.checked_mul(pods)? / 2).checked_mul(per_rack)
             }
             TopologySpec::BCube { n } => {
-                let cfg = BCubeConfig::paper(n);
-                let racks = n.checked_pow(cfg.k as u32 + 1)?;
-                racks.checked_mul(cfg.hosts_per_rack)
+                let racks = n.checked_pow(BCubeConfig::paper(n).k as u32 + 1)?;
+                racks.checked_mul(HOSTS_PER_RACK)
             }
             TopologySpec::DCell { n, k } => {
                 // t_k = t_{k-1} (t_{k-1} + 1) overflows within a few
@@ -93,10 +93,10 @@ impl TopologySpec {
                 for _ in 0..k {
                     racks = racks.checked_mul(racks.checked_add(1)?)?;
                 }
-                racks.checked_mul(DCellConfig::paper(n, k).hosts_per_rack)
+                racks.checked_mul(HOSTS_PER_RACK)
             }
             TopologySpec::Vl2 { d_a, d_i } => {
-                (d_a.checked_mul(d_i)? / 4).checked_mul(Vl2Config::paper(d_a, d_i).hosts_per_rack)
+                (d_a.checked_mul(d_i)? / 4).checked_mul(HOSTS_PER_RACK)
             }
         }
     }

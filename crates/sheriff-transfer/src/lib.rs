@@ -53,7 +53,7 @@
 use dcn_sim::qcn::CongestionPoint;
 use dcn_sim::{mix64, GOLDEN_GAMMA};
 use dcn_topology::graph::{EdgeIdx, NetGraph, NodeIdx};
-use dcn_topology::ksp::k_shortest_paths;
+use dcn_topology::ksp::{k_shortest_paths, Path};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -108,28 +108,12 @@ impl Default for TransferConfig {
     }
 }
 
-/// One route candidate: the links it crosses, in path order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteCandidate {
-    /// Node sequence, inclusive of both endpoints.
-    pub nodes: Vec<NodeIdx>,
-    /// Edge indices along the path.
-    pub links: Vec<EdgeIdx>,
-}
-
-impl RouteCandidate {
-    /// Hop count of the candidate.
-    pub fn hops(&self) -> usize {
-        self.links.len()
-    }
-}
-
 /// Compute up to `k` candidate routes between two topology nodes,
 /// shortest first, with a deterministic tie-break: equal-cost paths are
 /// ordered lexicographically by node sequence, so the same topology
 /// always yields the same candidate list regardless of internal search
 /// order.
-pub fn route_candidates(g: &NetGraph, src: NodeIdx, dst: NodeIdx, k: usize) -> Vec<RouteCandidate> {
+pub fn route_candidates(g: &NetGraph, src: NodeIdx, dst: NodeIdx, k: usize) -> Vec<Path> {
     let mut paths = k_shortest_paths(g, src, dst, k.max(1), |_| 1.0);
     paths.sort_by(|a, b| {
         a.cost
@@ -138,12 +122,6 @@ pub fn route_candidates(g: &NetGraph, src: NodeIdx, dst: NodeIdx, k: usize) -> V
             .then_with(|| a.nodes.cmp(&b.nodes))
     });
     paths
-        .into_iter()
-        .map(|p| RouteCandidate {
-            links: p.edges,
-            nodes: p.nodes,
-        })
-        .collect()
 }
 
 /// What the caller submits: one committed migration's pre-copy.
@@ -327,7 +305,7 @@ struct Active {
     rerouted: bool,
     /// Remaining route alternatives, kept so QCN pressure can steer the
     /// stream mid-flight.
-    candidates: Vec<RouteCandidate>,
+    candidates: Vec<Path>,
     /// `Some(tick)` while stalled on a link failure: streaming no bytes,
     /// waiting for a restore or the retry timer.
     stalled_since: Option<u64>,
@@ -341,7 +319,7 @@ struct Active {
 #[derive(Debug, Clone)]
 struct Queued {
     spec: TransferSpec,
-    candidates: Vec<RouteCandidate>,
+    candidates: Vec<Path>,
     since: u64,
 }
 
@@ -484,12 +462,7 @@ impl TransferScheduler {
     /// [`route_candidates`]; an empty list means an intra-rack move that
     /// crosses no shared links. Duplicate ids are rejected as `Queued`
     /// never — the caller deduplicates by request id.
-    pub fn submit(
-        &mut self,
-        now: u64,
-        spec: TransferSpec,
-        candidates: Vec<RouteCandidate>,
-    ) -> Admission {
+    pub fn submit(&mut self, now: u64, spec: TransferSpec, candidates: Vec<Path>) -> Admission {
         self.settle(now);
         if self.cfg.max_concurrent > 0 && self.active.len() >= self.cfg.max_concurrent {
             self.queue.push_back(Queued {
@@ -508,7 +481,7 @@ impl TransferScheduler {
     /// Insert an Active entry with its route chosen; rates are stale
     /// until the caller recomputes. When every candidate crosses a
     /// failed link the transfer is admitted straight into `Stalled`.
-    fn admit(&mut self, now: u64, spec: TransferSpec, candidates: &[RouteCandidate]) {
+    fn admit(&mut self, now: u64, spec: TransferSpec, candidates: &[Path]) {
         match self.choose_route(candidates) {
             Some((links, hops, rerouted)) => {
                 self.active.insert(
@@ -565,8 +538,8 @@ impl TransferScheduler {
     }
 
     /// Worst QCN severity along a candidate.
-    fn severity_of(&self, c: &RouteCandidate) -> f64 {
-        self.severity_of_links(&c.links)
+    fn severity_of(&self, c: &Path) -> f64 {
+        self.severity_of_links(&c.edges)
     }
 
     /// Pick a route among the candidates that avoid every failed link:
@@ -576,20 +549,20 @@ impl TransferScheduler {
     /// rerouted)`, or `None` when candidates exist but all cross a failed
     /// link (the caller stalls the transfer). An empty candidate list is
     /// an intra-rack move that crosses no shared links.
-    fn choose_route(&self, candidates: &[RouteCandidate]) -> Option<(Vec<EdgeIdx>, usize, bool)> {
+    fn choose_route(&self, candidates: &[Path]) -> Option<(Vec<EdgeIdx>, usize, bool)> {
         if candidates.is_empty() {
             return Some((Vec::new(), 0, false));
         }
         let idxs: Vec<usize> = (0..candidates.len())
-            .filter(|&i| candidates.get(i).is_some_and(|c| self.viable(&c.links)))
+            .filter(|&i| candidates.get(i).is_some_and(|c| self.viable(&c.edges)))
             .collect();
         let (&first, rest) = idxs.split_first()?;
         let primary = candidates.get(first)?;
         let pick = |i: usize| {
             candidates
                 .get(i)
-                .map(|c| (c.links.clone(), c.hops(), i != 0))
-                .unwrap_or_else(|| (primary.links.clone(), primary.hops(), first != 0))
+                .map(|c| (c.edges.clone(), c.edges.len(), i != 0))
+                .unwrap_or_else(|| (primary.edges.clone(), primary.edges.len(), first != 0))
         };
         let thr = self.cfg.reroute_threshold;
         if self.severity_of(primary) <= thr {
@@ -629,7 +602,7 @@ impl TransferScheduler {
                 rerouted: a.rerouted,
                 waited,
                 stalled_on: a.stalled_since.and(a.candidates.first()).and_then(|c| {
-                    c.links
+                    c.edges
                         .iter()
                         .copied()
                         .find(|l| self.failed_links.contains(l))
@@ -872,8 +845,8 @@ impl TransferScheduler {
             a.stalled_since?;
             a.candidates
                 .iter()
-                .find(|c| self.viable(&c.links))
-                .map(|c| (c.links.clone(), c.hops()))?
+                .find(|c| self.viable(&c.edges))
+                .map(|c| (c.edges.clone(), c.edges.len()))?
         };
         let a = self.active.get_mut(&id)?;
         let since = a.stalled_since.take().unwrap_or(now);
@@ -920,8 +893,8 @@ impl TransferScheduler {
             let choice = self.active.get(&id).and_then(|a| {
                 a.candidates
                     .iter()
-                    .find(|c| self.viable(&c.links))
-                    .map(|c| (c.links.clone(), c.hops()))
+                    .find(|c| self.viable(&c.edges))
+                    .map(|c| (c.edges.clone(), c.edges.len()))
             });
             match choice {
                 Some((links, hops)) => {
@@ -997,7 +970,7 @@ impl TransferScheduler {
             }
             let mut best: Option<(usize, f64)> = None;
             for (i, c) in a.candidates.iter().enumerate() {
-                if c.links == a.links || !self.viable(&c.links) {
+                if c.edges == a.links || !self.viable(&c.edges) {
                     continue;
                 }
                 let s = self.severity_of(c);
@@ -1012,7 +985,7 @@ impl TransferScheduler {
                 .active
                 .get(&id)
                 .and_then(|a| a.candidates.get(i))
-                .map(|c| (c.links.clone(), c.hops()))
+                .map(|c| (c.edges.clone(), c.edges.len()))
             else {
                 continue;
             };
@@ -1075,11 +1048,13 @@ mod tests {
         }
     }
 
-    fn shared_link() -> Vec<RouteCandidate> {
-        vec![RouteCandidate {
-            nodes: vec![0, 1],
-            links: vec![7],
-        }]
+    fn route(nodes: Vec<NodeIdx>, edges: Vec<EdgeIdx>) -> Path {
+        let cost = edges.len() as f64;
+        Path { nodes, edges, cost }
+    }
+
+    fn shared_link() -> Vec<Path> {
+        vec![route(vec![0, 1], vec![7])]
     }
 
     #[test]
@@ -1135,22 +1110,8 @@ mod tests {
     #[test]
     fn disjoint_links_do_not_share() {
         let mut ts = TransferScheduler::new(TransferConfig::default());
-        ts.submit(
-            0,
-            spec(1, 8.0),
-            vec![RouteCandidate {
-                nodes: vec![0, 1],
-                links: vec![3],
-            }],
-        );
-        ts.submit(
-            0,
-            spec(2, 8.0),
-            vec![RouteCandidate {
-                nodes: vec![2, 3],
-                links: vec![9],
-            }],
-        );
+        ts.submit(0, spec(1, 8.0), vec![route(vec![0, 1], vec![3])]);
+        ts.submit(0, spec(2, 8.0), vec![route(vec![2, 3], vec![9])]);
         assert_eq!(ts.next_event_time(), Some(2));
         assert_eq!(ts.peak_link_sharing(), 1);
     }
@@ -1161,30 +1122,9 @@ mod tests {
         // Max-min: share on link1 = 2.0 freezes A and B; C then gets the
         // leftover 2.0 + ... on link2: avail 4 - 2 (B) = 2.0.
         let mut ts = TransferScheduler::new(TransferConfig::default());
-        ts.submit(
-            0,
-            spec(1, 8.0),
-            vec![RouteCandidate {
-                nodes: vec![0, 1],
-                links: vec![1],
-            }],
-        );
-        ts.submit(
-            0,
-            spec(2, 8.0),
-            vec![RouteCandidate {
-                nodes: vec![0, 2],
-                links: vec![1, 2],
-            }],
-        );
-        ts.submit(
-            0,
-            spec(3, 8.0),
-            vec![RouteCandidate {
-                nodes: vec![1, 2],
-                links: vec![2],
-            }],
-        );
+        ts.submit(0, spec(1, 8.0), vec![route(vec![0, 1], vec![1])]);
+        ts.submit(0, spec(2, 8.0), vec![route(vec![0, 2], vec![1, 2])]);
+        ts.submit(0, spec(3, 8.0), vec![route(vec![1, 2], vec![2])]);
         // every transfer should land at 2.0: 8 bytes → 4 ticks
         assert_eq!(ts.next_event_time(), Some(4));
         let tick = ts.poll(4);
@@ -1223,14 +1163,8 @@ mod tests {
     fn sustained_sharing_trips_qcn_and_reroutes() {
         let two_routes = || {
             vec![
-                RouteCandidate {
-                    nodes: vec![0, 1, 2],
-                    links: vec![10, 11],
-                },
-                RouteCandidate {
-                    nodes: vec![0, 3, 2],
-                    links: vec![20, 21],
-                },
+                route(vec![0, 1, 2], vec![10, 11]),
+                route(vec![0, 3, 2], vec![20, 21]),
             ]
         };
         let mut ts = TransferScheduler::new(TransferConfig {
@@ -1257,14 +1191,8 @@ mod tests {
     fn hot_streams_reroute_mid_flight_at_most_once() {
         let two_routes = || {
             vec![
-                RouteCandidate {
-                    nodes: vec![0, 1, 2],
-                    links: vec![10, 11],
-                },
-                RouteCandidate {
-                    nodes: vec![0, 3, 2],
-                    links: vec![20, 21],
-                },
+                route(vec![0, 1, 2], vec![10, 11]),
+                route(vec![0, 3, 2], vec![20, 21]),
             ]
         };
         let mut ts = TransferScheduler::new(TransferConfig {
@@ -1338,8 +1266,8 @@ mod tests {
         // node order
         for w in a.windows(2) {
             assert!(
-                w[0].links.len() < w[1].links.len()
-                    || (w[0].links.len() == w[1].links.len() && w[0].nodes < w[1].nodes)
+                w[0].edges.len() < w[1].edges.len()
+                    || (w[0].edges.len() == w[1].edges.len() && w[0].nodes < w[1].nodes)
             );
         }
     }
@@ -1398,14 +1326,8 @@ mod tests {
     #[test]
     fn link_failure_reroutes_onto_surviving_candidate() {
         let two_routes = vec![
-            RouteCandidate {
-                nodes: vec![0, 1, 2],
-                links: vec![10, 11],
-            },
-            RouteCandidate {
-                nodes: vec![0, 3, 2],
-                links: vec![20, 21],
-            },
+            route(vec![0, 1, 2], vec![10, 11]),
+            route(vec![0, 3, 2], vec![20, 21]),
         ];
         let mut ts = TransferScheduler::new(TransferConfig::default());
         ts.submit(0, spec(1, 8.0), two_routes);
@@ -1503,14 +1425,8 @@ mod tests {
         // the QCN mid-flight reroute must never pick a dead alternate
         let two_routes = || {
             vec![
-                RouteCandidate {
-                    nodes: vec![0, 1, 2],
-                    links: vec![10, 11],
-                },
-                RouteCandidate {
-                    nodes: vec![0, 3, 2],
-                    links: vec![20, 21],
-                },
+                route(vec![0, 1, 2], vec![10, 11]),
+                route(vec![0, 3, 2], vec![20, 21]),
             ]
         };
         let mut ts = TransferScheduler::new(TransferConfig {

@@ -253,12 +253,6 @@ impl ArimaModel {
         let k = self.spec.param_count() as f64;
         self.nobs as f64 * self.sigma2.ln() + 2.0 * k
     }
-
-    /// Bayesian information criterion.
-    pub fn bic(&self) -> f64 {
-        let k = self.spec.param_count() as f64;
-        self.nobs as f64 * self.sigma2.ln() + k * (self.nobs as f64).ln()
-    }
 }
 
 /// Shrink coefficient vectors whose ℓ1 norm threatens non-stationarity /
@@ -389,7 +383,6 @@ mod tests {
         let big = ArimaModel::fit(&y, ArimaSpec::new(4, 0, 3)).unwrap();
         // σ² barely improves, so AIC should favour the small model
         assert!(small.aic() < big.aic() + 50.0);
-        assert!(small.bic() < big.bic());
     }
 
     #[test]

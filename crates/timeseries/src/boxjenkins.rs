@@ -1,52 +1,26 @@
 //! Box–Jenkins order selection (Sec. IV-B): pick (p, d, q) by grid search,
-//! choosing `d` from a stationarity heuristic and (p, q) by information
-//! criterion — the automated equivalent of the paper's manual MATLAB
-//! workflow that arrived at ARIMA(1,1,1).
+//! choosing `d` from a stationarity heuristic and (p, q) by the Akaike
+//! information criterion — the automated equivalent of the paper's
+//! manual MATLAB workflow that arrived at ARIMA(1,1,1).
 
 use crate::arima::{ArimaModel, ArimaSpec};
 use crate::series::difference_once;
 use crate::stats::acf;
 
-/// Which information criterion drives the (p, q) choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Criterion {
-    /// Akaike.
-    Aic,
-    /// Bayesian (heavier parameter penalty).
-    Bic,
-}
-
-/// Grid-search bounds for [`select`].
-#[derive(Debug, Clone)]
-pub struct SelectionConfig {
-    /// Maximum AR order.
-    pub max_p: usize,
-    /// Maximum differencing order.
-    pub max_d: usize,
-    /// Maximum MA order.
-    pub max_q: usize,
-    /// Information criterion.
-    pub criterion: Criterion,
-}
-
-impl Default for SelectionConfig {
-    fn default() -> Self {
-        Self {
-            max_p: 3,
-            max_d: 2,
-            max_q: 3,
-            criterion: Criterion::Aic,
-        }
-    }
-}
+/// Highest AR order [`select`] tries.
+const MAX_P: usize = 3;
+/// Highest differencing order [`select`] tries.
+const MAX_D: usize = 2;
+/// Highest MA order [`select`] tries.
+const MAX_Q: usize = 3;
 
 /// Choose the differencing order: difference until the lag-1
 /// autocorrelation of the result drops below a stationarity band (or
-/// `max_d` is reached). Slowly-decaying ACF near 1 is the classical
+/// [`MAX_D`] is reached). Slowly-decaying ACF near 1 is the classical
 /// unit-root signature.
-pub fn choose_d(y: &[f64], max_d: usize) -> usize {
+fn choose_d(y: &[f64]) -> usize {
     let mut cur = y.to_vec();
-    for d in 0..=max_d {
+    for d in 0..=MAX_D {
         if cur.len() < 10 {
             return d;
         }
@@ -56,17 +30,17 @@ pub fn choose_d(y: &[f64], max_d: usize) -> usize {
         }
         cur = difference_once(&cur);
     }
-    max_d
+    MAX_D
 }
 
-/// Fit every (p, q) in the grid at the chosen `d` and return the model
-/// with the best criterion value. `None` when nothing fits (degenerate or
-/// too-short series).
-pub fn select(y: &[f64], cfg: &SelectionConfig) -> Option<(ArimaSpec, ArimaModel)> {
-    let d = choose_d(y, cfg.max_d);
+/// Fit every (p, q) up to (3, 3) at the chosen `d` (at most 2) and
+/// return the model with the least AIC. `None` when nothing fits
+/// (degenerate or too-short series).
+pub fn select(y: &[f64]) -> Option<(ArimaSpec, ArimaModel)> {
+    let d = choose_d(y);
     let mut best: Option<(f64, ArimaSpec, ArimaModel)> = None;
-    for p in 0..=cfg.max_p {
-        for q in 0..=cfg.max_q {
+    for p in 0..=MAX_P {
+        for q in 0..=MAX_Q {
             if p == 0 && q == 0 {
                 continue;
             }
@@ -74,10 +48,7 @@ pub fn select(y: &[f64], cfg: &SelectionConfig) -> Option<(ArimaSpec, ArimaModel
             let Ok(model) = ArimaModel::fit(y, spec) else {
                 continue;
             };
-            let score = match cfg.criterion {
-                Criterion::Aic => model.aic(),
-                Criterion::Bic => model.bic(),
-            };
+            let score = model.aic();
             if best.as_ref().is_none_or(|(s, _, _)| score < *s) {
                 best = Some((score, spec, model));
             }
@@ -106,7 +77,7 @@ mod tests {
     #[test]
     fn choose_d_zero_for_stationary() {
         let y = ar1(0.5, 3_000, 1);
-        assert_eq!(choose_d(&y, 2), 0);
+        assert_eq!(choose_d(&y), 0);
     }
 
     #[test]
@@ -118,17 +89,13 @@ mod tests {
             let prev = *y.last().expect("non-empty");
             y.push(prev + e);
         }
-        assert_eq!(choose_d(&y, 2), 1);
+        assert_eq!(choose_d(&y), 1);
     }
 
     #[test]
-    fn select_prefers_small_model_with_bic() {
+    fn select_prefers_small_model() {
         let y = ar1(0.7, 8_000, 3);
-        let cfg = SelectionConfig {
-            criterion: Criterion::Bic,
-            ..SelectionConfig::default()
-        };
-        let (spec, model) = select(&y, &cfg).unwrap();
+        let (spec, model) = select(&y).unwrap();
         assert_eq!(spec.d, 0);
         assert!(spec.p <= 2, "chose {spec}");
         assert!((model.phi[0] - 0.7).abs() < 0.1);
@@ -142,12 +109,12 @@ mod tests {
             .enumerate()
             .map(|(t, v)| 0.5 * t as f64 + v)
             .collect();
-        let (spec, _) = select(&y, &SelectionConfig::default()).unwrap();
+        let (spec, _) = select(&y).unwrap();
         assert!(spec.d >= 1, "chose {spec}");
     }
 
     #[test]
     fn select_returns_none_on_degenerate() {
-        assert!(select(&[1.0; 200], &SelectionConfig::default()).is_none());
+        assert!(select(&[1.0; 200]).is_none());
     }
 }

@@ -35,7 +35,7 @@ pub mod series;
 pub mod stats;
 
 pub use arima::{ArimaModel, ArimaSpec, FitError};
-pub use boxjenkins::{select, SelectionConfig};
+pub use boxjenkins::select;
 pub use diagnostics::{diagnose_arima, FitReport};
 pub use interval::{first_alert_step, Forecast};
 pub use narnet::{Narnet, NarnetConfig};

@@ -10,6 +10,13 @@ use crate::series::lag_matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Adam learning rate.
+const LEARNING_RATE: f64 = 0.01;
+/// Mini-batch size.
+const BATCH: usize = 32;
+/// Fraction of training rows held out for early stopping.
+const VALIDATION_FRACTION: f64 = 0.15;
+
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
 pub struct NarnetConfig {
@@ -17,14 +24,8 @@ pub struct NarnetConfig {
     pub lags: usize,
     /// Number of hidden units `nh` (paper: 20).
     pub hidden: usize,
-    /// Adam learning rate.
-    pub learning_rate: f64,
     /// Maximum training epochs.
     pub epochs: usize,
-    /// Mini-batch size.
-    pub batch: usize,
-    /// Fraction of training rows held out for early stopping.
-    pub validation_fraction: f64,
     /// Stop after this many epochs without validation improvement.
     pub patience: usize,
     /// RNG seed for weight init and shuffling.
@@ -36,10 +37,7 @@ impl Default for NarnetConfig {
         Self {
             lags: 8,
             hidden: 20,
-            learning_rate: 0.01,
             epochs: 400,
-            batch: 32,
-            validation_fraction: 0.15,
             patience: 30,
             seed: 0x5EED,
         }
@@ -111,7 +109,7 @@ impl Narnet {
 
         // chronological validation split (time series: never shuffle across
         // the split boundary)
-        let val_len = ((rows.len() as f64 * cfg.validation_fraction) as usize).max(1);
+        let val_len = ((rows.len() as f64 * VALIDATION_FRACTION) as usize).max(1);
         let train_len = rows.len().saturating_sub(val_len).max(1);
 
         let ni = cfg.lags;
@@ -123,8 +121,8 @@ impl Narnet {
         let s2 = (1.0 / nh as f64).sqrt();
         let mut w1: Vec<f64> = (0..n_w1).map(|_| rng.gen_range(-s1..s1)).collect();
         let mut w2: Vec<f64> = (0..n_w2).map(|_| rng.gen_range(-s2..s2)).collect();
-        let mut opt1 = Adam::new(n_w1, cfg.learning_rate);
-        let mut opt2 = Adam::new(n_w2, cfg.learning_rate);
+        let mut opt1 = Adam::new(n_w1, LEARNING_RATE);
+        let mut opt2 = Adam::new(n_w2, LEARNING_RATE);
 
         let mut order: Vec<usize> = (0..train_len).collect();
         let mut best_val = f64::INFINITY;
@@ -140,7 +138,7 @@ impl Narnet {
             for i in (1..order.len()).rev() {
                 order.swap(i, rng.gen_range(0..=i));
             }
-            for chunk in order.chunks(cfg.batch) {
+            for chunk in order.chunks(BATCH) {
                 g1.iter_mut().for_each(|g| *g = 0.0);
                 g2.iter_mut().for_each(|g| *g = 0.0);
                 for &r in chunk {

@@ -11,6 +11,9 @@ use crate::arima::ArimaModel;
 use crate::narnet::Narnet;
 use std::collections::VecDeque;
 
+/// The rolling window `T_p`: observations each model's MSE covers.
+const T_P: usize = 20;
+
 /// A fitted one-step predictor usable in the dynamic pool.
 #[derive(Debug, Clone)]
 pub enum Predictor {
@@ -42,19 +45,17 @@ impl Predictor {
 #[derive(Debug, Clone)]
 pub struct DynamicSelector {
     models: Vec<Predictor>,
-    window: usize,
     errors: Vec<VecDeque<f64>>,
 }
 
 impl DynamicSelector {
-    /// Pool with rolling window `T_p` (the paper's `T_p` period).
-    pub fn new(models: Vec<Predictor>, window: usize) -> Self {
+    /// Pool with a rolling window of `T_p` = 20 observations (the
+    /// paper's `T_p` period).
+    pub fn new(models: Vec<Predictor>) -> Self {
         assert!(!models.is_empty(), "need at least one model");
-        assert!(window >= 1, "window must be positive");
         let n = models.len();
         Self {
             models,
-            window,
             errors: vec![VecDeque::new(); n],
         }
     }
@@ -99,7 +100,7 @@ impl DynamicSelector {
             let p = model.predict_next(history);
             let e = &mut self.errors[f];
             e.push_back(actual - p);
-            if e.len() > self.window {
+            if e.len() > T_P {
                 e.pop_front();
             }
         }
@@ -186,7 +187,7 @@ mod tests {
                 mse(&preds, &y[split..])
             })
             .collect();
-        let mut sel = DynamicSelector::new(models, 20);
+        let mut sel = DynamicSelector::new(models);
         let (preds, _) = sel.run(&y, split);
         let combined = mse(&preds, &y[split..]);
         let best_single = single.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -202,7 +203,7 @@ mod tests {
         let y = mixed_series(1_000, 7);
         let split = 400; // test spans the regime change at 500
         let models = pool(&y[..split]);
-        let mut sel = DynamicSelector::new(models, 15);
+        let mut sel = DynamicSelector::new(models);
         let (_, used) = sel.run(&y, split);
         let distinct: std::collections::HashSet<_> = used.iter().collect();
         assert!(distinct.len() > 1, "selector never switched models");
@@ -212,10 +213,10 @@ mod tests {
     fn rolling_window_bounds_error_history() {
         let y = mixed_series(300, 3);
         let models = pool(&y[..250]);
-        let mut sel = DynamicSelector::new(models, 5);
+        let mut sel = DynamicSelector::new(models);
         let (_, _) = sel.run(&y, 250);
         for f in 0..2 {
-            assert!(sel.errors[f].len() <= 5);
+            assert!(sel.errors[f].len() <= T_P);
             assert!(sel.rolling_mse(f).is_finite());
         }
     }
@@ -224,7 +225,7 @@ mod tests {
     fn untested_pool_uses_first_model() {
         let y = mixed_series(300, 9);
         let models = pool(&y[..250]);
-        let sel = DynamicSelector::new(models, 5);
+        let sel = DynamicSelector::new(models);
         assert_eq!(sel.best_model(), 0);
         assert_eq!(sel.rolling_mse(0), f64::INFINITY);
     }
@@ -232,7 +233,7 @@ mod tests {
     #[test]
     fn labels_name_both_model_families() {
         let y = mixed_series(300, 1);
-        let sel = DynamicSelector::new(pool(&y[..250]), 5);
+        let sel = DynamicSelector::new(pool(&y[..250]));
         let labels = sel.labels();
         assert!(labels[0].contains("ARIMA"));
         assert!(labels[1].contains("NARNET"));

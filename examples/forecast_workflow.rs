@@ -7,7 +7,7 @@
 //! cargo run --release --example forecast_workflow
 //! ```
 
-use sheriff_dcn::forecast::boxjenkins::{select, SelectionConfig};
+use sheriff_dcn::forecast::boxjenkins::select;
 use sheriff_dcn::forecast::diagnostics::diagnose_arima;
 use sheriff_dcn::forecast::generator::{weekly_traffic_trace, TraceConfig};
 use sheriff_dcn::forecast::interval::first_alert_step;
@@ -22,8 +22,7 @@ fn main() {
     let train = &y[..5 * season];
 
     // --- 1. automatic order selection -------------------------------------
-    let cfg = SelectionConfig::default();
-    let (spec, model) = select(train, &cfg).expect("order selection");
+    let (spec, model) = select(train).expect("order selection");
     println!("Box–Jenkins selected {spec} (AIC {:.1})", model.aic());
 
     // --- 2. residual diagnostics -------------------------------------------
@@ -50,7 +49,7 @@ fn main() {
         }
         days -= 1;
         window = &train[train.len() - days * season..];
-        model = select(window, &cfg).expect("order selection").1;
+        model = select(window).expect("order selection").1;
         report = diagnose_arima(&model, window, 12);
     }
     if !report.acceptable() {

@@ -48,10 +48,10 @@ fn main() {
     );
 
     // --- dynamic selection (Fig. 8, Eqn. 14) -----------------------------
-    let mut selector = DynamicSelector::new(
-        vec![Predictor::Arima(arima.clone()), Predictor::Narnet(narnet)],
-        20,
-    );
+    let mut selector = DynamicSelector::new(vec![
+        Predictor::Arima(arima.clone()),
+        Predictor::Narnet(narnet),
+    ]);
     let (combined, used) = selector.run(&traffic, split);
     let switches = used.windows(2).filter(|w| w[0] != w[1]).count();
     println!(

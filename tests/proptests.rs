@@ -73,7 +73,7 @@ proptest! {
         budget in 1.0f64..120.0,
     ) {
         let mut inv = Inventory::new();
-        inv.add_rack(1, 1e6, 1e6);
+        inv.add_rack(1, 1e6);
         let mut p = Placement::new(&inv);
         let mut ids = Vec::new();
         for (cap, value, ds) in &caps {
